@@ -3,8 +3,8 @@ search and self-verification.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on configuration
 errors.  Options may come from a flat ``key = value`` config file
-(``--config``); command-line flags override file values.  The environment
-variable ``ISLOCC_THREADS`` caps grid parallelism (0 = auto).
+(``--config``); command-line flags override file values.  Families are
+evaluated once and batched over p.
 """
 
 from __future__ import annotations

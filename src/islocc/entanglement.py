@@ -7,6 +7,10 @@ through the binary entropy, and two CHSH evaluators — the unrestricted
 Horodecki criterion from the spin-correlation matrix, and the closed-form
 X-state expression 2*sqrt(P^2 + Q^2) used by the sweep layer.
 
+Each formula is written once, over a stack of matrices of shape (n, 4, 4):
+:func:`analyze_stack` evaluates a whole noise grid in one batch, and the
+single-matrix functions call the same code on a stack of one.
+
 For the singlet-type states produced by the noisy-preparation pipeline the
 two CHSH evaluators coincide exactly; for triplet-type X states whose
 transverse correlations dominate, the unrestricted criterion can exceed
@@ -38,7 +42,9 @@ __all__ = [
     "XStateBell",
     "NotXShapedError",
     "EntanglementReport",
+    "StackReport",
     "analyze",
+    "analyze_stack",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -46,6 +52,12 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _FLIP = np.kron(SIGMA_Y, SIGMA_Y)
+
+#: Entries an X-shaped two-qubit matrix may carry: diagonal and anti-diagonal.
+_X_SHAPE = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+_IMAG_TOL = 1e-8
+_X_ATOL = 1e-10
 
 MatrixLike = Union[np.ndarray, ProjectedDensityMatrix]
 
@@ -65,8 +77,11 @@ def _as_matrix(rho: MatrixLike) -> np.ndarray:
 
 def spin_flip(rho: MatrixLike) -> np.ndarray:
     """Spin-flipped conjugate (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    m = _as_matrix(rho)
-    return _FLIP @ m.conj() @ _FLIP
+    return _flip(_as_matrix(rho))
+
+
+def _flip(ms: np.ndarray) -> np.ndarray:
+    return _FLIP @ ms.conj() @ _FLIP
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
@@ -75,7 +90,38 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def wootters_lambdas(rho: MatrixLike, imag_tol: float = 1e-8) -> np.ndarray:
+def _lambdas(ms: np.ndarray, imag_tol: float) -> np.ndarray:
+    """Rows of descending, clamped eigenvalues of rho * rho~ for a stack."""
+    flipped = _flip(ms)
+    vals = np.linalg.eigvals(ms @ flipped)
+    for i in np.flatnonzero(np.max(np.abs(vals.imag), axis=-1) > imag_tol):
+        root = _sqrtm_psd(ms[i])
+        vals[i] = np.linalg.eigvalsh(root @ flipped[i] @ root)
+    return np.sort(np.clip(vals.real, 0.0, None), axis=-1)[..., ::-1]
+
+
+def _concurrence(lambdas: np.ndarray) -> np.ndarray:
+    roots = np.sqrt(lambdas)
+    return np.clip(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], 0.0, 1.0)
+
+
+def _eof(c: np.ndarray) -> np.ndarray:
+    c = np.clip(c, 0.0, 1.0)
+    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
+    inside = (x > 0.0) & (x < 1.0)
+    x = np.where(inside, x, 0.5)  # keeps log2(0) out of the masked rows
+    return np.where(inside, -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x)), 0.0)
+
+
+def _xstate(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """X-state CHSH value, P, Q and the largest off-X entry of each matrix."""
+    off_x = np.max(np.abs(np.where(_X_SHAPE, 0.0, ms)), axis=(-2, -1))
+    p = (ms[..., 0, 0] + ms[..., 3, 3] - ms[..., 1, 1] - ms[..., 2, 2]).real
+    q = 2.0 * (np.abs(ms[..., 0, 3]) + np.abs(ms[..., 1, 2]))
+    return 2.0 * np.sqrt(p * p + q * q), p, q, off_x
+
+
+def wootters_lambdas(rho: MatrixLike, imag_tol: float = _IMAG_TOL) -> np.ndarray:
     """Eigenvalues of rho * rho~ sorted descending, clamped to >= 0.
 
     The product is non-Hermitian but has real non-negative spectrum; a
@@ -83,22 +129,13 @@ def wootters_lambdas(rho: MatrixLike, imag_tol: float = 1e-8) -> np.ndarray:
     sqrt(rho) rho~ sqrt(rho) serves as fallback if residual imaginary
     parts exceed ``imag_tol``.
     """
-    m = _as_matrix(rho)
-    flipped = spin_flip(m)
-    vals = np.linalg.eigvals(m @ flipped)
-    if np.max(np.abs(vals.imag)) > imag_tol:
-        root = _sqrtm_psd(m)
-        vals = np.linalg.eigvalsh(root @ flipped @ root).astype(complex)
-    real = np.clip(vals.real, 0.0, None)
-    return np.sort(real)[::-1]
+    return _lambdas(_as_matrix(rho)[None], imag_tol)[0]
 
 
 def concurrence(rho: MatrixLike) -> float:
     """Wootters concurrence max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))
     with l1 the largest eigenvalue of rho * rho~."""
-    roots = np.sqrt(wootters_lambdas(rho))
-    value = roots[0] - roots[1] - roots[2] - roots[3]
-    return float(min(max(value, 0.0), 1.0))
+    return float(_concurrence(wootters_lambdas(rho)))
 
 
 def binary_entropy(x: float) -> float:
@@ -110,8 +147,7 @@ def binary_entropy(x: float) -> float:
 
 def eof(concurrence_value: float) -> float:
     """Entanglement of formation h((1 + sqrt(1 - C^2)) / 2) of a two-qubit state."""
-    c = min(max(float(concurrence_value), 0.0), 1.0)
-    return binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+    return float(_eof(np.asarray(float(concurrence_value))))
 
 
 def correlation_matrix(rho: MatrixLike) -> np.ndarray:
@@ -139,24 +175,18 @@ class XStateBell(NamedTuple):
     q: float
 
 
-def bell_xstate(rho: MatrixLike, atol: float = 1e-10) -> XStateBell:
+def bell_xstate(rho: MatrixLike, atol: float = _X_ATOL) -> XStateBell:
     """Closed-form CHSH value 2*sqrt(P^2 + Q^2) for an X-shaped matrix,
     with P the diagonal contrast r11+r44-r22-r33 and Q = 2(|r14| + |r23|).
 
     Raises :class:`NotXShapedError` if entries off the diagonal and
     anti-diagonal exceed ``atol`` — use :func:`bell_horodecki` there.
     """
-    m = _as_matrix(rho)
-    off_x = m.copy()
-    for i, j in ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0), (1, 2), (2, 1)):
-        off_x[i, j] = 0.0
-    worst = np.max(np.abs(off_x))
-    if worst > atol:
+    bell, p, q, off_x = _xstate(_as_matrix(rho))
+    if not off_x <= atol:
         raise NotXShapedError(
-            f"matrix has off-X weight {worst:.3e} > {atol:.1e}; use bell_horodecki")
-    p = (m[0, 0] + m[3, 3] - m[1, 1] - m[2, 2]).real
-    q = 2.0 * (abs(m[0, 3]) + abs(m[1, 2]))
-    return XStateBell(2.0 * math.sqrt(p * p + q * q), p, q)
+            f"matrix has off-X weight {off_x:.3e} > {atol:.1e}; use bell_horodecki")
+    return XStateBell(float(bell), float(p), float(q))
 
 
 @dataclass(frozen=True)
@@ -171,6 +201,47 @@ class EntanglementReport:
     bell_q: float
 
 
+@dataclass(frozen=True)
+class StackReport:
+    """The fields of :class:`EntanglementReport` as arrays over a stack of
+    states; ``lambdas`` has one row of four per state."""
+
+    concurrence: np.ndarray
+    lambdas: np.ndarray
+    eof: np.ndarray
+    bell: np.ndarray
+    bell_p: np.ndarray
+    bell_q: np.ndarray
+
+    def row(self, i: int) -> EntanglementReport:
+        return EntanglementReport(
+            concurrence=float(self.concurrence[i]),
+            lambdas=tuple(float(v) for v in self.lambdas[i]),
+            eof=float(self.eof[i]),
+            bell=float(self.bell[i]),
+            bell_p=float(self.bell_p[i]),
+            bell_q=float(self.bell_q[i]),
+        )
+
+
+def analyze_stack(matrices: np.ndarray) -> StackReport:
+    """Diagnostics of every state in an (n, 4, 4) stack, batched in numpy.
+
+    Rows whose rho * rho~ spectrum comes back with imaginary parts above
+    the tolerance take the Hermitian Wootters form, and rows that are not
+    X-shaped take the Horodecki CHSH value, one row at a time.
+    """
+    ms = np.asarray(matrices, dtype=complex)
+    if ms.ndim != 3 or ms.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (n, 4, 4) stack of two-qubit matrices, got {ms.shape}")
+    lambdas = _lambdas(ms, _IMAG_TOL)
+    c = _concurrence(lambdas)
+    bell, bp, bq, off_x = _xstate(ms)
+    for i in np.flatnonzero(~(off_x <= _X_ATOL)):
+        bell[i], bp[i], bq[i] = bell_horodecki(ms[i]), math.nan, math.nan
+    return StackReport(c, lambdas, _eof(c), bell, bp, bq)
+
+
 def analyze(rho: MatrixLike) -> EntanglementReport:
     """Full diagnostic report for a projected two-qubit state.
 
@@ -179,17 +250,4 @@ def analyze(rho: MatrixLike) -> EntanglementReport:
     reports), and the unrestricted Horodecki value otherwise, with
     ``bell_p``/``bell_q`` set to NaN in that case.
     """
-    lambdas = wootters_lambdas(rho)
-    c = concurrence(rho)
-    try:
-        bell, bp, bq = bell_xstate(rho)
-    except NotXShapedError:
-        bell, bp, bq = bell_horodecki(rho), math.nan, math.nan
-    return EntanglementReport(
-        concurrence=c,
-        lambdas=tuple(float(v) for v in lambdas),
-        eof=eof(c),
-        bell=bell,
-        bell_p=bp,
-        bell_q=bq,
-    )
+    return analyze_stack(_as_matrix(rho)[None]).row(0)

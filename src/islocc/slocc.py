@@ -4,7 +4,9 @@ Post-selecting exactly one particle in each of N separated modes maps an
 N-particle state of identical particles onto a 2^N-dimensional register of
 addressable pseudospins.  The projected density matrix is normalized to
 unit trace; the detection probability is the projected weight divided by
-the global trace of the input ensemble.
+the global trace of the input ensemble.  :func:`normalize_stack` and
+:func:`check_density_stack` do this for a whole stack of raw blocks at
+once; :func:`project` runs them on a stack of one.
 """
 
 from __future__ import annotations
@@ -23,14 +25,25 @@ __all__ = [
     "ProjectionUndefinedError",
     "ZeroTraceError",
     "ProjectedDensityMatrix",
+    "ProjectedStack",
     "spin_configurations",
     "computational_kets",
+    "check_density_stack",
+    "normalize_stack",
     "project",
     "slocc_probability",
 ]
 
 #: Fixed computational ordering of the two spin values.
 SPIN_ORDER = (UP, DOWN)
+
+#: A global trace at or below this is an empty state.
+_ZERO_TRACE_ATOL = 1e-12
+#: Detection weight at or below this times max(global trace, 1) is no detection.
+_UNDEFINED_RTOL = 1e-14
+
+_HERM_ATOL = 1e-12
+_EIG_ATOL = 1e-10
 
 
 class ProjectionUndefinedError(ValueError):
@@ -69,6 +82,22 @@ def computational_kets(basis: ModeBasis, regions: Sequence[str],
     return kets
 
 
+def check_density_stack(matrices: np.ndarray, probability: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every matrix of an (n, d, d) stack is
+    Hermitian, of unit trace and positive semidefinite, and every detection
+    probability lies in [0, 1].  Written so that NaN fails each test."""
+    herm = np.max(np.abs(matrices - matrices.conj().swapaxes(-1, -2)), axis=(-2, -1))
+    if not np.all(herm <= _HERM_ATOL):
+        raise ValueError("projected matrix is not Hermitian")
+    trace = np.trace(matrices, axis1=-2, axis2=-1)
+    if not np.all(np.abs(trace.real - 1.0) <= _HERM_ATOL):
+        raise ValueError(f"projected matrix trace {trace[np.argmax(np.abs(trace - 1.0))]!r} != 1")
+    if not np.all(np.linalg.eigvalsh(matrices)[..., 0] >= -_EIG_ATOL):
+        raise ValueError("projected matrix has a significantly negative eigenvalue")
+    if not np.all((probability >= -1e-12) & (probability <= 1 + 1e-12)):
+        raise ValueError(f"probability {probability!r} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class ProjectedDensityMatrix:
     """Unit-trace density matrix on the post-selected (region, spin) register.
@@ -82,9 +111,6 @@ class ProjectedDensityMatrix:
     probability: float
     regions: tuple[str, ...]
 
-    _HERM_ATOL = 1e-12
-    _EIG_ATOL = 1e-10
-
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         object.__setattr__(self, "matrix", m)
@@ -92,14 +118,7 @@ class ProjectedDensityMatrix:
         dim = 2 ** len(self.regions)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match {len(self.regions)} regions")
-        if np.max(np.abs(m - m.conj().T)) > self._HERM_ATOL:
-            raise ValueError("projected matrix is not Hermitian")
-        if abs(np.trace(m).real - 1.0) > self._HERM_ATOL:
-            raise ValueError(f"projected matrix trace {np.trace(m)!r} != 1")
-        if np.min(np.linalg.eigvalsh(m)) < -self._EIG_ATOL:
-            raise ValueError("projected matrix has a significantly negative eigenvalue")
-        if not -1e-12 <= self.probability <= 1 + 1e-12:
-            raise ValueError(f"probability {self.probability!r} outside [0, 1]")
+        check_density_stack(m[None], np.array([self.probability], dtype=float))
 
     @property
     def n(self) -> int:
@@ -109,6 +128,38 @@ class ProjectedDensityMatrix:
         """Ascending eigenvalues with float-level negatives clamped to zero."""
         vals = np.linalg.eigvalsh(self.matrix)
         return np.clip(vals, 0.0, None)
+
+
+@dataclass(frozen=True)
+class ProjectedStack:
+    """Post-selected states of a stack of raw projected blocks.  Rows whose
+    input has zero global trace (``zero_trace``) or whose detection weight
+    vanishes (``undefined``) hold a zero matrix and zero probability."""
+
+    matrices: np.ndarray
+    probability: np.ndarray
+    zero_trace: np.ndarray
+    undefined: np.ndarray
+
+    @property
+    def defined(self) -> np.ndarray:
+        return ~(self.zero_trace | self.undefined)
+
+
+def normalize_stack(raw: np.ndarray, global_trace: np.ndarray) -> ProjectedStack:
+    """Divide each raw block of an (n, d, d) stack by its trace and each
+    detection weight by its global trace.  Rows with nothing to divide by
+    are masked before any division and come back zeroed."""
+    weight = np.trace(raw, axis1=-2, axis2=-1).real
+    zero_trace = ~(global_trace > _ZERO_TRACE_ATOL)
+    undefined = ~zero_trace & ~(weight > _UNDEFINED_RTOL * np.maximum(global_trace, 1.0))
+    ok = ~(zero_trace | undefined)
+    matrices = np.zeros_like(raw)
+    probability = np.zeros(len(raw))
+    m = raw[ok] / weight[ok, None, None]
+    matrices[ok] = (m + m.conj().swapaxes(-1, -2)) / 2.0
+    probability[ok] = weight[ok] / global_trace[ok]
+    return ProjectedStack(matrices, probability, zero_trace, undefined)
 
 
 def _projected_weight(m: MixedState, kets: list[ElementaryKet]) -> tuple[np.ndarray, float]:
@@ -133,17 +184,16 @@ def project(m: MixedState, regions: Sequence[str]) -> ProjectedDensityMatrix:
     regions = _check_regions(m.basis, regions)
     if len(regions) != m.n:
         raise ValueError(f"{m.n} particles need {m.n} regions, got {len(regions)}")
-    global_trace = mixed_trace(m)
-    if global_trace <= 1e-12:
-        raise ZeroTraceError("state has zero global trace; nothing to project")
     kets = computational_kets(m.basis, regions, m.statistics)
-    raw, weight = _projected_weight(m, kets)
-    if weight <= 1e-14 * max(global_trace, 1.0):
+    raw, _ = _projected_weight(m, kets)
+    projected = normalize_stack(raw[None], np.array([mixed_trace(m)]))
+    if projected.zero_trace[0]:
+        raise ZeroTraceError("state has zero global trace; nothing to project")
+    if projected.undefined[0]:
         raise ProjectionUndefinedError(
             "detection probability vanishes for regions " + repr(regions))
-    matrix = raw / weight
-    matrix = (matrix + matrix.conj().T) / 2.0
-    return ProjectedDensityMatrix(matrix, weight / global_trace, regions)
+    return ProjectedDensityMatrix(projected.matrices[0], float(projected.probability[0]),
+                                  regions)
 
 
 def slocc_probability(m: MixedState, regions: Sequence[str]) -> float:
@@ -152,7 +202,7 @@ def slocc_probability(m: MixedState, regions: Sequence[str]) -> float:
     if len(regions) != m.n:
         raise ValueError(f"{m.n} particles need {m.n} regions, got {len(regions)}")
     global_trace = mixed_trace(m)
-    if global_trace <= 1e-12:
+    if not global_trace > _ZERO_TRACE_ATOL:
         raise ZeroTraceError("state has zero global trace")
     kets = computational_kets(m.basis, regions, m.statistics)
     _, weight = _projected_weight(m, kets)

@@ -165,9 +165,12 @@ class SpatialWave:
     theta: float = 0.0
 
     def __post_init__(self):
-        if self.l < 0 or self.r < 0:
+        if not all(math.isfinite(v) for v in (self.l, self.r, self.theta)):
+            raise ValueError(f"peaked-wave parameters must be finite, got "
+                             f"l={self.l!r}, r={self.r!r}, theta={self.theta!r}")
+        if not (self.l >= 0 and self.r >= 0):
             raise ValueError("peaked amplitudes l, r must be non-negative")
-        if abs(self.l ** 2 + self.r ** 2 - 1.0) > NORM_ATOL:
+        if not abs(self.l ** 2 + self.r ** 2 - 1.0) <= NORM_ATOL:
             raise ValueError(f"l^2 + r^2 must equal 1, got {self.l ** 2 + self.r ** 2!r}")
 
     @classmethod

@@ -6,9 +6,8 @@ r' = l (with l' fixed by normalization): on it the degree of spatial
 indistinguishability decreases monotonically from 1 at l = 1/sqrt(2) to 0
 at l = 1, so target degrees are inverted by bisection.
 
-Rows are evaluated family by family, optionally on a thread pool capped by
-the ``ISLOCC_THREADS`` environment variable (0 or unset = auto), and
-gathered in deterministic order: identical configurations produce
+Families are evaluated once and batched over p
+(:class:`~islocc.werner.WernerFamily`); identical configurations produce
 byte-identical CSV output.
 """
 
@@ -16,11 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,9 +27,9 @@ from .amplitudes import (BOSON, FERMION, ElementaryKet, ParticleStatistics,
 from .entanglement import analyze, bell_horodecki, bell_xstate, binary_entropy
 from .indistinguishability import degree_two
 from .ensembles import mixed_trace, pure_norm_sq
-from .slocc import ProjectionUndefinedError, ZeroTraceError, project
+from .slocc import ProjectedStack, ProjectionUndefinedError, ZeroTraceError, project
 from .states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from .werner import (WernerSpec, bell_states, canonical_theta,
+from .werner import (WernerFamily, WernerSpec, bell_states, canonical_theta,
                      depolarize_then_deform, project_werner, spec_from_l,
                      wave_state, werner_direct)
 
@@ -53,7 +50,6 @@ __all__ = [
     "l_for_indist",
     "records_to_csv",
     "records_to_json",
-    "parallel_map",
     "CSV_FIELDS",
     "BELL_REGION_FIELDS",
     "FLAG_PROBABILITY",
@@ -89,7 +85,9 @@ class GridSpec:
     def __post_init__(self):
         if self.steps < 1:
             raise ConfigError(f"grid needs at least one point, got steps={self.steps}")
-        if self.start > self.stop:
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(f"grid bounds must be finite, got {self.start}:{self.stop}")
+        if not self.start <= self.stop:
             raise ConfigError(f"grid start {self.start} exceeds stop {self.stop}")
 
     @classmethod
@@ -144,14 +142,14 @@ class SweepConfig:
             raise ConfigError("the free constraint needs an explicit lprime value")
         if self.constraint != "free" and self.lprime is not None:
             raise ConfigError(f"lprime is only meaningful with the free constraint")
-        if self.indist_grid is not None:
-            if self.indist_grid.start < 0 or self.indist_grid.stop > 1:
-                raise ConfigError("indistinguishability grid must lie in [0, 1]")
-        if self.l_grid is not None:
-            if self.l_grid.start < 0 or self.l_grid.stop > 1:
-                raise ConfigError("l grid must lie in [0, 1]")
-        if self.p_grid.start < 0 or self.p_grid.stop > 1:
-            raise ConfigError("noise-probability grid must lie in [0, 1]")
+        if self.theta is not None and not math.isfinite(self.theta):
+            raise ConfigError(f"theta must be finite, got {self.theta!r}")
+        if self.lprime is not None and not 0.0 <= self.lprime <= 1.0:
+            raise ConfigError(f"lprime must lie in [0, 1], got {self.lprime!r}")
+        for name, grid in (("indistinguishability", self.indist_grid), ("l", self.l_grid),
+                           ("noise-probability", self.p_grid)):
+            if grid is not None and not (0.0 <= grid.start and grid.stop <= 1.0):
+                raise ConfigError(f"{name} grid must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +244,12 @@ def _family_indist(psi1: SpatialWave, psi2: SpatialWave) -> float:
     return degree_two(wave_state(psi1, UP), wave_state(psi2, UP)).entropy
 
 
+def _flagged(projected: ProjectedStack) -> np.ndarray:
+    """Rows whose projection is undefined or whose detection probability is
+    below ``FLAG_PROBABILITY``."""
+    return ~projected.defined | (projected.probability < FLAG_PROBABILITY)
+
+
 def _sweep_family(statistics: ParticleStatistics, target: str, theta: float,
                   l: float, lprime: float, p_values: np.ndarray) -> list[SweepRecord]:
     psi1 = SpatialWave.from_l(l)
@@ -258,21 +262,13 @@ def _sweep_family(statistics: ParticleStatistics, target: str, theta: float,
         return [SweepRecord(float(p), l, lprime, theta, str(statistics),
                             0.0, 0.0, 0.0, 0.0, 0.0, flagged=True)
                 for p in p_values]
-    records = []
-    for p in p_values:
-        spec = WernerSpec(float(p), target, psi1, psi2, statistics)
-        try:
-            projected = project_werner(spec)
-        except ProjectionUndefinedError:
-            records.append(SweepRecord(float(p), l, lprime, theta, str(statistics),
-                                       indist, 0.0, 0.0, 0.0, 0.0, flagged=True))
-            continue
-        report = analyze(projected)
-        records.append(SweepRecord(float(p), l, lprime, theta, str(statistics), indist,
-                                   report.concurrence, report.eof,
-                                   projected.probability, report.bell,
-                                   flagged=projected.probability < FLAG_PROBABILITY))
-    return records
+    projected, report = WernerFamily(target, psi1, psi2, statistics).evaluate(p_values)
+    flagged = _flagged(projected)
+    return [SweepRecord(p, l, lprime, theta, str(statistics), indist, c, e, p_lr, b,
+                        flagged=f)
+            for p, c, e, p_lr, b, f in zip(
+                p_values.tolist(), report.concurrence.tolist(), report.eof.tolist(),
+                projected.probability.tolist(), report.bell.tolist(), flagged.tolist())]
 
 
 def _warn_flagged(records: Sequence) -> None:
@@ -294,11 +290,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     p_values = config.p_grid.values()
     pairs = _family_pairs(config)
 
-    def worker(pair: tuple[float, float]) -> list[SweepRecord]:
-        return _sweep_family(config.statistics, config.target, theta,
-                             pair[0], pair[1], p_values)
-
-    records = [r for chunk in parallel_map(worker, pairs) for r in chunk]
+    records = [r for l, lprime in pairs
+               for r in _sweep_family(config.statistics, config.target, theta,
+                                      l, lprime, p_values)]
     _warn_flagged(records)
     return records
 
@@ -308,17 +302,10 @@ def run_bell_region(config: SweepConfig) -> list[BellRegionRecord]:
     config.validate()
     theta = config.resolved_theta()
     p_values = config.p_grid.values()
-    pairs = _family_pairs(config)
-
-    def worker(pair: tuple[float, float]) -> list[BellRegionRecord]:
-        rows = []
-        for record in _sweep_family(config.statistics, config.target, theta,
-                                    pair[0], pair[1], p_values):
-            rows.append(BellRegionRecord(record.p, record.indist, record.bell,
-                                         int(record.bell > 2.0)))
-        return rows
-
-    return [r for chunk in parallel_map(worker, pairs) for r in chunk]
+    return [BellRegionRecord(r.p, r.indist, r.bell, int(r.bell > 2.0))
+            for l, lprime in _family_pairs(config)
+            for r in _sweep_family(config.statistics, config.target, theta,
+                                   l, lprime, p_values)]
 
 
 # ---------------------------------------------------------------------------
@@ -373,28 +360,28 @@ def _golden_min(f: Callable[[float], float], a: float, b: float,
     return x, f(x)
 
 
-def _pipeline_bell(statistics: ParticleStatistics, target: str, theta: float,
-                   l: float, lprime: float, p: float) -> float:
-    spec = spec_from_l(p, target, l, lprime, statistics, theta)
-    try:
-        return analyze(project_werner(spec)).bell
-    except ProjectionUndefinedError:
-        return 0.0
+def _family(statistics: ParticleStatistics, target: str, theta: float,
+            l: float, lprime: float) -> WernerFamily:
+    return WernerFamily(target, SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta),
+                        statistics)
 
 
-def _worst_case_bell(statistics: ParticleStatistics, target: str, theta: float,
-                     l: float, lprime: float, grid_points: int = 101) -> tuple[float, float]:
+def _bell_at(family: WernerFamily, p: float) -> float:
+    """CHSH value at one noise probability (0 where the projection is undefined)."""
+    return float(family.evaluate(np.array([p]))[1].bell[0])
+
+
+def _worst_case_bell(family: WernerFamily, grid_points: int = 101) -> tuple[float, float]:
     """Noise probability minimizing the CHSH value, via a coarse grid plus
     golden-section refinement around its minimum (the value is smooth in p)."""
     ps = np.linspace(0.0, 1.0, grid_points)
-    vals = [_pipeline_bell(statistics, target, theta, l, lprime, float(p)) for p in ps]
+    vals = family.evaluate(ps)[1].bell
     i = int(np.argmin(vals))
     lo = float(ps[max(0, i - 1)])
     hi = float(ps[min(grid_points - 1, i + 1)])
-    p_star, b_star = _golden_min(
-        lambda p: _pipeline_bell(statistics, target, theta, l, lprime, p), lo, hi)
+    p_star, b_star = _golden_min(lambda p: _bell_at(family, p), lo, hi)
     if vals[i] < b_star:
-        return float(ps[i]), vals[i]
+        return float(ps[i]), float(vals[i])
     return p_star, b_star
 
 
@@ -407,30 +394,27 @@ def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
     theta = config.resolved_theta()
     stats = config.statistics
 
-    def worst(indist: float) -> tuple[float, float, float]:
+    def worst(indist: float) -> tuple[float, WernerFamily, float, float]:
         l = l_for_indist(indist)
-        lprime = _lprime_for("l_eq_rprime", l, None)
-        p_star, b_star = _worst_case_bell(stats, config.target, theta, l, lprime)
-        return l, p_star, b_star
+        family = _family(stats, config.target, theta, l, _lprime_for("l_eq_rprime", l, None))
+        return (l, family, *_worst_case_bell(family))
 
-    _, p_top, b_top = worst(1.0)
+    _, _, p_top, b_top = worst(1.0)
     if b_top <= 2.0:
         return ThresholdResult(False, config.target, str(stats))
     lo, hi = 0.0, 1.0
-    _, p_lo, b_lo = worst(0.0)
+    _, _, p_lo, b_lo = worst(0.0)
     if b_lo > 2.0:
         hi = 0.0  # violated everywhere, threshold at zero
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        _, _, b_mid = worst(mid)
+        _, _, _, b_mid = worst(mid)
         if b_mid > 2.0:
             hi = mid
         else:
             lo = mid
-    l, p_star, b_star = worst(hi)
-    spec = spec_from_l(p_star, config.target, l,
-                       _lprime_for("l_eq_rprime", l, None), stats, theta)
-    concurrence_at = analyze(project_werner(spec)).concurrence
+    l, family, p_star, b_star = worst(hi)
+    concurrence_at = float(family.evaluate(np.array([p_star]))[1].concurrence[0])
     return ThresholdResult(True, config.target, str(stats), hi, l, p_star,
                            b_star, concurrence_at)
 
@@ -484,34 +468,6 @@ def records_to_json(records: Sequence, fields: Sequence[str] | None = None) -> s
                 entry[name] = float(format_float(value))
         payload.append(entry)
     return json.dumps({"records": payload}, indent=2) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# parallel evaluation
-# ---------------------------------------------------------------------------
-
-def _worker_count() -> int:
-    raw = os.environ.get("ISLOCC_THREADS", "0").strip()
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"ISLOCC_THREADS must be an integer, got {raw!r}") from None
-    if count < 0:
-        raise ConfigError(f"ISLOCC_THREADS must be >= 0, got {count}")
-    if count == 0:
-        count = os.cpu_count() or 1
-    return max(1, count)
-
-
-def parallel_map(fn: Callable, items: Iterable) -> list:
-    """Map with deterministic gather order, threaded when ISLOCC_THREADS
-    allows more than one worker."""
-    items = list(items)
-    workers = min(_worker_count(), max(1, len(items)))
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -708,13 +664,48 @@ def _suite_phase_switch(rng: np.random.Generator) -> str:
     return f"(fermion, theta) vs (boson, theta+pi) concurrence, worst |diff| = {worst:.2e}"
 
 
+def _suite_batched_vs_pointwise(rng: np.random.Generator) -> str:
+    ps = np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 9)))
+    # random tuples, plus psi1 = psi2 (a target with zero norm at p = 0 for
+    # fermion/1_plus and boson/1_minus) and both waves on L (no detection)
+    cases = [(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi),
+              BOSON if rng.integers(2) else FERMION,
+              "1_minus" if rng.integers(2) else "1_plus") for _ in range(40)]
+    cases += [(0.6, 0.6, 0.0, FERMION, "1_plus"), (0.6, 0.6, 0.0, BOSON, "1_minus"),
+              (1.0, 1.0, 0.0, FERMION, "1_minus")]
+    worst_m = worst_r = 0.0
+    for l, lp, theta, stats, target in cases:
+        psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
+        projected, report = WernerFamily(target, psi1, psi2, stats).evaluate(ps)
+        flagged = _flagged(projected)
+        for k, p in enumerate(ps):
+            try:
+                ref = project_werner(WernerSpec(float(p), target, psi1, psi2, stats))
+            except (ProjectionUndefinedError, ZeroTraceError):
+                assert flagged[k], f"batched row defined where the projection is not " \
+                                   f"({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})"
+                continue
+            assert flagged[k] == (ref.probability < FLAG_PROBABILITY), \
+                f"flags differ at ({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})"
+            expected = analyze(ref)
+            worst_m = max(worst_m, float(np.max(np.abs(projected.matrices[k] - ref.matrix))),
+                          abs(projected.probability[k] - ref.probability))
+            worst_r = max(worst_r, abs(report.concurrence[k] - expected.concurrence),
+                          abs(report.eof[k] - expected.eof), abs(report.bell[k] - expected.bell))
+    assert worst_m <= 1e-12 and worst_r <= 1e-9, \
+        f"batched vs per-point: matrix/P_LR {worst_m:.3e}, C/EoF/B {worst_r:.3e}"
+    return (f"batched family vs per-point projection on {len(cases)} families x {len(ps)} "
+            f"noise values, worst matrix/P_LR diff {worst_m:.2e}, C/EoF/B diff {worst_r:.2e}")
+
+
 def _bisect_violation_boundary(statistics, target, theta, l, lprime) -> float:
+    family = _family(statistics, target, theta, l, lprime)
     lo, hi = 0.0, 1.0
-    assert _pipeline_bell(statistics, target, theta, l, lprime, lo) > 2.0
-    assert _pipeline_bell(statistics, target, theta, l, lprime, hi) < 2.0
+    assert _bell_at(family, lo) > 2.0
+    assert _bell_at(family, hi) < 2.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if _pipeline_bell(statistics, target, theta, l, lprime, mid) > 2.0:
+        if _bell_at(family, mid) > 2.0:
             lo = mid
         else:
             hi = mid
@@ -745,6 +736,7 @@ _VERIFY_SUITES: tuple[tuple[str, Callable[[np.random.Generator], str]], ...] = (
     ("projection-properties", _suite_projection_properties),
     ("bell-fast-path", _suite_bell_fast_path),
     ("statistics-phase-switch", _suite_phase_switch),
+    ("batched-vs-pointwise", _suite_batched_vs_pointwise),
     ("violation-thresholds", _suite_violation_thresholds),
 )
 

@@ -11,6 +11,11 @@ other:
   qubits, followed by a spatial deformation that makes the wave functions
   overlap.
 
+:func:`project_werner` projects one noise level at a time.
+:class:`WernerFamily` evaluates a whole array of noise levels at once: the
+mixture is affine in p, and so are its projected block and its global
+trace, so the amplitude work is done once per family.
+
 Closed forms for the post-selected concurrence and detection probability
 of both targets are included as independent references for the numeric
 pipeline.  They hold for the canonical phase pairings (singlet target:
@@ -27,8 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import FERMION, ElementaryKet, ParticleStatistics
-from .ensembles import MixedState, PureNState
-from .slocc import ProjectedDensityMatrix, project
+from .ensembles import MixedState, PureNState, mixed_trace, state_overlap
+from .entanglement import StackReport, analyze_stack
+from .slocc import (ProjectedDensityMatrix, ProjectedStack, check_density_stack,
+                    computational_kets, normalize_stack, project)
 from .states import (DOWN, UP, ModeBasis, PeakedParams, SingleParticleState,
                      SpatialWave, Spin, make_peaked)
 
@@ -46,6 +53,7 @@ __all__ = [
     "apply_spin_operator",
     "depolarize_then_deform",
     "project_werner",
+    "WernerFamily",
     "closed_form_concurrence_minus",
     "closed_form_probability_minus",
     "closed_form_concurrence_plus",
@@ -74,8 +82,12 @@ class WernerSpec:
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"noise probability must lie in [0, 1], got {self.p!r}")
-        if self.target not in ("1_minus", "1_plus"):
-            raise ValueError(f"target must be '1_minus' or '1_plus', got {self.target!r}")
+        _check_target(self.target)
+
+
+def _check_target(target: str) -> None:
+    if target not in ("1_minus", "1_plus"):
+        raise ValueError(f"target must be '1_minus' or '1_plus', got {target!r}")
 
 
 def canonical_theta(target: str, statistics: ParticleStatistics) -> float:
@@ -207,8 +219,7 @@ def depolarize_then_deform(p: float, target: str, psi1: SpatialWave, psi2: Spati
     """Physical noisy preparation: start from the target Bell state on two
     separated staging modes, depolarize the pseudospin of the first qubit,
     then deform the staging modes onto the overlapping wave functions."""
-    if target not in ("1_minus", "1_plus"):
-        raise ValueError(f"target must be '1_minus' or '1_plus', got {target!r}")
+    _check_target(target)
     staging = ModeBasis(("L1", "L2"))
 
     def staged(mode: str, spin: Spin) -> SingleParticleState:
@@ -243,6 +254,53 @@ def project_werner(spec: WernerSpec, regions=("L", "R"),
     """Full numeric pipeline: build the mixture and post-select one particle
     per operational region."""
     return project(werner_direct(spec, basis), regions)
+
+
+class WernerFamily:
+    """All noise levels of one (target, psi1, psi2, statistics) preparation.
+
+    The constructor does the amplitude work once: the overlaps of the four
+    Bell states with the detection kets |L s, R s'>, and the global trace
+    of each Bell state.  :meth:`evaluate` then forms, for a whole array of
+    noise probabilities, the raw projected blocks
+    (1-p) v_t v_t^+ + (p/4) sum_b v_b v_b^+ and the global traces
+    (1-p) T_t + (p/4) sum_b T_b, and normalizes, checks and analyzes them
+    as one stack.  It agrees with :func:`project_werner` followed by
+    :func:`~islocc.entanglement.analyze` at each noise level.
+    """
+
+    def __init__(self, target: str, psi1: SpatialWave, psi2: SpatialWave,
+                 statistics: ParticleStatistics):
+        _check_target(target)
+        self.target = target
+        kets = computational_kets(LR_BASIS, ("L", "R"), statistics)
+        self._blocks: dict[str, np.ndarray] = {}
+        self._traces: dict[str, float] = {}
+        for name, state in bell_states(psi1, psi2, statistics).items():
+            v = np.array([state_overlap(k, state) for k in kets], dtype=complex)
+            self._blocks[name] = np.outer(v, v.conj())
+            self._traces[name] = mixed_trace(MixedState(((1.0, state),)))
+
+    def evaluate(self, p: np.ndarray) -> tuple[ProjectedStack, StackReport]:
+        """Projected states and their diagnostics for each noise probability.
+
+        Rows whose global trace or detection weight vanishes are zeroed
+        (``ProjectedStack.defined`` is False there) and read 0 in every
+        diagnostic.
+        """
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 1 or not np.all((p >= 0.0) & (p <= 1.0)):
+            raise ValueError(f"noise probabilities must lie in [0, 1], got {p!r}")
+        noise = (p / 4.0)[:, None, None]
+        raw = (1.0 - p)[:, None, None] * self._blocks[self.target]
+        for name in TARGETS:
+            raw = raw + noise * self._blocks[name]
+        global_trace = ((1.0 - p) * self._traces[self.target]
+                        + (p / 4.0) * sum(self._traces[name] for name in TARGETS))
+        projected = normalize_stack(raw, global_trace)
+        defined = projected.defined
+        check_density_stack(projected.matrices[defined], projected.probability[defined])
+        return projected, analyze_stack(projected.matrices)
 
 
 # ---------------------------------------------------------------------------

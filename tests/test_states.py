@@ -55,6 +55,12 @@ class TestMakePeaked:
         with pytest.raises(ValueError, match="non-negative"):
             SpatialWave(-0.6, 0.8)
 
+    @pytest.mark.parametrize("l, r, theta", [(math.nan, math.nan, 0.0), (0.6, 0.8, math.inf),
+                                             (0.6, 0.8, math.nan), (math.inf, 0.0, 0.0)])
+    def test_rejects_non_finite(self, l, r, theta):
+        with pytest.raises(ValueError, match="finite"):
+            SpatialWave(l, r, theta)
+
     def test_norm_one_for_random_params(self, rng):
         for _ in range(1000):
             phi = rng.uniform(0.0, math.pi / 2.0)

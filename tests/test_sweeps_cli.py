@@ -33,6 +33,10 @@ class TestGridSpec:
             GridSpec(1.0, 0.0, 5)
         with pytest.raises(ConfigError):
             GridSpec(0.0, 1.0, 0)
+        for start, stop in ((math.nan, math.nan), (0.0, math.nan), (math.nan, 1.0),
+                            (0.0, math.inf), (-math.inf, 0.0)):
+            with pytest.raises(ConfigError, match="finite"):
+                GridSpec(start, stop, 3)
 
 
 class TestIndistInversion:
@@ -125,15 +129,11 @@ class TestRunSweep:
         assert all(r.flagged for r in records)
         assert all(r.concurrence == 0.0 for r in records)
 
-    def test_determinism_and_thread_independence(self, monkeypatch):
+    def test_determinism_and_thread_independence(self):
         config = SweepConfig(statistics=BOSON, target="1_plus",
                              indist_grid=GridSpec(0, 1, 4), p_grid=GridSpec(0, 1, 5))
-        monkeypatch.setenv("ISLOCC_THREADS", "1")
-        serial = records_to_csv(run_sweep(config), CSV_FIELDS)
-        monkeypatch.setenv("ISLOCC_THREADS", "4")
-        threaded = records_to_csv(run_sweep(config), CSV_FIELDS)
-        assert serial == threaded
-        assert records_to_csv(run_sweep(config), CSV_FIELDS) == serial
+        first = records_to_csv(run_sweep(config), CSV_FIELDS)
+        assert records_to_csv(run_sweep(config), CSV_FIELDS) == first
 
     def test_json_and_csv_encode_identical_records(self):
         config = SweepConfig(statistics=FERMION, indist_grid=GridSpec(0.3, 0.8, 3),
@@ -162,6 +162,11 @@ class TestRunSweep:
             SweepConfig(constraint="bogus").validate()
         with pytest.raises(ConfigError, match="target"):
             SweepConfig(target="bell").validate()
+        with pytest.raises(ConfigError, match="theta"):
+            SweepConfig(theta=math.nan).validate()
+        with pytest.raises(ConfigError, match="lprime"):
+            SweepConfig(constraint="free", lprime=math.inf,
+                        l_grid=GridSpec(0, 1, 3)).validate()
 
 
 class TestBellRegion:
@@ -221,7 +226,7 @@ class TestVerify:
         report = run_verify()
         elapsed = time.monotonic() - start
         assert report.ok, "\n".join(report.summary_lines())
-        assert len(report.suites) == 9
+        assert len(report.suites) == 10
         assert all("worst" in s.detail or "boundaries" in s.detail
                    for s in report.suites)
         assert elapsed < 60.0, f"verification took {elapsed:.1f}s"
@@ -312,6 +317,46 @@ class TestCli:
 
     def test_bad_grid_flag_exits_2(self, capsys):
         assert main(["sweep", "--p-grid", "zero:one:ten"]) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--constraint", "l_eq_lprime", "--l-grid", "nan:nan:1"],
+        ["--p-grid", "0:nan:3"],
+        ["--theta", "nan"],
+        ["--theta", "inf"],
+        ["--constraint", "free", "--l-grid", "0.2:0.8:3", "--lprime", "nan"],
+        ["--constraint", "free", "--l-grid", "0.2:0.8:3", "--lprime", "2"],
+    ])
+    def test_non_finite_input_exits_2(self, flags, capsys):
+        assert main(["sweep", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+
+    def test_non_finite_config_file_value_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "nan.conf"
+        config.write_text("theta = nan\n")
+        assert main(["sweep", "--config", str(config)]) == 2
+        assert "theta must be finite" in capsys.readouterr().err
+
+    def test_zero_global_trace_row_is_flagged(self, tmp_path):
+        # psi1 = psi2: the fermionic triplet-type target has zero norm, so
+        # the p = 0 mixture is empty; noisier rows are well defined
+        flags = ["--statistics", "fermion", "--target", "1_plus", "--theta", "0",
+                 "--constraint", "l_eq_lprime", "--l-grid", "0.5:0.5:1", "--p-grid", "0:1:3"]
+        out = tmp_path / "sweep.csv"
+        with pytest.warns(RuntimeWarning, match="1 grid point"):
+            assert main(["sweep", *flags, "--output", str(out)]) == 0
+        rows = [dict(zip(CSV_FIELDS, line.split(",")))
+                for line in out.read_text().splitlines()[1:]]
+        assert [float(r["p"]) for r in rows] == [0.0, 0.5, 1.0]
+        assert all(float(rows[0][name]) == 0.0 for name in ("concurrence", "p_lr", "bell"))
+        assert all(math.isfinite(float(r[name])) and float(r["p_lr"]) > 0
+                   for r in rows[1:] for name in ("concurrence", "eof", "bell"))
+        config = SweepConfig(statistics=FERMION, target="1_plus", theta=0.0,
+                             constraint="l_eq_lprime", l_grid=GridSpec(0.5, 0.5, 1),
+                             p_grid=GridSpec(0, 1, 3))
+        with pytest.warns(RuntimeWarning):
+            records = run_sweep(config)
+        assert [r.flagged for r in records] == [True, False, False]
 
     def test_verify_exit_codes(self, monkeypatch, capsys):
         monkeypatch.setattr("islocc.werner.closed_form_concurrence_plus",

@@ -8,7 +8,8 @@ from islocc.ensembles import mixed_trace, pure_norm_sq
 from islocc.entanglement import analyze, concurrence
 from islocc.slocc import project
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from islocc.werner import (KrausSet, WernerSpec, bell_states, canonical_theta,
+from islocc.werner import (KrausSet, WernerFamily, WernerSpec, bell_states,
+                           canonical_theta,
                            closed_form_concurrence_minus,
                            closed_form_concurrence_plus,
                            closed_form_probability_minus,
@@ -197,3 +198,16 @@ class TestPhaseSwitch:
         assert canonical_theta("1_minus", BOSON) == math.pi
         assert canonical_theta("1_plus", FERMION) == math.pi
         assert canonical_theta("1_plus", BOSON) == 0.0
+
+
+class TestWernerFamily:
+    def test_rejects_noise_outside_unit_interval(self):
+        family = WernerFamily("1_minus", SpatialWave.from_l(0.8), SpatialWave.from_l(0.6),
+                              FERMION)
+        for p in ([math.nan], [0.2, 1.5], [-0.1], [[0.5]]):
+            with pytest.raises(ValueError, match="noise probabilities"):
+                family.evaluate(np.array(p))
+
+    def test_rejects_unknown_target(self):
+        with pytest.raises(ValueError, match="target"):
+            WernerFamily("2_plus", SpatialWave.from_l(0.8), SpatialWave.from_l(0.6), BOSON)
