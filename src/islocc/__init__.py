@@ -17,7 +17,7 @@ from .amplitudes import (BOSON, FERMION, ElementaryKet, ParticleStatistics,
                          PermutationCapExceeded, amplitude, amplitude_fast,
                          amplitude_permsum, overlap_matrix, permanent_ryser)
 from .ensembles import (MixedState, PureNState, matrix_element, mixed_trace,
-                        pure_norm_sq, state_overlap, symmetrized_basis)
+                        pure_norm_sq, state_overlap)
 from .slocc import (ProjectedDensityMatrix, ProjectionUndefinedError,
                     computational_kets, project, slocc_probability,
                     spin_configurations)

@@ -86,8 +86,11 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
 def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {output!r}: {exc}") from None
 
 
 def _render(records, fmt: str, fields, svg_renderer) -> str:
@@ -140,22 +143,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_grid(args: argparse.Namespace, run, fields, svg_renderer) -> int:
     config = build_config(args)
     if config.format == "svg" and config.output is None:
         raise ConfigError("svg output needs --output")
-    records = run_sweep(config)
-    _emit(_render(records, config.format, CSV_FIELDS, sweep_svg), config.output)
-    return 0
-
-
-def _cmd_bell_region(args: argparse.Namespace) -> int:
-    config = build_config(args)
-    if config.format == "svg" and config.output is None:
-        raise ConfigError("svg output needs --output")
-    records = run_bell_region(config)
-    _emit(_render(records, config.format, BELL_REGION_FIELDS, bell_region_svg),
-          config.output)
+    _emit(_render(run(config), config.format, fields, svg_renderer), config.output)
     return 0
 
 
@@ -165,7 +157,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     text = json.dumps(result.as_dict(), indent=2) + "\n"
     sys.stdout.write(text)
     if config.output:
-        Path(config.output).write_text(text, encoding="utf-8")
+        _emit(text, config.output)
     return 0
 
 
@@ -179,9 +171,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # handlers look the runners up as module globals when they run, so that
+    # wrappers installed from outside (perfbench's tracer) see the calls
     handlers = {
-        "sweep": _cmd_sweep,
-        "bell-region": _cmd_bell_region,
+        "sweep": lambda a: _cmd_grid(a, run_sweep, CSV_FIELDS, sweep_svg),
+        "bell-region": lambda a: _cmd_grid(a, run_bell_region, BELL_REGION_FIELDS,
+                                           bell_region_svg),
         "threshold": _cmd_threshold,
         "verify": _cmd_verify,
     }

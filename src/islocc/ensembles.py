@@ -4,24 +4,22 @@ States here are in general *unnormalized*: once single-particle wave
 functions overlap, the norm of a product ket departs from 1, and fixing it
 early would break the bookkeeping of detection probabilities.  Norms are
 therefore evaluated on demand — per pure state with :func:`pure_norm_sq`,
-or globally with :func:`mixed_trace`, which traces over an orthogonal
-symmetrized product basis.
+or globally with :func:`mixed_trace`, the weighted sum sum_e w_e <psi_e|psi_e>
+of the members' squared norms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
 
-from .amplitudes import FERMION, ElementaryKet, ParticleStatistics, amplitude
-from .states import DOWN, UP, ModeBasis, SingleParticleState
+from .amplitudes import ElementaryKet, ParticleStatistics, amplitude
+from .states import ModeBasis
 
 __all__ = [
     "PureNState",
     "MixedState",
     "pure_norm_sq",
-    "symmetrized_basis",
     "mixed_trace",
     "state_overlap",
     "matrix_element",
@@ -112,44 +110,13 @@ def pure_norm_sq(state: PureNState, atol: float = 1e-12) -> float:
     return max(total.real, 0.0)
 
 
-def symmetrized_basis(basis: ModeBasis, n: int,
-                      statistics: ParticleStatistics) -> list[tuple[ElementaryKet, float]]:
-    """Orthogonal product-ket basis of the N-particle (anti)symmetric sector.
-
-    Returns (ket, squared norm) pairs.  Bosonic kets are multisets of
-    single-particle basis states with squared norm prod_k occupation_k!;
-    fermionic kets are strictly increasing tuples with squared norm 1.
-    """
-    singles = [SingleParticleState.localized(basis, mode, spin)
-               for mode in basis.labels for spin in (UP, DOWN)]
-    indices = range(len(singles))
-    out: list[tuple[ElementaryKet, float]] = []
-    if statistics is FERMION:
-        for combo in combinations(indices, n):
-            out.append((ElementaryKet(tuple(singles[i] for i in combo), statistics), 1.0))
-    else:
-        for combo in combinations_with_replacement(indices, n):
-            norm_sq = 1.0
-            for i in set(combo):
-                norm_sq *= math.factorial(combo.count(i))
-            out.append((ElementaryKet(tuple(singles[i] for i in combo), statistics), norm_sq))
-    return out
-
-
-def mixed_trace(m: MixedState, atol: float = 1e-10) -> float:
-    """Trace of the (generally unnormalized) ensemble over the symmetrized basis.
+def mixed_trace(m: MixedState) -> float:
+    """Trace sum_e w_e <state_e|state_e> of the (generally unnormalized) ensemble.
 
     This is the global normalization constant of the state; dividing
     projected weights by it turns them into detection probabilities.
     """
-    total = 0.0
-    for b, norm_sq in symmetrized_basis(m.basis, m.n, m.statistics):
-        diag = math.fsum(w * abs(state_overlap(b, s)) ** 2
-                         for w, s in m.ensemble if w > 0)
-        total += diag / norm_sq
-    if total < -atol:
-        raise ValueError(f"ensemble trace is negative ({total!r}); ill-formed ensemble")
-    return max(total, 0.0)
+    return math.fsum(w * pure_norm_sq(s) for w, s in m.ensemble if w > 0)
 
 
 def matrix_element(bra: ElementaryKet, m: MixedState, ket: ElementaryKet) -> complex:

@@ -56,7 +56,8 @@ class ModeBasis:
     """Ordered set of distinct orthonormal spatial-mode labels.
 
     The order is fixed for the lifetime of a computation; dense vectors and
-    symmetrized bases all follow it.
+    detection kets follow it.  Global traces need no basis at all: they are
+    sum_e w_e <psi_e|psi_e> over the ensemble members.
     """
 
     labels: tuple[str, ...]

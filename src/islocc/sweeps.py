@@ -25,13 +25,12 @@ from . import werner as werner_mod
 from .amplitudes import (BOSON, FERMION, ElementaryKet, ParticleStatistics,
                          amplitude_fast, amplitude_permsum)
 from .entanglement import analyze, bell_horodecki, bell_xstate, binary_entropy
-from .indistinguishability import degree_two
 from .ensembles import mixed_trace, pure_norm_sq
 from .slocc import ProjectedStack, ProjectionUndefinedError, ZeroTraceError, project
 from .states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
 from .werner import (WernerFamily, WernerSpec, bell_states, canonical_theta,
                      depolarize_then_deform, project_werner, spec_from_l,
-                     wave_state, werner_direct)
+                     werner_direct)
 
 __all__ = [
     "ConfigError",
@@ -156,13 +155,26 @@ class SweepConfig:
 # the r' = l family and its indistinguishability degree
 # ---------------------------------------------------------------------------
 
+def _peaked_degree(l1: float, r1: float, l2: float, r2: float) -> float:
+    """Degree of indistinguishability of the peaked waves l1|L> + r1|R> and
+    l2|L> + r2|R> (phases drop out): h(l1^2 r2^2 / (l1^2 r2^2 + r1^2 l2^2)).
+
+    Raises ``ValueError`` when neither assignment is detectable, as
+    :func:`~islocc.indistinguishability.degree_n` does.
+    """
+    p12 = l1 * l1 * (r2 * r2)
+    p21 = l2 * l2 * (r1 * r1)
+    z = p12 + p21
+    if not z > 0.0:
+        raise ValueError("no assignment of particles to regions is detectable; "
+                         "the indistinguishability degree is undefined")
+    return binary_entropy(p12 / z)
+
+
 def indist_on_family(l: float) -> float:
     """Degree of indistinguishability on the r' = l family (so l' = r)."""
-    t = l * l
-    p12 = t * t
-    p21 = (1.0 - t) ** 2
-    z = p12 + p21
-    return binary_entropy(p12 / z)
+    r = math.sqrt(max(0.0, 1.0 - l * l))
+    return _peaked_degree(l, r, r, l)
 
 
 def l_for_indist(target: float, tol: float = 1e-12) -> float:
@@ -240,10 +252,6 @@ class BellRegionRecord:
         return {name: getattr(self, name) for name in BELL_REGION_FIELDS}
 
 
-def _family_indist(psi1: SpatialWave, psi2: SpatialWave) -> float:
-    return degree_two(wave_state(psi1, UP), wave_state(psi2, UP)).entropy
-
-
 def _flagged(projected: ProjectedStack) -> np.ndarray:
     """Rows whose projection is undefined or whose detection probability is
     below ``FLAG_PROBABILITY``."""
@@ -255,7 +263,7 @@ def _sweep_family(statistics: ParticleStatistics, target: str, theta: float,
     psi1 = SpatialWave.from_l(l)
     psi2 = SpatialWave.from_l(lprime, theta)
     try:
-        indist = _family_indist(psi1, psi2)
+        indist = _peaked_degree(psi1.l, psi1.r, psi2.l, psi2.r)
     except ValueError:
         # both wave functions piled on one mode: the degree is undefined and
         # so is the projection; keep the rows, zeroed and flagged
@@ -298,14 +306,10 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 
 
 def run_bell_region(config: SweepConfig) -> list[BellRegionRecord]:
-    """CHSH value and violation flag over the (indistinguishability, noise) grid."""
-    config.validate()
-    theta = config.resolved_theta()
-    p_values = config.p_grid.values()
+    """CHSH value and violation flag over the (indistinguishability, noise)
+    grid: the rows of :func:`run_sweep`, reduced to those columns."""
     return [BellRegionRecord(r.p, r.indist, r.bell, int(r.bell > 2.0))
-            for l, lprime in _family_pairs(config)
-            for r in _sweep_family(config.statistics, config.target, theta,
-                                   l, lprime, p_values)]
+            for r in run_sweep(config)]
 
 
 # ---------------------------------------------------------------------------

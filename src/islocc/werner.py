@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import FERMION, ElementaryKet, ParticleStatistics
-from .ensembles import MixedState, PureNState, mixed_trace, state_overlap
+from .ensembles import MixedState, PureNState, pure_norm_sq, state_overlap
 from .entanglement import StackReport, analyze_stack
 from .slocc import (ProjectedDensityMatrix, ProjectedStack, check_density_stack,
                     computational_kets, normalize_stack, project)
@@ -279,7 +279,7 @@ class WernerFamily:
         for name, state in bell_states(psi1, psi2, statistics).items():
             v = np.array([state_overlap(k, state) for k in kets], dtype=complex)
             self._blocks[name] = np.outer(v, v.conj())
-            self._traces[name] = mixed_trace(MixedState(((1.0, state),)))
+            self._traces[name] = pure_norm_sq(state)
 
     def evaluate(self, p: np.ndarray) -> tuple[ProjectedStack, StackReport]:
         """Projected states and their diagnostics for each noise probability.

@@ -1,12 +1,12 @@
 import math
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet
 from islocc.ensembles import (MixedState, PureNState, matrix_element,
-                              mixed_trace, pure_norm_sq, state_overlap,
-                              symmetrized_basis)
+                              mixed_trace, pure_norm_sq, state_overlap)
 from islocc.states import (DOWN, UP, ModeBasis, PeakedParams,
                            SingleParticleState, SpatialWave, make_peaked)
 from islocc.werner import (WernerSpec, bell_states, werner_direct)
@@ -14,6 +14,30 @@ from conftest import random_single_particle
 
 LR = ModeBasis(("L", "R"))
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def symmetrized_basis(basis, n, statistics):
+    """Orthogonal product-ket basis of the N-particle (anti)symmetric sector,
+    as (ket, squared norm) pairs: the oracle for the global trace.
+
+    Bosonic kets are multisets of single-particle basis states with squared
+    norm prod_k occupation_k!; fermionic kets are strictly increasing tuples
+    with squared norm 1.
+    """
+    singles = [SingleParticleState.localized(basis, mode, spin)
+               for mode in basis.labels for spin in (UP, DOWN)]
+    indices = range(len(singles))
+    out = []
+    if statistics is FERMION:
+        for combo in combinations(indices, n):
+            out.append((ElementaryKet(tuple(singles[i] for i in combo), statistics), 1.0))
+    else:
+        for combo in combinations_with_replacement(indices, n):
+            norm_sq = 1.0
+            for i in set(combo):
+                norm_sq *= math.factorial(combo.count(i))
+            out.append((ElementaryKet(tuple(singles[i] for i in combo), statistics), norm_sq))
+    return out
 
 
 def _peaked(l, r, theta, spin):
@@ -104,25 +128,27 @@ class TestMixedTrace:
                             (0.9, PureNState(((1.0, down_up),)))))
         assert mixed_trace(mixed) == pytest.approx(1.2, abs=1e-13)
 
-    def test_matches_dense_matrix_trace(self, rng):
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION], ids=["boson", "fermion"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_dense_matrix_trace(self, rng, statistics, n):
         # assemble the full matrix over the symmetrized basis as the oracle
+        basis = symmetrized_basis(LR, n, statistics)
         for _ in range(10):
             states = []
             for _ in range(2):
                 terms = tuple(
                     (complex(rng.standard_normal(), rng.standard_normal()),
-                     ElementaryKet((random_single_particle(rng, LR),
-                                    random_single_particle(rng, LR)), BOSON))
+                     ElementaryKet(tuple(random_single_particle(rng, LR) for _ in range(n)),
+                                   statistics))
                     for _ in range(2))
                 states.append(PureNState(terms))
             mixed = MixedState(((rng.uniform(0.1, 1.0), states[0]),
                                 (rng.uniform(0.1, 1.0), states[1])))
-            basis = symmetrized_basis(LR, 2, BOSON)
             dense = np.zeros((len(basis), len(basis)), dtype=complex)
             for i, (bi, ni) in enumerate(basis):
                 for j, (bj, nj) in enumerate(basis):
                     dense[i, j] = matrix_element(bi, mixed, bj) / math.sqrt(ni * nj)
-            assert mixed_trace(mixed) == pytest.approx(np.trace(dense).real, abs=1e-12)
+            assert mixed_trace(mixed) == pytest.approx(np.trace(dense).real, rel=1e-12)
 
     def test_matches_sum_of_pure_norms(self, rng):
         for stats in (BOSON, FERMION):

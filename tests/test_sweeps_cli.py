@@ -7,11 +7,14 @@ import pytest
 from islocc.amplitudes import BOSON, FERMION
 from islocc.cli import load_config_file, main
 from islocc.entanglement import binary_entropy
+from islocc.indistinguishability import degree_two
+from islocc.states import UP, SpatialWave
 from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, ConfigError,
-                           GridSpec, SweepConfig, find_threshold,
+                           GridSpec, SweepConfig, _peaked_degree, find_threshold,
                            indist_on_family, l_for_indist, records_to_csv,
                            records_to_json, run_bell_region, run_sweep,
                            run_verify)
+from islocc.werner import wave_state
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -59,6 +62,22 @@ class TestIndistInversion:
     def test_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
             l_for_indist(1.5)
+
+    def test_closed_form_matches_degree_two(self, rng):
+        for _ in range(200):
+            l, lp = rng.uniform(0, 1, size=2)
+            theta = rng.uniform(0, 2 * math.pi)
+            psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
+            expected = degree_two(wave_state(psi1, UP), wave_state(psi2, UP)).entropy
+            assert abs(_peaked_degree(psi1.l, psi1.r, psi2.l, psi2.r) - expected) <= 1e-12
+
+    @pytest.mark.parametrize("l", [0.0, 1.0])
+    def test_both_waves_on_one_region_raise(self, l):
+        psi = SpatialWave.from_l(l)
+        with pytest.raises(ValueError, match="undefined"):
+            degree_two(wave_state(psi, UP), wave_state(psi, UP))
+        with pytest.raises(ValueError, match="undefined"):
+            _peaked_degree(psi.l, psi.r, psi.l, psi.r)
 
 
 class TestRunSweep:
@@ -190,6 +209,14 @@ class TestBellRegion:
         for row in run_bell_region(config):
             assert row.violated == int(row.p < 4.0 / 11.0)
 
+    def test_flagged_rows_warn(self):
+        # both wave functions on L: nothing is ever detected in both regions
+        config = SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(1, 1, 1),
+                             p_grid=GridSpec(0, 1, 3))
+        with pytest.warns(RuntimeWarning, match="detection probability"):
+            rows = run_bell_region(config)
+        assert [(row.bell, row.violated) for row in rows] == [(0.0, 0)] * 3
+
 
 class TestThreshold:
     def test_singlet_target_threshold_window(self):
@@ -314,6 +341,14 @@ class TestCli:
 
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/file.conf"]) == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "bell-region", "threshold"])
+    def test_unwritable_output_exits_2(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.txt"
+        assert main([command, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot write output file" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_grid_flag_exits_2(self, capsys):
         assert main(["sweep", "--p-grid", "zero:one:ten"]) == 2

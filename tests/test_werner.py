@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from islocc.amplitudes import BOSON, FERMION
 from islocc.ensembles import mixed_trace, pure_norm_sq
 from islocc.entanglement import analyze, concurrence
-from islocc.slocc import project
+from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, project
+from islocc.sweeps import FLAG_PROBABILITY, _flagged
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
 from islocc.werner import (KrausSet, WernerFamily, WernerSpec, bell_states,
                            canonical_theta,
@@ -211,3 +213,38 @@ class TestWernerFamily:
     def test_rejects_unknown_target(self):
         with pytest.raises(ValueError, match="target"):
             WernerFamily("2_plus", SpatialWave.from_l(0.8), SpatialWave.from_l(0.6), BOSON)
+
+
+finite_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+class TestWernerFamilyProperties:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(l=finite_unit, lprime=finite_unit,
+           theta=st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False),
+           statistics=st.sampled_from([BOSON, FERMION]),
+           target=st.sampled_from(["1_minus", "1_plus"]),
+           ps=st.lists(finite_unit, min_size=1, max_size=6))
+    def test_rows_are_states_and_flags_match_pointwise(self, l, lprime, theta, statistics,
+                                                       target, ps):
+        psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta)
+        projected, report = WernerFamily(target, psi1, psi2, statistics).evaluate(np.array(ps))
+        flagged = _flagged(projected)
+        for k, p in enumerate(ps):
+            try:
+                ref = project_werner(WernerSpec(p, target, psi1, psi2, statistics))
+                expect_flag = ref.probability < FLAG_PROBABILITY
+            except (ProjectionUndefinedError, ZeroTraceError):
+                expect_flag = True
+            assert flagged[k] == expect_flag, f"row {k} (p={p!r})"
+            if flagged[k]:
+                continue
+            m = projected.matrices[k]
+            assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+            assert abs(np.trace(m).real - 1.0) <= 1e-12
+            assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
+            # upper bounds carry the rounding slack of check_density_stack:
+            # P_LR = 1 exactly comes out as 1 + 2.2e-16 for some geometries
+            assert 0.0 <= report.concurrence[k] <= 1.0 + 1e-12
+            assert report.bell[k] <= 2.0 * math.sqrt(2.0) + 1e-12
+            assert 0.0 <= projected.probability[k] <= 1.0 + 1e-12
