@@ -3,14 +3,18 @@ search and self-verification.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on configuration
 errors.  Options may come from a flat ``key = value`` config file
-(``--config``); command-line flags override file values.  Families are
-evaluated once and batched over p.
+(``--config``); command-line flags override file values.  An ``--output``
+path whose directory is missing or unwritable is rejected before any
+computation; with ``--output`` nothing is written to stdout.  A sweep or
+Bell-region map evaluates all its families as one stacked Werner-family
+array in closed form (:class:`~islocc.werner.WernerFamily`).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -80,7 +84,21 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     config.validate()
+    if config.output is not None:
+        _check_writable(config.output)
     return config
+
+
+def _check_writable(output: str) -> None:
+    """Reject an output path whose directory is missing or unwritable, so
+    that the run fails before any computation."""
+    directory = Path(output).parent
+    if not directory.is_dir():
+        raise ConfigError(f"cannot write output file {output!r}: "
+                          f"no directory {str(directory)!r}")
+    if not os.access(directory, os.W_OK):
+        raise ConfigError(f"cannot write output file {output!r}: "
+                          f"directory {str(directory)!r} is not writable")
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -154,10 +172,7 @@ def _cmd_grid(args: argparse.Namespace, run, fields, svg_renderer) -> int:
 def _cmd_threshold(args: argparse.Namespace) -> int:
     config = build_config(args)
     result = find_threshold(config)
-    text = json.dumps(result.as_dict(), indent=2) + "\n"
-    sys.stdout.write(text)
-    if config.output:
-        _emit(text, config.output)
+    _emit(json.dumps(result.as_dict(), indent=2) + "\n", config.output)
     return 0
 
 

@@ -105,12 +105,15 @@ def _concurrence(lambdas: np.ndarray) -> np.ndarray:
     return np.clip(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], 0.0, 1.0)
 
 
+def _entropy(x: np.ndarray) -> np.ndarray:
+    inside = (x > 0.0) & (x < 1.0)
+    y = np.where(inside, x, 0.5)  # keeps log2(0) out of the masked entries
+    return -(y * np.log2(y) + (1.0 - y) * np.log2(1.0 - y)) * inside
+
+
 def _eof(c: np.ndarray) -> np.ndarray:
     c = np.clip(c, 0.0, 1.0)
-    x = (1.0 + np.sqrt(1.0 - c * c)) / 2.0
-    inside = (x > 0.0) & (x < 1.0)
-    x = np.where(inside, x, 0.5)  # keeps log2(0) out of the masked rows
-    return np.where(inside, -(x * np.log2(x) + (1.0 - x) * np.log2(1.0 - x)), 0.0)
+    return _entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
 def _xstate(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -138,11 +141,10 @@ def concurrence(rho: MatrixLike) -> float:
     return float(_concurrence(wootters_lambdas(rho)))
 
 
-def binary_entropy(x: float) -> float:
-    """h(x) = -x log2 x - (1-x) log2 (1-x), continuous at 0 and 1."""
-    if x <= 0.0 or x >= 1.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+def binary_entropy(x):
+    """h(x) = -x log2 x - (1-x) log2 (1-x), continuous at 0 and 1; elementwise
+    over an array, a float for a float."""
+    return _entropy(np.asarray(x, dtype=float))[()]
 
 
 def eof(concurrence_value: float) -> float:

@@ -4,9 +4,9 @@ Post-selecting exactly one particle in each of N separated modes maps an
 N-particle state of identical particles onto a 2^N-dimensional register of
 addressable pseudospins.  The projected density matrix is normalized to
 unit trace; the detection probability is the projected weight divided by
-the global trace of the input ensemble.  :func:`normalize_stack` and
-:func:`check_density_stack` do this for a whole stack of raw blocks at
-once; :func:`project` runs them on a stack of one.
+the global trace of the input ensemble.  :func:`normalize_stack` does this,
+and checks the result with :func:`check_density_stack`, for a whole stack
+of raw blocks at once; :func:`project` runs it on a stack of one.
 """
 
 from __future__ import annotations
@@ -149,7 +149,9 @@ class ProjectedStack:
 def normalize_stack(raw: np.ndarray, global_trace: np.ndarray) -> ProjectedStack:
     """Divide each raw block of an (n, d, d) stack by its trace and each
     detection weight by its global trace.  Rows with nothing to divide by
-    are masked before any division and come back zeroed."""
+    are masked before any division and come back zeroed.  The other rows
+    must pass :func:`check_density_stack`; their detection probabilities,
+    accepted there within its rounding slack, are then clipped to [0, 1]."""
     weight = np.trace(raw, axis1=-2, axis2=-1).real
     zero_trace = ~(global_trace > _ZERO_TRACE_ATOL)
     undefined = ~zero_trace & ~(weight > _UNDEFINED_RTOL * np.maximum(global_trace, 1.0))
@@ -159,6 +161,8 @@ def normalize_stack(raw: np.ndarray, global_trace: np.ndarray) -> ProjectedStack
     m = raw[ok] / weight[ok, None, None]
     matrices[ok] = (m + m.conj().swapaxes(-1, -2)) / 2.0
     probability[ok] = weight[ok] / global_trace[ok]
+    check_density_stack(matrices[ok], probability[ok])
+    np.clip(probability, 0.0, 1.0, out=probability)
     return ProjectedStack(matrices, probability, zero_trace, undefined)
 
 

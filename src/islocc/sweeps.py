@@ -6,9 +6,11 @@ r' = l (with l' fixed by normalization): on it the degree of spatial
 indistinguishability decreases monotonically from 1 at l = 1/sqrt(2) to 0
 at l = 1, so target degrees are inverted by bisection.
 
-Families are evaluated once and batched over p
-(:class:`~islocc.werner.WernerFamily`); identical configurations produce
-byte-identical CSV output.
+A sweep is one stacked family array: every family of the outer grid and
+every noise probability are evaluated together, in closed form, by one
+:class:`~islocc.werner.WernerFamily` (the amplitude path of
+:func:`~islocc.werner.project_werner` is its oracle in :func:`run_verify`
+and the tests); identical configurations produce byte-identical CSV output.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from .entanglement import analyze, bell_horodecki, bell_xstate, binary_entropy
 from .ensembles import mixed_trace, pure_norm_sq
 from .slocc import ProjectedStack, ProjectionUndefinedError, ZeroTraceError, project
 from .states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from .werner import (WernerFamily, WernerSpec, bell_states, canonical_theta,
-                     depolarize_then_deform, project_werner, spec_from_l,
-                     werner_direct)
+from .werner import (WaveStack, WernerFamily, WernerSpec, bell_states,
+                     canonical_theta, depolarize_then_deform, project_werner,
+                     spec_from_l, werner_direct)
 
 __all__ = [
     "ConfigError",
@@ -155,64 +157,74 @@ class SweepConfig:
 # the r' = l family and its indistinguishability degree
 # ---------------------------------------------------------------------------
 
-def _peaked_degree(l1: float, r1: float, l2: float, r2: float) -> float:
+def _peaked_degree(l1, r1, l2, r2, zero_undefined: bool = False):
     """Degree of indistinguishability of the peaked waves l1|L> + r1|R> and
-    l2|L> + r2|R> (phases drop out): h(l1^2 r2^2 / (l1^2 r2^2 + r1^2 l2^2)).
+    l2|L> + r2|R> (phases drop out): h(l1^2 r2^2 / (l1^2 r2^2 + r1^2 l2^2)),
+    elementwise over arrays.
 
-    Raises ``ValueError`` when neither assignment is detectable, as
-    :func:`~islocc.indistinguishability.degree_n` does.
+    Where neither assignment is detectable (both waves on one mode) the
+    degree is undefined: that raises ``ValueError``, as
+    :func:`~islocc.indistinguishability.degree_n` does, or reads 0 with
+    ``zero_undefined``.
     """
     p12 = l1 * l1 * (r2 * r2)
     p21 = l2 * l2 * (r1 * r1)
-    z = p12 + p21
-    if not z > 0.0:
+    z = np.asarray(p12 + p21)
+    defined = z > 0.0
+    if not (zero_undefined or defined.all()):
         raise ValueError("no assignment of particles to regions is detectable; "
                          "the indistinguishability degree is undefined")
-    return binary_entropy(p12 / z)
+    return binary_entropy(np.divide(p12, z, out=np.zeros_like(z), where=defined))
 
 
-def indist_on_family(l: float) -> float:
-    """Degree of indistinguishability on the r' = l family (so l' = r)."""
-    r = math.sqrt(max(0.0, 1.0 - l * l))
+def indist_on_family(l):
+    """Degree of indistinguishability on the r' = l family (so l' = r),
+    elementwise over an array of l."""
+    l = np.asarray(l, dtype=float)
+    r = _lprime_for("l_eq_rprime", l, None)
     return _peaked_degree(l, r, r, l)
 
 
-def l_for_indist(target: float, tol: float = 1e-12) -> float:
-    """Invert :func:`indist_on_family` on the monotone branch l in [1/sqrt(2), 1]."""
-    if not 0.0 <= target <= 1.0:
+def l_for_indist(target, tol: float = 1e-12):
+    """Invert :func:`indist_on_family` on the monotone branch l in [1/sqrt(2), 1],
+    elementwise over an array of degrees."""
+    target = np.asarray(target, dtype=float)
+    if not np.all((0.0 <= target) & (target <= 1.0)):
         raise ConfigError(f"indistinguishability degree must lie in [0, 1], got {target!r}")
-    if target >= 1.0:
-        return _SQRT_HALF
-    if target <= 0.0:
-        return 1.0
-    lo, hi = _SQRT_HALF, 1.0  # degree falls monotonically from 1 to 0
-    while hi - lo > tol:
+    # each entry bisects on its own interval until that interval is below tol;
+    # the degree falls monotonically from 1 to 0
+    lo = np.full(target.shape, _SQRT_HALF)
+    hi = np.ones(target.shape)
+    active = (hi - lo > tol) & (0.0 < target) & (target < 1.0)
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if indist_on_family(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        above = active & (indist_on_family(mid) > target)
+        np.copyto(lo, mid, where=above)
+        np.copyto(hi, mid, where=active & ~above)
+        active &= hi - lo > tol
+    l = np.where(target >= 1.0, _SQRT_HALF, np.where(target <= 0.0, 1.0, 0.5 * (lo + hi)))
+    return l[()]
 
 
-def _lprime_for(constraint: str, l: float, lprime_fixed: float | None) -> float:
+def _lprime_for(constraint: str, l, lprime_fixed: float | None):
     if constraint == "l_eq_rprime":
-        return math.sqrt(max(0.0, 1.0 - l * l))  # r' = l
+        return WaveStack.from_l(l).r  # r' = l
     if constraint == "l_eq_lprime":
         return l
-    return float(lprime_fixed)
+    return np.full_like(l, lprime_fixed)
 
 
-def _family_pairs(config: SweepConfig) -> list[tuple[float, float]]:
+def _family_ls(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The l and l' of each family of the outer grid."""
     if config.indist_grid is not None:
-        ls = [l_for_indist(v) for v in config.indist_grid.values()]
+        l = l_for_indist(config.indist_grid.values())
     elif config.l_grid is not None:
-        ls = list(config.l_grid.values())
+        l = config.l_grid.values()
     elif config.constraint == "l_eq_rprime":
-        ls = [l_for_indist(v) for v in GridSpec(0.0, 1.0, 11).values()]
+        l = l_for_indist(GridSpec(0.0, 1.0, 11).values())
     else:
         raise ConfigError(f"constraint {config.constraint!r} needs an explicit l_grid")
-    return [(float(l), _lprime_for(config.constraint, float(l), config.lprime)) for l in ls]
+    return l, _lprime_for(config.constraint, l, config.lprime)
 
 
 # ---------------------------------------------------------------------------
@@ -258,49 +270,48 @@ def _flagged(projected: ProjectedStack) -> np.ndarray:
     return ~projected.defined | (projected.probability < FLAG_PROBABILITY)
 
 
-def _sweep_family(statistics: ParticleStatistics, target: str, theta: float,
-                  l: float, lprime: float, p_values: np.ndarray) -> list[SweepRecord]:
-    psi1 = SpatialWave.from_l(l)
-    psi2 = SpatialWave.from_l(lprime, theta)
-    try:
-        indist = _peaked_degree(psi1.l, psi1.r, psi2.l, psi2.r)
-    except ValueError:
-        # both wave functions piled on one mode: the degree is undefined and
-        # so is the projection; keep the rows, zeroed and flagged
-        return [SweepRecord(float(p), l, lprime, theta, str(statistics),
-                            0.0, 0.0, 0.0, 0.0, 0.0, flagged=True)
-                for p in p_values]
-    projected, report = WernerFamily(target, psi1, psi2, statistics).evaluate(p_values)
-    flagged = _flagged(projected)
-    return [SweepRecord(p, l, lprime, theta, str(statistics), indist, c, e, p_lr, b,
-                        flagged=f)
-            for p, c, e, p_lr, b, f in zip(
-                p_values.tolist(), report.concurrence.tolist(), report.eof.tolist(),
-                projected.probability.tolist(), report.bell.tolist(), flagged.tolist())]
-
-
-def _warn_flagged(records: Sequence) -> None:
-    flagged = sum(1 for r in records if getattr(r, "flagged", False))
+def _warn_flagged(records: Sequence[SweepRecord]) -> None:
+    """Warn about flagged rows, attributed to the caller of the public
+    function that calls this."""
+    flagged = sum(1 for r in records if r.flagged)
     if flagged:
         warnings.warn(f"{flagged} grid point(s) have detection probability below "
                       f"{FLAG_PROBABILITY:g}; rows kept with metrics zeroed where undefined",
                       RuntimeWarning, stacklevel=3)
 
 
+def _sweep(config: SweepConfig) -> list[SweepRecord]:
+    """The rows of :func:`run_sweep`, without the flagged-row warning."""
+    config.validate()
+    theta = config.resolved_theta()
+    p = config.p_grid.values()
+    l, lprime = _family_ls(config)
+    psi1, psi2 = WaveStack.from_l(l), WaveStack.from_l(lprime, theta)
+    # both waves on one mode: degree and projection undefined, rows zeroed and flagged
+    indist = _peaked_degree(psi1.l, psi1.r, psi2.l, psi2.r, zero_undefined=True)
+    projected, report = WernerFamily(config.target, psi1, psi2,
+                                     config.statistics).evaluate(p)
+
+    def per_family(values: np.ndarray) -> list:
+        return np.repeat(values, len(p)).tolist()
+
+    stats = str(config.statistics)
+    return [SweepRecord(pv, lv, lpv, theta, stats, dv, c, e, p_lr, b, flagged=f)
+            for pv, lv, lpv, dv, c, e, p_lr, b, f in zip(
+                np.tile(p, len(l)).tolist(), per_family(l), per_family(lprime),
+                per_family(indist), report.concurrence.tolist(), report.eof.tolist(),
+                projected.probability.tolist(), report.bell.tolist(),
+                _flagged(projected).tolist())]
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the full pipeline over the configured grid.
+    """Evaluate the full pipeline over the configured grid: every family of
+    the outer grid as one :class:`~islocc.werner.WernerFamily` stack.
 
     Rows are ordered by the outer (l or indistinguishability) grid first and
     the noise-probability grid second.
     """
-    config.validate()
-    theta = config.resolved_theta()
-    p_values = config.p_grid.values()
-    pairs = _family_pairs(config)
-
-    records = [r for l, lprime in pairs
-               for r in _sweep_family(config.statistics, config.target, theta,
-                                      l, lprime, p_values)]
+    records = _sweep(config)
     _warn_flagged(records)
     return records
 
@@ -308,8 +319,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
 def run_bell_region(config: SweepConfig) -> list[BellRegionRecord]:
     """CHSH value and violation flag over the (indistinguishability, noise)
     grid: the rows of :func:`run_sweep`, reduced to those columns."""
-    return [BellRegionRecord(r.p, r.indist, r.bell, int(r.bell > 2.0))
-            for r in run_sweep(config)]
+    records = _sweep(config)
+    _warn_flagged(records)
+    return [BellRegionRecord(r.p, r.indist, r.bell, int(r.bell > 2.0)) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +411,26 @@ def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
     stats = config.statistics
 
     def worst(indist: float) -> tuple[float, WernerFamily, float, float]:
-        l = l_for_indist(indist)
-        family = _family(stats, config.target, theta, l, _lprime_for("l_eq_rprime", l, None))
+        l = float(l_for_indist(indist))
+        family = _family(stats, config.target, theta, l,
+                         float(_lprime_for("l_eq_rprime", l, None)))
         return (l, family, *_worst_case_bell(family))
 
-    _, _, p_top, b_top = worst(1.0)
-    if b_top <= 2.0:
+    at_hi = worst(1.0)  # (l, family, p*, B*) at the violating end of the bracket
+    if at_hi[3] <= 2.0:
         return ThresholdResult(False, config.target, str(stats))
     lo, hi = 0.0, 1.0
-    _, _, p_lo, b_lo = worst(0.0)
-    if b_lo > 2.0:
-        hi = 0.0  # violated everywhere, threshold at zero
+    at_lo = worst(0.0)
+    if at_lo[3] > 2.0:
+        hi, at_hi = 0.0, at_lo  # violated everywhere, threshold at zero
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        _, _, _, b_mid = worst(mid)
-        if b_mid > 2.0:
-            hi = mid
+        at_mid = worst(mid)
+        if at_mid[3] > 2.0:
+            hi, at_hi = mid, at_mid
         else:
             lo = mid
-    l, family, p_star, b_star = worst(hi)
+    l, family, p_star, b_star = at_hi
     concurrence_at = float(family.evaluate(np.array([p_star]))[1].concurrence[0])
     return ThresholdResult(True, config.target, str(stats), hi, l, p_star,
                            b_star, concurrence_at)
@@ -677,12 +690,15 @@ def _suite_batched_vs_pointwise(rng: np.random.Generator) -> str:
               "1_minus" if rng.integers(2) else "1_plus") for _ in range(40)]
     cases += [(0.6, 0.6, 0.0, FERMION, "1_plus"), (0.6, 0.6, 0.0, BOSON, "1_minus"),
               (1.0, 1.0, 0.0, FERMION, "1_minus")]
+    ls, lps, thetas, statistics, targets = zip(*cases)
+    projected, report = WernerFamily(targets, WaveStack.from_l(ls),
+                                     WaveStack.from_l(lps, np.array(thetas)),
+                                     statistics).evaluate(ps)
+    flagged = _flagged(projected)
     worst_m = worst_r = 0.0
-    for l, lp, theta, stats, target in cases:
+    for f, (l, lp, theta, stats, target) in enumerate(cases):
         psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
-        projected, report = WernerFamily(target, psi1, psi2, stats).evaluate(ps)
-        flagged = _flagged(projected)
-        for k, p in enumerate(ps):
+        for k, p in enumerate(ps, start=f * len(ps)):
             try:
                 ref = project_werner(WernerSpec(float(p), target, psi1, psi2, stats))
             except (ProjectionUndefinedError, ZeroTraceError):
@@ -698,8 +714,8 @@ def _suite_batched_vs_pointwise(rng: np.random.Generator) -> str:
                           abs(report.eof[k] - expected.eof), abs(report.bell[k] - expected.bell))
     assert worst_m <= 1e-12 and worst_r <= 1e-9, \
         f"batched vs per-point: matrix/P_LR {worst_m:.3e}, C/EoF/B {worst_r:.3e}"
-    return (f"batched family vs per-point projection on {len(cases)} families x {len(ps)} "
-            f"noise values, worst matrix/P_LR diff {worst_m:.2e}, C/EoF/B diff {worst_r:.2e}")
+    return (f"one stack of {len(cases)} families x {len(ps)} noise values vs per-point "
+            f"projection, worst matrix/P_LR diff {worst_m:.2e}, C/EoF/B diff {worst_r:.2e}")
 
 
 def _bisect_violation_boundary(statistics, target, theta, l, lprime) -> float:

@@ -11,10 +11,14 @@ other:
   qubits, followed by a spatial deformation that makes the wave functions
   overlap.
 
-:func:`project_werner` projects one noise level at a time.
-:class:`WernerFamily` evaluates a whole array of noise levels at once: the
-mixture is affine in p, and so are its projected block and its global
-trace, so the amplitude work is done once per family.
+:func:`project_werner` projects one noise level of one family through the
+amplitude engine (:func:`bell_states`, ``state_overlap``, ``pure_norm_sq``);
+it is the oracle of the production path.  That path is
+:class:`WernerFamily`, which evaluates a whole stack of families, each over
+an array of noise levels, as stacked (rows, 4, 4) arrays: for peaked waves
+the Bell overlaps with the detection kets and the Bell-state norms have
+closed forms (:func:`_bell_overlaps`), and the mixture, its projected block
+and its global trace are affine in p, so no amplitude is evaluated at all.
 
 Closed forms for the post-selected concurrence and detection probability
 of both targets are included as independent references for the numeric
@@ -27,15 +31,15 @@ accepts any theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
 from .amplitudes import FERMION, ElementaryKet, ParticleStatistics
-from .ensembles import MixedState, PureNState, pure_norm_sq, state_overlap
+from .ensembles import MixedState, PureNState
 from .entanglement import StackReport, analyze_stack
-from .slocc import (ProjectedDensityMatrix, ProjectedStack, check_density_stack,
-                    computational_kets, normalize_stack, project)
+from .slocc import ProjectedDensityMatrix, ProjectedStack, normalize_stack, project
 from .states import (DOWN, UP, ModeBasis, PeakedParams, SingleParticleState,
                      SpatialWave, Spin, make_peaked)
 
@@ -53,6 +57,7 @@ __all__ = [
     "apply_spin_operator",
     "depolarize_then_deform",
     "project_werner",
+    "WaveStack",
     "WernerFamily",
     "closed_form_concurrence_minus",
     "closed_form_probability_minus",
@@ -256,33 +261,106 @@ def project_werner(spec: WernerSpec, regions=("L", "R"),
     return project(werner_direct(spec, basis), regions)
 
 
-class WernerFamily:
-    """All noise levels of one (target, psi1, psi2, statistics) preparation.
+class WaveStack(NamedTuple):
+    """Peaked spatial waves l|L> + r e^{i theta}|R> of a stack of families,
+    one array entry per family.  :class:`WernerFamily` reads the same three
+    fields from a single :class:`~islocc.states.SpatialWave`."""
 
-    The constructor does the amplitude work once: the overlaps of the four
-    Bell states with the detection kets |L s, R s'>, and the global trace
-    of each Bell state.  :meth:`evaluate` then forms, for a whole array of
-    noise probabilities, the raw projected blocks
-    (1-p) v_t v_t^+ + (p/4) sum_b v_b v_b^+ and the global traces
-    (1-p) T_t + (p/4) sum_b T_b, and normalizes, checks and analyzes them
-    as one stack.  It agrees with :func:`project_werner` followed by
-    :func:`~islocc.entanglement.analyze` at each noise level.
+    l: np.ndarray
+    r: np.ndarray
+    theta: np.ndarray | float = 0.0
+
+    @classmethod
+    def from_l(cls, l, theta=0.0) -> "WaveStack":
+        """r = sqrt(1 - l^2) elementwise, as :meth:`SpatialWave.from_l`."""
+        l = np.asarray(l, dtype=float)
+        return cls(l, np.sqrt(np.maximum(0.0, 1.0 - l * l)), theta)
+
+
+#: Spin patterns of the four Bell states' overlaps with the detection kets
+#: |L s, R s'> (TARGETS order; spins ordered as in spin_configurations), and
+#: their outer products, complex like every projected matrix.
+_PATTERNS = np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]], dtype=float)
+_PATTERN_BLOCKS = (_PATTERNS[:, :, None] * _PATTERNS[:, None, :]).astype(complex)
+
+#: Sign of eta |<psi1|psi2>|^2 in the squared norm of each Bell state (TARGETS order).
+_NORM_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
+
+#: Rows (family x noise level) normalized, checked and analyzed per call of
+#: the stack functions, or one family's when it has more noise levels: bounds
+#: the peak memory of a large sweep.
+_BLOCK_ROWS = 128
+
+
+def _bell_overlaps(psi1, psi2, eta) -> tuple[np.ndarray, np.ndarray]:
+    """Closed forms of what :func:`bell_states` gives through the amplitude
+    engine, for n families of peaked waves (``eta`` the exchange sign).
+
+    With D = l1 r2 e^{i theta2} and X = eta l2 r1 e^{i theta1}, the overlap
+    of Bell state b with the detection kets is c_b times its row of
+    ``_PATTERNS``, with c = (a, b, a, a) for 1_plus, 1_minus, 2_plus,
+    2_minus, a = (D + X)/sqrt(2) and b = (D - X)/sqrt(2).  The squared norms
+    are 1 - eta |<psi1|psi2>|^2 for 1_minus and 1 + eta |<psi1|psi2>|^2 for
+    the others.  Returns c and the norms, both of shape (n, 4).
+    """
+    a1 = psi1.r * np.exp(1j * psi1.theta)
+    a2 = psi2.r * np.exp(1j * psi2.theta)
+    d = psi1.l * a2
+    x = eta * psi2.l * a1
+    a, b = (d + x) * _SQRT_HALF, (d - x) * _SQRT_HALF
+    overlap_sq = np.abs(psi1.l * psi2.l + a1.conj() * a2) ** 2
+    norms = np.maximum(0.0, 1.0 + _NORM_SIGNS * (eta * overlap_sq)[:, None])
+    return np.stack([a, b, a, a], axis=-1), norms
+
+
+def _concat(cls, parts):
+    return cls(*(np.concatenate([getattr(part, f.name) for part in parts])
+                 for f in fields(cls)))
+
+
+class WernerFamily:
+    """All noise levels of a stack of (target, psi1, psi2, statistics)
+    preparations, one family per entry.
+
+    ``psi1`` and ``psi2`` are :class:`~islocc.states.SpatialWave` objects
+    (one family) or :class:`WaveStack` arrays (one family per entry);
+    ``target`` and ``statistics`` are one value for every family or one per
+    family.  The constructor takes the Bell overlaps v_b with the detection
+    kets and the Bell-state norms T_b in closed form (:func:`_bell_overlaps`;
+    the amplitude path of :func:`project_werner` is its oracle) and forms
+    each family's target block v_t v_t^+ and noise block sum_b v_b v_b^+
+    (both real).  :meth:`evaluate` then builds, for an array of noise
+    probabilities, the raw projected blocks (1-p) v_t v_t^+ + (p/4) sum_b
+    v_b v_b^+ and the global traces (1-p) T_t + (p/4) sum_b T_b of every
+    family, and normalizes, checks and analyzes them in blocks of whole
+    families of about ``_BLOCK_ROWS`` rows.  It agrees with
+    :func:`project_werner` followed by :func:`~islocc.entanglement.analyze`
+    at each family and noise level.
     """
 
-    def __init__(self, target: str, psi1: SpatialWave, psi2: SpatialWave,
-                 statistics: ParticleStatistics):
-        _check_target(target)
-        self.target = target
-        kets = computational_kets(LR_BASIS, ("L", "R"), statistics)
-        self._blocks: dict[str, np.ndarray] = {}
-        self._traces: dict[str, float] = {}
-        for name, state in bell_states(psi1, psi2, statistics).items():
-            v = np.array([state_overlap(k, state) for k in kets], dtype=complex)
-            self._blocks[name] = np.outer(v, v.conj())
-            self._traces[name] = pure_norm_sq(state)
+    def __init__(self, target, psi1, psi2, statistics):
+        targets = (target,) if isinstance(target, str) else tuple(target)
+        for name in targets:
+            _check_target(name)
+        stats = ((statistics,) if isinstance(statistics, ParticleStatistics)
+                 else tuple(statistics))
+        l1, r1, t1, l2, r2, t2, eta, index = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (
+                psi1.l, psi1.r, psi1.theta, psi2.l, psi2.r, psi2.theta,
+                [s.eta for s in stats])),
+            np.array([TARGETS.index(name) for name in targets]))
+        c, norms = _bell_overlaps(WaveStack(l1, r1, t1), WaveStack(l2, r2, t2), eta)
+        # v_b v_b^+ = |c_b|^2 P_b P_b^T
+        weights = c.real ** 2 + c.imag ** 2
+        family = np.arange(len(eta))
+        self._target_block = weights[family, index, None, None] * _PATTERN_BLOCKS[index]
+        self._noise_block = np.tensordot(weights, _PATTERN_BLOCKS, axes=1)
+        self._target_trace = norms[family, index]
+        self._noise_trace = norms.sum(axis=1)
 
     def evaluate(self, p: np.ndarray) -> tuple[ProjectedStack, StackReport]:
-        """Projected states and their diagnostics for each noise probability.
+        """Projected states and their diagnostics for each family and noise
+        probability, family-major: row ``f * len(p) + k`` is family f at p[k].
 
         Rows whose global trace or detection weight vanishes are zeroed
         (``ProjectedStack.defined`` is False there) and read 0 in every
@@ -291,15 +369,23 @@ class WernerFamily:
         p = np.asarray(p, dtype=float)
         if p.ndim != 1 or not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError(f"noise probabilities must lie in [0, 1], got {p!r}")
-        noise = (p / 4.0)[:, None, None]
-        raw = (1.0 - p)[:, None, None] * self._blocks[self.target]
-        for name in TARGETS:
-            raw = raw + noise * self._blocks[name]
-        global_trace = ((1.0 - p) * self._traces[self.target]
-                        + (p / 4.0) * sum(self._traces[name] for name in TARGETS))
+        keep, noise = 1.0 - p, p / 4.0
+        n = len(self._target_trace)
+        step = max(1, _BLOCK_ROWS // max(len(p), 1))
+        parts = [self._evaluate_families(slice(start, start + step), keep, noise)
+                 for start in range(0, n, step)]
+        if len(parts) == 1:
+            return parts[0]
+        stacks, reports = zip(*parts)
+        return _concat(ProjectedStack, stacks), _concat(StackReport, reports)
+
+    def _evaluate_families(self, families: slice, keep: np.ndarray,
+                           noise: np.ndarray) -> tuple[ProjectedStack, StackReport]:
+        raw = (keep[:, None, None] * self._target_block[families, None]
+               + noise[:, None, None] * self._noise_block[families, None]).reshape(-1, 4, 4)
+        global_trace = (keep * self._target_trace[families, None]
+                        + noise * self._noise_trace[families, None]).ravel()
         projected = normalize_stack(raw, global_trace)
-        defined = projected.defined
-        check_density_stack(projected.matrices[defined], projected.probability[defined])
         return projected, analyze_stack(projected.matrices)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,24 @@ class TestIndistInversion:
         with pytest.raises(ValueError, match="undefined"):
             _peaked_degree(psi.l, psi.r, psi.l, psi.r)
 
+    def test_array_degree_matches_scalar(self, rng):
+        # the last two pairs put both waves on R, then both on L
+        l1 = np.append(rng.uniform(0, 1, 30), [0.0, 1.0])
+        l2 = np.append(rng.uniform(0, 1, 30), [0.0, 1.0])
+        r1, r2 = np.sqrt(1 - l1 * l1), np.sqrt(1 - l2 * l2)
+        with pytest.raises(ValueError, match="undefined"):
+            _peaked_degree(l1, r1, l2, r2)
+        degrees = _peaked_degree(l1, r1, l2, r2, zero_undefined=True)
+        assert degrees[-2:].tolist() == [0.0, 0.0]
+        for k in range(30):
+            assert degrees[k] == _peaked_degree(float(l1[k]), float(r1[k]),
+                                                float(l2[k]), float(r2[k]))
+
+    def test_array_inversion_matches_scalar(self):
+        targets = np.linspace(0.0, 1.0, 41)
+        ls = l_for_indist(targets)
+        assert ls.tolist() == [l_for_indist(float(t)) for t in targets]
+
 
 class TestRunSweep:
     def test_noise_free_family_has_constant_concurrence(self):
@@ -147,6 +166,31 @@ class TestRunSweep:
             records = run_sweep(config)
         assert all(r.flagged for r in records)
         assert all(r.concurrence == 0.0 for r in records)
+
+    def test_flagged_row_warning_names_the_caller(self):
+        config = SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(1, 1, 1),
+                             p_grid=GridSpec(0, 1, 3))
+        for run in (run_sweep, run_bell_region):
+            with pytest.warns(RuntimeWarning, match="detection probability") as caught:
+                run(config)
+            assert [w.filename for w in caught] == [__file__], run.__name__
+
+    @pytest.mark.parametrize("config", [
+        # the grid-map and l-scan benchmark configurations; l-scan's grid
+        # ends put both waves on one mode
+        SweepConfig(statistics=FERMION, target="1_minus", indist_grid=GridSpec(0, 1, 41),
+                    p_grid=GridSpec(0, 1, 41)),
+        SweepConfig(statistics=BOSON, target="1_plus", theta=1.0, constraint="l_eq_lprime",
+                    l_grid=GridSpec(0, 1, 801), p_grid=GridSpec(0.5, 0.5, 1)),
+    ], ids=["grid-map", "l-scan"])
+    def test_sweep_raises_no_floating_point_error(self, config):
+        with np.errstate(all="raise"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            records = run_sweep(config)
+        flagged = [k for k, r in enumerate(records) if r.flagged]
+        assert flagged == ([] if config.l_grid is None else [0, len(records) - 1])
+        assert all(r.concurrence == r.p_lr == r.bell == r.indist == 0.0
+                   for r in records if r.flagged)
 
     def test_determinism_and_thread_independence(self):
         config = SweepConfig(statistics=BOSON, target="1_plus",
@@ -343,12 +387,24 @@ class TestCli:
         assert main(["sweep", "--config", "/nonexistent/file.conf"]) == 2
 
     @pytest.mark.parametrize("command", ["sweep", "bell-region", "threshold"])
-    def test_unwritable_output_exits_2(self, command, tmp_path, capsys):
+    def test_unwritable_output_exits_2(self, command, tmp_path, capsys, monkeypatch):
+        calls = []
+        for runner in ("run_sweep", "run_bell_region", "find_threshold"):
+            monkeypatch.setattr(f"islocc.cli.{runner}",
+                                lambda *args, name=runner: calls.append(name))
         out = tmp_path / "missing" / "out.txt"
         assert main([command, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "cannot write output file" in err and "Traceback" not in err
-        assert len(err.strip().splitlines()) == 1
+        captured = capsys.readouterr()
+        assert "cannot write output file" in captured.err and "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.out == ""
+        assert calls == []
+
+    def test_threshold_output_goes_to_file_only(self, tmp_path, capsys):
+        out = tmp_path / "threshold.json"
+        assert main(["threshold", "--statistics", "fermion", "--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["found"] is True
 
     def test_bad_grid_flag_exits_2(self, capsys):
         assert main(["sweep", "--p-grid", "zero:one:ten"]) == 2

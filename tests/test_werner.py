@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from islocc.amplitudes import BOSON, FERMION
-from islocc.ensembles import mixed_trace, pure_norm_sq
+from islocc.ensembles import mixed_trace, pure_norm_sq, state_overlap
 from islocc.entanglement import analyze, concurrence
-from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, project
+from islocc.slocc import (ProjectionUndefinedError, ZeroTraceError, computational_kets,
+                          project)
 from islocc.sweeps import FLAG_PROBABILITY, _flagged
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from islocc.werner import (KrausSet, WernerFamily, WernerSpec, bell_states,
+from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WaveStack, WernerFamily,
+                           WernerSpec, _PATTERNS, _bell_overlaps, bell_states,
                            canonical_theta,
                            closed_form_concurrence_minus,
                            closed_form_concurrence_plus,
@@ -215,36 +217,115 @@ class TestWernerFamily:
             WernerFamily("2_plus", SpatialWave.from_l(0.8), SpatialWave.from_l(0.6), BOSON)
 
 
+class TestClosedFormBellOverlaps:
+    """The stacked path's closed forms against the amplitude engine."""
+
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    def test_overlaps_and_norms_match_amplitude_engine(self, rng, statistics):
+        n = 50
+        l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        theta1, theta2 = rng.uniform(0, 2 * math.pi, n), rng.uniform(0, 2 * math.pi, n)
+        psi1, psi2 = WaveStack.from_l(l1, theta1), WaveStack.from_l(l2, theta2)
+        c, norms = _bell_overlaps(psi1, psi2, np.full(n, float(statistics.eta)))
+        overlaps = c[:, :, None] * _PATTERNS
+        kets = computational_kets(LR_BASIS, ("L", "R"), statistics)
+        for f in range(n):
+            bells = bell_states(SpatialWave.from_l(l1[f], theta1[f]),
+                                SpatialWave.from_l(l2[f], theta2[f]), statistics)
+            for b, name in enumerate(TARGETS):
+                v = np.array([state_overlap(k, bells[name]) for k in kets])
+                assert np.max(np.abs(overlaps[f, b] - v)) <= 1e-12, (f, name)
+                assert abs(norms[f, b] - pure_norm_sq(bells[name])) <= 1e-12, (f, name)
+
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    @pytest.mark.parametrize("target", ["1_minus", "1_plus"])
+    def test_family_blocks_and_traces_match_amplitude_engine(self, rng, statistics, target):
+        n = 20
+        l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        theta = rng.uniform(0, 2 * math.pi, n)
+        family = WernerFamily(target, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
+                              statistics)
+        kets = computational_kets(LR_BASIS, ("L", "R"), statistics)
+        for f in range(n):
+            bells = bell_states(SpatialWave.from_l(l1[f]), SpatialWave.from_l(l2[f], theta[f]),
+                                statistics)
+            vs = {name: np.array([state_overlap(k, s) for k in kets])
+                  for name, s in bells.items()}
+            target_block = np.outer(vs[target], vs[target].conj())
+            noise_block = sum(np.outer(v, v.conj()) for v in vs.values())
+            assert np.max(np.abs(family._target_block[f] - target_block)) <= 1e-12
+            assert np.max(np.abs(family._noise_block[f] - noise_block)) <= 1e-12
+            assert abs(family._target_trace[f] - pure_norm_sq(bells[target])) <= 1e-12
+            assert abs(family._noise_trace[f]
+                       - sum(pure_norm_sq(s) for s in bells.values())) <= 1e-12
+
+
+class TestWernerFamilyStack:
+    def test_probability_never_exceeds_one(self):
+        # P_LR = 1 in closed form; the amplitude path rounds it to 1 + 2.2e-16
+        psi1, psi2 = SpatialWave.from_l(0.0), SpatialWave.from_l(0.5)
+        ref = project_werner(WernerSpec(0.0, "1_minus", psi1, psi2, BOSON))
+        projected, _ = WernerFamily("1_minus", psi1, psi2, BOSON).evaluate(np.array([0.0]))
+        assert ref.probability <= 1.0
+        assert projected.probability[0] <= 1.0
+        assert projected.probability[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_families, n_p", [(300, 1), (3, 200), (7, 41)])
+    def test_blocks_match_single_family_evaluation(self, rng, n_families, n_p):
+        l1, l2 = rng.uniform(0, 1, n_families), rng.uniform(0, 1, n_families)
+        theta = rng.uniform(0, 2 * math.pi, n_families)
+        targets = [("1_minus", "1_plus")[i] for i in rng.integers(2, size=n_families)]
+        stats = [(BOSON, FERMION)[i] for i in rng.integers(2, size=n_families)]
+        ps = rng.uniform(0, 1, n_p)
+        projected, report = WernerFamily(targets, WaveStack.from_l(l1),
+                                         WaveStack.from_l(l2, theta), stats).evaluate(ps)
+        assert projected.matrices.shape == (n_families * n_p, 4, 4)
+        for f in range(n_families):
+            one, one_report = WernerFamily(targets[f], SpatialWave.from_l(l1[f]),
+                                           SpatialWave.from_l(l2[f], theta[f]),
+                                           stats[f]).evaluate(ps)
+            rows = slice(f * n_p, (f + 1) * n_p)
+            np.testing.assert_allclose(projected.matrices[rows], one.matrices, atol=1e-15)
+            np.testing.assert_allclose(projected.probability[rows], one.probability,
+                                       atol=1e-15)
+            np.testing.assert_allclose(report.concurrence[rows], one_report.concurrence,
+                                       atol=1e-15)
+
+
 finite_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+families = st.lists(st.tuples(finite_unit, finite_unit,
+                              st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False),
+                              st.sampled_from([BOSON, FERMION]),
+                              st.sampled_from(["1_minus", "1_plus"])),
+                    min_size=1, max_size=4)
 
 
 class TestWernerFamilyProperties:
     @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(l=finite_unit, lprime=finite_unit,
-           theta=st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False),
-           statistics=st.sampled_from([BOSON, FERMION]),
-           target=st.sampled_from(["1_minus", "1_plus"]),
-           ps=st.lists(finite_unit, min_size=1, max_size=6))
-    def test_rows_are_states_and_flags_match_pointwise(self, l, lprime, theta, statistics,
-                                                       target, ps):
-        psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta)
-        projected, report = WernerFamily(target, psi1, psi2, statistics).evaluate(np.array(ps))
+    @given(cases=families, ps=st.lists(finite_unit, min_size=1, max_size=6))
+    def test_rows_are_states_and_flags_match_pointwise(self, cases, ps):
+        ls, lps, thetas, stats, targets = zip(*cases)
+        projected, report = WernerFamily(
+            targets, WaveStack.from_l(ls), WaveStack.from_l(lps, np.array(thetas)),
+            stats).evaluate(np.array(ps))
         flagged = _flagged(projected)
-        for k, p in enumerate(ps):
-            try:
-                ref = project_werner(WernerSpec(p, target, psi1, psi2, statistics))
-                expect_flag = ref.probability < FLAG_PROBABILITY
-            except (ProjectionUndefinedError, ZeroTraceError):
-                expect_flag = True
-            assert flagged[k] == expect_flag, f"row {k} (p={p!r})"
-            if flagged[k]:
-                continue
-            m = projected.matrices[k]
-            assert np.max(np.abs(m - m.conj().T)) <= 1e-12
-            assert abs(np.trace(m).real - 1.0) <= 1e-12
-            assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
-            # upper bounds carry the rounding slack of check_density_stack:
-            # P_LR = 1 exactly comes out as 1 + 2.2e-16 for some geometries
-            assert 0.0 <= report.concurrence[k] <= 1.0 + 1e-12
-            assert report.bell[k] <= 2.0 * math.sqrt(2.0) + 1e-12
-            assert 0.0 <= projected.probability[k] <= 1.0 + 1e-12
+        for f, (l, lprime, theta, statistics, target) in enumerate(cases):
+            psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta)
+            for k, p in enumerate(ps, start=f * len(ps)):
+                try:
+                    ref = project_werner(WernerSpec(p, target, psi1, psi2, statistics))
+                    expect_flag = ref.probability < FLAG_PROBABILITY
+                except (ProjectionUndefinedError, ZeroTraceError):
+                    expect_flag = True
+                assert flagged[k] == expect_flag, f"row {k} (p={p!r})"
+                if flagged[k]:
+                    continue
+                m = projected.matrices[k]
+                assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+                assert abs(np.trace(m).real - 1.0) <= 1e-12
+                assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
+                # the C and B upper bounds carry the rounding slack of
+                # check_density_stack; the probability is clipped to [0, 1]
+                assert 0.0 <= report.concurrence[k] <= 1.0 + 1e-12
+                assert report.bell[k] <= 2.0 * math.sqrt(2.0) + 1e-12
+                assert 0.0 <= projected.probability[k] <= 1.0
