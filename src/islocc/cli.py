@@ -7,7 +7,8 @@ errors.  Options may come from a flat ``key = value`` config file
 path whose directory is missing or unwritable is rejected before any
 computation; with ``--output`` nothing is written to stdout.  A sweep or
 Bell-region map evaluates all its families as one stacked Werner-family
-array in closed form (:class:`~islocc.werner.WernerFamily`).
+array in closed form (:class:`~islocc.werner.WernerFamily`).  ``threshold``
+takes no grid or format flags; it ignores those keys in a config file.
 """
 
 from __future__ import annotations
@@ -126,14 +127,18 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                                         "(default: canonical pairing for target/statistics)")
     parser.add_argument("--target", choices=("1_minus", "1_plus"))
     parser.add_argument("--constraint", choices=("l_eq_rprime", "l_eq_lprime", "free"))
+    parser.add_argument("--lprime", help="fixed l' for the free constraint")
+    parser.add_argument("--output", help="output path (default: stdout)")
+
+
+def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags of the grid subcommands only: ``threshold`` rejects them."""
     parser.add_argument("--p-grid", dest="p_grid", metavar="A:B:N",
                         help="noise-probability grid")
     parser.add_argument("--indist-grid", dest="indist_grid", metavar="A:B:N",
                         help="indistinguishability grid (l_eq_rprime family)")
     parser.add_argument("--l-grid", dest="l_grid", metavar="A:B:N",
                         help="grid over l instead of the indistinguishability degree")
-    parser.add_argument("--lprime", help="fixed l' for the free constraint")
-    parser.add_argument("--output", help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json", "svg"))
 
 
@@ -145,11 +150,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="pipeline metrics over a parameter grid")
-    _add_common_flags(sweep)
-
     region = sub.add_parser("bell-region", help="CHSH values and violation flags "
                                                 "over the (noise, indistinguishability) grid")
-    _add_common_flags(region)
+    for grid_command in (sweep, region):
+        _add_common_flags(grid_command)
+        _add_grid_flags(grid_command)
 
     threshold = sub.add_parser(
         "threshold", help="smallest indistinguishability degree with CHSH "

@@ -10,7 +10,15 @@ A sweep is one stacked family array: every family of the outer grid and
 every noise probability are evaluated together, in closed form, by one
 :class:`~islocc.werner.WernerFamily` (the amplitude path of
 :func:`~islocc.werner.project_werner` is its oracle in :func:`run_verify`
-and the tests); identical configurations produce byte-identical CSV output.
+and the tests); identical configurations produce byte-identical CSV output,
+and a configuration asking for more than ``MAX_SWEEP_ROWS`` rows is
+rejected before any grid is built.
+
+The threshold search bisects l on the same family directly.  At each step
+the worst noise level comes in closed form from
+:meth:`~islocc.werner.WernerFamily.worst_bell`: the CHSH value of an X
+state is the length of a point moving along straight lines in p, so its
+minimum sits at one of at most six candidate noise levels.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,6 +62,7 @@ __all__ = [
     "CSV_FIELDS",
     "BELL_REGION_FIELDS",
     "FLAG_PROBABILITY",
+    "MAX_SWEEP_ROWS",
 ]
 
 CSV_FIELDS = ("p", "l", "lprime", "theta", "statistics", "indist",
@@ -63,6 +72,11 @@ CONSTRAINTS = ("l_eq_rprime", "l_eq_lprime", "free")
 
 #: Rows with detection probability below this are flagged, never dropped.
 FLAG_PROBABILITY = 1e-12
+
+#: Largest sweep (outer steps x noise steps) a configuration may ask for; a
+#: 301 x 301 sweep rendered to CSV peaks at about 1.2 KB per row, so this
+#: bounds a run at about 1.1 GiB.
+MAX_SWEEP_ROWS = 1_000_000
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -105,6 +119,10 @@ class GridSpec:
         if self.steps == 1:
             return np.array([self.start])
         return np.linspace(self.start, self.stop, self.steps)
+
+
+#: Outer grid of an l_eq_rprime sweep given neither grid.
+_DEFAULT_INDIST_GRID = GridSpec(0.0, 1.0, 11)
 
 
 @dataclass
@@ -151,6 +169,10 @@ class SweepConfig:
                            ("noise-probability", self.p_grid)):
             if grid is not None and not (0.0 <= grid.start and grid.stop <= 1.0):
                 raise ConfigError(f"{name} grid must lie in [0, 1]")
+        outer = (self.indist_grid or self.l_grid or _DEFAULT_INDIST_GRID).steps
+        if outer * self.p_grid.steps > MAX_SWEEP_ROWS:
+            raise ConfigError(f"a sweep of {outer} x {self.p_grid.steps} points exceeds "
+                              f"the limit of {MAX_SWEEP_ROWS} rows")
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +243,7 @@ def _family_ls(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
     elif config.l_grid is not None:
         l = config.l_grid.values()
     elif config.constraint == "l_eq_rprime":
-        l = l_for_indist(GridSpec(0.0, 1.0, 11).values())
+        l = l_for_indist(_DEFAULT_INDIST_GRID.values())
     else:
         raise ConfigError(f"constraint {config.constraint!r} needs an explicit l_grid")
     return l, _lprime_for(config.constraint, l, config.lprime)
@@ -356,26 +378,6 @@ class ThresholdResult:
         }
 
 
-def _golden_min(f: Callable[[float], float], a: float, b: float,
-                tol: float = 1e-7) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal function on [a, b]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _family(statistics: ParticleStatistics, target: str, theta: float,
             l: float, lprime: float) -> WernerFamily:
     return WernerFamily(target, SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta),
@@ -387,53 +389,60 @@ def _bell_at(family: WernerFamily, p: float) -> float:
     return float(family.evaluate(np.array([p]))[1].bell[0])
 
 
-def _worst_case_bell(family: WernerFamily, grid_points: int = 101) -> tuple[float, float]:
-    """Noise probability minimizing the CHSH value, via a coarse grid plus
-    golden-section refinement around its minimum (the value is smooth in p)."""
-    ps = np.linspace(0.0, 1.0, grid_points)
-    vals = family.evaluate(ps)[1].bell
-    i = int(np.argmin(vals))
-    lo = float(ps[max(0, i - 1)])
-    hi = float(ps[min(grid_points - 1, i + 1)])
-    p_star, b_star = _golden_min(lambda p: _bell_at(family, p), lo, hi)
-    if vals[i] < b_star:
-        return float(ps[i]), float(vals[i])
-    return p_star, b_star
+class _Probe(NamedTuple):
+    """One family of the r' = l line and its worst noise level."""
+
+    l: float
+    degree: float
+    family: WernerFamily
+    worst_p: float
+    bell: float
 
 
 def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
-    """Bisect the degree of indistinguishability for the all-noise violation
-    predicate min_p B > 2 on the r' = l family."""
+    """Smallest degree of indistinguishability with min_p B > 2 on the r' = l
+    family, by one bisection in l.
+
+    The degree falls monotonically from 1 at l = 1/sqrt(2) to 0 at l = 1, so
+    l itself is bisected between a violating and a non-violating end until
+    the degrees of the two ends differ by at most ``tol``; the violating
+    end's degree and l are reported.  Each step takes min_p B in closed form
+    from :meth:`~islocc.werner.WernerFamily.worst_bell` (at most six
+    candidate noise levels evaluated together), so no minimization and no
+    inversion of the degree is iterated.
+    """
     config.validate()
     if config.constraint != "l_eq_rprime":
         raise ConfigError("threshold search is defined on the l_eq_rprime family")
     theta = config.resolved_theta()
     stats = config.statistics
 
-    def worst(indist: float) -> tuple[float, WernerFamily, float, float]:
-        l = float(l_for_indist(indist))
+    def probe(l: float) -> _Probe:
         family = _family(stats, config.target, theta, l,
                          float(_lprime_for("l_eq_rprime", l, None)))
-        return (l, family, *_worst_case_bell(family))
+        worst_p, bell = family.worst_bell()
+        return _Probe(l, float(indist_on_family(l)), family, float(worst_p[0]),
+                      float(bell[0]))
 
-    at_hi = worst(1.0)  # (l, family, p*, B*) at the violating end of the bracket
-    if at_hi[3] <= 2.0:
+    inside = probe(_SQRT_HALF)  # the violating end of the bracket, degree 1
+    if inside.bell <= 2.0:
         return ThresholdResult(False, config.target, str(stats))
-    lo, hi = 0.0, 1.0
-    at_lo = worst(0.0)
-    if at_lo[3] > 2.0:
-        hi, at_hi = 0.0, at_lo  # violated everywhere, threshold at zero
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        at_mid = worst(mid)
-        if at_mid[3] > 2.0:
-            hi, at_hi = mid, at_mid
+    outside = probe(1.0)  # degree 0
+    if outside.bell > 2.0:
+        inside = outside  # violated everywhere, threshold at zero
+    while inside.degree - outside.degree > tol:
+        mid = 0.5 * (inside.l + outside.l)
+        if mid in (inside.l, outside.l):
+            break  # the bracket is down to adjacent floats
+        at_mid = probe(mid)
+        if at_mid.bell > 2.0:
+            inside = at_mid
         else:
-            lo = mid
-    l, family, p_star, b_star = at_hi
-    concurrence_at = float(family.evaluate(np.array([p_star]))[1].concurrence[0])
-    return ThresholdResult(True, config.target, str(stats), hi, l, p_star,
-                           b_star, concurrence_at)
+            outside = at_mid
+    concurrence_at = float(inside.family.evaluate(np.array([inside.worst_p]))[1]
+                           .concurrence[0])
+    return ThresholdResult(True, config.target, str(stats), inside.degree, inside.l,
+                           inside.worst_p, inside.bell, concurrence_at)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@ an array of noise levels, as stacked (rows, 4, 4) arrays: for peaked waves
 the Bell overlaps with the detection kets and the Bell-state norms have
 closed forms (:func:`_bell_overlaps`), and the mixture, its projected block
 and its global trace are affine in p, so no amplitude is evaluated at all.
+The same affinity gives each family's worst noise level for the CHSH value
+in closed form (:meth:`WernerFamily.worst_bell`).
 
 Closed forms for the post-selected concurrence and detection probability
 of both targets are included as independent references for the numeric
@@ -369,9 +371,47 @@ class WernerFamily:
         p = np.asarray(p, dtype=float)
         if p.ndim != 1 or not np.all((p >= 0.0) & (p <= 1.0)):
             raise ValueError(f"noise probabilities must lie in [0, 1], got {p!r}")
-        keep, noise = 1.0 - p, p / 4.0
-        n = len(self._target_trace)
-        step = max(1, _BLOCK_ROWS // max(len(p), 1))
+        return self._evaluate(p)
+
+    def worst_bell(self) -> tuple[np.ndarray, np.ndarray]:
+        """Noise probability p* in [0, 1] minimizing each family's CHSH value,
+        and that value B*, as two arrays with one entry per family.
+
+        Every row is X-shaped and real, and its raw block R(p) = T + p (N/4 - T)
+        is affine in p, so are the contrast a = R00 + R33 - R11 - R22, the
+        detection weight w = tr R and the anti-diagonal entries r03, r12.
+        Between the sign changes (kinks) of r03 and r12, w Q = 2(|r03| + |r12|)
+        is an affine b(p) as well, so (P, Q) = (a, b)/w runs along a straight
+        line and B = 2|(P, Q)| is smallest at an end of the piece or at the
+        foot of the perpendicular from the origin, where
+        (a a' + b b') w = (a^2 + b^2) w': linear in p, the p^2 terms cancel
+        (b and -b share the foot, so two sign choices of b suffice).  The
+        candidates p = 0, 1, the kinks and the feet that fall in [0, 1] go
+        through the checked path of :meth:`evaluate` together, and the
+        smallest CHSH value wins.  A zero weight can only sit at p = 0 or 1
+        (w is affine and >= 0); such rows read B = 0, as in :meth:`evaluate`.
+        """
+        a0, w0, x0, y0 = _x_coefficients(self._target_block.real)
+        a1, w1, x1, y1 = _x_coefficients(self._noise_block.real / 4.0
+                                         - self._target_block.real)
+        candidates = [np.zeros_like(w0), np.ones_like(w0),
+                      _root_in_unit(x0, x1), _root_in_unit(y0, y1)]
+        for sign in (1.0, -1.0):
+            b0, b1 = 2.0 * (x0 + sign * y0), 2.0 * (x1 + sign * y1)
+            g0, g1 = a0 * a1 + b0 * b1, a1 * a1 + b1 * b1
+            candidates.append(_root_in_unit(g0 * w0 - w1 * (a0 * a0 + b0 * b0),
+                                            g1 * w0 - g0 * w1))
+        p = np.stack(candidates, axis=1)
+        bell = self._evaluate(p)[1].bell.reshape(p.shape)
+        best = (np.arange(len(p)), np.argmin(bell, axis=1))
+        return p[best], bell[best]
+
+    def _evaluate(self, p: np.ndarray) -> tuple[ProjectedStack, StackReport]:
+        """Rows of every family at its noise levels: ``p`` is one array of
+        levels for all families or one row of levels per family."""
+        n, levels = shape = (len(self._target_trace), p.shape[-1])
+        keep, noise = np.broadcast_to(1.0 - p, shape), np.broadcast_to(p / 4.0, shape)
+        step = max(1, _BLOCK_ROWS // max(levels, 1))
         parts = [self._evaluate_families(slice(start, start + step), keep, noise)
                  for start in range(0, n, step)]
         if len(parts) == 1:
@@ -381,12 +421,26 @@ class WernerFamily:
 
     def _evaluate_families(self, families: slice, keep: np.ndarray,
                            noise: np.ndarray) -> tuple[ProjectedStack, StackReport]:
-        raw = (keep[:, None, None] * self._target_block[families, None]
-               + noise[:, None, None] * self._noise_block[families, None]).reshape(-1, 4, 4)
+        keep, noise = keep[families], noise[families]
+        raw = (keep[..., None, None] * self._target_block[families, None]
+               + noise[..., None, None] * self._noise_block[families, None]).reshape(-1, 4, 4)
         global_trace = (keep * self._target_trace[families, None]
                         + noise * self._noise_trace[families, None]).ravel()
         projected = normalize_stack(raw, global_trace)
         return projected, analyze_stack(projected.matrices)
+
+
+def _x_coefficients(m: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Contrast, trace and anti-diagonal entries r03, r12 of X-shaped blocks."""
+    return (m[:, 0, 0] + m[:, 3, 3] - m[:, 1, 1] - m[:, 2, 2],
+            m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2] + m[:, 3, 3], m[:, 0, 3], m[:, 1, 2])
+
+
+def _root_in_unit(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """The root -c0/c1 of c0 + c1 p where it lies in [0, 1], else 0 (always
+    a candidate); only quotients of magnitude <= 1 are formed."""
+    inside = (c1 != 0.0) & (np.sign(c0) != np.sign(c1)) & (np.abs(c0) <= np.abs(c1))
+    return np.divide(-c0, c1, out=np.zeros_like(c0), where=inside)
 
 
 # ---------------------------------------------------------------------------

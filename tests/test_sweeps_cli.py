@@ -10,12 +10,12 @@ from islocc.cli import load_config_file, main
 from islocc.entanglement import binary_entropy
 from islocc.indistinguishability import degree_two
 from islocc.states import UP, SpatialWave
-from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, ConfigError,
+from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, MAX_SWEEP_ROWS, ConfigError,
                            GridSpec, SweepConfig, _peaked_degree, find_threshold,
                            indist_on_family, l_for_indist, records_to_csv,
                            records_to_json, run_bell_region, run_sweep,
                            run_verify)
-from islocc.werner import wave_state
+from islocc.werner import WernerFamily, wave_state
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -231,6 +231,23 @@ class TestRunSweep:
             SweepConfig(constraint="free", lprime=math.inf,
                         l_grid=GridSpec(0, 1, 3)).validate()
 
+    def test_sweep_size_cap(self, monkeypatch):
+        def no_grid(self):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(GridSpec, "values", no_grid)
+        assert MAX_SWEEP_ROWS == 1_000_000
+        for config in (SweepConfig(indist_grid=GridSpec(0, 1, 100_000_000_000)),
+                       SweepConfig(indist_grid=GridSpec(0, 1, 1000),
+                                   p_grid=GridSpec(0, 1, 1001)),
+                       SweepConfig(p_grid=GridSpec(0, 1, 90_910)),  # default 11 x p
+                       SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 2),
+                                   p_grid=GridSpec(0, 1, 500_001))):
+            with pytest.raises(ConfigError, match="exceeds the limit of 1000000 rows"):
+                config.validate()
+        SweepConfig(indist_grid=GridSpec(0, 1, 1000), p_grid=GridSpec(0, 1, 1000)).validate()
+        SweepConfig(p_grid=GridSpec(0, 1, 90_909)).validate()
+
 
 class TestBellRegion:
     def test_full_indistinguishability_always_violates(self):
@@ -273,9 +290,11 @@ class TestThreshold:
         assert result.worst_p == pytest.approx(1.0, abs=1e-3)
 
     def test_statistics_independence(self):
-        fermion = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"))
-        boson = find_threshold(SweepConfig(statistics=BOSON, target="1_minus"))
-        assert fermion.indist == pytest.approx(boson.indist, abs=1e-6)
+        fermion = find_threshold(SweepConfig(statistics=FERMION, target="1_minus")).as_dict()
+        boson = find_threshold(SweepConfig(statistics=BOSON, target="1_minus")).as_dict()
+        assert (fermion.pop("statistics"), boson.pop("statistics")) == ("fermion", "boson")
+        assert (fermion["indist"], fermion["l"]) == (boson["indist"], boson["l"])
+        assert fermion == pytest.approx(boson, abs=1e-12)
 
     def test_triplet_target_has_no_all_noise_threshold(self):
         result = find_threshold(SweepConfig(statistics=FERMION, target="1_plus"))
@@ -287,6 +306,48 @@ class TestThreshold:
         with pytest.raises(ConfigError, match="l_eq_rprime"):
             find_threshold(SweepConfig(constraint="free", lprime=0.3,
                                        l_grid=GridSpec(0.8, 0.9, 2)))
+
+    def test_singlet_target_threshold_regression(self):
+        # the final degree bracket of the earlier search (bisection in the
+        # degree, grid plus golden-section minimum over p), widened by tol
+        tol = 1e-4
+        result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"), tol=tol)
+        assert 0.76007 - tol <= result.indist <= 0.76013 + tol
+        assert result.indist == indist_on_family(result.l)
+
+    def test_bracket_ends_straddle_the_predicate(self):
+        # the reported end violates at every p; a degree tol below it does not
+        tol = 1e-4
+        result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"), tol=tol)
+        assert WernerFamily("1_minus", SpatialWave.from_l(result.l),
+                            SpatialWave.from_l(math.sqrt(1 - result.l ** 2)),
+                            FERMION).worst_bell()[1][0] == result.bell_at_worst > 2.0
+        l_below = float(l_for_indist(result.indist - tol))
+        below = WernerFamily("1_minus", SpatialWave.from_l(l_below),
+                             SpatialWave.from_l(math.sqrt(1 - l_below ** 2)), FERMION)
+        assert below.worst_bell()[1][0] <= 2.0
+
+    def test_zero_tolerance_stops_at_float_resolution(self):
+        # the degree bracket never reaches 0: the search stops once the l
+        # bracket is down to adjacent floats
+        result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"), tol=0.0)
+        assert 0.76007 <= result.indist <= 0.76013
+
+    @pytest.mark.parametrize("statistics, target, found", [
+        (FERMION, "1_minus", True), (BOSON, "1_minus", True),
+        (FERMION, "1_plus", False), (BOSON, "1_plus", False)])
+    def test_found_at_canonical_theta(self, statistics, target, found):
+        with np.errstate(all="raise"):
+            result = find_threshold(SweepConfig(statistics=statistics, target=target))
+        assert result.found is found
+
+    def test_sharp_dip_raises_no_floating_point_error(self):
+        # boson/1_plus just below theta = pi: at full indistinguishability B
+        # falls to 2 near p = 1e-11, so the search finds no threshold
+        with np.errstate(all="raise"):
+            result = find_threshold(SweepConfig(statistics=BOSON, target="1_plus",
+                                                theta=3.14159))
+        assert not result.found
 
 
 class TestVerify:
@@ -405,6 +466,36 @@ class TestCli:
         assert main(["threshold", "--statistics", "fermion", "--output", str(out)]) == 0
         assert capsys.readouterr().out == ""
         assert json.loads(out.read_text())["found"] is True
+
+    @pytest.mark.parametrize("flag", [["--p-grid", "0:1:3"], ["--indist-grid", "0:1:3"],
+                                      ["--l-grid", "0:1:3"], ["--format", "svg"]])
+    def test_threshold_rejects_grid_and_format_flags(self, flag, capsys, monkeypatch):
+        monkeypatch.setattr("islocc.cli.find_threshold", lambda *args: pytest.fail("ran"))
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", *flag])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    def test_threshold_ignores_unused_config_keys(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("statistics = fermion\np_grid = 0:1:3\nindist_grid = 0:1:3\n"
+                          "format = svg\n")
+        assert main(["threshold", "--config", str(config)]) == 0
+        assert json.loads(capsys.readouterr().out)["found"] is True
+
+    def test_oversized_sweep_exits_2(self, capsys, monkeypatch):
+        def no_grid(self):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(GridSpec, "values", no_grid)
+        monkeypatch.setattr("islocc.cli.run_sweep", lambda *args: pytest.fail("ran"))
+        assert main(["sweep", "--indist-grid", "0:1:100000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "1000000 rows" in captured.err and captured.out == ""
 
     def test_bad_grid_flag_exits_2(self, capsys):
         assert main(["sweep", "--p-grid", "zero:one:ten"]) == 2

@@ -292,6 +292,101 @@ class TestWernerFamilyStack:
                                        atol=1e-15)
 
 
+def _golden_min(f, a: float, b: float, tol: float = 1e-7) -> tuple[float, float]:
+    """Golden-section minimum of a function on [a, b], assumed unimodal."""
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = b - inv_phi * (b - a)
+    x2 = a + inv_phi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - inv_phi * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + inv_phi * (b - a)
+            f2 = f(x2)
+    x = 0.5 * (a + b)
+    return x, f(x)
+
+
+def grid_golden_worst_bell(family: WernerFamily, grid_points: int = 101) -> tuple[float, float]:
+    """Oracle of ``WernerFamily.worst_bell`` for one family: the minimum of the
+    CHSH value over a coarse grid in p, refined by golden-section search
+    between the grid neighbours of the smallest grid value."""
+    def bell_at(p: float) -> float:
+        return float(family.evaluate(np.array([p]))[1].bell[0])
+
+    ps = np.linspace(0.0, 1.0, grid_points)
+    vals = family.evaluate(ps)[1].bell
+    i = int(np.argmin(vals))
+    lo, hi = float(ps[max(0, i - 1)]), float(ps[min(grid_points - 1, i + 1)])
+    p_star, b_star = _golden_min(bell_at, lo, hi)
+    if vals[i] < b_star:
+        return float(ps[i]), float(vals[i])
+    return p_star, b_star
+
+
+class TestWorstBell:
+    """The closed-form minimum over p against a grid plus golden-section
+    search and against a dense grid."""
+
+    DENSE = np.linspace(0.0, 1.0, 2001)
+
+    def test_random_families_match_or_beat_both_searches(self, rng):
+        n = 200
+        l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+        theta = rng.uniform(0, 2 * math.pi, n)
+        targets = [("1_minus", "1_plus")[i] for i in rng.integers(2, size=n)]
+        stats = [(BOSON, FERMION)[i] for i in rng.integers(2, size=n)]
+        assert {*targets} == {"1_minus", "1_plus"} and {*stats} == {BOSON, FERMION}
+        family = WernerFamily(targets, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
+                              stats)
+        with np.errstate(all="raise"):
+            worst_p, worst = family.worst_bell()
+        dense = family.evaluate(self.DENSE)[1].bell.reshape(n, -1).min(axis=1)
+        assert worst_p.shape == worst.shape == (n,)
+        assert np.all((0.0 <= worst_p) & (worst_p <= 1.0))
+        assert np.all(worst <= dense + 1e-12)
+        for f in range(n):
+            one = WernerFamily(targets[f], SpatialWave.from_l(l1[f]),
+                               SpatialWave.from_l(l2[f], theta[f]), stats[f])
+            _, oracle = grid_golden_worst_bell(one)
+            assert worst[f] <= oracle + 1e-12, f
+            # a family alone gives what it gives inside the stack
+            assert [a[0] for a in one.worst_bell()] == [worst_p[f], worst[f]]
+
+    @pytest.mark.parametrize("case", [
+        # psi1 = psi2: the fermionic triplet-type target has zero norm, so the
+        # global trace vanishes at p = 0 and that row reads B = 0
+        ("1_plus", SpatialWave.from_l(SQRT_HALF), SpatialWave.from_l(SQRT_HALF), FERMION),
+        # both waves on L: never detected, every row reads B = 0
+        ("1_minus", SpatialWave.from_l(1.0), SpatialWave.from_l(1.0), FERMION),
+    ], ids=["zero-global-trace", "never-detected"])
+    def test_undefined_rows_read_zero(self, case):
+        family = WernerFamily(*case)
+        with np.errstate(all="raise"):
+            worst_p, worst = family.worst_bell()
+        assert (worst_p.tolist(), worst.tolist()) == ([0.0], [0.0])
+        assert grid_golden_worst_bell(family)[1] == 0.0
+
+    def test_sharp_dip_near_zero_noise(self):
+        # boson triplet-type target on the r' = l family at l = 1/sqrt(2),
+        # theta just below pi: the target norm is ~1e-11, so B falls from
+        # 2 sqrt(2) at p = 0 to 2 within p ~ 1e-11 and climbs back; the grid
+        # plus golden-section search misses the dip
+        family = WernerFamily("1_plus", SpatialWave.from_l(SQRT_HALF),
+                              SpatialWave.from_l(math.sqrt(0.5), 3.14159), BOSON)
+        with np.errstate(all="raise"):
+            worst_p, worst = family.worst_bell()
+        assert 0.0 < worst_p[0] < 1e-10
+        assert worst[0] == pytest.approx(2.0, abs=1e-9)
+        near_zero = np.concatenate((self.DENSE, np.logspace(-14, 0, 2001)))
+        assert worst[0] <= family.evaluate(near_zero)[1].bell.min() + 1e-12
+        assert grid_golden_worst_bell(family)[1] > 2.8
+
+
 finite_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 families = st.lists(st.tuples(finite_unit, finite_unit,
                               st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False),
