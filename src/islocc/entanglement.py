@@ -8,8 +8,12 @@ Horodecki criterion from the spin-correlation matrix, and the closed-form
 X-state expression 2*sqrt(P^2 + Q^2) used by the sweep layer.
 
 Each formula is written once, over a stack of matrices of shape (n, 4, 4):
-:func:`analyze_stack` evaluates a whole noise grid in one batch, and the
-single-matrix functions call the same code on a stack of one.
+:func:`analyze_stack` evaluates a whole stack in one batch, and the
+single-matrix functions call the same code on a stack of one.  This eigen
+path is the oracle of the sweep and threshold rows: those are real X
+states, which :class:`~islocc.werner.WernerFamily` analyzes from their four
+distinct entries in closed form, C = 2 max(0, |x| - v, |y| - u) and
+B = 2 sqrt(P^2 + Q^2), with no 4x4 matrix and no eigen solver.
 
 For the singlet-type states produced by the noisy-preparation pipeline the
 two CHSH evaluators coincide exactly; for triplet-type X states whose

@@ -6,7 +6,12 @@ addressable pseudospins.  The projected density matrix is normalized to
 unit trace; the detection probability is the projected weight divided by
 the global trace of the input ensemble.  :func:`normalize_stack` does this,
 and checks the result with :func:`check_density_stack`, for a whole stack
-of raw blocks at once; :func:`project` runs it on a stack of one.
+of raw blocks at once; :func:`project` divides a stack of one the same way
+and leaves the check to :class:`ProjectedDensityMatrix`.
+
+This general-N path, with its eigen-solver check, is the oracle of the
+sweep and threshold rows, which :class:`~islocc.werner.WernerFamily`
+evaluates as closed-form X states.
 """
 
 from __future__ import annotations
@@ -119,6 +124,8 @@ class ProjectedDensityMatrix:
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match {len(self.regions)} regions")
         check_density_stack(m[None], np.array([self.probability], dtype=float))
+        # accepted within the check's rounding slack, stored in [0, 1]
+        object.__setattr__(self, "probability", min(max(float(self.probability), 0.0), 1.0))
 
     @property
     def n(self) -> int:
@@ -152,6 +159,15 @@ def normalize_stack(raw: np.ndarray, global_trace: np.ndarray) -> ProjectedStack
     are masked before any division and come back zeroed.  The other rows
     must pass :func:`check_density_stack`; their detection probabilities,
     accepted there within its rounding slack, are then clipped to [0, 1]."""
+    projected = _divide_stack(raw, global_trace)
+    ok = projected.defined
+    check_density_stack(projected.matrices[ok], projected.probability[ok])
+    np.clip(projected.probability, 0.0, 1.0, out=projected.probability)
+    return projected
+
+
+def _divide_stack(raw: np.ndarray, global_trace: np.ndarray) -> ProjectedStack:
+    """The division of :func:`normalize_stack`, unchecked and unclipped."""
     weight = np.trace(raw, axis1=-2, axis2=-1).real
     zero_trace = ~(global_trace > _ZERO_TRACE_ATOL)
     undefined = ~zero_trace & ~(weight > _UNDEFINED_RTOL * np.maximum(global_trace, 1.0))
@@ -161,8 +177,6 @@ def normalize_stack(raw: np.ndarray, global_trace: np.ndarray) -> ProjectedStack
     m = raw[ok] / weight[ok, None, None]
     matrices[ok] = (m + m.conj().swapaxes(-1, -2)) / 2.0
     probability[ok] = weight[ok] / global_trace[ok]
-    check_density_stack(matrices[ok], probability[ok])
-    np.clip(probability, 0.0, 1.0, out=probability)
     return ProjectedStack(matrices, probability, zero_trace, undefined)
 
 
@@ -190,7 +204,8 @@ def project(m: MixedState, regions: Sequence[str]) -> ProjectedDensityMatrix:
         raise ValueError(f"{m.n} particles need {m.n} regions, got {len(regions)}")
     kets = computational_kets(m.basis, regions, m.statistics)
     raw, _ = _projected_weight(m, kets)
-    projected = normalize_stack(raw[None], np.array([mixed_trace(m)]))
+    # ProjectedDensityMatrix runs the checks of normalize_stack, once
+    projected = _divide_stack(raw[None], np.array([mixed_trace(m)]))
     if projected.zero_trace[0]:
         raise ZeroTraceError("state has zero global trace; nothing to project")
     if projected.undefined[0]:

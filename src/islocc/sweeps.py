@@ -7,9 +7,11 @@ indistinguishability decreases monotonically from 1 at l = 1/sqrt(2) to 0
 at l = 1, so target degrees are inverted by bisection.
 
 A sweep is one stacked family array: every family of the outer grid and
-every noise probability are evaluated together, in closed form, by one
-:class:`~islocc.werner.WernerFamily` (the amplitude path of
-:func:`~islocc.werner.project_werner` is its oracle in :func:`run_verify`
+every noise probability are evaluated together by one
+:class:`~islocc.werner.WernerFamily`, each row a closed-form X state read
+off four entries, with no 4x4 matrix and no eigen solver (the amplitude
+and eigen path of :func:`~islocc.werner.project_werner` and
+:func:`~islocc.entanglement.analyze` is its oracle in :func:`run_verify`
 and the tests); identical configurations produce byte-identical CSV output,
 and a configuration asking for more than ``MAX_SWEEP_ROWS`` rows is
 rejected before any grid is built.
@@ -36,9 +38,9 @@ from .amplitudes import (BOSON, FERMION, ElementaryKet, ParticleStatistics,
                          amplitude_fast, amplitude_permsum)
 from .entanglement import analyze, bell_horodecki, bell_xstate, binary_entropy
 from .ensembles import mixed_trace, pure_norm_sq
-from .slocc import ProjectedStack, ProjectionUndefinedError, ZeroTraceError, project
+from .slocc import ProjectionUndefinedError, ZeroTraceError, project
 from .states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from .werner import (WaveStack, WernerFamily, WernerSpec, bell_states,
+from .werner import (WaveStack, WernerFamily, WernerSpec, XStateRows, bell_states,
                      canonical_theta, depolarize_then_deform, project_werner,
                      spec_from_l, werner_direct)
 
@@ -286,10 +288,10 @@ class BellRegionRecord:
         return {name: getattr(self, name) for name in BELL_REGION_FIELDS}
 
 
-def _flagged(projected: ProjectedStack) -> np.ndarray:
+def _flagged(rows: XStateRows) -> np.ndarray:
     """Rows whose projection is undefined or whose detection probability is
     below ``FLAG_PROBABILITY``."""
-    return ~projected.defined | (projected.probability < FLAG_PROBABILITY)
+    return ~rows.defined | (rows.probability < FLAG_PROBABILITY)
 
 
 def _warn_flagged(records: Sequence[SweepRecord]) -> None:
@@ -311,8 +313,7 @@ def _sweep(config: SweepConfig) -> list[SweepRecord]:
     psi1, psi2 = WaveStack.from_l(l), WaveStack.from_l(lprime, theta)
     # both waves on one mode: degree and projection undefined, rows zeroed and flagged
     indist = _peaked_degree(psi1.l, psi1.r, psi2.l, psi2.r, zero_undefined=True)
-    projected, report = WernerFamily(config.target, psi1, psi2,
-                                     config.statistics).evaluate(p)
+    rows = WernerFamily(config.target, psi1, psi2, config.statistics).evaluate(p)
 
     def per_family(values: np.ndarray) -> list:
         return np.repeat(values, len(p)).tolist()
@@ -321,9 +322,8 @@ def _sweep(config: SweepConfig) -> list[SweepRecord]:
     return [SweepRecord(pv, lv, lpv, theta, stats, dv, c, e, p_lr, b, flagged=f)
             for pv, lv, lpv, dv, c, e, p_lr, b, f in zip(
                 np.tile(p, len(l)).tolist(), per_family(l), per_family(lprime),
-                per_family(indist), report.concurrence.tolist(), report.eof.tolist(),
-                projected.probability.tolist(), report.bell.tolist(),
-                _flagged(projected).tolist())]
+                per_family(indist), rows.concurrence.tolist(), rows.eof.tolist(),
+                rows.probability.tolist(), rows.bell.tolist(), _flagged(rows).tolist())]
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
@@ -386,7 +386,7 @@ def _family(statistics: ParticleStatistics, target: str, theta: float,
 
 def _bell_at(family: WernerFamily, p: float) -> float:
     """CHSH value at one noise probability (0 where the projection is undefined)."""
-    return float(family.evaluate(np.array([p]))[1].bell[0])
+    return float(family.evaluate(np.array([p])).bell[0])
 
 
 class _Probe(NamedTuple):
@@ -439,8 +439,7 @@ def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
             inside = at_mid
         else:
             outside = at_mid
-    concurrence_at = float(inside.family.evaluate(np.array([inside.worst_p]))[1]
-                           .concurrence[0])
+    concurrence_at = float(inside.family.evaluate(np.array([inside.worst_p])).concurrence[0])
     return ThresholdResult(True, config.target, str(stats), inside.degree, inside.l,
                            inside.worst_p, inside.bell, concurrence_at)
 
@@ -700,10 +699,9 @@ def _suite_batched_vs_pointwise(rng: np.random.Generator) -> str:
     cases += [(0.6, 0.6, 0.0, FERMION, "1_plus"), (0.6, 0.6, 0.0, BOSON, "1_minus"),
               (1.0, 1.0, 0.0, FERMION, "1_minus")]
     ls, lps, thetas, statistics, targets = zip(*cases)
-    projected, report = WernerFamily(targets, WaveStack.from_l(ls),
-                                     WaveStack.from_l(lps, np.array(thetas)),
-                                     statistics).evaluate(ps)
-    flagged = _flagged(projected)
+    rows = WernerFamily(targets, WaveStack.from_l(ls), WaveStack.from_l(lps, np.array(thetas)),
+                        statistics).evaluate(ps)
+    matrices, flagged = rows.matrices(), _flagged(rows)
     worst_m = worst_r = 0.0
     for f, (l, lp, theta, stats, target) in enumerate(cases):
         psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
@@ -717,10 +715,10 @@ def _suite_batched_vs_pointwise(rng: np.random.Generator) -> str:
             assert flagged[k] == (ref.probability < FLAG_PROBABILITY), \
                 f"flags differ at ({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})"
             expected = analyze(ref)
-            worst_m = max(worst_m, float(np.max(np.abs(projected.matrices[k] - ref.matrix))),
-                          abs(projected.probability[k] - ref.probability))
-            worst_r = max(worst_r, abs(report.concurrence[k] - expected.concurrence),
-                          abs(report.eof[k] - expected.eof), abs(report.bell[k] - expected.bell))
+            worst_m = max(worst_m, float(np.max(np.abs(matrices[k] - ref.matrix))),
+                          abs(rows.probability[k] - ref.probability))
+            worst_r = max(worst_r, abs(rows.concurrence[k] - expected.concurrence),
+                          abs(rows.eof[k] - expected.eof), abs(rows.bell[k] - expected.bell))
     assert worst_m <= 1e-12 and worst_r <= 1e-9, \
         f"batched vs per-point: matrix/P_LR {worst_m:.3e}, C/EoF/B {worst_r:.3e}"
     return (f"one stack of {len(cases)} families x {len(ps)} noise values vs per-point "

@@ -12,15 +12,17 @@ other:
   overlap.
 
 :func:`project_werner` projects one noise level of one family through the
-amplitude engine (:func:`bell_states`, ``state_overlap``, ``pure_norm_sq``);
-it is the oracle of the production path.  That path is
-:class:`WernerFamily`, which evaluates a whole stack of families, each over
-an array of noise levels, as stacked (rows, 4, 4) arrays: for peaked waves
-the Bell overlaps with the detection kets and the Bell-state norms have
-closed forms (:func:`_bell_overlaps`), and the mixture, its projected block
-and its global trace are affine in p, so no amplitude is evaluated at all.
-The same affinity gives each family's worst noise level for the CHSH value
-in closed form (:meth:`WernerFamily.worst_bell`).
+amplitude engine (:func:`bell_states`, ``state_overlap``, ``pure_norm_sq``)
+and the eigen solvers of :mod:`~islocc.entanglement`; it is the oracle of
+the production path.  That path is :class:`WernerFamily`, which evaluates
+a whole stack of families, each over an array of noise levels, in closed
+form: for peaked waves the Bell overlaps with the detection kets and the
+Bell-state norms have closed forms (:func:`_bell_overlaps`), every
+projected row is a real X state whose four distinct entries and global
+trace are affine in p, and its concurrence and CHSH value follow from
+those entries elementwise, with no 4x4 matrix and no eigen solver.  The
+same affinity gives each family's worst noise level for the CHSH value in
+closed form (:meth:`WernerFamily.worst_bell`).
 
 Closed forms for the post-selected concurrence and detection probability
 of both targets are included as independent references for the numeric
@@ -33,15 +35,16 @@ accepts any theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .amplitudes import FERMION, ElementaryKet, ParticleStatistics
 from .ensembles import MixedState, PureNState
-from .entanglement import StackReport, analyze_stack
-from .slocc import ProjectedDensityMatrix, ProjectedStack, normalize_stack, project
+from .entanglement import _eof
+from .slocc import (_EIG_ATOL, _HERM_ATOL, _UNDEFINED_RTOL, _ZERO_TRACE_ATOL,
+                    ProjectedDensityMatrix, project)
 from .states import (DOWN, UP, ModeBasis, PeakedParams, SingleParticleState,
                      SpatialWave, Spin, make_peaked)
 
@@ -60,6 +63,7 @@ __all__ = [
     "depolarize_then_deform",
     "project_werner",
     "WaveStack",
+    "XStateRows",
     "WernerFamily",
     "closed_form_concurrence_minus",
     "closed_form_probability_minus",
@@ -280,18 +284,18 @@ class WaveStack(NamedTuple):
 
 
 #: Spin patterns of the four Bell states' overlaps with the detection kets
-#: |L s, R s'> (TARGETS order; spins ordered as in spin_configurations), and
-#: their outer products, complex like every projected matrix.
+#: |L s, R s'> (TARGETS order; spins ordered as in spin_configurations).
 _PATTERNS = np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]], dtype=float)
-_PATTERN_BLOCKS = (_PATTERNS[:, :, None] * _PATTERNS[:, None, :]).astype(complex)
 
-#: Sign of eta |<psi1|psi2>|^2 in the squared norm of each Bell state (TARGETS order).
+#: What each Bell state's outer product P_b P_b^T puts into the four distinct
+#: entries (u, v, x, y) = (rho00 = rho33, rho11 = rho22, rho03, rho12) of an
+#: X-shaped two-qubit block, per unit |c_b|^2 (TARGETS order).
+_X_ENTRIES = np.stack([_PATTERNS[:, 0] ** 2, _PATTERNS[:, 1] ** 2,
+                       _PATTERNS[:, 0] * _PATTERNS[:, 3], _PATTERNS[:, 1] * _PATTERNS[:, 2]],
+                      axis=1)
+
+#: Sign s_b of the exchange term in each Bell state's norm (TARGETS order).
 _NORM_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
-
-#: Rows (family x noise level) normalized, checked and analyzed per call of
-#: the stack functions, or one family's when it has more noise levels: bounds
-#: the peak memory of a large sweep.
-_BLOCK_ROWS = 128
 
 
 def _bell_overlaps(psi1, psi2, eta) -> tuple[np.ndarray, np.ndarray]:
@@ -301,23 +305,60 @@ def _bell_overlaps(psi1, psi2, eta) -> tuple[np.ndarray, np.ndarray]:
     With D = l1 r2 e^{i theta2} and X = eta l2 r1 e^{i theta1}, the overlap
     of Bell state b with the detection kets is c_b times its row of
     ``_PATTERNS``, with c = (a, b, a, a) for 1_plus, 1_minus, 2_plus,
-    2_minus, a = (D + X)/sqrt(2) and b = (D - X)/sqrt(2).  The squared norms
-    are 1 - eta |<psi1|psi2>|^2 for 1_minus and 1 + eta |<psi1|psi2>|^2 for
-    the others.  Returns c and the norms, both of shape (n, 4).
+    2_minus, a = (D + X)/sqrt(2) and b = (D - X)/sqrt(2).  Its squared norm
+    splits by detection sector: T_b = 2|c_b|^2 (one particle per region)
+    + (1 + eta s_b)(l1^2 l2^2 + r1^2 r2^2) (both in L or both in R), with
+    s_b = -1 for 1_minus and +1 for the others; this is 1 + eta s_b
+    |<psi1|psi2>|^2 without its cancellation.  Returns c and the
+    double-occupancy terms, both of shape (n, 4).
     """
     a1 = psi1.r * np.exp(1j * psi1.theta)
     a2 = psi2.r * np.exp(1j * psi2.theta)
     d = psi1.l * a2
     x = eta * psi2.l * a1
     a, b = (d + x) * _SQRT_HALF, (d - x) * _SQRT_HALF
-    overlap_sq = np.abs(psi1.l * psi2.l + a1.conj() * a2) ** 2
-    norms = np.maximum(0.0, 1.0 + _NORM_SIGNS * (eta * overlap_sq)[:, None])
-    return np.stack([a, b, a, a], axis=-1), norms
+    same_region = psi1.l ** 2 * psi2.l ** 2 + psi1.r ** 2 * psi2.r ** 2
+    double = (1.0 + _NORM_SIGNS * eta[:, None]) * same_region[:, None]
+    return np.stack([a, b, a, a], axis=-1), double
 
 
-def _concat(cls, parts):
-    return cls(*(np.concatenate([getattr(part, f.name) for part in parts])
-                 for f in fields(cls)))
+@dataclass(frozen=True)
+class XStateRows:
+    """Post-selected X states and their diagnostics, one array entry per
+    row (family x noise level).
+
+    ``u, v, x, y`` are the entries rho00 = rho33, rho11 = rho22, rho03 and
+    rho12 of each real, X-shaped, unit-trace matrix.  Rows whose input has
+    zero global trace (``zero_trace``) or whose detection weight vanishes
+    (``undefined``) read 0 in every field.
+    """
+
+    u: np.ndarray
+    v: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    probability: np.ndarray
+    zero_trace: np.ndarray
+    undefined: np.ndarray
+    concurrence: np.ndarray
+    eof: np.ndarray
+    bell: np.ndarray
+    bell_p: np.ndarray
+    bell_q: np.ndarray
+
+    @property
+    def defined(self) -> np.ndarray:
+        return ~(self.zero_trace | self.undefined)
+
+    def matrices(self) -> np.ndarray:
+        """The rows as an (n, 4, 4) stack of complex density matrices, in
+        the layout of :class:`~islocc.slocc.ProjectedDensityMatrix`."""
+        m = np.zeros((len(self.u), 4, 4), dtype=complex)
+        m[:, 0, 0] = m[:, 3, 3] = self.u
+        m[:, 1, 1] = m[:, 2, 2] = self.v
+        m[:, 0, 3] = m[:, 3, 0] = self.x
+        m[:, 1, 2] = m[:, 2, 1] = self.y
+        return m
 
 
 class WernerFamily:
@@ -327,17 +368,17 @@ class WernerFamily:
     ``psi1`` and ``psi2`` are :class:`~islocc.states.SpatialWave` objects
     (one family) or :class:`WaveStack` arrays (one family per entry);
     ``target`` and ``statistics`` are one value for every family or one per
-    family.  The constructor takes the Bell overlaps v_b with the detection
-    kets and the Bell-state norms T_b in closed form (:func:`_bell_overlaps`;
-    the amplitude path of :func:`project_werner` is its oracle) and forms
-    each family's target block v_t v_t^+ and noise block sum_b v_b v_b^+
-    (both real).  :meth:`evaluate` then builds, for an array of noise
-    probabilities, the raw projected blocks (1-p) v_t v_t^+ + (p/4) sum_b
-    v_b v_b^+ and the global traces (1-p) T_t + (p/4) sum_b T_b of every
-    family, and normalizes, checks and analyzes them in blocks of whole
-    families of about ``_BLOCK_ROWS`` rows.  It agrees with
-    :func:`project_werner` followed by :func:`~islocc.entanglement.analyze`
-    at each family and noise level.
+    family.  The constructor takes the Bell overlaps c_b with the detection
+    kets and the Bell-state norms in closed form (:func:`_bell_overlaps`;
+    the amplitude path of :func:`project_werner` is its oracle).  The
+    projected block of each Bell state is real and X-shaped, so each family
+    keeps two sets of the four entries W u, W v, W x, W y (``_X_ENTRIES``):
+    the target's and the sum over all four Bell states, and the same split
+    of the double-occupancy part of the global trace.  :meth:`evaluate`
+    combines them as (1-p) target + (p/4) sum for an array of noise
+    probabilities and normalizes, checks and analyzes every row
+    elementwise.  It agrees with :func:`project_werner` followed by
+    :func:`~islocc.entanglement.analyze` at each family and noise level.
     """
 
     def __init__(self, target, psi1, psi2, statistics):
@@ -351,21 +392,20 @@ class WernerFamily:
                 psi1.l, psi1.r, psi1.theta, psi2.l, psi2.r, psi2.theta,
                 [s.eta for s in stats])),
             np.array([TARGETS.index(name) for name in targets]))
-        c, norms = _bell_overlaps(WaveStack(l1, r1, t1), WaveStack(l2, r2, t2), eta)
-        # v_b v_b^+ = |c_b|^2 P_b P_b^T
-        weights = c.real ** 2 + c.imag ** 2
+        c, double = _bell_overlaps(WaveStack(l1, r1, t1), WaveStack(l2, r2, t2), eta)
+        weights = c.real ** 2 + c.imag ** 2  # |c_b|^2
         family = np.arange(len(eta))
-        self._target_block = weights[family, index, None, None] * _PATTERN_BLOCKS[index]
-        self._noise_block = np.tensordot(weights, _PATTERN_BLOCKS, axes=1)
-        self._target_trace = norms[family, index]
-        self._noise_trace = norms.sum(axis=1)
+        self._target = weights[family, index, None] * _X_ENTRIES[index]
+        self._noise = weights @ _X_ENTRIES
+        self._target_double = double[family, index]
+        self._noise_double = double.sum(axis=1)
 
-    def evaluate(self, p: np.ndarray) -> tuple[ProjectedStack, StackReport]:
+    def evaluate(self, p: np.ndarray) -> XStateRows:
         """Projected states and their diagnostics for each family and noise
         probability, family-major: row ``f * len(p) + k`` is family f at p[k].
 
         Rows whose global trace or detection weight vanishes are zeroed
-        (``ProjectedStack.defined`` is False there) and read 0 in every
+        (``XStateRows.defined`` is False there) and read 0 in every
         diagnostic.
         """
         p = np.asarray(p, dtype=float)
@@ -377,23 +417,23 @@ class WernerFamily:
         """Noise probability p* in [0, 1] minimizing each family's CHSH value,
         and that value B*, as two arrays with one entry per family.
 
-        Every row is X-shaped and real, and its raw block R(p) = T + p (N/4 - T)
-        is affine in p, so are the contrast a = R00 + R33 - R11 - R22, the
-        detection weight w = tr R and the anti-diagonal entries r03, r12.
-        Between the sign changes (kinks) of r03 and r12, w Q = 2(|r03| + |r12|)
-        is an affine b(p) as well, so (P, Q) = (a, b)/w runs along a straight
-        line and B = 2|(P, Q)| is smallest at an end of the piece or at the
-        foot of the perpendicular from the origin, where
-        (a a' + b b') w = (a^2 + b^2) w': linear in p, the p^2 terms cancel
-        (b and -b share the foot, so two sign choices of b suffice).  The
-        candidates p = 0, 1, the kinks and the feet that fall in [0, 1] go
-        through the checked path of :meth:`evaluate` together, and the
-        smallest CHSH value wins.  A zero weight can only sit at p = 0 or 1
-        (w is affine and >= 0); such rows read B = 0, as in :meth:`evaluate`.
+        The raw entries W (u, v, x, y)(p) = E + p (N/4 - E) of every row are
+        affine in p, and so are the contrast a = 2 W (u - v), the detection
+        weight w = 2 W (u + v) and W x, W y.  Between the sign changes
+        (kinks) of W x and W y, w Q = 2(|W x| + |W y|) is an affine b(p) as
+        well, so (P, Q) = (a, b)/w runs along a straight line and
+        B = 2|(P, Q)| is smallest at an end of the piece or at the foot of
+        the perpendicular from the origin, where (a a' + b b') w =
+        (a^2 + b^2) w': linear in p, the p^2 terms cancel (b and -b share
+        the foot, so two sign choices of b suffice).  The candidates p = 0,
+        1, the kinks and the feet that fall in [0, 1] go through the checked
+        path of :meth:`evaluate` together, and the smallest CHSH value wins.
+        A zero weight can only sit at p = 0 or 1 (w is affine and >= 0);
+        such rows read B = 0, as in :meth:`evaluate`.
         """
-        a0, w0, x0, y0 = _x_coefficients(self._target_block.real)
-        a1, w1, x1, y1 = _x_coefficients(self._noise_block.real / 4.0
-                                         - self._target_block.real)
+        u0, v0, x0, y0 = self._target.T
+        u1, v1, x1, y1 = (self._noise / 4.0 - self._target).T
+        a0, w0, a1, w1 = 2.0 * (u0 - v0), 2.0 * (u0 + v0), 2.0 * (u1 - v1), 2.0 * (u1 + v1)
         candidates = [np.zeros_like(w0), np.ones_like(w0),
                       _root_in_unit(x0, x1), _root_in_unit(y0, y1)]
         for sign in (1.0, -1.0):
@@ -402,38 +442,50 @@ class WernerFamily:
             candidates.append(_root_in_unit(g0 * w0 - w1 * (a0 * a0 + b0 * b0),
                                             g1 * w0 - g0 * w1))
         p = np.stack(candidates, axis=1)
-        bell = self._evaluate(p)[1].bell.reshape(p.shape)
+        bell = self._evaluate(p).bell.reshape(p.shape)
         best = (np.arange(len(p)), np.argmin(bell, axis=1))
         return p[best], bell[best]
 
-    def _evaluate(self, p: np.ndarray) -> tuple[ProjectedStack, StackReport]:
+    def _evaluate(self, p: np.ndarray) -> XStateRows:
         """Rows of every family at its noise levels: ``p`` is one array of
         levels for all families or one row of levels per family."""
-        n, levels = shape = (len(self._target_trace), p.shape[-1])
+        shape = (len(self._target), p.shape[-1])
         keep, noise = np.broadcast_to(1.0 - p, shape), np.broadcast_to(p / 4.0, shape)
-        step = max(1, _BLOCK_ROWS // max(levels, 1))
-        parts = [self._evaluate_families(slice(start, start + step), keep, noise)
-                 for start in range(0, n, step)]
-        if len(parts) == 1:
-            return parts[0]
-        stacks, reports = zip(*parts)
-        return _concat(ProjectedStack, stacks), _concat(StackReport, reports)
+        wu, wv, wx, wy = (keep * target[:, None] + noise * total[:, None]
+                          for target, total in zip(self._target.T, self._noise.T))
+        weight = 2.0 * (wu + wv)
+        # the same float weight plus the double-occupancy terms (>= 0), so
+        # weight / global_trace <= 1 holds in floating point
+        global_trace = (weight + keep * self._target_double[:, None]
+                        + noise * self._noise_double[:, None])
+        zero_trace = ~(global_trace > _ZERO_TRACE_ATOL)
+        undefined = ~zero_trace & ~(weight > _UNDEFINED_RTOL * np.maximum(global_trace, 1.0))
+        ok = ~(zero_trace | undefined)
+        u, v, x, y = (np.divide(entry, weight, out=np.zeros(shape), where=ok)
+                      for entry in (wu, wv, wx, wy))
+        probability = np.divide(weight, global_trace, out=np.zeros(shape), where=ok)
+        _check_rows(ok, u, v, x, y, probability)
+        concurrence = np.clip(2.0 * np.maximum(np.abs(x) - v, np.abs(y) - u), 0.0, 1.0)
+        bell_p = 2.0 * (u - v)
+        bell_q = 2.0 * (np.abs(x) + np.abs(y))
+        bell = 2.0 * np.sqrt(bell_p * bell_p + bell_q * bell_q)
+        return XStateRows(*(a.ravel() for a in (
+            u, v, x, y, probability, zero_trace, undefined, concurrence, _eof(concurrence),
+            bell, bell_p, bell_q)))
 
-    def _evaluate_families(self, families: slice, keep: np.ndarray,
-                           noise: np.ndarray) -> tuple[ProjectedStack, StackReport]:
-        keep, noise = keep[families], noise[families]
-        raw = (keep[..., None, None] * self._target_block[families, None]
-               + noise[..., None, None] * self._noise_block[families, None]).reshape(-1, 4, 4)
-        global_trace = (keep * self._target_trace[families, None]
-                        + noise * self._noise_trace[families, None]).ravel()
-        projected = normalize_stack(raw, global_trace)
-        return projected, analyze_stack(projected.matrices)
 
-
-def _x_coefficients(m: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Contrast, trace and anti-diagonal entries r03, r12 of X-shaped blocks."""
-    return (m[:, 0, 0] + m[:, 3, 3] - m[:, 1, 1] - m[:, 2, 2],
-            m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2] + m[:, 3, 3], m[:, 0, 3], m[:, 1, 2])
+def _check_rows(ok, u, v, x, y, probability) -> None:
+    """Raise ``ValueError`` unless every row in ``ok`` is of unit trace and
+    positive semidefinite (its eigenvalues are u +- x and v +- y) and its
+    detection probability lies in [0, 1]: the tests of
+    :func:`~islocc.slocc.check_density_stack`, written so that NaN fails."""
+    if not np.all(~ok | (np.abs(2.0 * (u + v) - 1.0) <= _HERM_ATOL)):
+        raise ValueError("projected row trace != 1")
+    if not np.all(~ok | ((u >= np.abs(x) - _EIG_ATOL) & (v >= np.abs(y) - _EIG_ATOL))):
+        raise ValueError("projected row has a significantly negative eigenvalue")
+    in_unit = (probability >= 0.0) & (probability <= 1.0)
+    if not np.all(~ok | in_unit):
+        raise ValueError(f"probability {probability[ok & ~in_unit]!r} outside [0, 1]")
 
 
 def _root_in_unit(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:

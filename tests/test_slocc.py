@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from islocc import slocc
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet
 from islocc.ensembles import MixedState, PureNState
 from islocc.slocc import (ProjectedDensityMatrix, ProjectionUndefinedError,
@@ -126,6 +127,35 @@ class TestProjectedMatrixInvariants:
         negative = np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue"):
             ProjectedDensityMatrix(negative, 0.5, ("L", "R"))
+
+
+class TestCheckedOnce:
+    def test_project_checks_each_matrix_once(self, monkeypatch):
+        calls = []
+        check = slocc.check_density_stack
+        monkeypatch.setattr("islocc.slocc.check_density_stack",
+                            lambda m, p: calls.append(len(m)) or check(m, p))
+        spec = spec_from_l(0.3, "1_minus", 0.8, 0.6, FERMION)
+        projected = project(werner_direct(spec), ("L", "R"))
+        assert calls == [1]
+        assert abs(np.trace(projected.matrix).real - 1.0) <= 1e-12
+        raw = np.stack([SINGLET, np.zeros((4, 4), dtype=complex)])
+        slocc.normalize_stack(raw, np.array([2.0, 1.0]))
+        assert calls == [1, 1]  # the defined row only, once
+
+    @pytest.mark.parametrize("matrix, probability, match", [
+        (np.diag([0.6, 0.5, 0.0, -0.1]), 0.5, "negative eigenvalue"),
+        (np.diag([0.5, 0.5, 0.5, 0.0]), 0.5, "trace"),
+        (SINGLET, 1.0 + 1e-9, "probability"),
+        (SINGLET, math.nan, "probability"),
+    ])
+    def test_direct_construction_still_checks(self, matrix, probability, match):
+        with pytest.raises(ValueError, match=match):
+            ProjectedDensityMatrix(matrix, probability, ("L", "R"))
+
+    def test_probability_within_rounding_slack_is_stored_in_unit_interval(self):
+        assert ProjectedDensityMatrix(SINGLET, 1.0 + 1e-13, ("L", "R")).probability == 1.0
+        assert ProjectedDensityMatrix(SINGLET, -1e-13, ("L", "R")).probability == 0.0
 
 
 class TestSloccProbability:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from islocc.amplitudes import BOSON, FERMION
 from islocc.cli import load_config_file, main
@@ -540,6 +543,15 @@ class TestCli:
             records = run_sweep(config)
         assert [r.flagged for r in records] == [True, False, False]
 
+    def test_unwritable_existing_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        # permission bits do not stop root, so the access check is what decides
+        monkeypatch.setattr("islocc.cli.os.access", lambda path, mode: False)
+        monkeypatch.setattr("islocc.cli.run_sweep", lambda *args: pytest.fail("ran"))
+        assert main(["sweep", "--output", str(tmp_path / "out.csv")]) == 2
+        captured = capsys.readouterr()
+        assert "is not writable" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and not (tmp_path / "out.csv").exists()
+
     def test_verify_exit_codes(self, monkeypatch, capsys):
         monkeypatch.setattr("islocc.werner.closed_form_concurrence_plus",
                             lambda *args, **kwargs: -1.0)
@@ -547,3 +559,58 @@ class TestCli:
         assert code == 1
         out = capsys.readouterr().out
         assert "[FAIL] closed-forms-vs-pipeline" in out
+
+
+def _near(*centres: float, spread: float = 1e-6):
+    """Floats at, or within ``spread`` of, each centre."""
+    return st.one_of(st.sampled_from(centres), *(
+        st.floats(c - spread, c + spread, allow_nan=False) for c in centres))
+
+
+_unit = st.floats(0.0, 1.0, allow_nan=False)
+_shapes = st.one_of(_near(SQRT_HALF, 0.7071, 0.0, 1.0), _unit).map(lambda x: min(max(x, 0.0), 1.0))
+_phases = st.one_of(_near(0.0, math.pi, 2 * math.pi), st.floats(0.0, 2 * math.pi))
+
+
+class TestCliExitRule:
+    """Every input ends in a finite result (exit 0) or a configuration error
+    (exit 2), never in a traceback."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(statistics=st.sampled_from(["boson", "fermion"]),
+           target=st.sampled_from(["1_minus", "1_plus"]),
+           theta=_phases,
+           constraint=st.sampled_from(["l_eq_rprime", "l_eq_lprime", "free"]),
+           ls=st.lists(_shapes, min_size=1, max_size=2),
+           lprime=st.one_of(st.none(), _shapes),
+           p_grid=st.sampled_from(["0:1:2", "0:1:3", "0:1:6", "0:0:1", "1:1:1"]))
+    @example(statistics="boson", target="1_minus", theta=0.0, constraint="l_eq_rprime",
+             ls=[0.7071], lprime=None, p_grid="0:1:3")
+    def test_sweep_exits_0_or_2_with_finite_rows(self, statistics, target, theta, constraint,
+                                                  ls, lprime, p_grid):
+        # "--flag=value": argparse takes "-1e-07" after a bare flag for an option
+        argv = ["sweep", "--statistics", statistics, "--target", target,
+                f"--theta={theta!r}", "--constraint", constraint,
+                f"--l-grid={min(ls)!r}:{max(ls)!r}:{len(ls)}", "--p-grid", p_grid]
+        if lprime is not None:
+            argv.append(f"--lprime={lprime!r}")
+        out, err = io.StringIO(), io.StringIO()
+        # underflow (numpy's default: ignore) only rounds a subnormal input
+        # such as theta = 5e-324 toward zero and cannot make a value non-finite
+        with np.errstate(all="raise", under="ignore"), warnings.catch_warnings(), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", RuntimeWarning)  # flagged rows
+            code = main(argv)
+        assert code in (0, 2) and "Traceback" not in err.getvalue()
+        assert code == 2 or (constraint == "free") == (lprime is not None)
+        if code == 2:
+            assert err.getvalue().startswith("config error:") and out.getvalue() == ""
+            return
+        lines = out.getvalue().splitlines()
+        assert lines[0] == ",".join(CSV_FIELDS)
+        for line in lines[1:]:
+            row = dict(zip(CSV_FIELDS, line.split(",")))
+            values = {name: float(v) for name, v in row.items() if name != "statistics"}
+            assert all(math.isfinite(v) for v in values.values()), line
+            assert 0.0 <= values["p_lr"] <= 1.0, line
+            assert 0.0 <= values["concurrence"] <= 1.0, line

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from islocc.amplitudes import BOSON, FERMION
 from islocc.ensembles import mixed_trace, pure_norm_sq, state_overlap
-from islocc.entanglement import analyze, concurrence
+from islocc.entanglement import analyze, analyze_stack, concurrence
 from islocc.slocc import (ProjectionUndefinedError, ZeroTraceError, computational_kets,
-                          project)
-from islocc.sweeps import FLAG_PROBABILITY, _flagged
+                          normalize_stack, project)
+from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
+                           find_threshold, run_bell_region, run_sweep)
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
 from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WaveStack, WernerFamily,
-                           WernerSpec, _PATTERNS, _bell_overlaps, bell_states,
+                           WernerSpec, _PATTERNS, _bell_overlaps, _check_rows, bell_states,
                            canonical_theta,
                            closed_form_concurrence_minus,
                            closed_form_concurrence_plus,
@@ -22,6 +24,12 @@ from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WaveStack, WernerFamily,
                            project_werner, spec_from_l, werner_direct)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+
+def x_block(u, v, x, y) -> np.ndarray:
+    """The real X-shaped 4x4 block with diagonal (u, v, v, u) and
+    anti-diagonal entries x = m03 = m30, y = m12 = m21."""
+    return np.array([[u, 0, 0, x], [0, v, y, 0], [0, y, v, 0], [x, 0, 0, u]], dtype=float)
 
 
 class TestBellStates:
@@ -226,8 +234,9 @@ class TestClosedFormBellOverlaps:
         l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
         theta1, theta2 = rng.uniform(0, 2 * math.pi, n), rng.uniform(0, 2 * math.pi, n)
         psi1, psi2 = WaveStack.from_l(l1, theta1), WaveStack.from_l(l2, theta2)
-        c, norms = _bell_overlaps(psi1, psi2, np.full(n, float(statistics.eta)))
+        c, double = _bell_overlaps(psi1, psi2, np.full(n, float(statistics.eta)))
         overlaps = c[:, :, None] * _PATTERNS
+        norms = 2.0 * np.abs(c) ** 2 + double  # one per region + both in one region
         kets = computational_kets(LR_BASIS, ("L", "R"), statistics)
         for f in range(n):
             bells = bell_states(SpatialWave.from_l(l1[f], theta1[f]),
@@ -253,10 +262,11 @@ class TestClosedFormBellOverlaps:
                   for name, s in bells.items()}
             target_block = np.outer(vs[target], vs[target].conj())
             noise_block = sum(np.outer(v, v.conj()) for v in vs.values())
-            assert np.max(np.abs(family._target_block[f] - target_block)) <= 1e-12
-            assert np.max(np.abs(family._noise_block[f] - noise_block)) <= 1e-12
-            assert abs(family._target_trace[f] - pure_norm_sq(bells[target])) <= 1e-12
-            assert abs(family._noise_trace[f]
+            assert np.max(np.abs(x_block(*family._target[f]) - target_block)) <= 1e-12
+            assert np.max(np.abs(x_block(*family._noise[f]) - noise_block)) <= 1e-12
+            assert abs(np.trace(x_block(*family._target[f])) + family._target_double[f]
+                       - pure_norm_sq(bells[target])) <= 1e-12
+            assert abs(np.trace(x_block(*family._noise[f])) + family._noise_double[f]
                        - sum(pure_norm_sq(s) for s in bells.values())) <= 1e-12
 
 
@@ -265,10 +275,10 @@ class TestWernerFamilyStack:
         # P_LR = 1 in closed form; the amplitude path rounds it to 1 + 2.2e-16
         psi1, psi2 = SpatialWave.from_l(0.0), SpatialWave.from_l(0.5)
         ref = project_werner(WernerSpec(0.0, "1_minus", psi1, psi2, BOSON))
-        projected, _ = WernerFamily("1_minus", psi1, psi2, BOSON).evaluate(np.array([0.0]))
+        rows = WernerFamily("1_minus", psi1, psi2, BOSON).evaluate(np.array([0.0]))
         assert ref.probability <= 1.0
-        assert projected.probability[0] <= 1.0
-        assert projected.probability[0] == pytest.approx(1.0, abs=1e-12)
+        assert rows.probability[0] <= 1.0
+        assert rows.probability[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_families, n_p", [(300, 1), (3, 200), (7, 41)])
     def test_blocks_match_single_family_evaluation(self, rng, n_families, n_p):
@@ -277,19 +287,164 @@ class TestWernerFamilyStack:
         targets = [("1_minus", "1_plus")[i] for i in rng.integers(2, size=n_families)]
         stats = [(BOSON, FERMION)[i] for i in rng.integers(2, size=n_families)]
         ps = rng.uniform(0, 1, n_p)
-        projected, report = WernerFamily(targets, WaveStack.from_l(l1),
-                                         WaveStack.from_l(l2, theta), stats).evaluate(ps)
-        assert projected.matrices.shape == (n_families * n_p, 4, 4)
+        stacked = WernerFamily(targets, WaveStack.from_l(l1),
+                               WaveStack.from_l(l2, theta), stats).evaluate(ps)
+        matrices = stacked.matrices()
+        assert matrices.shape == (n_families * n_p, 4, 4)
         for f in range(n_families):
-            one, one_report = WernerFamily(targets[f], SpatialWave.from_l(l1[f]),
-                                           SpatialWave.from_l(l2[f], theta[f]),
-                                           stats[f]).evaluate(ps)
+            one = WernerFamily(targets[f], SpatialWave.from_l(l1[f]),
+                               SpatialWave.from_l(l2[f], theta[f]), stats[f]).evaluate(ps)
             rows = slice(f * n_p, (f + 1) * n_p)
-            np.testing.assert_allclose(projected.matrices[rows], one.matrices, atol=1e-15)
-            np.testing.assert_allclose(projected.probability[rows], one.probability,
+            np.testing.assert_allclose(matrices[rows], one.matrices(), atol=1e-15)
+            np.testing.assert_allclose(stacked.probability[rows], one.probability,
                                        atol=1e-15)
-            np.testing.assert_allclose(report.concurrence[rows], one_report.concurrence,
+            np.testing.assert_allclose(stacked.concurrence[rows], one.concurrence,
                                        atol=1e-15)
+
+
+def eigen_oracle(targets, l1, l2, theta, stats, ps):
+    """The rows of ``WernerFamily.evaluate`` through 4x4 blocks: raw
+    projected blocks (1-p) v_t v_t^+ + (p/4) sum_b v_b v_b^+ from the closed
+    overlaps v_b = c_b P_b, global traces (1-p) T_t + (p/4) sum_b T_b from
+    the closed norms, then ``normalize_stack`` and ``analyze_stack``."""
+    eta = np.array([s.eta for s in stats], dtype=float)
+    c, double = _bell_overlaps(WaveStack.from_l(l1), WaveStack.from_l(l2, theta), eta)
+    v = c[:, :, None] * _PATTERNS                      # (n, 4 Bell, 4 kets)
+    blocks = v[:, :, :, None] * v[:, :, None, :].conj()
+    norms = 2.0 * np.abs(c) ** 2 + double
+    t = np.array([TARGETS.index(name) for name in targets])
+    f = np.arange(len(t))
+    keep, noise = (1.0 - ps)[None, :], (ps / 4.0)[None, :]
+    raw = (keep[..., None, None] * blocks[f, t][:, None]
+           + noise[..., None, None] * blocks.sum(axis=1)[:, None]).reshape(-1, 4, 4)
+    global_trace = (keep * norms[f, t][:, None] + noise * norms.sum(axis=1)[:, None]).ravel()
+    projected = normalize_stack(raw, global_trace)
+    return projected, analyze_stack(projected.matrices)
+
+
+class TestXStateRows:
+    """The closed-form X-state rows against the eigen-solver path."""
+
+    #: psi1 = psi2 (zero-norm targets), both waves on L (never detected) and
+    #: both on R, each for every target and statistics; then the r' = l
+    #: family at l = 0.7071, whose singlet norm is ~1e-8 for bosons at
+    #: theta = 0 (detection probability 1 at p = 0): (l, l', theta, targets,
+    #: statistics)
+    SPECIAL = ((0.6, 0.6, 0.0, ("1_minus", "1_plus"), (BOSON, FERMION)),
+               (1.0, 1.0, 0.0, ("1_minus", "1_plus"), (BOSON, FERMION)),
+               (0.0, 0.0, 0.0, ("1_minus", "1_plus"), (BOSON, FERMION)),
+               (0.7071, math.sqrt(1 - 0.7071 ** 2), 0.0, ("1_minus",), (BOSON, FERMION)))
+
+    def cases(self, rng, n=300):
+        """Random families of mixed target, statistics and theta (half of
+        them at theta = 0, pi or 2 pi), then the ``SPECIAL`` ones."""
+        theta = np.where(rng.integers(2, size=n), rng.choice([0.0, math.pi, 2 * math.pi], n),
+                         rng.uniform(0, 2 * math.pi, n))
+        families = list(zip(rng.uniform(0, 1, n), rng.uniform(0, 1, n), theta,
+                            rng.choice(["1_minus", "1_plus"], n).tolist(),
+                            [(BOSON, FERMION)[i] for i in rng.integers(2, size=n)]))
+        families += [(l, lp, th, target, statistics) for l, lp, th, targets, stats in self.SPECIAL
+                     for target in targets for statistics in stats]
+        l1, l2, theta, targets, stats = zip(*families)
+        return list(targets), np.array(l1), np.array(l2), np.array(theta), list(stats)
+
+    def test_rows_match_eigen_oracle(self, rng):
+        targets, l1, l2, theta, stats = self.cases(rng)
+        ps = np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 5)))
+        with np.errstate(all="raise"):
+            rows = WernerFamily(targets, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
+                                stats).evaluate(ps)
+            projected, report = eigen_oracle(targets, l1, l2, theta, stats, ps)
+        assert rows.zero_trace.any() and rows.undefined.any() and rows.defined.any()
+        np.testing.assert_array_equal(rows.zero_trace, projected.zero_trace)
+        np.testing.assert_array_equal(rows.undefined, projected.undefined)
+        matrices = rows.matrices()
+        assert np.max(np.abs(matrices - projected.matrices)) <= 1e-12
+        assert np.max(np.abs(rows.probability - projected.probability)) <= 1e-12
+        assert np.max(np.abs(rows.concurrence - report.concurrence)) <= 1e-9
+        assert np.max(np.abs(rows.eof - report.eof)) <= 1e-9
+        assert np.max(np.abs(rows.bell - report.bell)) <= 1e-12
+        # the PSD test reads the eigenvalues u +- x, v +- y directly
+        smallest = np.minimum(rows.u - np.abs(rows.x), rows.v - np.abs(rows.y))
+        np.testing.assert_allclose(smallest, np.linalg.eigvalsh(matrices)[:, 0], atol=1e-15)
+        assert np.all(rows.probability <= 1.0)
+
+    @pytest.mark.parametrize("statistics, theta", [(FERMION, 0.0), (BOSON, math.pi)])
+    def test_near_pure_rows_match_the_wootters_spectrum(self, statistics, theta):
+        # triplet-type target on the r' = l family at l = 0.7071: the rows are
+        # nearly pure, rho00 ~ 1e-10, so two eigenvalues of rho rho~ are
+        # ~1e-20.  The eigen solver gets every eigenvalue to ~4e-16, but the
+        # square roots in C = sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4) turn
+        # that into ~4e-9 in the oracle's C; the X rows give the spectrum
+        # (u +- |x|)^2, (v +- |y|)^2 and C = 2 max(0, |x| - v, |y| - u) directly
+        ps = np.linspace(0.0, 1.0, 11)
+        lp = math.sqrt(1 - 0.7071 ** 2)
+        rows = WernerFamily("1_plus", SpatialWave.from_l(0.7071),
+                            SpatialWave.from_l(lp, theta), statistics).evaluate(ps)
+        _, report = eigen_oracle(["1_plus"], np.array([0.7071]), np.array([lp]),
+                                 np.array([theta]), [statistics], ps)
+        spectrum = np.stack([(rows.u + np.abs(rows.x)) ** 2, (rows.u - np.abs(rows.x)) ** 2,
+                             (rows.v + np.abs(rows.y)) ** 2, (rows.v - np.abs(rows.y)) ** 2], 1)
+        assert np.min(rows.u[1:]) < 1e-9
+        assert np.max(np.abs(-np.sort(-spectrum, axis=1) - report.lambdas)) <= 1e-15
+        roots = np.sqrt(-np.sort(-spectrum, axis=1))
+        np.testing.assert_allclose(
+            rows.concurrence, np.clip(roots[:, 0] - roots[:, 1:].sum(axis=1), 0.0, 1.0),
+            rtol=0, atol=1e-15)
+
+    def test_cancelling_singlet_norm_detects_with_probability_one(self):
+        # the boson singlet norm 1 - |<psi1|psi2>|^2 is ~1e-8 here: taken
+        # from the overlap it rounds apart from the detection weight
+        # (P_LR = 1.00000061 before); split by detection sector it is exact
+        family = WernerFamily("1_minus", SpatialWave.from_l(0.7071),
+                              SpatialWave.from_l(math.sqrt(1 - 0.7071 ** 2)), BOSON)
+        with np.errstate(all="raise"):
+            rows = family.evaluate(np.array([0.0, 0.5, 1.0]))
+        assert rows.probability[0] == 1.0
+        assert rows.concurrence[0] == pytest.approx(1.0, abs=1e-12)
+        assert rows.bell[0] == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
+        assert np.all((rows.probability > 0.0) & (rows.probability <= 1.0))
+
+    def test_fields_are_one_dimensional(self, rng):
+        targets, l1, l2, theta, stats = self.cases(rng, n=10)
+        rows = WernerFamily(targets, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
+                            stats).evaluate(np.linspace(0, 1, 7))
+        assert {getattr(rows, f.name).shape for f in dataclasses.fields(rows)} \
+            == {(len(l1) * 7,)}
+
+    @pytest.mark.parametrize("row, match", [
+        ((0.3, 0.3, 0.0, 0.0, 0.5), "trace"),
+        ((0.1, 0.4, 0.2, 0.0, 0.5), "negative eigenvalue"),
+        ((0.1, 0.4, 0.0, -0.45, 0.5), "negative eigenvalue"),
+        ((math.nan, 0.5, 0.0, 0.0, 0.5), "trace"),
+        ((0.25, 0.25, 0.0, math.nan, 0.5), "negative eigenvalue"),
+        ((0.25, 0.25, 0.0, 0.0, 1.0 + 2.3e-16), "probability"),
+        ((0.25, 0.25, 0.0, 0.0, -1e-300), "probability"),
+        ((0.25, 0.25, 0.0, 0.0, math.nan), "probability"),
+    ])
+    def test_row_checks_reject_non_states(self, row, match):
+        u, v, x, y, probability = (np.array([value, 0.0]) for value in row)
+        with pytest.raises(ValueError, match=match):
+            _check_rows(np.array([True, False]), u, v, x, y, probability)
+        # rows outside the mask (zeroed: zero trace or undefined) are not checked
+        _check_rows(np.array([False, False]), u, v, x, y, probability)
+
+    def test_production_path_calls_no_eigen_solver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the production path reached an eigen solver or 4x4 stack")
+
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for name in ("islocc.slocc.normalize_stack", "islocc.slocc.check_density_stack",
+                     "islocc.entanglement.analyze_stack"):
+            monkeypatch.setattr(name, forbidden)
+        config = SweepConfig(statistics=FERMION, target="1_minus",
+                             indist_grid=GridSpec(0, 1, 41), p_grid=GridSpec(0, 1, 41))
+        with np.errstate(all="raise"):
+            assert len(run_sweep(config)) == 41 * 41
+            assert len(run_bell_region(config)) == 41 * 41
+            for statistics, target in ((FERMION, "1_minus"), (BOSON, "1_plus")):
+                find_threshold(SweepConfig(statistics=statistics, target=target))
 
 
 def _golden_min(f, a: float, b: float, tol: float = 1e-7) -> tuple[float, float]:
@@ -316,10 +471,10 @@ def grid_golden_worst_bell(family: WernerFamily, grid_points: int = 101) -> tupl
     CHSH value over a coarse grid in p, refined by golden-section search
     between the grid neighbours of the smallest grid value."""
     def bell_at(p: float) -> float:
-        return float(family.evaluate(np.array([p]))[1].bell[0])
+        return float(family.evaluate(np.array([p])).bell[0])
 
     ps = np.linspace(0.0, 1.0, grid_points)
-    vals = family.evaluate(ps)[1].bell
+    vals = family.evaluate(ps).bell
     i = int(np.argmin(vals))
     lo, hi = float(ps[max(0, i - 1)]), float(ps[min(grid_points - 1, i + 1)])
     p_star, b_star = _golden_min(bell_at, lo, hi)
@@ -345,7 +500,7 @@ class TestWorstBell:
                               stats)
         with np.errstate(all="raise"):
             worst_p, worst = family.worst_bell()
-        dense = family.evaluate(self.DENSE)[1].bell.reshape(n, -1).min(axis=1)
+        dense = family.evaluate(self.DENSE).bell.reshape(n, -1).min(axis=1)
         assert worst_p.shape == worst.shape == (n,)
         assert np.all((0.0 <= worst_p) & (worst_p <= 1.0))
         assert np.all(worst <= dense + 1e-12)
@@ -383,7 +538,7 @@ class TestWorstBell:
         assert 0.0 < worst_p[0] < 1e-10
         assert worst[0] == pytest.approx(2.0, abs=1e-9)
         near_zero = np.concatenate((self.DENSE, np.logspace(-14, 0, 2001)))
-        assert worst[0] <= family.evaluate(near_zero)[1].bell.min() + 1e-12
+        assert worst[0] <= family.evaluate(near_zero).bell.min() + 1e-12
         assert grid_golden_worst_bell(family)[1] > 2.8
 
 
@@ -400,10 +555,10 @@ class TestWernerFamilyProperties:
     @given(cases=families, ps=st.lists(finite_unit, min_size=1, max_size=6))
     def test_rows_are_states_and_flags_match_pointwise(self, cases, ps):
         ls, lps, thetas, stats, targets = zip(*cases)
-        projected, report = WernerFamily(
+        rows = WernerFamily(
             targets, WaveStack.from_l(ls), WaveStack.from_l(lps, np.array(thetas)),
             stats).evaluate(np.array(ps))
-        flagged = _flagged(projected)
+        flagged, matrices = _flagged(rows), rows.matrices()
         for f, (l, lprime, theta, statistics, target) in enumerate(cases):
             psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta)
             for k, p in enumerate(ps, start=f * len(ps)):
@@ -415,12 +570,12 @@ class TestWernerFamilyProperties:
                 assert flagged[k] == expect_flag, f"row {k} (p={p!r})"
                 if flagged[k]:
                     continue
-                m = projected.matrices[k]
+                m = matrices[k]
                 assert np.max(np.abs(m - m.conj().T)) <= 1e-12
                 assert abs(np.trace(m).real - 1.0) <= 1e-12
                 assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
-                # the C and B upper bounds carry the rounding slack of
-                # check_density_stack; the probability is clipped to [0, 1]
-                assert 0.0 <= report.concurrence[k] <= 1.0 + 1e-12
-                assert report.bell[k] <= 2.0 * math.sqrt(2.0) + 1e-12
-                assert 0.0 <= projected.probability[k] <= 1.0
+                # the C and B upper bounds carry the rounding slack of the
+                # row checks; the probability is at most 1 by construction
+                assert 0.0 <= rows.concurrence[k] <= 1.0 + 1e-12
+                assert rows.bell[k] <= 2.0 * math.sqrt(2.0) + 1e-12
+                assert 0.0 <= rows.probability[k] <= 1.0
