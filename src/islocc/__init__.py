@@ -7,8 +7,10 @@ ensembles (:mod:`islocc.ensembles`), post-selection of one particle per
 separated region (:mod:`islocc.slocc`), the entropic degree of spatial
 indistinguishability (:mod:`islocc.indistinguishability`), concurrence /
 entanglement of formation / CHSH diagnostics (:mod:`islocc.entanglement`),
-noisy Werner preparation with closed-form references (:mod:`islocc.werner`),
-and deterministic sweeps with self-verification (:mod:`islocc.sweeps`).
+noisy Werner preparation with closed-form X-state rows
+(:mod:`islocc.werner`), deterministic sweeps and threshold searches
+(:mod:`islocc.sweeps`), and numerical self-verification of every step
+against an independent computation (:mod:`islocc.verify`).
 """
 
 from .states import (DOWN, UP, ModeBasis, PeakedParams, SingleParticleState,
@@ -37,6 +39,7 @@ from .werner import (LR_BASIS, KrausSet, WernerSpec, bell_states,
 from .sweeps import (ConfigError, GridSpec, SweepConfig, SweepRecord,
                      ThresholdResult, find_threshold, indist_on_family,
                      l_for_indist, records_to_csv, records_to_json,
-                     run_bell_region, run_sweep, run_verify)
+                     run_bell_region, run_sweep)
+from .verify import run_verify
 
 __version__ = "0.1.0"

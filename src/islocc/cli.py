@@ -22,13 +22,20 @@ from pathlib import Path
 from .amplitudes import ParticleStatistics
 from .sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, ConfigError, GridSpec,
                      SweepConfig, find_threshold, records_to_csv,
-                     records_to_json, run_bell_region, run_sweep, run_verify)
+                     records_to_json, run_bell_region, run_sweep)
 from .svg import bell_region_svg, sweep_svg
+from .verify import run_verify
 
 __all__ = ["main", "build_config", "load_config_file"]
 
-_CONFIG_KEYS = ("statistics", "theta", "target", "constraint", "p_grid",
-                "indist_grid", "l_grid", "lprime", "output", "format")
+#: Config keys, in the order they are read, and the parser of each value.
+_CONFIG_KEYS = {"statistics": ParticleStatistics.parse, "theta": float, "target": str,
+                "constraint": str, "p_grid": GridSpec.parse, "indist_grid": GridSpec.parse,
+                "l_grid": GridSpec.parse, "lprime": float, "output": str, "format": str}
+
+#: Flags that take a number: argparse reads a bare negative number in
+#: exponent form (-1e-07) as an unknown option, so such a value is attached.
+_NUMBER_FLAGS = ("--theta", "--lprime")
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -62,26 +69,9 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
 
     config = SweepConfig()
     try:
-        if "statistics" in values:
-            config.statistics = ParticleStatistics.parse(values["statistics"])
-        if "theta" in values:
-            config.theta = float(values["theta"])
-        if "target" in values:
-            config.target = values["target"]
-        if "constraint" in values:
-            config.constraint = values["constraint"]
-        if "p_grid" in values:
-            config.p_grid = GridSpec.parse(values["p_grid"])
-        if "indist_grid" in values:
-            config.indist_grid = GridSpec.parse(values["indist_grid"])
-        if "l_grid" in values:
-            config.l_grid = GridSpec.parse(values["l_grid"])
-        if "lprime" in values:
-            config.lprime = float(values["lprime"])
-        if "output" in values:
-            config.output = values["output"]
-        if "format" in values:
-            config.format = values["format"]
+        for key, parse in _CONFIG_KEYS.items():
+            if key in values:
+                setattr(config, key, parse(values[key]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     config.validate()
@@ -188,9 +178,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _attach_numbers(argv: list[str]) -> list[str]:
+    """Write ``--theta -1e-07`` as ``--theta=-1e-07`` (and so for each of
+    ``_NUMBER_FLAGS``), which argparse parses as intended."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _NUMBER_FLAGS and _is_number(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+        return True
+    except ValueError:
+        return False
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
     # handlers look the runners up as module globals when they run, so that
     # wrappers installed from outside (perfbench's tracer) see the calls
     handlers = {

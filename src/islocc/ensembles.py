@@ -113,8 +113,8 @@ def pure_norm_sq(state: PureNState, atol: float = 1e-12) -> float:
 def mixed_trace(m: MixedState) -> float:
     """Trace sum_e w_e <state_e|state_e> of the (generally unnormalized) ensemble.
 
-    This is the global normalization constant of the state; dividing
-    projected weights by it turns them into detection probabilities.
+    This is the global normalization constant of the state;
+    :mod:`islocc.slocc` sums the same trace over the Fock states of the basis.
     """
     return math.fsum(w * pure_norm_sq(s) for w, s in m.ensemble if w > 0)
 

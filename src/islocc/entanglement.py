@@ -7,13 +7,12 @@ through the binary entropy, and two CHSH evaluators — the unrestricted
 Horodecki criterion from the spin-correlation matrix, and the closed-form
 X-state expression 2*sqrt(P^2 + Q^2) used by the sweep layer.
 
-Each formula is written once, over a stack of matrices of shape (n, 4, 4):
-:func:`analyze_stack` evaluates a whole stack in one batch, and the
-single-matrix functions call the same code on a stack of one.  This eigen
-path is the oracle of the sweep and threshold rows: those are real X
-states, which :class:`~islocc.werner.WernerFamily` analyzes from their four
-distinct entries in closed form, C = 2 max(0, |x| - v, |y| - u) and
-B = 2 sqrt(P^2 + Q^2), with no 4x4 matrix and no eigen solver.
+:func:`analyze` reports all of them for one matrix.  This eigen path is
+the oracle of the sweep and threshold rows: those are real X states, which
+:class:`~islocc.werner.WernerFamily` analyzes from their four distinct
+entries in closed form, C = 2 max(0, |x| - v, |y| - u) and
+B = 2 sqrt(P^2 + Q^2), with no 4x4 matrix and no eigen solver; it shares
+the elementwise entanglement-of-formation formula.
 
 For the singlet-type states produced by the noisy-preparation pipeline the
 two CHSH evaluators coincide exactly; for triplet-type X states whose
@@ -46,9 +45,7 @@ __all__ = [
     "XStateBell",
     "NotXShapedError",
     "EntanglementReport",
-    "StackReport",
     "analyze",
-    "analyze_stack",
 ]
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -81,11 +78,7 @@ def _as_matrix(rho: MatrixLike) -> np.ndarray:
 
 def spin_flip(rho: MatrixLike) -> np.ndarray:
     """Spin-flipped conjugate (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    return _flip(_as_matrix(rho))
-
-
-def _flip(ms: np.ndarray) -> np.ndarray:
-    return _FLIP @ ms.conj() @ _FLIP
+    return _FLIP @ _as_matrix(rho).conj() @ _FLIP
 
 
 def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
@@ -94,14 +87,14 @@ def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _lambdas(ms: np.ndarray, imag_tol: float) -> np.ndarray:
-    """Rows of descending, clamped eigenvalues of rho * rho~ for a stack."""
-    flipped = _flip(ms)
-    vals = np.linalg.eigvals(ms @ flipped)
-    for i in np.flatnonzero(np.max(np.abs(vals.imag), axis=-1) > imag_tol):
-        root = _sqrtm_psd(ms[i])
-        vals[i] = np.linalg.eigvalsh(root @ flipped[i] @ root)
-    return np.sort(np.clip(vals.real, 0.0, None), axis=-1)[..., ::-1]
+def _lambdas(m: np.ndarray, imag_tol: float) -> np.ndarray:
+    """Descending, clamped eigenvalues of rho * rho~."""
+    flipped = spin_flip(m)
+    vals = np.linalg.eigvals(m @ flipped)
+    if np.max(np.abs(vals.imag)) > imag_tol:
+        root = _sqrtm_psd(m)
+        vals = np.linalg.eigvalsh(root @ flipped @ root)
+    return np.sort(np.clip(vals.real, 0.0, None))[::-1]
 
 
 def _concurrence(lambdas: np.ndarray) -> np.ndarray:
@@ -120,12 +113,12 @@ def _eof(c: np.ndarray) -> np.ndarray:
     return _entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
-def _xstate(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """X-state CHSH value, P, Q and the largest off-X entry of each matrix."""
-    off_x = np.max(np.abs(np.where(_X_SHAPE, 0.0, ms)), axis=(-2, -1))
-    p = (ms[..., 0, 0] + ms[..., 3, 3] - ms[..., 1, 1] - ms[..., 2, 2]).real
-    q = 2.0 * (np.abs(ms[..., 0, 3]) + np.abs(ms[..., 1, 2]))
-    return 2.0 * np.sqrt(p * p + q * q), p, q, off_x
+def _xstate(m: np.ndarray) -> tuple[float, float, float, float]:
+    """X-state CHSH value, P, Q and the largest off-X entry of the matrix."""
+    off_x = float(np.max(np.abs(np.where(_X_SHAPE, 0.0, m))))
+    p = float((m[0, 0] + m[3, 3] - m[1, 1] - m[2, 2]).real)
+    q = 2.0 * float(abs(m[0, 3]) + abs(m[1, 2]))
+    return 2.0 * math.sqrt(p * p + q * q), p, q, off_x
 
 
 def wootters_lambdas(rho: MatrixLike, imag_tol: float = _IMAG_TOL) -> np.ndarray:
@@ -136,7 +129,7 @@ def wootters_lambdas(rho: MatrixLike, imag_tol: float = _IMAG_TOL) -> np.ndarray
     sqrt(rho) rho~ sqrt(rho) serves as fallback if residual imaginary
     parts exceed ``imag_tol``.
     """
-    return _lambdas(_as_matrix(rho)[None], imag_tol)[0]
+    return _lambdas(_as_matrix(rho), imag_tol)
 
 
 def concurrence(rho: MatrixLike) -> float:
@@ -192,7 +185,7 @@ def bell_xstate(rho: MatrixLike, atol: float = _X_ATOL) -> XStateBell:
     if not off_x <= atol:
         raise NotXShapedError(
             f"matrix has off-X weight {off_x:.3e} > {atol:.1e}; use bell_horodecki")
-    return XStateBell(float(bell), float(p), float(q))
+    return XStateBell(bell, p, q)
 
 
 @dataclass(frozen=True)
@@ -207,47 +200,6 @@ class EntanglementReport:
     bell_q: float
 
 
-@dataclass(frozen=True)
-class StackReport:
-    """The fields of :class:`EntanglementReport` as arrays over a stack of
-    states; ``lambdas`` has one row of four per state."""
-
-    concurrence: np.ndarray
-    lambdas: np.ndarray
-    eof: np.ndarray
-    bell: np.ndarray
-    bell_p: np.ndarray
-    bell_q: np.ndarray
-
-    def row(self, i: int) -> EntanglementReport:
-        return EntanglementReport(
-            concurrence=float(self.concurrence[i]),
-            lambdas=tuple(float(v) for v in self.lambdas[i]),
-            eof=float(self.eof[i]),
-            bell=float(self.bell[i]),
-            bell_p=float(self.bell_p[i]),
-            bell_q=float(self.bell_q[i]),
-        )
-
-
-def analyze_stack(matrices: np.ndarray) -> StackReport:
-    """Diagnostics of every state in an (n, 4, 4) stack, batched in numpy.
-
-    Rows whose rho * rho~ spectrum comes back with imaginary parts above
-    the tolerance take the Hermitian Wootters form, and rows that are not
-    X-shaped take the Horodecki CHSH value, one row at a time.
-    """
-    ms = np.asarray(matrices, dtype=complex)
-    if ms.ndim != 3 or ms.shape[1:] != (4, 4):
-        raise ValueError(f"expected an (n, 4, 4) stack of two-qubit matrices, got {ms.shape}")
-    lambdas = _lambdas(ms, _IMAG_TOL)
-    c = _concurrence(lambdas)
-    bell, bp, bq, off_x = _xstate(ms)
-    for i in np.flatnonzero(~(off_x <= _X_ATOL)):
-        bell[i], bp[i], bq[i] = bell_horodecki(ms[i]), math.nan, math.nan
-    return StackReport(c, lambdas, _eof(c), bell, bp, bq)
-
-
 def analyze(rho: MatrixLike) -> EntanglementReport:
     """Full diagnostic report for a projected two-qubit state.
 
@@ -256,4 +208,10 @@ def analyze(rho: MatrixLike) -> EntanglementReport:
     reports), and the unrestricted Horodecki value otherwise, with
     ``bell_p``/``bell_q`` set to NaN in that case.
     """
-    return analyze_stack(_as_matrix(rho)[None]).row(0)
+    m = _as_matrix(rho)
+    lambdas = _lambdas(m, _IMAG_TOL)
+    c = float(_concurrence(lambdas))
+    bell, bell_p, bell_q, off_x = _xstate(m)
+    if not off_x <= _X_ATOL:
+        bell, bell_p, bell_q = bell_horodecki(m), math.nan, math.nan
+    return EntanglementReport(c, tuple(float(v) for v in lambdas), eof(c), bell, bell_p, bell_q)

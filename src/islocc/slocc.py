@@ -4,10 +4,10 @@ Post-selecting exactly one particle in each of N separated modes maps an
 N-particle state of identical particles onto a 2^N-dimensional register of
 addressable pseudospins.  The projected density matrix is normalized to
 unit trace; the detection probability is the projected weight divided by
-the global trace of the input ensemble.  :func:`normalize_stack` does this,
-and checks the result with :func:`check_density_stack`, for a whole stack
-of raw blocks at once; :func:`project` divides a stack of one the same way
-and leaves the check to :class:`ProjectedDensityMatrix`.
+the global trace of the input ensemble, which is summed over the Fock
+states of the mode basis.  :func:`normalize_block` does this for one raw
+projected block, and :class:`ProjectedDensityMatrix` checks the result
+once, with :func:`check_density_matrix`.
 
 This general-N path, with its eigen-solver check, is the oracle of the
 sweep and threshold rows, which :class:`~islocc.werner.WernerFamily`
@@ -16,25 +16,25 @@ evaluates as closed-form X states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import ElementaryKet
-from .ensembles import MixedState, mixed_trace, state_overlap
+from .amplitudes import BOSON, ElementaryKet
+from .ensembles import MixedState, state_overlap
 from .states import DOWN, UP, ModeBasis, SingleParticleState, Spin
 
 __all__ = [
     "ProjectionUndefinedError",
     "ZeroTraceError",
     "ProjectedDensityMatrix",
-    "ProjectedStack",
     "spin_configurations",
     "computational_kets",
-    "check_density_stack",
-    "normalize_stack",
+    "check_density_matrix",
+    "normalize_block",
     "project",
     "slocc_probability",
 ]
@@ -87,19 +87,18 @@ def computational_kets(basis: ModeBasis, regions: Sequence[str],
     return kets
 
 
-def check_density_stack(matrices: np.ndarray, probability: np.ndarray) -> None:
-    """Raise ``ValueError`` unless every matrix of an (n, d, d) stack is
-    Hermitian, of unit trace and positive semidefinite, and every detection
-    probability lies in [0, 1].  Written so that NaN fails each test."""
-    herm = np.max(np.abs(matrices - matrices.conj().swapaxes(-1, -2)), axis=(-2, -1))
-    if not np.all(herm <= _HERM_ATOL):
+def check_density_matrix(matrix: np.ndarray, probability: float) -> None:
+    """Raise ``ValueError`` unless the matrix is Hermitian, of unit trace and
+    positive semidefinite and the detection probability lies in [0, 1],
+    each within rounding slack.  Written so that NaN fails each test."""
+    if not np.max(np.abs(matrix - matrix.conj().T)) <= _HERM_ATOL:
         raise ValueError("projected matrix is not Hermitian")
-    trace = np.trace(matrices, axis1=-2, axis2=-1)
-    if not np.all(np.abs(trace.real - 1.0) <= _HERM_ATOL):
-        raise ValueError(f"projected matrix trace {trace[np.argmax(np.abs(trace - 1.0))]!r} != 1")
-    if not np.all(np.linalg.eigvalsh(matrices)[..., 0] >= -_EIG_ATOL):
+    trace = np.trace(matrix)
+    if not abs(trace.real - 1.0) <= _HERM_ATOL:
+        raise ValueError(f"projected matrix trace {trace!r} != 1")
+    if not np.linalg.eigvalsh(matrix)[0] >= -_EIG_ATOL:
         raise ValueError("projected matrix has a significantly negative eigenvalue")
-    if not np.all((probability >= -1e-12) & (probability <= 1 + 1e-12)):
+    if not -1e-12 <= probability <= 1 + 1e-12:
         raise ValueError(f"probability {probability!r} outside [0, 1]")
 
 
@@ -123,9 +122,10 @@ class ProjectedDensityMatrix:
         dim = 2 ** len(self.regions)
         if m.shape != (dim, dim):
             raise ValueError(f"matrix shape {m.shape} does not match {len(self.regions)} regions")
-        check_density_stack(m[None], np.array([self.probability], dtype=float))
+        probability = float(self.probability)
+        check_density_matrix(m, probability)
         # accepted within the check's rounding slack, stored in [0, 1]
-        object.__setattr__(self, "probability", min(max(float(self.probability), 0.0), 1.0))
+        object.__setattr__(self, "probability", min(max(probability, 0.0), 1.0))
 
     @property
     def n(self) -> int:
@@ -137,92 +137,77 @@ class ProjectedDensityMatrix:
         return np.clip(vals, 0.0, None)
 
 
-@dataclass(frozen=True)
-class ProjectedStack:
-    """Post-selected states of a stack of raw projected blocks.  Rows whose
-    input has zero global trace (``zero_trace``) or whose detection weight
-    vanishes (``undefined``) hold a zero matrix and zero probability."""
+def normalize_block(raw: np.ndarray, global_trace: float,
+                    regions: Sequence[str]) -> ProjectedDensityMatrix:
+    """Divide a raw projected block by its trace, the detection weight, and
+    that weight by the global trace of the input ensemble.
 
-    matrices: np.ndarray
-    probability: np.ndarray
-    zero_trace: np.ndarray
-    undefined: np.ndarray
-
-    @property
-    def defined(self) -> np.ndarray:
-        return ~(self.zero_trace | self.undefined)
-
-
-def normalize_stack(raw: np.ndarray, global_trace: np.ndarray) -> ProjectedStack:
-    """Divide each raw block of an (n, d, d) stack by its trace and each
-    detection weight by its global trace.  Rows with nothing to divide by
-    are masked before any division and come back zeroed.  The other rows
-    must pass :func:`check_density_stack`; their detection probabilities,
-    accepted there within its rounding slack, are then clipped to [0, 1]."""
-    projected = _divide_stack(raw, global_trace)
-    ok = projected.defined
-    check_density_stack(projected.matrices[ok], projected.probability[ok])
-    np.clip(projected.probability, 0.0, 1.0, out=projected.probability)
-    return projected
+    Raises :class:`ZeroTraceError` when the global trace vanishes and
+    :class:`ProjectionUndefinedError` when the detection weight does, both
+    before any division.
+    """
+    weight = float(np.trace(raw).real)
+    if not global_trace > _ZERO_TRACE_ATOL:
+        raise ZeroTraceError("state has zero global trace; nothing to project")
+    if not weight > _UNDEFINED_RTOL * max(global_trace, 1.0):
+        raise ProjectionUndefinedError(
+            "detection probability vanishes for regions " + repr(tuple(regions)))
+    m = raw / weight
+    return ProjectedDensityMatrix((m + m.conj().T) / 2.0, weight / global_trace, regions)
 
 
-def _divide_stack(raw: np.ndarray, global_trace: np.ndarray) -> ProjectedStack:
-    """The division of :func:`normalize_stack`, unchecked and unclipped."""
-    weight = np.trace(raw, axis1=-2, axis2=-1).real
-    zero_trace = ~(global_trace > _ZERO_TRACE_ATOL)
-    undefined = ~zero_trace & ~(weight > _UNDEFINED_RTOL * np.maximum(global_trace, 1.0))
-    ok = ~(zero_trace | undefined)
-    matrices = np.zeros_like(raw)
-    probability = np.zeros(len(raw))
-    m = raw[ok] / weight[ok, None, None]
-    matrices[ok] = (m + m.conj().swapaxes(-1, -2)) / 2.0
-    probability[ok] = weight[ok] / global_trace[ok]
-    return ProjectedStack(matrices, probability, zero_trace, undefined)
-
-
-def _projected_weight(m: MixedState, kets: list[ElementaryKet]) -> tuple[np.ndarray, float]:
-    """Raw projected block and its trace (the unnormalized detection weight)."""
-    dim = len(kets)
-    raw = np.zeros((dim, dim), dtype=complex)
+def _detection(m: MixedState,
+               regions: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray, float]:
+    """Checked regions, the raw projected block and the global trace: the
+    block's trace (the detection weight) plus :func:`_undetected_weight`, a
+    sum of squared overlaps with no norm formed as a difference such as
+    1 - |<psi1|psi2>|^2, so weight / global trace <= 1 holds in floating point.
+    """
+    regions = _check_regions(m.basis, regions)
+    if len(regions) != m.n:
+        raise ValueError(f"{m.n} particles need {m.n} regions, got {len(regions)}")
+    kets = computational_kets(m.basis, regions, m.statistics)
+    raw = np.zeros((len(kets), len(kets)), dtype=complex)
     for w, s in m.ensemble:
         if w == 0:
             continue
         v = np.array([state_overlap(k, s) for k in kets], dtype=complex)
         raw += w * np.outer(v, v.conj())
-    return raw, float(np.trace(raw).real)
+    return regions, raw, float(np.trace(raw).real) + _undetected_weight(m, regions)
+
+
+def _undetected_weight(m: MixedState, regions: tuple[str, ...]) -> float:
+    """sum_e w_e |<b|state_e>|^2 over the normalized Fock states b of the
+    basis's (mode, spin) slots that do not hold one particle per region."""
+    slots = [(mode, spin) for mode in m.basis.labels for spin in SPIN_ORDER]
+    choose = combinations_with_replacement if m.statistics is BOSON else combinations
+    total = 0.0
+    for occupied in choose(slots, m.n):
+        if sorted(mode for mode, _ in occupied) == sorted(regions):
+            continue  # a detection ket
+        ket = ElementaryKet(tuple(SingleParticleState.localized(m.basis, mode, spin)
+                                  for mode, spin in occupied), m.statistics)
+        # <ket|ket> = prod n! over the slot occupations (1 for fermions)
+        norm_sq = math.prod(math.factorial(occupied.count(slot)) for slot in set(occupied))
+        total += sum(w * abs(state_overlap(ket, s)) ** 2
+                     for w, s in m.ensemble if w > 0) / norm_sq
+    return total
 
 
 def project(m: MixedState, regions: Sequence[str]) -> ProjectedDensityMatrix:
     """Post-select one particle per region and return the normalized register state.
 
     Raises :class:`ProjectionUndefinedError` when the detection weight
-    vanishes (the post-selected state does not exist), and ``ValueError``
-    when the global trace of the input is zero.
+    vanishes (the post-selected state does not exist), and
+    :class:`ZeroTraceError` when the global trace of the input is zero.
     """
-    regions = _check_regions(m.basis, regions)
-    if len(regions) != m.n:
-        raise ValueError(f"{m.n} particles need {m.n} regions, got {len(regions)}")
-    kets = computational_kets(m.basis, regions, m.statistics)
-    raw, _ = _projected_weight(m, kets)
-    # ProjectedDensityMatrix runs the checks of normalize_stack, once
-    projected = _divide_stack(raw[None], np.array([mixed_trace(m)]))
-    if projected.zero_trace[0]:
-        raise ZeroTraceError("state has zero global trace; nothing to project")
-    if projected.undefined[0]:
-        raise ProjectionUndefinedError(
-            "detection probability vanishes for regions " + repr(regions))
-    return ProjectedDensityMatrix(projected.matrices[0], float(projected.probability[0]),
-                                  regions)
+    regions, raw, global_trace = _detection(m, regions)
+    return normalize_block(raw, global_trace, regions)
 
 
 def slocc_probability(m: MixedState, regions: Sequence[str]) -> float:
     """Probability of detecting one particle in each region (post-selection rate)."""
-    regions = _check_regions(m.basis, regions)
-    if len(regions) != m.n:
-        raise ValueError(f"{m.n} particles need {m.n} regions, got {len(regions)}")
-    global_trace = mixed_trace(m)
+    _, raw, global_trace = _detection(m, regions)
     if not global_trace > _ZERO_TRACE_ATOL:
         raise ZeroTraceError("state has zero global trace")
-    kets = computational_kets(m.basis, regions, m.statistics)
-    _, weight = _projected_weight(m, kets)
-    return weight / global_trace
+    return float(np.trace(raw).real) / global_trace

@@ -1,20 +1,18 @@
 """Deterministic parameter sweeps, Bell-violation maps, threshold search and
-self-verification for the noisy-preparation pipeline.
+output encoding for the noisy-preparation pipeline.
 
 Grids of indistinguishability are realized through the one-parameter family
 r' = l (with l' fixed by normalization): on it the degree of spatial
 indistinguishability decreases monotonically from 1 at l = 1/sqrt(2) to 0
 at l = 1, so target degrees are inverted by bisection.
 
-A sweep is one stacked family array: every family of the outer grid and
-every noise probability are evaluated together by one
-:class:`~islocc.werner.WernerFamily`, each row a closed-form X state read
-off four entries, with no 4x4 matrix and no eigen solver (the amplitude
-and eigen path of :func:`~islocc.werner.project_werner` and
-:func:`~islocc.entanglement.analyze` is its oracle in :func:`run_verify`
-and the tests); identical configurations produce byte-identical CSV output,
-and a configuration asking for more than ``MAX_SWEEP_ROWS`` rows is
-rejected before any grid is built.
+A sweep evaluates every family of the outer grid at every noise
+probability with one :class:`~islocc.werner.WernerFamily`, each row a
+closed-form X state read off four entries, with no 4x4 matrix and no
+eigen solver (the amplitude and eigen path is its oracle in
+:mod:`islocc.verify` and the tests); identical configurations produce
+byte-identical CSV output, and a configuration asking for more than
+``MAX_SWEEP_ROWS`` rows is rejected before any grid is built.
 
 The threshold search bisects l on the same family directly.  At each step
 the worst noise level comes in closed form from
@@ -29,20 +27,14 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import werner as werner_mod
-from .amplitudes import (BOSON, FERMION, ElementaryKet, ParticleStatistics,
-                         amplitude_fast, amplitude_permsum)
-from .entanglement import analyze, bell_horodecki, bell_xstate, binary_entropy
-from .ensembles import mixed_trace, pure_norm_sq
-from .slocc import ProjectionUndefinedError, ZeroTraceError, project
-from .states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from .werner import (WaveStack, WernerFamily, WernerSpec, XStateRows, bell_states,
-                     canonical_theta, depolarize_then_deform, project_werner,
-                     spec_from_l, werner_direct)
+from .amplitudes import FERMION, ParticleStatistics
+from .entanglement import binary_entropy
+from .states import SpatialWave
+from .werner import WaveStack, WernerFamily, XStateRows, canonical_theta
 
 __all__ = [
     "ConfigError",
@@ -54,9 +46,6 @@ __all__ = [
     "run_sweep",
     "run_bell_region",
     "find_threshold",
-    "run_verify",
-    "VerifyReport",
-    "SuiteResult",
     "indist_on_family",
     "l_for_indist",
     "records_to_csv",
@@ -384,11 +373,6 @@ def _family(statistics: ParticleStatistics, target: str, theta: float,
                         statistics)
 
 
-def _bell_at(family: WernerFamily, p: float) -> float:
-    """CHSH value at one noise probability (0 where the projection is undefined)."""
-    return float(family.evaluate(np.array([p])).bell[0])
-
-
 class _Probe(NamedTuple):
     """One family of the r' = l line and its worst noise level."""
 
@@ -494,288 +478,3 @@ def records_to_json(records: Sequence, fields: Sequence[str] | None = None) -> s
         payload.append(entry)
     return json.dumps({"records": payload}, indent=2) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# self-verification
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SuiteResult:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    suites: tuple[SuiteResult, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(s.passed for s in self.suites)
-
-    def summary_lines(self) -> list[str]:
-        lines = [f"[{'PASS' if s.passed else 'FAIL'}] {s.name}: {s.detail}"
-                 for s in self.suites]
-        passed = sum(1 for s in self.suites if s.passed)
-        lines.append(f"{passed}/{len(self.suites)} suites passed")
-        return lines
-
-
-def _random_single_particle(rng: np.random.Generator, basis: ModeBasis,
-                            spins=(UP, DOWN)) -> SingleParticleState:
-    amps = {}
-    for mode in basis.labels:
-        for spin in spins:
-            amps[(mode, spin)] = complex(rng.standard_normal(), rng.standard_normal())
-    norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
-    return SingleParticleState(basis, {k: v / norm for k, v in amps.items()})
-
-
-def _suite_amplitude_cross_validation(rng: np.random.Generator) -> str:
-    basis = ModeBasis(("A", "B", "C"))
-    worst = 0.0
-    for statistics in (BOSON, FERMION):
-        for n in range(2, 6):
-            for _ in range(25):
-                bra = ElementaryKet(tuple(_random_single_particle(rng, basis)
-                                          for _ in range(n)), statistics)
-                ket = ElementaryKet(tuple(_random_single_particle(rng, basis)
-                                          for _ in range(n)), statistics)
-                worst = max(worst, abs(amplitude_fast(bra, ket) - amplitude_permsum(bra, ket)))
-    assert worst < 1e-10, f"permutation sum and fast path disagree by {worst:.3e}"
-    return f"naive permutation sum vs permanent/determinant, worst |diff| = {worst:.2e}"
-
-
-def _suite_bell_state_norms(rng: np.random.Generator) -> str:
-    worst = 0.0
-    for _ in range(100):
-        l, lp = rng.uniform(0, 1), rng.uniform(0, 1)
-        theta = rng.uniform(0, 2 * math.pi)
-        stats = BOSON if rng.integers(2) else FERMION
-        psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
-        overlap_sq = abs(l * lp + math.sqrt(1 - l * l) * math.sqrt(1 - lp * lp)
-                         * np.exp(1j * theta)) ** 2
-        bells = bell_states(psi1, psi2, stats)
-        eta = stats.eta
-        expected = {"1_minus": 1 - eta * overlap_sq, "1_plus": 1 + eta * overlap_sq,
-                    "2_plus": 1 + eta * overlap_sq, "2_minus": 1 + eta * overlap_sq}
-        for name, state in bells.items():
-            worst = max(worst, abs(pure_norm_sq(state) - expected[name]))
-    assert worst < 1e-12, f"Bell-state norms off closed form by {worst:.3e}"
-    return f"Bell-state squared norms vs closed constants, worst |diff| = {worst:.2e}"
-
-
-def _suite_global_trace(rng: np.random.Generator) -> str:
-    worst = 0.0
-    for _ in range(100):
-        l, lp = rng.uniform(0, 1), rng.uniform(0, 1)
-        theta = rng.uniform(0, 2 * math.pi)
-        p = rng.uniform(0, 1)
-        stats = BOSON if rng.integers(2) else FERMION
-        target = "1_minus" if rng.integers(2) else "1_plus"
-        spec = WernerSpec(p, target, SpatialWave.from_l(l), SpatialWave.from_l(lp, theta), stats)
-        overlap_sq = abs(l * lp + math.sqrt(1 - l * l) * math.sqrt(1 - lp * lp)
-                         * np.exp(1j * theta)) ** 2
-        sign = -1.0 if target == "1_minus" else 1.0
-        expected = 1 + stats.eta * overlap_sq * (p / 2 + sign * (1 - p))
-        worst = max(worst, abs(mixed_trace(werner_direct(spec)) - expected))
-    assert worst < 1e-10, f"global trace off closed form by {worst:.3e}"
-    return f"ensemble trace vs closed normalization constant, worst |diff| = {worst:.2e}"
-
-
-def _suite_closed_forms(rng: np.random.Generator) -> str:
-    worst_c = worst_p = 0.0
-    checked = 0
-    while checked < 120:
-        l, lp = rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98)
-        p = rng.uniform(0, 1)
-        stats = BOSON if rng.integers(2) else FERMION
-        r, rp = math.sqrt(1 - l * l), math.sqrt(1 - lp * lp)
-        for target in ("1_minus", "1_plus"):
-            if target == "1_minus":
-                c_ref = werner_mod.closed_form_concurrence_minus(l, r, lp, rp, p)
-                p_ref = werner_mod.closed_form_probability_minus(l, r, lp, rp, p, stats)
-            else:
-                c_ref = werner_mod.closed_form_concurrence_plus(l, r, lp, rp, p)
-                p_ref = werner_mod.closed_form_probability_plus(l, r, lp, rp, p, stats)
-            if p_ref <= 1e-6:
-                continue
-            projected = project_werner(spec_from_l(p, target, l, lp, stats))
-            worst_c = max(worst_c, abs(analyze(projected).concurrence - c_ref))
-            worst_p = max(worst_p, abs(projected.probability - p_ref))
-            checked += 1
-    assert worst_c < 1e-9 and worst_p < 1e-9, \
-        f"closed forms vs pipeline: concurrence {worst_c:.3e}, probability {worst_p:.3e}"
-    return (f"closed forms vs numeric pipeline on {checked} cases, "
-            f"worst concurrence diff {worst_c:.2e}, probability diff {worst_p:.2e}")
-
-
-def _suite_channel_equivalence(rng: np.random.Generator) -> str:
-    worst = 0.0
-    for stats in (BOSON, FERMION):
-        for _ in range(20):
-            l, lp = rng.uniform(0.1, 0.95), rng.uniform(0.1, 0.95)
-            theta = rng.uniform(0, 2 * math.pi)
-            p = rng.uniform(0, 1)
-            target = "1_minus" if rng.integers(2) else "1_plus"
-            psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
-            direct = project(werner_direct(WernerSpec(p, target, psi1, psi2, stats)), ("L", "R"))
-            channel = project(depolarize_then_deform(p, target, psi1, psi2, stats), ("L", "R"))
-            worst = max(worst, float(np.max(np.abs(direct.matrix - channel.matrix))),
-                        abs(direct.probability - channel.probability))
-    assert worst < 1e-10, f"channel and direct constructions disagree by {worst:.3e}"
-    return f"depolarize-then-deform vs direct mixture after projection, worst |diff| = {worst:.2e}"
-
-
-def _suite_projection_properties(rng: np.random.Generator) -> str:
-    worst_herm = worst_trace = worst_neg = 0.0
-    for _ in range(50):
-        l, lp = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
-        theta = rng.uniform(0, 2 * math.pi)
-        p = rng.uniform(0, 1)
-        stats = BOSON if rng.integers(2) else FERMION
-        target = "1_minus" if rng.integers(2) else "1_plus"
-        spec = WernerSpec(p, target, SpatialWave.from_l(l), SpatialWave.from_l(lp, theta), stats)
-        try:
-            projected = project_werner(spec)
-        except ProjectionUndefinedError:
-            continue
-        m = projected.matrix
-        worst_herm = max(worst_herm, float(np.max(np.abs(m - m.conj().T))))
-        worst_trace = max(worst_trace, abs(float(np.trace(m).real) - 1.0))
-        worst_neg = max(worst_neg, max(0.0, -float(np.min(np.linalg.eigvalsh(m)))))
-        assert 0.0 <= projected.probability <= 1.0 + 1e-12
-    assert worst_herm < 1e-12 and worst_trace < 1e-12 and worst_neg < 1e-10
-    return (f"projected matrices Hermitian ({worst_herm:.1e}), unit trace "
-            f"({worst_trace:.1e}), PSD (worst negative {worst_neg:.1e})")
-
-
-def _suite_bell_fast_path(rng: np.random.Generator) -> str:
-    worst = 0.0
-    for _ in range(200):
-        l, lp = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.95)
-        theta = rng.uniform(0, 2 * math.pi)
-        p = rng.uniform(0, 1)
-        stats = BOSON if rng.integers(2) else FERMION
-        spec = WernerSpec(p, "1_minus", SpatialWave.from_l(l), SpatialWave.from_l(lp, theta),
-                          stats)
-        try:
-            projected = project_werner(spec)
-        except ProjectionUndefinedError:
-            continue
-        worst = max(worst, abs(bell_xstate(projected).bell - bell_horodecki(projected)))
-    assert worst < 1e-9, f"X-state fast path departs from the general criterion by {worst:.3e}"
-    return f"X-state CHSH vs unrestricted criterion (singlet target), worst |diff| = {worst:.2e}"
-
-
-def _suite_phase_switch(rng: np.random.Generator) -> str:
-    worst = 0.0
-    for _ in range(60):
-        l = rng.uniform(_SQRT_HALF, 1.0)
-        lprime = math.sqrt(1 - l * l)
-        theta = rng.uniform(0, 2 * math.pi)
-        p = rng.uniform(0, 1)
-        target = "1_minus" if rng.integers(2) else "1_plus"
-        try:
-            c_f = analyze(project_werner(
-                spec_from_l(p, target, l, lprime, FERMION, theta))).concurrence
-            c_b = analyze(project_werner(
-                spec_from_l(p, target, l, lprime, BOSON, theta + math.pi))).concurrence
-        except (ProjectionUndefinedError, ZeroTraceError):
-            continue  # degenerate point: no detectable state on one side
-        worst = max(worst, abs(c_f - c_b))
-    assert worst < 1e-10, f"phase switch identity broken by {worst:.3e}"
-    return f"(fermion, theta) vs (boson, theta+pi) concurrence, worst |diff| = {worst:.2e}"
-
-
-def _suite_batched_vs_pointwise(rng: np.random.Generator) -> str:
-    ps = np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 9)))
-    # random tuples, plus psi1 = psi2 (a target with zero norm at p = 0 for
-    # fermion/1_plus and boson/1_minus) and both waves on L (no detection)
-    cases = [(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2 * math.pi),
-              BOSON if rng.integers(2) else FERMION,
-              "1_minus" if rng.integers(2) else "1_plus") for _ in range(40)]
-    cases += [(0.6, 0.6, 0.0, FERMION, "1_plus"), (0.6, 0.6, 0.0, BOSON, "1_minus"),
-              (1.0, 1.0, 0.0, FERMION, "1_minus")]
-    ls, lps, thetas, statistics, targets = zip(*cases)
-    rows = WernerFamily(targets, WaveStack.from_l(ls), WaveStack.from_l(lps, np.array(thetas)),
-                        statistics).evaluate(ps)
-    matrices, flagged = rows.matrices(), _flagged(rows)
-    worst_m = worst_r = 0.0
-    for f, (l, lp, theta, stats, target) in enumerate(cases):
-        psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
-        for k, p in enumerate(ps, start=f * len(ps)):
-            try:
-                ref = project_werner(WernerSpec(float(p), target, psi1, psi2, stats))
-            except (ProjectionUndefinedError, ZeroTraceError):
-                assert flagged[k], f"batched row defined where the projection is not " \
-                                   f"({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})"
-                continue
-            assert flagged[k] == (ref.probability < FLAG_PROBABILITY), \
-                f"flags differ at ({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})"
-            expected = analyze(ref)
-            worst_m = max(worst_m, float(np.max(np.abs(matrices[k] - ref.matrix))),
-                          abs(rows.probability[k] - ref.probability))
-            worst_r = max(worst_r, abs(rows.concurrence[k] - expected.concurrence),
-                          abs(rows.eof[k] - expected.eof), abs(rows.bell[k] - expected.bell))
-    assert worst_m <= 1e-12 and worst_r <= 1e-9, \
-        f"batched vs per-point: matrix/P_LR {worst_m:.3e}, C/EoF/B {worst_r:.3e}"
-    return (f"one stack of {len(cases)} families x {len(ps)} noise values vs per-point "
-            f"projection, worst matrix/P_LR diff {worst_m:.2e}, C/EoF/B diff {worst_r:.2e}")
-
-
-def _bisect_violation_boundary(statistics, target, theta, l, lprime) -> float:
-    family = _family(statistics, target, theta, l, lprime)
-    lo, hi = 0.0, 1.0
-    assert _bell_at(family, lo) > 2.0
-    assert _bell_at(family, hi) < 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _bell_at(family, mid) > 2.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _suite_violation_thresholds(rng: np.random.Generator) -> str:
-    # distinguishable pair: violation up to p = 1 - 1/sqrt(2)
-    p_dist = _bisect_violation_boundary(FERMION, "1_minus", 0.0, 1.0, 0.0)
-    assert abs(p_dist - 0.292) <= 2e-3, f"distinguishable boundary {p_dist:.5f}"
-    # triplet target at full indistinguishability: boundary 4/11
-    p_plus = _bisect_violation_boundary(FERMION, "1_plus", math.pi, _SQRT_HALF, _SQRT_HALF)
-    assert abs(p_plus - 0.363) <= 2e-3, f"triplet-target boundary {p_plus:.5f}"
-    # all-noise violation threshold on the singlet target
-    result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"))
-    assert result.found and 0.75 <= result.indist <= 0.77, \
-        f"all-noise threshold {result.indist!r}"
-    return (f"violation boundaries: distinguishable p={p_dist:.4f}, triplet p={p_plus:.4f}, "
-            f"all-noise indistinguishability threshold {result.indist:.4f}")
-
-
-_VERIFY_SUITES: tuple[tuple[str, Callable[[np.random.Generator], str]], ...] = (
-    ("amplitude-cross-validation", _suite_amplitude_cross_validation),
-    ("bell-state-norms", _suite_bell_state_norms),
-    ("werner-global-trace", _suite_global_trace),
-    ("closed-forms-vs-pipeline", _suite_closed_forms),
-    ("channel-vs-direct", _suite_channel_equivalence),
-    ("projection-properties", _suite_projection_properties),
-    ("bell-fast-path", _suite_bell_fast_path),
-    ("statistics-phase-switch", _suite_phase_switch),
-    ("batched-vs-pointwise", _suite_batched_vs_pointwise),
-    ("violation-thresholds", _suite_violation_thresholds),
-)
-
-
-def run_verify(seed: int = 20250808) -> VerifyReport:
-    """Run every numerical identity suite on fresh seeded randomness."""
-    results = []
-    for name, suite in _VERIFY_SUITES:
-        rng = np.random.default_rng(seed)
-        try:
-            detail = suite(rng)
-            results.append(SuiteResult(name, True, detail))
-        except Exception as exc:  # report, never crash the verifier
-            results.append(SuiteResult(name, False, f"{type(exc).__name__}: {exc}"))
-    return VerifyReport(tuple(results))

@@ -343,8 +343,6 @@ class XStateRows:
     concurrence: np.ndarray
     eof: np.ndarray
     bell: np.ndarray
-    bell_p: np.ndarray
-    bell_q: np.ndarray
 
     @property
     def defined(self) -> np.ndarray:
@@ -471,14 +469,14 @@ class WernerFamily:
         bell = 2.0 * np.sqrt(bell_p * bell_p + bell_q * bell_q)
         return XStateRows(*(a.ravel() for a in (
             u, v, x, y, probability, zero_trace, undefined, concurrence, _eof(concurrence),
-            bell, bell_p, bell_q)))
+            bell)))
 
 
 def _check_rows(ok, u, v, x, y, probability) -> None:
     """Raise ``ValueError`` unless every row in ``ok`` is of unit trace and
     positive semidefinite (its eigenvalues are u +- x and v +- y) and its
     detection probability lies in [0, 1]: the tests of
-    :func:`~islocc.slocc.check_density_stack`, written so that NaN fails."""
+    :func:`~islocc.slocc.check_density_matrix`, written so that NaN fails."""
     if not np.all(~ok | (np.abs(2.0 * (u + v) - 1.0) <= _HERM_ATOL)):
         raise ValueError("projected row trace != 1")
     if not np.all(~ok | ((u >= np.abs(x) - _EIG_ATOL) & (v >= np.abs(y) - _EIG_ATOL))):

@@ -1,26 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
-from islocc.states import DOWN, UP, ModeBasis, SingleParticleState
+from islocc.verify import random_single_particle
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250808)
-
-
-def random_single_particle(rng, basis: ModeBasis, normalized: bool = True) -> SingleParticleState:
-    """Random complex state spread over every (mode, spin) slot of the basis."""
-    amps = {}
-    for mode in basis.labels:
-        for spin in (UP, DOWN):
-            amps[(mode, spin)] = complex(rng.standard_normal(), rng.standard_normal())
-    if normalized:
-        norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
-        amps = {k: v / norm for k, v in amps.items()}
-    return SingleParticleState(basis, amps)
 
 
 @pytest.fixture

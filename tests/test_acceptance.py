@@ -7,22 +7,14 @@ import math
 import numpy as np
 import pytest
 
-from islocc.amplitudes import (BOSON, FERMION, ElementaryKet, amplitude_fast,
-                               amplitude_permsum)
-from islocc.entanglement import analyze, bell_horodecki, bell_xstate, concurrence
+from islocc import verify
+from islocc.amplitudes import BOSON, FERMION, ElementaryKet, amplitude_permsum
+from islocc.entanglement import concurrence
 from islocc.indistinguishability import degree_n, degree_two
 from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, slocc_probability
-from islocc.states import (UP, ModeBasis, PeakedParams,
-                           SingleParticleState, SpatialWave, make_peaked)
-from islocc.sweeps import SweepConfig, find_threshold
-from islocc.werner import (WernerSpec, closed_form_concurrence_minus,
-                           closed_form_concurrence_plus,
-                           closed_form_probability_minus,
-                           closed_form_probability_plus,
-                           depolarize_then_deform, project_werner,
-                           spec_from_l, werner_direct)
-from islocc.slocc import project
-from conftest import random_single_particle
+from islocc.states import UP, ModeBasis, PeakedParams, SingleParticleState, make_peaked
+from islocc.verify import random_single_particle
+from islocc.werner import project_werner, spec_from_l, werner_direct
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 LR = ModeBasis(("L", "R"))
@@ -32,22 +24,11 @@ def _report(number, text):
     print(f"[PASS] criterion {number}: {text}")
 
 
-def _pipeline_bell(statistics, target, theta, l, lprime, p):
-    spec = spec_from_l(p, target, l, lprime, statistics, theta)
-    return analyze(project_werner(spec)).bell
-
-
-def _violation_boundary(statistics, target, theta, l, lprime):
-    lo, hi = 0.0, 1.0
-    assert _pipeline_bell(statistics, target, theta, l, lprime, lo) > 2.0
-    assert _pipeline_bell(statistics, target, theta, l, lprime, hi) < 2.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _pipeline_bell(statistics, target, theta, l, lprime, mid) > 2.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _run_suite(suite, seed, calls):
+    """Run a verify suite ``calls`` times on one seeded generator (each call
+    draws fresh cases); returns the summary line of each call."""
+    rng = np.random.default_rng(seed)
+    return [suite(rng) for _ in range(calls)]
 
 
 def test_criterion_1_noise_free_preparation():
@@ -119,66 +100,25 @@ def test_criterion_4_distinguishable_limit():
 
 
 def test_criterion_5_closed_forms_vs_pipeline():
-    rng = np.random.default_rng(505)
-    worst_c = worst_p = 0.0
-    accepted = 0
-    while accepted < 500:
-        l = float(rng.uniform(0.02, 0.98))
-        lp = float(rng.uniform(0.02, 0.98))
-        p = float(rng.uniform(0.0, 1.0))
-        stats = BOSON if rng.integers(2) else FERMION
-        target = "1_minus" if rng.integers(2) else "1_plus"
-        r, rp = math.sqrt(1 - l * l), math.sqrt(1 - lp * lp)
-        if target == "1_minus":
-            c_ref = closed_form_concurrence_minus(l, r, lp, rp, p)
-            p_ref = closed_form_probability_minus(l, r, lp, rp, p, stats)
-        else:
-            c_ref = closed_form_concurrence_plus(l, r, lp, rp, p)
-            p_ref = closed_form_probability_plus(l, r, lp, rp, p, stats)
-        if p_ref <= 1e-6:
-            continue
-        projected = project_werner(spec_from_l(p, target, l, lp, stats))
-        worst_c = max(worst_c, abs(concurrence(projected) - c_ref))
-        worst_p = max(worst_p, abs(projected.probability - p_ref))
-        accepted += 1
-    assert worst_c <= 1e-9 and worst_p <= 1e-9
-    _report(5, f"closed-form concurrence/probability vs numeric pipeline on "
-               f"{accepted} random tuples, worst diffs {worst_c:.2e} / {worst_p:.2e}")
+    # 120 accepted (tuple, target) cases per call, concurrence and
+    # probability each within 1e-9
+    details = _run_suite(verify.suite_closed_forms, 505, calls=5)
+    _report(5, "; ".join(details))
 
 
 def test_criterion_6_channel_model_equivalence():
-    rng = np.random.default_rng(606)
-    worst = 0.0
-    for stats in (FERMION, BOSON):
-        for _ in range(100):
-            psi1 = SpatialWave.from_l(float(rng.uniform(0.1, 0.95)))
-            psi2 = SpatialWave.from_l(float(rng.uniform(0.1, 0.95)),
-                                      float(rng.uniform(0, 2 * math.pi)))
-            p = float(rng.uniform(0.0, 1.0))
-            target = "1_minus" if rng.integers(2) else "1_plus"
-            direct = project(werner_direct(WernerSpec(p, target, psi1, psi2, stats)),
-                             ("L", "R"))
-            channel = project(depolarize_then_deform(p, target, psi1, psi2, stats),
-                              ("L", "R"))
-            worst = max(worst, float(np.max(np.abs(direct.matrix - channel.matrix))),
-                        abs(direct.probability - channel.probability))
-    assert worst <= 1e-10
-    _report(6, f"depolarizing channel + spatial deformation equals the direct "
-               f"mixture after projection (200 random runs), worst diff = {worst:.2e}")
+    # 40 random runs per call (20 per statistics), matrices and
+    # probabilities within 1e-10
+    details = _run_suite(verify.suite_channel_equivalence, 606, calls=5)
+    _report(6, "; ".join(details))
 
 
 def test_criterion_7_bell_thresholds():
-    result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"))
-    assert result.found and 0.75 <= result.indist <= 0.77
-    p_dist = _violation_boundary(FERMION, "1_minus", 0.0, 1.0, 0.0)
-    assert abs(p_dist - 0.292) <= 2e-3
-    p_plus = _violation_boundary(FERMION, "1_plus", math.pi, SQRT_HALF, SQRT_HALF)
-    assert abs(p_plus - 0.363) <= 2e-3
-    p_plus_boson = _violation_boundary(BOSON, "1_plus", 0.0, SQRT_HALF, SQRT_HALF)
-    assert abs(p_plus_boson - 0.363) <= 2e-3
-    _report(7, f"all-noise violation needs indistinguishability >= "
-               f"{result.indist:.4f}; violation boundaries: distinguishable "
-               f"p = {p_dist:.4f}, triplet target p = {p_plus:.4f}")
+    # the all-noise threshold in [0.75, 0.77] and the violation boundaries
+    # 0.292 (distinguishable) and 0.363 (triplet target, both statistics)
+    # within 2e-3
+    (detail,) = _run_suite(verify.suite_violation_thresholds, 707, calls=1)
+    _report(7, detail)
 
 
 def test_criterion_8_indistinguishability_bounds():
@@ -201,20 +141,11 @@ def test_criterion_8_indistinguishability_bounds():
 
 
 def test_criterion_9_amplitude_engine_cross_validation():
+    # 250 instances per call (n = 2..6, 25 each, both statistics), within 1e-10
+    details = _run_suite(verify.suite_amplitude_cross_validation, 909, calls=4)
+
     rng = np.random.default_rng(909)
     basis = ModeBasis(("A", "B", "C"))
-    worst = 0.0
-    for stats in (BOSON, FERMION):
-        for n in (2, 3, 4, 5, 6):
-            for _ in range(100):
-                bra = ElementaryKet(tuple(random_single_particle(rng, basis)
-                                          for _ in range(n)), stats)
-                ket = ElementaryKet(tuple(random_single_particle(rng, basis)
-                                          for _ in range(n)), stats)
-                worst = max(worst, abs(amplitude_fast(bra, ket)
-                                       - amplitude_permsum(bra, ket)))
-    assert worst <= 1e-10
-
     worst_exchange = 0.0
     for stats in (BOSON, FERMION):
         for n in (2, 3, 4):
@@ -230,49 +161,16 @@ def test_criterion_9_amplitude_engine_cross_validation():
                 worst_exchange = max(worst_exchange, abs(exchanged - expected))
     assert worst_exchange <= 1e-14
     _report(9, f"permutation sum vs permanent/determinant on 1000 random "
-               f"instances, worst diff = {worst:.2e}; exchange (anti)symmetry "
+               f"instances ({'; '.join(details)}); exchange (anti)symmetry "
                f"exact to {worst_exchange:.1e}")
 
 
 def test_criterion_10_property_suite():
-    rng = np.random.default_rng(1010)
-
-    worst_herm = worst_trace = worst_neg = 0.0
-    checked = 0
-    while checked < 300:
-        spec = WernerSpec(float(rng.uniform(0, 1)),
-                          "1_minus" if rng.integers(2) else "1_plus",
-                          SpatialWave.from_l(float(rng.uniform(0.02, 0.98))),
-                          SpatialWave.from_l(float(rng.uniform(0.02, 0.98)),
-                                             float(rng.uniform(0, 2 * math.pi))),
-                          BOSON if rng.integers(2) else FERMION)
-        try:
-            projected = project_werner(spec)
-        except ProjectionUndefinedError:
-            continue
-        m = projected.matrix
-        worst_herm = max(worst_herm, float(np.max(np.abs(m - m.conj().T))))
-        worst_trace = max(worst_trace, abs(float(np.trace(m).real) - 1.0))
-        worst_neg = max(worst_neg, max(0.0, -float(np.min(np.linalg.eigvalsh(m)))))
-        checked += 1
-    assert worst_herm <= 1e-12 and worst_trace <= 1e-12 and worst_neg <= 1e-10
-
-    worst_bell = 0.0
-    checked = 0
-    while checked < 1000:
-        spec = WernerSpec(float(rng.uniform(0, 1)), "1_minus",
-                          SpatialWave.from_l(float(rng.uniform(0.02, 0.98))),
-                          SpatialWave.from_l(float(rng.uniform(0.02, 0.98)),
-                                             float(rng.uniform(0, 2 * math.pi))),
-                          BOSON if rng.integers(2) else FERMION)
-        try:
-            projected = project_werner(spec)
-        except ProjectionUndefinedError:
-            continue
-        worst_bell = max(worst_bell, abs(bell_xstate(projected).bell
-                                         - bell_horodecki(projected)))
-        checked += 1
-    assert worst_bell <= 1e-9
+    # 50 draws per call: Hermitian and unit trace within 1e-12, PSD within
+    # 1e-10, probability in [0, 1]
+    projection = _run_suite(verify.suite_projection_properties, 1010, calls=6)
+    # 200 singlet-target draws per call, X-state CHSH vs Horodecki within 1e-9
+    bell = _run_suite(verify.suite_bell_fast_path, 1011, calls=5)
 
     worst_switch = 0.0
     for target in ("1_minus", "1_plus"):
@@ -291,7 +189,5 @@ def test_criterion_10_property_suite():
                         continue  # degenerate point: no detectable state
                     worst_switch = max(worst_switch, abs(c_f - c_b))
     assert worst_switch <= 1e-10
-    _report(10, f"projected matrices Hermitian/unit-trace/PSD; X-state CHSH vs "
-                f"unrestricted criterion on 1000 singlet-target states "
-                f"(worst {worst_bell:.2e}); statistics-phase switch identity "
-                f"(worst {worst_switch:.2e})")
+    _report(10, f"{projection[-1]} (300 draws); {bell[-1]} (1000 draws); "
+                f"statistics-phase switch identity (worst {worst_switch:.2e})")

@@ -10,7 +10,7 @@ from islocc.amplitudes import (BOSON, FERMION, ElementaryKet,
                                permanent_ryser, _permutations_with_parity)
 from islocc.states import (DOWN, UP, ModeBasis, PeakedParams,
                            SingleParticleState, make_peaked)
-from conftest import random_single_particle
+from islocc.verify import random_single_particle
 
 LR = ModeBasis(("L", "R"))
 ABC = ModeBasis(("A", "B", "C"))

@@ -10,7 +10,7 @@ from islocc.ensembles import (MixedState, PureNState, matrix_element,
 from islocc.states import (DOWN, UP, ModeBasis, PeakedParams,
                            SingleParticleState, SpatialWave, make_peaked)
 from islocc.werner import (WernerSpec, bell_states, werner_direct)
-from conftest import random_single_particle
+from islocc.verify import random_single_particle
 
 LR = ModeBasis(("L", "R"))
 SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from islocc.amplitudes import BOSON, FERMION
-from islocc.entanglement import (NotXShapedError, analyze, analyze_stack,
+from islocc.entanglement import (NotXShapedError, analyze,
                                  bell_horodecki, bell_xstate, binary_entropy,
                                  concurrence, correlation_matrix, eof,
                                  spin_flip, wootters_lambdas)
@@ -203,26 +203,23 @@ class TestAnalyze:
         assert report.bell == pytest.approx(bell_horodecki(rho), abs=1e-13)
         assert math.isnan(report.bell_p) and math.isnan(report.bell_q)
 
-
-class TestAnalyzeStack:
-    def test_rows_match_the_single_matrix_references(self, rng):
-        # X-shaped and general rows interleaved: each general row must take
-        # the Horodecki value, each X row the closed form
+    def test_matches_the_single_matrix_references(self, rng):
+        # X-shaped and general matrices: each general one must take the
+        # Horodecki value, each X one the closed form
         rows = [_werner_matrix(0.4), _random_density(rng), np.eye(4) / 4,
                 _random_density(rng), _projector(_bell_vector("phi_minus"))]
-        report = analyze_stack(np.array(rows))
-        for i, rho in enumerate(rows):
-            lambdas = wootters_lambdas(rho)
-            np.testing.assert_allclose(report.lambdas[i], lambdas, atol=1e-12)
-            assert report.concurrence[i] == pytest.approx(concurrence(rho), abs=1e-12)
-            assert report.eof[i] == pytest.approx(eof(concurrence(rho)), abs=1e-12)
+        for rho in rows:
+            report = analyze(rho)
+            np.testing.assert_allclose(report.lambdas, wootters_lambdas(rho), atol=1e-12)
+            assert report.concurrence == pytest.approx(concurrence(rho), abs=1e-12)
+            assert report.eof == pytest.approx(eof(concurrence(rho)), abs=1e-12)
             try:
                 x = bell_xstate(rho)
             except NotXShapedError:
-                assert report.bell[i] == pytest.approx(bell_horodecki(rho), abs=1e-12)
-                assert math.isnan(report.bell_p[i]) and math.isnan(report.bell_q[i])
+                assert report.bell == pytest.approx(bell_horodecki(rho), abs=1e-12)
+                assert math.isnan(report.bell_p) and math.isnan(report.bell_q)
             else:
-                assert (report.bell[i], report.bell_p[i], report.bell_q[i]) == \
+                assert (report.bell, report.bell_p, report.bell_q) == \
                     pytest.approx(tuple(x), abs=1e-12)
 
     def test_hermitian_fallback_agrees_with_general_solver(self, rng):
@@ -231,11 +228,11 @@ class TestAnalyzeStack:
             np.testing.assert_allclose(wootters_lambdas(rho, imag_tol=-1.0),
                                        wootters_lambdas(rho), atol=1e-10)
 
-    def test_zero_rows_read_zero(self):
-        report = analyze_stack(np.zeros((2, 4, 4)))
-        for field in (report.concurrence, report.eof, report.bell):
-            assert np.all(field == 0.0)
+    def test_zero_matrix_reads_zero(self):
+        report = analyze(np.zeros((4, 4)))
+        assert report.concurrence == report.eof == report.bell == 0.0
 
     def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError, match="stack"):
-            analyze_stack(np.eye(4))
+        for shape in ((2, 4, 4), (2, 2)):
+            with pytest.raises(ValueError, match="4x4"):
+                analyze(np.zeros(shape))

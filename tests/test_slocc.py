@@ -5,12 +5,13 @@ import pytest
 
 from islocc import slocc
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet
-from islocc.ensembles import MixedState, PureNState
+from islocc.ensembles import MixedState, PureNState, mixed_trace
 from islocc.slocc import (ProjectedDensityMatrix, ProjectionUndefinedError,
                           computational_kets, project, slocc_probability,
                           spin_configurations)
 from islocc.states import (DOWN, UP, ModeBasis, PeakedParams, SpatialWave,
                            make_peaked)
+from islocc.verify import random_single_particle
 from islocc.werner import (WernerSpec, closed_form_probability_minus,
                            closed_form_probability_plus, spec_from_l,
                            werner_direct)
@@ -132,16 +133,18 @@ class TestProjectedMatrixInvariants:
 class TestCheckedOnce:
     def test_project_checks_each_matrix_once(self, monkeypatch):
         calls = []
-        check = slocc.check_density_stack
-        monkeypatch.setattr("islocc.slocc.check_density_stack",
-                            lambda m, p: calls.append(len(m)) or check(m, p))
+        check = slocc.check_density_matrix
+        monkeypatch.setattr("islocc.slocc.check_density_matrix",
+                            lambda m, p: calls.append(m.shape) or check(m, p))
         spec = spec_from_l(0.3, "1_minus", 0.8, 0.6, FERMION)
         projected = project(werner_direct(spec), ("L", "R"))
-        assert calls == [1]
+        assert calls == [(4, 4)]
         assert abs(np.trace(projected.matrix).real - 1.0) <= 1e-12
-        raw = np.stack([SINGLET, np.zeros((4, 4), dtype=complex)])
-        slocc.normalize_stack(raw, np.array([2.0, 1.0]))
-        assert calls == [1, 1]  # the defined row only, once
+        slocc.normalize_block(2.0 * SINGLET, 2.0, ("L", "R"))
+        assert calls == [(4, 4)] * 2
+        with pytest.raises(ProjectionUndefinedError):
+            slocc.normalize_block(np.zeros((4, 4), dtype=complex), 1.0, ("L", "R"))
+        assert calls == [(4, 4)] * 2  # nothing to check when nothing is divided
 
     @pytest.mark.parametrize("matrix, probability, match", [
         (np.diag([0.6, 0.5, 0.0, -0.1]), 0.5, "negative eigenvalue"),
@@ -156,6 +159,25 @@ class TestCheckedOnce:
     def test_probability_within_rounding_slack_is_stored_in_unit_interval(self):
         assert ProjectedDensityMatrix(SINGLET, 1.0 + 1e-13, ("L", "R")).probability == 1.0
         assert ProjectedDensityMatrix(SINGLET, -1e-13, ("L", "R")).probability == 0.0
+
+
+class TestGlobalTrace:
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    @pytest.mark.parametrize("regions", [("A", "B"), ("A", "B", "C")])
+    def test_fock_sum_equals_the_ensemble_norms(self, rng, statistics, regions):
+        # the detection weight plus every other Fock state of the basis
+        # resolves sum_e w_e <psi_e|psi_e>, multiply occupied slots included
+        basis = ModeBasis(("A", "B", "C"))
+        for _ in range(5):
+            members = []
+            for _ in range(3):
+                terms = tuple((complex(*rng.standard_normal(2)), ElementaryKet(tuple(
+                    random_single_particle(rng, basis) for _ in regions), statistics))
+                    for _ in range(2))
+                members.append((float(rng.uniform(0.1, 1.0)), PureNState(terms)))
+            mixed = MixedState(tuple(members))
+            _, _, global_trace = slocc._detection(mixed, regions)
+            assert global_trace == pytest.approx(mixed_trace(mixed), rel=1e-12)
 
 
 class TestSloccProbability:

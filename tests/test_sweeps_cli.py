@@ -16,8 +16,8 @@ from islocc.states import UP, SpatialWave
 from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, MAX_SWEEP_ROWS, ConfigError,
                            GridSpec, SweepConfig, _peaked_degree, find_threshold,
                            indist_on_family, l_for_indist, records_to_csv,
-                           records_to_json, run_bell_region, run_sweep,
-                           run_verify)
+                           records_to_json, run_bell_region, run_sweep)
+from islocc.verify import run_verify
 from islocc.werner import WernerFamily, wave_state
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -552,6 +552,23 @@ class TestCli:
         assert "is not writable" in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command, flag, value, code", [
+        (["sweep"], "--theta", "-1e-07", 0),
+        (["sweep"], "--theta", "-2.9e-112", 0),
+        (["sweep"], "--theta", "-3E+0", 0),
+        (["sweep"], "--theta", "-inf", 2),
+        (["sweep", "--constraint", "free"], "--lprime", "-0e0", 0),
+        (["sweep", "--constraint", "free"], "--lprime", "-1e-07", 2),
+        (["threshold"], "--theta", "-1e-07", 0),
+    ])
+    def test_negative_exponent_value_after_a_bare_flag(self, capsys, command, flag, value, code):
+        # argparse alone reads "-1e-07" after a bare flag as an unknown option
+        grid = ["--l-grid", "0.2:0.8:3", "--p-grid", "0:1:3"] if command[0] == "sweep" else []
+        separate = (main([*command, *grid, flag, value]), capsys.readouterr())
+        attached = (main([*command, *grid, f"{flag}={value}"]), capsys.readouterr())
+        assert separate == attached
+        assert separate[0] == code and "Traceback" not in separate[1].err
+
     def test_verify_exit_codes(self, monkeypatch, capsys):
         monkeypatch.setattr("islocc.werner.closed_form_concurrence_plus",
                             lambda *args, **kwargs: -1.0)
@@ -588,12 +605,13 @@ class TestCliExitRule:
              ls=[0.7071], lprime=None, p_grid="0:1:3")
     def test_sweep_exits_0_or_2_with_finite_rows(self, statistics, target, theta, constraint,
                                                   ls, lprime, p_grid):
-        # "--flag=value": argparse takes "-1e-07" after a bare flag for an option
+        # numbers as separate tokens, negative ones in exponent form included
+        # (theta = -2.9e-112); a grid that starts with "-" still needs "="
         argv = ["sweep", "--statistics", statistics, "--target", target,
-                f"--theta={theta!r}", "--constraint", constraint,
+                "--theta", repr(theta), "--constraint", constraint,
                 f"--l-grid={min(ls)!r}:{max(ls)!r}:{len(ls)}", "--p-grid", p_grid]
         if lprime is not None:
-            argv.append(f"--lprime={lprime!r}")
+            argv += ["--lprime", repr(lprime)]
         out, err = io.StringIO(), io.StringIO()
         # underflow (numpy's default: ignore) only rounds a subnormal input
         # such as theta = 5e-324 toward zero and cannot make a value non-finite

@@ -1,15 +1,16 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from islocc.amplitudes import BOSON, FERMION
 from islocc.ensembles import mixed_trace, pure_norm_sq, state_overlap
-from islocc.entanglement import analyze, analyze_stack, concurrence
+from islocc.entanglement import analyze, concurrence
 from islocc.slocc import (ProjectionUndefinedError, ZeroTraceError, computational_kets,
-                          normalize_stack, project)
+                          normalize_block, project)
 from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
                            find_threshold, run_bell_region, run_sweep)
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
@@ -306,7 +307,8 @@ def eigen_oracle(targets, l1, l2, theta, stats, ps):
     """The rows of ``WernerFamily.evaluate`` through 4x4 blocks: raw
     projected blocks (1-p) v_t v_t^+ + (p/4) sum_b v_b v_b^+ from the closed
     overlaps v_b = c_b P_b, global traces (1-p) T_t + (p/4) sum_b T_b from
-    the closed norms, then ``normalize_stack`` and ``analyze_stack``."""
+    the closed norms, then ``normalize_block`` and ``analyze`` row by row.
+    Rows that raise read 0 in every field, as in ``XStateRows``."""
     eta = np.array([s.eta for s in stats], dtype=float)
     c, double = _bell_overlaps(WaveStack.from_l(l1), WaveStack.from_l(l2, theta), eta)
     v = c[:, :, None] * _PATTERNS                      # (n, 4 Bell, 4 kets)
@@ -318,8 +320,26 @@ def eigen_oracle(targets, l1, l2, theta, stats, ps):
     raw = (keep[..., None, None] * blocks[f, t][:, None]
            + noise[..., None, None] * blocks.sum(axis=1)[:, None]).reshape(-1, 4, 4)
     global_trace = (keep * norms[f, t][:, None] + noise * norms.sum(axis=1)[:, None]).ravel()
-    projected = normalize_stack(raw, global_trace)
-    return projected, analyze_stack(projected.matrices)
+    n = len(raw)
+    oracle = SimpleNamespace(zero_trace=np.zeros(n, bool), undefined=np.zeros(n, bool),
+                             matrices=np.zeros((n, 4, 4), complex), probability=np.zeros(n),
+                             concurrence=np.zeros(n), eof=np.zeros(n), bell=np.zeros(n),
+                             lambdas=np.zeros((n, 4)))
+    for k in range(n):
+        try:
+            projected = normalize_block(raw[k], float(global_trace[k]), ("L", "R"))
+        except ZeroTraceError:
+            oracle.zero_trace[k] = True
+            continue
+        except ProjectionUndefinedError:
+            oracle.undefined[k] = True
+            continue
+        report = analyze(projected)
+        oracle.matrices[k], oracle.probability[k] = projected.matrix, projected.probability
+        oracle.concurrence[k], oracle.eof[k], oracle.bell[k] = \
+            report.concurrence, report.eof, report.bell
+        oracle.lambdas[k] = report.lambdas
+    return oracle
 
 
 class TestXStateRows:
@@ -354,16 +374,16 @@ class TestXStateRows:
         with np.errstate(all="raise"):
             rows = WernerFamily(targets, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
                                 stats).evaluate(ps)
-            projected, report = eigen_oracle(targets, l1, l2, theta, stats, ps)
+            oracle = eigen_oracle(targets, l1, l2, theta, stats, ps)
         assert rows.zero_trace.any() and rows.undefined.any() and rows.defined.any()
-        np.testing.assert_array_equal(rows.zero_trace, projected.zero_trace)
-        np.testing.assert_array_equal(rows.undefined, projected.undefined)
+        np.testing.assert_array_equal(rows.zero_trace, oracle.zero_trace)
+        np.testing.assert_array_equal(rows.undefined, oracle.undefined)
         matrices = rows.matrices()
-        assert np.max(np.abs(matrices - projected.matrices)) <= 1e-12
-        assert np.max(np.abs(rows.probability - projected.probability)) <= 1e-12
-        assert np.max(np.abs(rows.concurrence - report.concurrence)) <= 1e-9
-        assert np.max(np.abs(rows.eof - report.eof)) <= 1e-9
-        assert np.max(np.abs(rows.bell - report.bell)) <= 1e-12
+        assert np.max(np.abs(matrices - oracle.matrices)) <= 1e-12
+        assert np.max(np.abs(rows.probability - oracle.probability)) <= 1e-12
+        assert np.max(np.abs(rows.concurrence - oracle.concurrence)) <= 1e-9
+        assert np.max(np.abs(rows.eof - oracle.eof)) <= 1e-9
+        assert np.max(np.abs(rows.bell - oracle.bell)) <= 1e-12
         # the PSD test reads the eigenvalues u +- x, v +- y directly
         smallest = np.minimum(rows.u - np.abs(rows.x), rows.v - np.abs(rows.y))
         np.testing.assert_allclose(smallest, np.linalg.eigvalsh(matrices)[:, 0], atol=1e-15)
@@ -381,12 +401,12 @@ class TestXStateRows:
         lp = math.sqrt(1 - 0.7071 ** 2)
         rows = WernerFamily("1_plus", SpatialWave.from_l(0.7071),
                             SpatialWave.from_l(lp, theta), statistics).evaluate(ps)
-        _, report = eigen_oracle(["1_plus"], np.array([0.7071]), np.array([lp]),
-                                 np.array([theta]), [statistics], ps)
+        oracle = eigen_oracle(["1_plus"], np.array([0.7071]), np.array([lp]),
+                              np.array([theta]), [statistics], ps)
         spectrum = np.stack([(rows.u + np.abs(rows.x)) ** 2, (rows.u - np.abs(rows.x)) ** 2,
                              (rows.v + np.abs(rows.y)) ** 2, (rows.v - np.abs(rows.y)) ** 2], 1)
         assert np.min(rows.u[1:]) < 1e-9
-        assert np.max(np.abs(-np.sort(-spectrum, axis=1) - report.lambdas)) <= 1e-15
+        assert np.max(np.abs(-np.sort(-spectrum, axis=1) - oracle.lambdas)) <= 1e-15
         roots = np.sqrt(-np.sort(-spectrum, axis=1))
         np.testing.assert_allclose(
             rows.concurrence, np.clip(roots[:, 0] - roots[:, 1:].sum(axis=1), 0.0, 1.0),
@@ -435,8 +455,9 @@ class TestXStateRows:
 
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        for name in ("islocc.slocc.normalize_stack", "islocc.slocc.check_density_stack",
-                     "islocc.entanglement.analyze_stack"):
+        for name in ("islocc.slocc.project", "islocc.slocc.normalize_block",
+                     "islocc.slocc.check_density_matrix", "islocc.entanglement.analyze",
+                     "islocc.werner.project_werner"):
             monkeypatch.setattr(name, forbidden)
         config = SweepConfig(statistics=FERMION, target="1_minus",
                              indist_grid=GridSpec(0, 1, 41), p_grid=GridSpec(0, 1, 41))
@@ -579,3 +600,42 @@ class TestWernerFamilyProperties:
                 assert 0.0 <= rows.concurrence[k] <= 1.0 + 1e-12
                 assert rows.bell[k] <= 2.0 * math.sqrt(2.0) + 1e-12
                 assert 0.0 <= rows.probability[k] <= 1.0
+
+
+#: Noise levels and l values: the ends, 1/sqrt(2) and 0.7071, or anywhere.
+levels = st.one_of(st.sampled_from([0.0, 1.0, SQRT_HALF, 0.7071]), finite_unit)
+phases = st.one_of(st.sampled_from([0.0, math.pi, 2 * math.pi]),
+                   st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False))
+
+
+class TestPointOracleProperties:
+    """``project_werner`` followed by ``analyze``, the per-point oracle of
+    the sweep rows, at any input."""
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(l=levels, lprime=levels, theta=phases, p=levels,
+           statistics=st.sampled_from([BOSON, FERMION]),
+           target=st.sampled_from(["1_minus", "1_plus"]))
+    @example(l=1.0, lprime=1.0, theta=0.0, p=0.5, statistics=BOSON, target="1_minus")
+    @example(l=0.6, lprime=0.6, theta=0.0, p=0.0, statistics=FERMION, target="1_plus")
+    # nearly equal boson waves: a global trace from the cancelling norm
+    # 1 - |<psi1|psi2>|^2 gave P_LR = 1 + 3.7e-12 here
+    @example(l=0.796875, lprime=0.79296875, theta=0.0, p=0.0, statistics=BOSON,
+             target="1_minus")
+    def test_defined_points_are_states_with_bounded_diagnostics(
+            self, l, lprime, theta, p, statistics, target):
+        spec = WernerSpec(p, target, SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta),
+                          statistics)
+        try:
+            projected = project_werner(spec)
+        except (ZeroTraceError, ProjectionUndefinedError):
+            return  # the only two ways a point may be undefined
+        m = projected.matrix
+        assert np.max(np.abs(m - m.conj().T)) <= 1e-12
+        assert abs(np.trace(m).real - 1.0) <= 1e-12
+        assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
+        assert 0.0 <= projected.probability <= 1.0
+        report = analyze(projected)
+        assert 0.0 <= report.concurrence <= 1.0
+        assert 0.0 <= report.eof <= 1.0
+        assert report.bell <= 2.0 * math.sqrt(2.0) + 1e-12
