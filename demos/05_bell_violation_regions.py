@@ -9,7 +9,7 @@ Writes CSV and SVG maps to demos/out/.
 import json
 from pathlib import Path
 
-from islocc import FERMION, GridSpec, SweepConfig, find_threshold, run_bell_region
+from islocc import FERMION, GridSpec, SweepConfig, find_threshold, run_sweep
 from islocc.sweeps import BELL_REGION_FIELDS, records_to_csv
 from islocc.svg import bell_region_svg
 
@@ -19,7 +19,7 @@ OUT.mkdir(exist_ok=True)
 for target in ("1_minus", "1_plus"):
     config = SweepConfig(statistics=FERMION, target=target,
                          indist_grid=GridSpec(0, 1, 21), p_grid=GridSpec(0, 1, 41))
-    rows = run_bell_region(config)
+    rows = run_sweep(config)
     name = f"bell_region_{target}"
     (OUT / f"{name}.csv").write_text(records_to_csv(rows, BELL_REGION_FIELDS))
     (OUT / f"{name}.svg").write_text(bell_region_svg(rows))

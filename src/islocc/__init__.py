@@ -38,8 +38,7 @@ from .werner import (LR_BASIS, KrausSet, WernerSpec, bell_states,
                      wave_state, werner_direct)
 from .sweeps import (ConfigError, GridSpec, SweepConfig, SweepRecord,
                      ThresholdResult, find_threshold, indist_on_family,
-                     l_for_indist, records_to_csv, records_to_json,
-                     run_bell_region, run_sweep)
+                     l_for_indist, records_to_csv, records_to_json, run_sweep)
 from .verify import run_verify
 
 __version__ = "0.1.0"

@@ -5,10 +5,12 @@ Exit codes: 0 on success, 1 when verification fails, 2 on configuration
 errors.  Options may come from a flat ``key = value`` config file
 (``--config``); command-line flags override file values.  An ``--output``
 path whose directory is missing or unwritable is rejected before any
-computation; with ``--output`` nothing is written to stdout.  A sweep or
-Bell-region map evaluates all its families as one stacked Werner-family
-array in closed form (:class:`~islocc.werner.WernerFamily`).  ``threshold``
-takes no grid or format flags; it ignores those keys in a config file.
+computation; with ``--output`` nothing is written to stdout.  A sweep
+evaluates all its families as one stacked Werner-family array in closed
+form (:class:`~islocc.werner.WernerFamily`); ``bell-region`` writes the
+same sweep rows with the ``p``, ``indist``, ``bell`` and ``violated``
+columns.  ``threshold`` takes no grid or format flags; it ignores those
+keys in a config file.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 from .amplitudes import ParticleStatistics
 from .sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, ConfigError, GridSpec,
                      SweepConfig, find_threshold, records_to_csv,
-                     records_to_json, run_bell_region, run_sweep)
+                     records_to_json, run_sweep)
 from .svg import bell_region_svg, sweep_svg
 from .verify import run_verify
 
@@ -156,11 +158,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_grid(args: argparse.Namespace, run, fields, svg_renderer) -> int:
+def _cmd_grid(args: argparse.Namespace, fields, svg_renderer) -> int:
     config = build_config(args)
     if config.format == "svg" and config.output is None:
         raise ConfigError("svg output needs --output")
-    _emit(_render(run(config), config.format, fields, svg_renderer), config.output)
+    _emit(_render(run_sweep(config), config.format, fields, svg_renderer), config.output)
     return 0
 
 
@@ -201,12 +203,11 @@ def _is_number(text: str) -> bool:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
-    # handlers look the runners up as module globals when they run, so that
-    # wrappers installed from outside (perfbench's tracer) see the calls
+    # handlers look the runner and the encoders up as module globals when they
+    # run, so that wrappers installed from outside (perfbench's tracer) see the calls
     handlers = {
-        "sweep": lambda a: _cmd_grid(a, run_sweep, CSV_FIELDS, sweep_svg),
-        "bell-region": lambda a: _cmd_grid(a, run_bell_region, BELL_REGION_FIELDS,
-                                           bell_region_svg),
+        "sweep": lambda a: _cmd_grid(a, CSV_FIELDS, sweep_svg),
+        "bell-region": lambda a: _cmd_grid(a, BELL_REGION_FIELDS, bell_region_svg),
         "threshold": _cmd_threshold,
         "verify": _cmd_verify,
     }

@@ -14,6 +14,11 @@ eigen solver (the amplitude and eigen path is its oracle in
 byte-identical CSV output, and a configuration asking for more than
 ``MAX_SWEEP_ROWS`` rows is rejected before any grid is built.
 
+Every sweep row is one :class:`SweepRecord`.  A Bell-violation map is the
+same rows written with the ``BELL_REGION_FIELDS`` columns, whose
+``violated`` is ``B > 2``.  The CSV and JSON encoders take the columns to
+write and read each one once, choosing the cell format once per column.
+
 The threshold search bisects l on the same family directly.  At each step
 the worst noise level comes in closed form from
 :meth:`~islocc.werner.WernerFamily.worst_bell`: the CHSH value of an X
@@ -26,7 +31,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -41,10 +46,8 @@ __all__ = [
     "GridSpec",
     "SweepConfig",
     "SweepRecord",
-    "BellRegionRecord",
     "ThresholdResult",
     "run_sweep",
-    "run_bell_region",
     "find_threshold",
     "indist_on_family",
     "l_for_indist",
@@ -248,7 +251,8 @@ def _family_ls(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
 class SweepRecord:
     """One grid point of a sweep.  ``flagged`` marks rows whose detection
     probability fell below ``FLAG_PROBABILITY`` (metrics zeroed when the
-    projection itself is undefined); it is not part of the CSV schema."""
+    projection itself is undefined); it is not part of the CSV schema.
+    ``violated`` is the Bell-region column."""
 
     p: float
     l: float
@@ -262,19 +266,10 @@ class SweepRecord:
     bell: float
     flagged: bool = False
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in CSV_FIELDS}
-
-
-@dataclass(frozen=True)
-class BellRegionRecord:
-    p: float
-    indist: float
-    bell: float
-    violated: int
-
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in BELL_REGION_FIELDS}
+    @property
+    def violated(self) -> int:
+        """1 where the CHSH inequality is violated (B > 2), else 0."""
+        return int(self.bell > 2.0)
 
 
 def _flagged(rows: XStateRows) -> np.ndarray:
@@ -283,18 +278,14 @@ def _flagged(rows: XStateRows) -> np.ndarray:
     return ~rows.defined | (rows.probability < FLAG_PROBABILITY)
 
 
-def _warn_flagged(records: Sequence[SweepRecord]) -> None:
-    """Warn about flagged rows, attributed to the caller of the public
-    function that calls this."""
-    flagged = sum(1 for r in records if r.flagged)
-    if flagged:
-        warnings.warn(f"{flagged} grid point(s) have detection probability below "
-                      f"{FLAG_PROBABILITY:g}; rows kept with metrics zeroed where undefined",
-                      RuntimeWarning, stacklevel=3)
+def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+    """Evaluate the full pipeline over the configured grid: every family of
+    the outer grid as one :class:`~islocc.werner.WernerFamily` stack.
 
-
-def _sweep(config: SweepConfig) -> list[SweepRecord]:
-    """The rows of :func:`run_sweep`, without the flagged-row warning."""
+    Rows are ordered by the outer (l or indistinguishability) grid first and
+    the noise-probability grid second.  Flagged rows are kept, with one
+    ``RuntimeWarning`` attributed to the caller.
+    """
     config.validate()
     theta = config.resolved_theta()
     p = config.p_grid.values()
@@ -303,6 +294,12 @@ def _sweep(config: SweepConfig) -> list[SweepRecord]:
     # both waves on one mode: degree and projection undefined, rows zeroed and flagged
     indist = _peaked_degree(psi1.l, psi1.r, psi2.l, psi2.r, zero_undefined=True)
     rows = WernerFamily(config.target, psi1, psi2, config.statistics).evaluate(p)
+    flagged = _flagged(rows)
+    count = int(np.count_nonzero(flagged))
+    if count:
+        warnings.warn(f"{count} grid point(s) have detection probability below "
+                      f"{FLAG_PROBABILITY:g}; rows kept with metrics zeroed where undefined",
+                      RuntimeWarning, stacklevel=2)
 
     def per_family(values: np.ndarray) -> list:
         return np.repeat(values, len(p)).tolist()
@@ -312,27 +309,7 @@ def _sweep(config: SweepConfig) -> list[SweepRecord]:
             for pv, lv, lpv, dv, c, e, p_lr, b, f in zip(
                 np.tile(p, len(l)).tolist(), per_family(l), per_family(lprime),
                 per_family(indist), rows.concurrence.tolist(), rows.eof.tolist(),
-                rows.probability.tolist(), rows.bell.tolist(), _flagged(rows).tolist())]
-
-
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
-    """Evaluate the full pipeline over the configured grid: every family of
-    the outer grid as one :class:`~islocc.werner.WernerFamily` stack.
-
-    Rows are ordered by the outer (l or indistinguishability) grid first and
-    the noise-probability grid second.
-    """
-    records = _sweep(config)
-    _warn_flagged(records)
-    return records
-
-
-def run_bell_region(config: SweepConfig) -> list[BellRegionRecord]:
-    """CHSH value and violation flag over the (indistinguishability, noise)
-    grid: the rows of :func:`run_sweep`, reduced to those columns."""
-    records = _sweep(config)
-    _warn_flagged(records)
-    return [BellRegionRecord(r.p, r.indist, r.bell, int(r.bell > 2.0)) for r in records]
+                rows.probability.tolist(), rows.bell.tolist(), flagged.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +332,7 @@ class ThresholdResult:
     concurrence_at_worst: float | None = None
 
     def as_dict(self) -> dict:
-        return {
-            "found": self.found,
-            "target": self.target,
-            "statistics": self.statistics,
-            "indist": self.indist,
-            "l": self.l,
-            "worst_p": self.worst_p,
-            "bell_at_worst": self.bell_at_worst,
-            "concurrence_at_worst": self.concurrence_at_worst,
-        }
+        return asdict(self)
 
 
 def _family(statistics: ParticleStatistics, target: str, theta: float,
@@ -436,45 +404,36 @@ def format_float(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _encode_value(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return format_float(value)
+def _columns(records: Sequence[SweepRecord], fields: Sequence[str]) -> list[tuple[list, type]]:
+    """Each field of ``records`` read once, as a column of text cells, with
+    the type JSON reads those cells back as.  The column's first value picks
+    the rule for the whole column: text is kept as is, an integer is written
+    with ``str``, anything else is a float with 12 significant digits."""
+    records = list(records)  # read once per column, so an iterator is not enough
+    columns = []
+    for name in fields:
+        values = [getattr(record, name) for record in records]
+        first = values[0] if values else None
+        if isinstance(first, str):
+            columns.append((values, str))
+        elif isinstance(first, (int, np.integer)) and not isinstance(first, bool):
+            columns.append(([str(int(v)) for v in values], int))
+        else:
+            columns.append(([format_float(v) for v in values], float))
+    return columns
 
 
-def records_to_csv(records: Sequence, fields: Sequence[str] | None = None) -> str:
+def records_to_csv(records: Sequence[SweepRecord], fields: Sequence[str]) -> str:
     """Render records as CSV with a fixed header; floats carry 12 significant
     digits so identical configurations give byte-identical files."""
-    records = list(records)
-    if fields is None:
-        fields = records[0].as_dict().keys() if records else CSV_FIELDS
-    lines = [",".join(fields)]
-    for record in records:
-        row = record.as_dict()
-        lines.append(",".join(_encode_value(row[name]) for name in fields))
+    cells = [column for column, _ in _columns(records, fields)]
+    lines = [",".join(fields), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 
-def records_to_json(records: Sequence, fields: Sequence[str] | None = None) -> str:
+def records_to_json(records: Sequence[SweepRecord], fields: Sequence[str]) -> str:
     """JSON encoding of the same rows as :func:`records_to_csv` (numbers are
     rounded through the same 12-significant-digit representation)."""
-    records = list(records)
-    if fields is None:
-        fields = records[0].as_dict().keys() if records else CSV_FIELDS
-    payload = []
-    for record in records:
-        row = record.as_dict()
-        entry = {}
-        for name in fields:
-            value = row[name]
-            if isinstance(value, str):
-                entry[name] = value
-            elif isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-                entry[name] = int(value)
-            else:
-                entry[name] = float(format_float(value))
-        payload.append(entry)
+    values = [list(map(kind, column)) for column, kind in _columns(records, fields)]
+    payload = [dict(zip(fields, row)) for row in zip(*values)]
     return json.dumps({"records": payload}, indent=2) + "\n"
-

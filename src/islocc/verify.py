@@ -24,7 +24,8 @@ from .entanglement import analyze, bell_horodecki, bell_xstate
 from .ensembles import mixed_trace, pure_norm_sq
 from .slocc import ProjectionUndefinedError, ZeroTraceError, project
 from .states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from .sweeps import FLAG_PROBABILITY, SweepConfig, _family, _flagged, find_threshold
+from .sweeps import (FLAG_PROBABILITY, ConfigError, SweepConfig, _family, _flagged,
+                     find_threshold)
 from .werner import (WaveStack, WernerFamily, WernerSpec, bell_states,
                      depolarize_then_deform, project_werner, spec_from_l,
                      werner_direct)
@@ -63,6 +64,20 @@ class VerifyReport:
         return lines
 
 
+def _require(condition, message: str) -> None:
+    """Fail the suite with ``message`` unless ``condition`` holds.  Unlike
+    ``assert`` this is not stripped by ``python -O``; write the condition so
+    that NaN fails it (``worst < tol``, not ``not worst >= tol``)."""
+    if not condition:
+        raise AssertionError(message)
+
+
+def _worst(*deviations) -> float:
+    """The largest of ``deviations``, NaN if any is NaN (``max`` skips NaN
+    when it comes second)."""
+    return float(np.max(deviations))
+
+
 def random_single_particle(rng: np.random.Generator, basis: ModeBasis) -> SingleParticleState:
     """Random normalized state spread over every (mode, spin) slot of the basis."""
     amps = {}
@@ -83,8 +98,8 @@ def suite_amplitude_cross_validation(rng: np.random.Generator) -> str:
                                           for _ in range(n)), statistics)
                 ket = ElementaryKet(tuple(random_single_particle(rng, basis)
                                           for _ in range(n)), statistics)
-                worst = max(worst, abs(amplitude_fast(bra, ket) - amplitude_permsum(bra, ket)))
-    assert worst < 1e-10, f"permutation sum and fast path disagree by {worst:.3e}"
+                worst = _worst(worst, abs(amplitude_fast(bra, ket) - amplitude_permsum(bra, ket)))
+    _require(worst < 1e-10, f"permutation sum and fast path disagree by {worst:.3e}")
     return f"naive permutation sum vs permanent/determinant, worst |diff| = {worst:.2e}"
 
 
@@ -102,8 +117,8 @@ def suite_bell_state_norms(rng: np.random.Generator) -> str:
         expected = {"1_minus": 1 - eta * overlap_sq, "1_plus": 1 + eta * overlap_sq,
                     "2_plus": 1 + eta * overlap_sq, "2_minus": 1 + eta * overlap_sq}
         for name, state in bells.items():
-            worst = max(worst, abs(pure_norm_sq(state) - expected[name]))
-    assert worst < 1e-12, f"Bell-state norms off closed form by {worst:.3e}"
+            worst = _worst(worst, abs(pure_norm_sq(state) - expected[name]))
+    _require(worst < 1e-12, f"Bell-state norms off closed form by {worst:.3e}")
     return f"Bell-state squared norms vs closed constants, worst |diff| = {worst:.2e}"
 
 
@@ -120,8 +135,8 @@ def suite_global_trace(rng: np.random.Generator) -> str:
                          * np.exp(1j * theta)) ** 2
         sign = -1.0 if target == "1_minus" else 1.0
         expected = 1 + stats.eta * overlap_sq * (p / 2 + sign * (1 - p))
-        worst = max(worst, abs(mixed_trace(werner_direct(spec)) - expected))
-    assert worst < 1e-10, f"global trace off closed form by {worst:.3e}"
+        worst = _worst(worst, abs(mixed_trace(werner_direct(spec)) - expected))
+    _require(worst < 1e-10, f"global trace off closed form by {worst:.3e}")
     return f"ensemble trace vs closed normalization constant, worst |diff| = {worst:.2e}"
 
 
@@ -143,11 +158,11 @@ def suite_closed_forms(rng: np.random.Generator) -> str:
             if p_ref <= 1e-6:
                 continue
             projected = project_werner(spec_from_l(p, target, l, lp, stats))
-            worst_c = max(worst_c, abs(analyze(projected).concurrence - c_ref))
-            worst_p = max(worst_p, abs(projected.probability - p_ref))
+            worst_c = _worst(worst_c, abs(analyze(projected).concurrence - c_ref))
+            worst_p = _worst(worst_p, abs(projected.probability - p_ref))
             checked += 1
-    assert worst_c < 1e-9 and worst_p < 1e-9, \
-        f"closed forms vs pipeline: concurrence {worst_c:.3e}, probability {worst_p:.3e}"
+    _require(worst_c < 1e-9 and worst_p < 1e-9,
+             f"closed forms vs pipeline: concurrence {worst_c:.3e}, probability {worst_p:.3e}")
     return (f"closed forms vs numeric pipeline on {checked} cases, "
             f"worst concurrence diff {worst_c:.2e}, probability diff {worst_p:.2e}")
 
@@ -163,9 +178,9 @@ def suite_channel_equivalence(rng: np.random.Generator) -> str:
             psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
             direct = project(werner_direct(WernerSpec(p, target, psi1, psi2, stats)), ("L", "R"))
             channel = project(depolarize_then_deform(p, target, psi1, psi2, stats), ("L", "R"))
-            worst = max(worst, float(np.max(np.abs(direct.matrix - channel.matrix))),
+            worst = _worst(worst, float(np.max(np.abs(direct.matrix - channel.matrix))),
                         abs(direct.probability - channel.probability))
-    assert worst < 1e-10, f"channel and direct constructions disagree by {worst:.3e}"
+    _require(worst < 1e-10, f"channel and direct constructions disagree by {worst:.3e}")
     return f"depolarize-then-deform vs direct mixture after projection, worst |diff| = {worst:.2e}"
 
 
@@ -183,11 +198,14 @@ def suite_projection_properties(rng: np.random.Generator) -> str:
         except ProjectionUndefinedError:
             continue
         m = projected.matrix
-        worst_herm = max(worst_herm, float(np.max(np.abs(m - m.conj().T))))
-        worst_trace = max(worst_trace, abs(float(np.trace(m).real) - 1.0))
-        worst_neg = max(worst_neg, max(0.0, -float(np.min(np.linalg.eigvalsh(m)))))
-        assert 0.0 <= projected.probability <= 1.0 + 1e-12
-    assert worst_herm < 1e-12 and worst_trace < 1e-12 and worst_neg < 1e-10
+        worst_herm = _worst(worst_herm, float(np.max(np.abs(m - m.conj().T))))
+        worst_trace = _worst(worst_trace, abs(float(np.trace(m).real) - 1.0))
+        worst_neg = _worst(worst_neg, 0.0, -float(np.min(np.linalg.eigvalsh(m))))
+        _require(0.0 <= projected.probability <= 1.0 + 1e-12,
+                 f"detection probability {projected.probability!r} outside [0, 1]")
+    _require(worst_herm < 1e-12 and worst_trace < 1e-12 and worst_neg < 1e-10,
+             f"projected matrices: Hermiticity {worst_herm:.3e}, trace {worst_trace:.3e}, "
+             f"negative eigenvalue {worst_neg:.3e}")
     return (f"projected matrices Hermitian ({worst_herm:.1e}), unit trace "
             f"({worst_trace:.1e}), PSD (worst negative {worst_neg:.1e})")
 
@@ -205,8 +223,8 @@ def suite_bell_fast_path(rng: np.random.Generator) -> str:
             projected = project_werner(spec)
         except ProjectionUndefinedError:
             continue
-        worst = max(worst, abs(bell_xstate(projected).bell - bell_horodecki(projected)))
-    assert worst < 1e-9, f"X-state fast path departs from the general criterion by {worst:.3e}"
+        worst = _worst(worst, abs(bell_xstate(projected).bell - bell_horodecki(projected)))
+    _require(worst < 1e-9, f"X-state fast path departs from the general criterion by {worst:.3e}")
     return f"X-state CHSH vs unrestricted criterion (singlet target), worst |diff| = {worst:.2e}"
 
 
@@ -225,8 +243,8 @@ def suite_phase_switch(rng: np.random.Generator) -> str:
                 spec_from_l(p, target, l, lprime, BOSON, theta + math.pi))).concurrence
         except (ProjectionUndefinedError, ZeroTraceError):
             continue  # degenerate point: no detectable state on one side
-        worst = max(worst, abs(c_f - c_b))
-    assert worst < 1e-10, f"phase switch identity broken by {worst:.3e}"
+        worst = _worst(worst, abs(c_f - c_b))
+    _require(worst < 1e-10, f"phase switch identity broken by {worst:.3e}")
     return f"(fermion, theta) vs (boson, theta+pi) concurrence, worst |diff| = {worst:.2e}"
 
 
@@ -250,18 +268,18 @@ def suite_batched_vs_pointwise(rng: np.random.Generator) -> str:
             try:
                 ref = project_werner(WernerSpec(float(p), target, psi1, psi2, stats))
             except (ProjectionUndefinedError, ZeroTraceError):
-                assert flagged[k], f"batched row defined where the projection is not " \
-                                   f"({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})"
+                _require(flagged[k], f"batched row defined where the projection is not "
+                                     f"({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})")
                 continue
-            assert flagged[k] == (ref.probability < FLAG_PROBABILITY), \
-                f"flags differ at ({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})"
+            _require(flagged[k] == (ref.probability < FLAG_PROBABILITY),
+                     f"flags differ at ({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})")
             expected = analyze(ref)
-            worst_m = max(worst_m, float(np.max(np.abs(matrices[k] - ref.matrix))),
+            worst_m = _worst(worst_m, float(np.max(np.abs(matrices[k] - ref.matrix))),
                           abs(rows.probability[k] - ref.probability))
-            worst_r = max(worst_r, abs(rows.concurrence[k] - expected.concurrence),
+            worst_r = _worst(worst_r, abs(rows.concurrence[k] - expected.concurrence),
                           abs(rows.eof[k] - expected.eof), abs(rows.bell[k] - expected.bell))
-    assert worst_m <= 1e-12 and worst_r <= 1e-9, \
-        f"batched vs per-point: matrix/P_LR {worst_m:.3e}, C/EoF/B {worst_r:.3e}"
+    _require(worst_m <= 1e-12 and worst_r <= 1e-9,
+             f"batched vs per-point: matrix/P_LR {worst_m:.3e}, C/EoF/B {worst_r:.3e}")
     return (f"one stack of {len(cases)} families x {len(ps)} noise values vs per-point "
             f"projection, worst matrix/P_LR diff {worst_m:.2e}, C/EoF/B diff {worst_r:.2e}")
 
@@ -274,8 +292,9 @@ def _bisect_violation_boundary(statistics, target, theta, l, lprime) -> float:
         return float(family.evaluate(np.array([p])).bell[0])
 
     lo, hi = 0.0, 1.0
-    assert bell_at(lo) > 2.0
-    assert bell_at(hi) < 2.0
+    bell_lo, bell_hi = bell_at(lo), bell_at(hi)
+    _require(bell_lo > 2.0 and bell_hi < 2.0,
+             f"no violation boundary in p: B = {bell_lo!r} at p = 0, {bell_hi!r} at p = 1")
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if bell_at(mid) > 2.0:
@@ -288,17 +307,18 @@ def _bisect_violation_boundary(statistics, target, theta, l, lprime) -> float:
 def suite_violation_thresholds(rng: np.random.Generator) -> str:
     # distinguishable pair: violation up to p = 1 - 1/sqrt(2)
     p_dist = _bisect_violation_boundary(FERMION, "1_minus", 0.0, 1.0, 0.0)
-    assert abs(p_dist - 0.292) <= 2e-3, f"distinguishable boundary {p_dist:.5f}"
+    _require(abs(p_dist - 0.292) <= 2e-3, f"distinguishable boundary {p_dist:.5f}")
     # triplet target at full indistinguishability: boundary 4/11, for both
     # statistics at their canonical phase
     p_plus = _bisect_violation_boundary(FERMION, "1_plus", math.pi, _SQRT_HALF, _SQRT_HALF)
-    assert abs(p_plus - 0.363) <= 2e-3, f"triplet-target boundary {p_plus:.5f}"
+    _require(abs(p_plus - 0.363) <= 2e-3, f"triplet-target boundary {p_plus:.5f}")
     p_plus_boson = _bisect_violation_boundary(BOSON, "1_plus", 0.0, _SQRT_HALF, _SQRT_HALF)
-    assert abs(p_plus_boson - 0.363) <= 2e-3, f"boson triplet-target boundary {p_plus_boson:.5f}"
+    _require(abs(p_plus_boson - 0.363) <= 2e-3,
+             f"boson triplet-target boundary {p_plus_boson:.5f}")
     # all-noise violation threshold on the singlet target
     result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"))
-    assert result.found and 0.75 <= result.indist <= 0.77, \
-        f"all-noise threshold {result.indist!r}"
+    _require(result.found and 0.75 <= result.indist <= 0.77,
+             f"all-noise threshold {result.indist!r}")
     return (f"violation boundaries: distinguishable p={p_dist:.4f}, triplet p={p_plus:.4f} "
             f"(boson {p_plus_boson:.4f}), all-noise indistinguishability threshold "
             f"{result.indist:.4f}")
@@ -319,7 +339,10 @@ SUITES: tuple[tuple[str, Callable[[np.random.Generator], str]], ...] = (
 
 
 def run_verify(seed: int = 20250808) -> VerifyReport:
-    """Run every numerical identity suite on fresh seeded randomness."""
+    """Run every numerical identity suite on fresh seeded randomness; a
+    negative seed is a :class:`~islocc.sweeps.ConfigError`."""
+    if seed < 0:
+        raise ConfigError(f"verification seed must be non-negative, got {seed}")
     results = []
     for name, suite in SUITES:
         rng = np.random.default_rng(seed)

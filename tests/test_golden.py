@@ -12,7 +12,7 @@ import pytest
 
 from islocc.amplitudes import FERMION
 from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, GridSpec, SweepConfig,
-                           records_to_csv, run_bell_region, run_sweep)
+                           records_to_csv, run_sweep)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ATOL = 1e-9
@@ -37,7 +37,7 @@ def _bell_region(target: str) -> str:
     """One map of demos/05_bell_violation_regions.py."""
     config = SweepConfig(statistics=FERMION, target=target,
                          indist_grid=GridSpec(0, 1, 21), p_grid=GridSpec(0, 1, 41))
-    return records_to_csv(run_bell_region(config), BELL_REGION_FIELDS)
+    return records_to_csv(run_sweep(config), BELL_REGION_FIELDS)
 
 
 @pytest.mark.parametrize("name, generate", [

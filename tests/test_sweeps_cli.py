@@ -2,21 +2,26 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import islocc
 from islocc.amplitudes import BOSON, FERMION
 from islocc.cli import load_config_file, main
 from islocc.entanglement import binary_entropy
 from islocc.indistinguishability import degree_two
 from islocc.states import UP, SpatialWave
 from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, MAX_SWEEP_ROWS, ConfigError,
-                           GridSpec, SweepConfig, _peaked_degree, find_threshold,
-                           indist_on_family, l_for_indist, records_to_csv,
-                           records_to_json, run_bell_region, run_sweep)
+                           GridSpec, SweepConfig, SweepRecord, _peaked_degree,
+                           find_threshold, indist_on_family, l_for_indist,
+                           records_to_csv, records_to_json, run_sweep)
 from islocc.verify import run_verify
 from islocc.werner import WernerFamily, wave_state
 
@@ -173,10 +178,9 @@ class TestRunSweep:
     def test_flagged_row_warning_names_the_caller(self):
         config = SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(1, 1, 1),
                              p_grid=GridSpec(0, 1, 3))
-        for run in (run_sweep, run_bell_region):
-            with pytest.warns(RuntimeWarning, match="detection probability") as caught:
-                run(config)
-            assert [w.filename for w in caught] == [__file__], run.__name__
+        with pytest.warns(RuntimeWarning, match="detection probability") as caught:
+            run_sweep(config)
+        assert [w.filename for w in caught] == [__file__]
 
     @pytest.mark.parametrize("config", [
         # the grid-map and l-scan benchmark configurations; l-scan's grid
@@ -256,7 +260,7 @@ class TestBellRegion:
     def test_full_indistinguishability_always_violates(self):
         config = SweepConfig(statistics=FERMION, target="1_minus",
                              indist_grid=GridSpec(1, 1, 1), p_grid=GridSpec(0, 1, 11))
-        rows = run_bell_region(config)
+        rows = run_sweep(config)
         assert all(row.violated for row in rows)
         assert all(row.bell == pytest.approx(2 * math.sqrt(2), abs=1e-9) for row in rows)
 
@@ -264,13 +268,13 @@ class TestBellRegion:
         config = SweepConfig(statistics=FERMION, target="1_minus",
                              indist_grid=GridSpec(0, 0, 1), p_grid=GridSpec(0, 1, 101))
         boundary = 1 - SQRT_HALF
-        for row in run_bell_region(config):
+        for row in run_sweep(config):
             assert row.violated == int(row.p < boundary)
 
     def test_triplet_target_boundary_at_full_indistinguishability(self):
         config = SweepConfig(statistics=BOSON, target="1_plus",
                              indist_grid=GridSpec(1, 1, 1), p_grid=GridSpec(0, 1, 100))
-        for row in run_bell_region(config):
+        for row in run_sweep(config):
             assert row.violated == int(row.p < 4.0 / 11.0)
 
     def test_flagged_rows_warn(self):
@@ -278,8 +282,84 @@ class TestBellRegion:
         config = SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(1, 1, 1),
                              p_grid=GridSpec(0, 1, 3))
         with pytest.warns(RuntimeWarning, match="detection probability"):
-            rows = run_bell_region(config)
+            rows = run_sweep(config)
         assert [(row.bell, row.violated) for row in rows] == [(0.0, 0)] * 3
+
+
+class TestEncoding:
+    """The exact bytes of both encoders, for both column sets."""
+
+    RECORDS = [
+        SweepRecord(0.0, 1.0, 1e-13, 1 / 3, "fermion", 0.1234567890125, 1.0, 0.0, 1 / 3,
+                    2 * math.sqrt(2)),
+        # B = 2 exactly is not a violation; flagged is not a column
+        SweepRecord(1.0, 1 / 3, 0.0, 2 * math.sqrt(2), "boson", 1e-13, 0.1234567890125,
+                    1e-13, 1.0, 2.0, flagged=True),
+    ]
+
+    def test_csv_bytes(self):
+        assert records_to_csv(self.RECORDS, CSV_FIELDS) == (
+            "p,l,lprime,theta,statistics,indist,concurrence,eof,p_lr,bell\n"
+            "0,1,1e-13,0.333333333333,fermion,0.123456789012,1,0,0.333333333333,"
+            "2.82842712475\n"
+            "1,0.333333333333,0,2.82842712475,boson,1e-13,0.123456789012,1e-13,1,2\n")
+        assert records_to_csv(self.RECORDS, BELL_REGION_FIELDS) == (
+            "p,indist,bell,violated\n"
+            "0,0.123456789012,2.82842712475,1\n"
+            "1,1e-13,2,0\n")
+
+    def test_json_bytes(self):
+        assert records_to_json(self.RECORDS, CSV_FIELDS) == """{
+  "records": [
+    {
+      "p": 0.0,
+      "l": 1.0,
+      "lprime": 1e-13,
+      "theta": 0.333333333333,
+      "statistics": "fermion",
+      "indist": 0.123456789012,
+      "concurrence": 1.0,
+      "eof": 0.0,
+      "p_lr": 0.333333333333,
+      "bell": 2.82842712475
+    },
+    {
+      "p": 1.0,
+      "l": 0.333333333333,
+      "lprime": 0.0,
+      "theta": 2.82842712475,
+      "statistics": "boson",
+      "indist": 1e-13,
+      "concurrence": 0.123456789012,
+      "eof": 1e-13,
+      "p_lr": 1.0,
+      "bell": 2.0
+    }
+  ]
+}
+"""
+        assert records_to_json(self.RECORDS, BELL_REGION_FIELDS) == """{
+  "records": [
+    {
+      "p": 0.0,
+      "indist": 0.123456789012,
+      "bell": 2.82842712475,
+      "violated": 1
+    },
+    {
+      "p": 1.0,
+      "indist": 1e-13,
+      "bell": 2.0,
+      "violated": 0
+    }
+  ]
+}
+"""
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    def test_no_records(self, fields):
+        assert records_to_csv([], fields) == ",".join(fields) + "\n"
+        assert records_to_json([], fields) == '{\n  "records": []\n}\n'
 
 
 class TestThreshold:
@@ -374,6 +454,28 @@ class TestVerify:
         failed = {s.name for s in report.suites if not s.passed}
         assert "closed-forms-vs-pipeline" in failed
 
+    def test_nan_deviation_is_detected(self, monkeypatch):
+        # a NaN deviation must fail the suite, not vanish into max()
+        monkeypatch.setattr("islocc.werner.closed_form_concurrence_minus",
+                            lambda *args, **kwargs: math.nan)
+        report = run_verify()
+        failed = {s.name for s in report.suites if not s.passed}
+        assert failed == {"closed-forms-vs-pipeline"}
+
+    def test_checks_survive_optimized_mode(self):
+        # python -O strips assert statements; the suites' checks must still fail
+        script = ("import sys, islocc.werner\n"
+                  "from islocc import cli\n"
+                  "islocc.werner.closed_form_concurrence_minus = lambda *args, **kwargs: 0.123\n"
+                  "sys.exit(cli.main(['verify']))\n")
+        src = str(Path(islocc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 1, done.stdout + done.stderr
+        assert "[FAIL] closed-forms-vs-pipeline" in done.stdout
+
 
 class TestCli:
     def test_sweep_writes_csv(self, tmp_path, capsys):
@@ -453,7 +555,7 @@ class TestCli:
     @pytest.mark.parametrize("command", ["sweep", "bell-region", "threshold"])
     def test_unwritable_output_exits_2(self, command, tmp_path, capsys, monkeypatch):
         calls = []
-        for runner in ("run_sweep", "run_bell_region", "find_threshold"):
+        for runner in ("run_sweep", "find_threshold"):
             monkeypatch.setattr(f"islocc.cli.{runner}",
                                 lambda *args, name=runner: calls.append(name))
         out = tmp_path / "missing" / "out.txt"
@@ -568,6 +670,17 @@ class TestCli:
         attached = (main([*command, *grid, f"{flag}={value}"]), capsys.readouterr())
         assert separate == attached
         assert separate[0] == code and "Traceback" not in separate[1].err
+
+    @pytest.mark.parametrize("seed, code", [("-1", 2), ("1", 0)])
+    def test_verify_seed(self, seed, code, capsys):
+        assert main(["verify", "--seed", seed]) == code
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err == "config error: verification seed must be non-negative, " \
+                                   "got -1\n"
+            assert captured.out == ""
+        else:
+            assert captured.out.splitlines()[-1] == "10/10 suites passed"
 
     def test_verify_exit_codes(self, monkeypatch, capsys):
         monkeypatch.setattr("islocc.werner.closed_form_concurrence_plus",

@@ -12,7 +12,7 @@ from islocc.entanglement import analyze, concurrence
 from islocc.slocc import (ProjectionUndefinedError, ZeroTraceError, computational_kets,
                           normalize_block, project)
 from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
-                           find_threshold, run_bell_region, run_sweep)
+                           find_threshold, run_sweep)
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
 from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WaveStack, WernerFamily,
                            WernerSpec, _PATTERNS, _bell_overlaps, _check_rows, bell_states,
@@ -463,7 +463,6 @@ class TestXStateRows:
                              indist_grid=GridSpec(0, 1, 41), p_grid=GridSpec(0, 1, 41))
         with np.errstate(all="raise"):
             assert len(run_sweep(config)) == 41 * 41
-            assert len(run_bell_region(config)) == 41 * 41
             for statistics, target in ((FERMION, "1_minus"), (BOSON, "1_plus")):
                 find_threshold(SweepConfig(statistics=statistics, target=target))
 
