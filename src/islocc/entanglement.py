@@ -8,11 +8,12 @@ Horodecki criterion from the spin-correlation matrix, and the closed-form
 X-state expression 2*sqrt(P^2 + Q^2) used by the sweep layer.
 
 :func:`analyze` reports all of them for one matrix.  This eigen path is
-the oracle of the sweep and threshold rows: those are real X states, which
-:class:`~islocc.werner.WernerFamily` analyzes from their four distinct
-entries in closed form, C = 2 max(0, |x| - v, |y| - u) and
-B = 2 sqrt(P^2 + Q^2), with no 4x4 matrix and no eigen solver; it shares
-the elementwise entanglement-of-formation formula.
+the oracle of the sweep and threshold rows: those are real X states with
+rho03 = 0, which :class:`~islocc.werner.WernerFamily` analyzes from their
+three distinct entries u = rho00, v = rho11 and y = rho12 in closed form,
+C = 2 max(0, |y| - u) and B = 2 sqrt(P^2 + Q^2) = 4 sqrt((u - v)^2 + y^2),
+with no 4x4 matrix and no eigen solver; it shares the elementwise
+entanglement-of-formation formula.
 
 For the singlet-type states produced by the noisy-preparation pipeline the
 two CHSH evaluators coincide exactly; for triplet-type X states whose

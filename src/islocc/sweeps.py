@@ -8,8 +8,8 @@ at l = 1, so target degrees are inverted by bisection.
 
 A sweep evaluates every family of the outer grid at every noise
 probability with one :class:`~islocc.werner.WernerFamily`, each row a
-closed-form X state read off four entries, with no 4x4 matrix and no
-eigen solver (the amplitude and eigen path is its oracle in
+closed-form X state read off three entries (rho03 is 0), with no 4x4
+matrix and no eigen solver (the amplitude and eigen path is its oracle in
 :mod:`islocc.verify` and the tests); identical configurations produce
 byte-identical CSV output, and a configuration asking for more than
 ``MAX_SWEEP_ROWS`` rows is rejected before any grid is built.
@@ -22,8 +22,8 @@ write and read each one once, choosing the cell format once per column.
 The threshold search bisects l on the same family directly.  At each step
 the worst noise level comes in closed form from
 :meth:`~islocc.werner.WernerFamily.worst_bell`: the CHSH value of an X
-state is the length of a point moving along straight lines in p, so its
-minimum sits at one of at most six candidate noise levels.
+state is the length of a point moving along a straight line in p, so its
+minimum sits at one of four candidate noise levels.
 """
 
 from __future__ import annotations
@@ -201,19 +201,27 @@ def indist_on_family(l):
     return _peaked_degree(l, r, r, l)
 
 
+def _check_tol(tol: float) -> None:
+    if not math.isfinite(tol):
+        raise ConfigError(f"tolerance must be finite, got {tol!r}")
+
+
 def l_for_indist(target, tol: float = 1e-12):
     """Invert :func:`indist_on_family` on the monotone branch l in [1/sqrt(2), 1],
-    elementwise over an array of degrees."""
+    elementwise over an array of degrees.  A non-finite ``tol`` raises
+    :class:`ConfigError`."""
+    _check_tol(tol)
     target = np.asarray(target, dtype=float)
     if not np.all((0.0 <= target) & (target <= 1.0)):
         raise ConfigError(f"indistinguishability degree must lie in [0, 1], got {target!r}")
-    # each entry bisects on its own interval until that interval is below tol;
-    # the degree falls monotonically from 1 to 0
+    # each entry bisects on its own interval until that interval is below tol
+    # or down to adjacent floats; the degree falls monotonically from 1 to 0
     lo = np.full(target.shape, _SQRT_HALF)
     hi = np.ones(target.shape)
     active = (hi - lo > tol) & (0.0 < target) & (target < 1.0)
     while active.any():
         mid = 0.5 * (lo + hi)
+        active &= (lo < mid) & (mid < hi)
         above = active & (indist_on_family(mid) > target)
         np.copyto(lo, mid, where=above)
         np.copyto(hi, mid, where=active & ~above)
@@ -359,10 +367,12 @@ def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
     l itself is bisected between a violating and a non-violating end until
     the degrees of the two ends differ by at most ``tol``; the violating
     end's degree and l are reported.  Each step takes min_p B in closed form
-    from :meth:`~islocc.werner.WernerFamily.worst_bell` (at most six
-    candidate noise levels evaluated together), so no minimization and no
-    inversion of the degree is iterated.
+    from :meth:`~islocc.werner.WernerFamily.worst_bell` (four candidate
+    noise levels evaluated together), so no minimization and no
+    inversion of the degree is iterated.  A non-finite ``tol`` raises
+    :class:`ConfigError`.
     """
+    _check_tol(tol)
     config.validate()
     if config.constraint != "l_eq_rprime":
         raise ConfigError("threshold search is defined on the l_eq_rprime family")

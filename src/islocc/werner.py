@@ -17,11 +17,14 @@ and the eigen solvers of :mod:`~islocc.entanglement`; it is the oracle of
 the production path.  That path is :class:`WernerFamily`, which evaluates
 a whole stack of families, each over an array of noise levels, in closed
 form: for peaked waves the Bell overlaps with the detection kets and the
-Bell-state norms have closed forms (:func:`_bell_overlaps`), every
-projected row is a real X state whose four distinct entries and global
-trace are affine in p, and its concurrence and CHSH value follow from
-those entries elementwise, with no 4x4 matrix and no eigen solver.  The
-same affinity gives each family's worst noise level for the CHSH value in
+Bell-state norms have closed forms (:func:`_bell_overlaps`).  Neither
+target has weight on up-up or down-down, and the two ``2_`` states enter
+the noise with equal weight, so their rho03 coherences cancel: every
+projected row is a real X state with rho03 = 0, fixed by three entries
+u = rho00 = rho33, v = rho11 = rho22 and y = rho12 that are affine in p,
+as is the global trace.  Its concurrence and CHSH value follow from those
+entries elementwise, with no 4x4 matrix and no eigen solver.  The same
+affinity gives each family's worst noise level for the CHSH value in
 closed form (:meth:`WernerFamily.worst_bell`).
 
 Closed forms for the post-selected concurrence and detection probability
@@ -283,43 +286,27 @@ class WaveStack(NamedTuple):
         return cls(l, np.sqrt(np.maximum(0.0, 1.0 - l * l)), theta)
 
 
-#: Spin patterns of the four Bell states' overlaps with the detection kets
-#: |L s, R s'> (TARGETS order; spins ordered as in spin_configurations).
-_PATTERNS = np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]], dtype=float)
-
-#: What each Bell state's outer product P_b P_b^T puts into the four distinct
-#: entries (u, v, x, y) = (rho00 = rho33, rho11 = rho22, rho03, rho12) of an
-#: X-shaped two-qubit block, per unit |c_b|^2 (TARGETS order).
-_X_ENTRIES = np.stack([_PATTERNS[:, 0] ** 2, _PATTERNS[:, 1] ** 2,
-                       _PATTERNS[:, 0] * _PATTERNS[:, 3], _PATTERNS[:, 1] * _PATTERNS[:, 2]],
-                      axis=1)
-
-#: Sign s_b of the exchange term in each Bell state's norm (TARGETS order).
-_NORM_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
-
-
-def _bell_overlaps(psi1, psi2, eta) -> tuple[np.ndarray, np.ndarray]:
+def _bell_overlaps(psi1, psi2, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed forms of what :func:`bell_states` gives through the amplitude
     engine, for n families of peaked waves (``eta`` the exchange sign).
 
-    With D = l1 r2 e^{i theta2} and X = eta l2 r1 e^{i theta1}, the overlap
-    of Bell state b with the detection kets is c_b times its row of
-    ``_PATTERNS``, with c = (a, b, a, a) for 1_plus, 1_minus, 2_plus,
-    2_minus, a = (D + X)/sqrt(2) and b = (D - X)/sqrt(2).  Its squared norm
-    splits by detection sector: T_b = 2|c_b|^2 (one particle per region)
-    + (1 + eta s_b)(l1^2 l2^2 + r1^2 r2^2) (both in L or both in R), with
-    s_b = -1 for 1_minus and +1 for the others; this is 1 + eta s_b
-    |<psi1|psi2>|^2 without its cancellation.  Returns c and the
-    double-occupancy terms, both of shape (n, 4).
+    With D = l1 r2 e^{i theta2} and X = eta l2 r1 e^{i theta1}, let
+    a = (D + X)/sqrt(2) and b = (D - X)/sqrt(2).  The overlaps of the Bell
+    states with the detection kets |L s, R s'> (up-up, up-down, down-up,
+    down-down) are a (0, 1, 1, 0) for 1_plus, b (0, 1, -1, 0) for 1_minus
+    and a (1, 0, 0, +-1) for 2_plus and 2_minus.  A squared norm splits by
+    detection sector: 2|c|^2 (one particle per region, c = a or b) plus
+    (1 + eta s)(l1^2 l2^2 + r1^2 r2^2) (both in L or both in R), with
+    s = -1 for 1_minus and +1 for the others; this is 1 + eta s
+    |<psi1|psi2>|^2 without its cancellation.  Returns a, b and
+    ``same_region`` = l1^2 l2^2 + r1^2 r2^2, one entry per family.
     """
     a1 = psi1.r * np.exp(1j * psi1.theta)
     a2 = psi2.r * np.exp(1j * psi2.theta)
     d = psi1.l * a2
     x = eta * psi2.l * a1
-    a, b = (d + x) * _SQRT_HALF, (d - x) * _SQRT_HALF
     same_region = psi1.l ** 2 * psi2.l ** 2 + psi1.r ** 2 * psi2.r ** 2
-    double = (1.0 + _NORM_SIGNS * eta[:, None]) * same_region[:, None]
-    return np.stack([a, b, a, a], axis=-1), double
+    return (d + x) * _SQRT_HALF, (d - x) * _SQRT_HALF, same_region
 
 
 @dataclass(frozen=True)
@@ -327,15 +314,14 @@ class XStateRows:
     """Post-selected X states and their diagnostics, one array entry per
     row (family x noise level).
 
-    ``u, v, x, y`` are the entries rho00 = rho33, rho11 = rho22, rho03 and
-    rho12 of each real, X-shaped, unit-trace matrix.  Rows whose input has
-    zero global trace (``zero_trace``) or whose detection weight vanishes
-    (``undefined``) read 0 in every field.
+    ``u, v, y`` are the entries rho00 = rho33, rho11 = rho22 and rho12 of
+    each real, X-shaped, unit-trace matrix; its rho03 is 0.  Rows whose
+    input has zero global trace (``zero_trace``) or whose detection weight
+    vanishes (``undefined``) read 0 in every field.
     """
 
     u: np.ndarray
     v: np.ndarray
-    x: np.ndarray
     y: np.ndarray
     probability: np.ndarray
     zero_trace: np.ndarray
@@ -350,11 +336,11 @@ class XStateRows:
 
     def matrices(self) -> np.ndarray:
         """The rows as an (n, 4, 4) stack of complex density matrices, in
-        the layout of :class:`~islocc.slocc.ProjectedDensityMatrix`."""
+        the layout of :class:`~islocc.slocc.ProjectedDensityMatrix`, with
+        rho03 = rho30 = 0."""
         m = np.zeros((len(self.u), 4, 4), dtype=complex)
         m[:, 0, 0] = m[:, 3, 3] = self.u
         m[:, 1, 1] = m[:, 2, 2] = self.v
-        m[:, 0, 3] = m[:, 3, 0] = self.x
         m[:, 1, 2] = m[:, 2, 1] = self.y
         return m
 
@@ -366,13 +352,15 @@ class WernerFamily:
     ``psi1`` and ``psi2`` are :class:`~islocc.states.SpatialWave` objects
     (one family) or :class:`WaveStack` arrays (one family per entry);
     ``target`` and ``statistics`` are one value for every family or one per
-    family.  The constructor takes the Bell overlaps c_b with the detection
-    kets and the Bell-state norms in closed form (:func:`_bell_overlaps`;
-    the amplitude path of :func:`project_werner` is its oracle).  The
-    projected block of each Bell state is real and X-shaped, so each family
-    keeps two sets of the four entries W u, W v, W x, W y (``_X_ENTRIES``):
-    the target's and the sum over all four Bell states, and the same split
-    of the double-occupancy part of the global trace.  :meth:`evaluate`
+    family.  The constructor takes the Bell overlap amplitudes a, b and the
+    Bell-state norms in closed form (:func:`_bell_overlaps`; the amplitude
+    path of :func:`project_werner` is its oracle).  Every projected row is
+    a real X state with rho03 = 0, so each family keeps the target's raw
+    entries (W v, W y) = (T, tau T), with T = |a|^2 and tau = +1 for
+    1_plus, T = |b|^2 and tau = -1 for 1_minus (its W u is 0); the noise
+    sum's (W u, W v, W y) = (2|a|^2, |a|^2 + |b|^2, |a|^2 - |b|^2); and
+    the double-occupancy parts of both global traces, (1 + tau eta) S and
+    (4 + 2 eta) S with S = l1^2 l2^2 + r1^2 r2^2.  :meth:`evaluate`
     combines them as (1-p) target + (p/4) sum for an array of noise
     probabilities and normalizes, checks and analyzes every row
     elementwise.  It agrees with :func:`project_werner` followed by
@@ -385,18 +373,18 @@ class WernerFamily:
             _check_target(name)
         stats = ((statistics,) if isinstance(statistics, ParticleStatistics)
                  else tuple(statistics))
-        l1, r1, t1, l2, r2, t2, eta, index = np.broadcast_arrays(
+        l1, r1, t1, l2, r2, t2, eta, tau = np.broadcast_arrays(
             *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (
                 psi1.l, psi1.r, psi1.theta, psi2.l, psi2.r, psi2.theta,
-                [s.eta for s in stats])),
-            np.array([TARGETS.index(name) for name in targets]))
-        c, double = _bell_overlaps(WaveStack(l1, r1, t1), WaveStack(l2, r2, t2), eta)
-        weights = c.real ** 2 + c.imag ** 2  # |c_b|^2
-        family = np.arange(len(eta))
-        self._target = weights[family, index, None] * _X_ENTRIES[index]
-        self._noise = weights @ _X_ENTRIES
-        self._target_double = double[family, index]
-        self._noise_double = double.sum(axis=1)
+                [s.eta for s in stats],
+                [1.0 if name == "1_plus" else -1.0 for name in targets])))
+        a, b, same_region = _bell_overlaps(WaveStack(l1, r1, t1), WaveStack(l2, r2, t2), eta)
+        a2, b2 = a.real ** 2 + a.imag ** 2, b.real ** 2 + b.imag ** 2
+        t = np.where(tau > 0.0, a2, b2)
+        self._target = (t, tau * t)  # (W v, W y)
+        self._noise = (2.0 * a2, a2 + b2, a2 - b2)  # (W u, W v, W y)
+        self._target_double = (1.0 + tau * eta) * same_region
+        self._noise_double = (4.0 + 2.0 * eta) * same_region
 
     def evaluate(self, p: np.ndarray) -> XStateRows:
         """Projected states and their diagnostics for each family and noise
@@ -415,31 +403,29 @@ class WernerFamily:
         """Noise probability p* in [0, 1] minimizing each family's CHSH value,
         and that value B*, as two arrays with one entry per family.
 
-        The raw entries W (u, v, x, y)(p) = E + p (N/4 - E) of every row are
+        The raw entries W (u, v, y)(p) = E + p (N/4 - E) of every row are
         affine in p, and so are the contrast a = 2 W (u - v), the detection
-        weight w = 2 W (u + v) and W x, W y.  Between the sign changes
-        (kinks) of W x and W y, w Q = 2(|W x| + |W y|) is an affine b(p) as
-        well, so (P, Q) = (a, b)/w runs along a straight line and
-        B = 2|(P, Q)| is smallest at an end of the piece or at the foot of
-        the perpendicular from the origin, where (a a' + b b') w =
-        (a^2 + b^2) w': linear in p, the p^2 terms cancel (b and -b share
-        the foot, so two sign choices of b suffice).  The candidates p = 0,
-        1, the kinks and the feet that fall in [0, 1] go through the checked
-        path of :meth:`evaluate` together, and the smallest CHSH value wins.
-        A zero weight can only sit at p = 0 or 1 (w is affine and >= 0);
-        such rows read B = 0, as in :meth:`evaluate`.
+        weight w = 2 W (u + v) and b = 2 W y.  So (a, b)/w runs along a
+        straight line, and B = 2|(a, b)|/w (reflecting b at the root of y
+        leaves it unchanged) is smallest at p = 0, at p = 1 or at the foot
+        of the perpendicular from the origin, where (a a' + b b') w =
+        (a^2 + b^2) w': linear in p, the p^2 terms cancel.  The root of y
+        is a candidate too: where the minimum sits there, it can give B to
+        the last bit when the foot rounds above it.  The candidates that
+        fall in [0, 1] go through the checked path of :meth:`evaluate`
+        together, and the smallest CHSH value wins.  A zero weight can only
+        sit at p = 0 or 1 (w is affine and >= 0); such rows read B = 0, as
+        in :meth:`evaluate`.
         """
-        u0, v0, x0, y0 = self._target.T
-        u1, v1, x1, y1 = (self._noise / 4.0 - self._target).T
-        a0, w0, a1, w1 = 2.0 * (u0 - v0), 2.0 * (u0 + v0), 2.0 * (u1 - v1), 2.0 * (u1 + v1)
-        candidates = [np.zeros_like(w0), np.ones_like(w0),
-                      _root_in_unit(x0, x1), _root_in_unit(y0, y1)]
-        for sign in (1.0, -1.0):
-            b0, b1 = 2.0 * (x0 + sign * y0), 2.0 * (x1 + sign * y1)
-            g0, g1 = a0 * a1 + b0 * b1, a1 * a1 + b1 * b1
-            candidates.append(_root_in_unit(g0 * w0 - w1 * (a0 * a0 + b0 * b0),
-                                            g1 * w0 - g0 * w1))
-        p = np.stack(candidates, axis=1)
+        v0, y0 = self._target
+        noise_u, noise_v, noise_y = self._noise
+        u1, v1, y1 = noise_u / 4.0, noise_v / 4.0 - v0, noise_y / 4.0 - y0
+        w0, a1, w1 = 2.0 * v0, 2.0 * (u1 - v1), 2.0 * (u1 + v1)
+        a0, b0, b1 = -w0, 2.0 * y0, 2.0 * y1  # the target's W u is 0
+        g0, g1 = a0 * a1 + b0 * b1, a1 * a1 + b1 * b1
+        p = np.stack([np.zeros_like(w0), np.ones_like(w0), _root_in_unit(y0, y1),
+                      _root_in_unit(g0 * w0 - w1 * (a0 * a0 + b0 * b0), g1 * w0 - g0 * w1)],
+                     axis=1)
         bell = self._evaluate(p).bell.reshape(p.shape)
         best = (np.arange(len(p)), np.argmin(bell, axis=1))
         return p[best], bell[best]
@@ -447,10 +433,13 @@ class WernerFamily:
     def _evaluate(self, p: np.ndarray) -> XStateRows:
         """Rows of every family at its noise levels: ``p`` is one array of
         levels for all families or one row of levels per family."""
-        shape = (len(self._target), p.shape[-1])
+        shape = (len(self._noise_double), p.shape[-1])
         keep, noise = np.broadcast_to(1.0 - p, shape), np.broadcast_to(p / 4.0, shape)
-        wu, wv, wx, wy = (keep * target[:, None] + noise * total[:, None]
-                          for target, total in zip(self._target.T, self._noise.T))
+        target_v, target_y = (entry[:, None] for entry in self._target)
+        noise_u, noise_v, noise_y = (entry[:, None] for entry in self._noise)
+        wu = noise * noise_u
+        wv = keep * target_v + noise * noise_v
+        wy = keep * target_y + noise * noise_y
         weight = 2.0 * (wu + wv)
         # the same float weight plus the double-occupancy terms (>= 0), so
         # weight / global_trace <= 1 holds in floating point
@@ -459,27 +448,24 @@ class WernerFamily:
         zero_trace = ~(global_trace > _ZERO_TRACE_ATOL)
         undefined = ~zero_trace & ~(weight > _UNDEFINED_RTOL * np.maximum(global_trace, 1.0))
         ok = ~(zero_trace | undefined)
-        u, v, x, y = (np.divide(entry, weight, out=np.zeros(shape), where=ok)
-                      for entry in (wu, wv, wx, wy))
+        u, v, y = (np.divide(entry, weight, out=np.zeros(shape), where=ok)
+                   for entry in (wu, wv, wy))
         probability = np.divide(weight, global_trace, out=np.zeros(shape), where=ok)
-        _check_rows(ok, u, v, x, y, probability)
-        concurrence = np.clip(2.0 * np.maximum(np.abs(x) - v, np.abs(y) - u), 0.0, 1.0)
-        bell_p = 2.0 * (u - v)
-        bell_q = 2.0 * (np.abs(x) + np.abs(y))
-        bell = 2.0 * np.sqrt(bell_p * bell_p + bell_q * bell_q)
+        _check_rows(ok, u, v, y, probability)
+        concurrence = np.clip(2.0 * (np.abs(y) - u), 0.0, 1.0)
+        bell = 4.0 * np.sqrt((u - v) ** 2 + y * y)
         return XStateRows(*(a.ravel() for a in (
-            u, v, x, y, probability, zero_trace, undefined, concurrence, _eof(concurrence),
-            bell)))
+            u, v, y, probability, zero_trace, undefined, concurrence, _eof(concurrence), bell)))
 
 
-def _check_rows(ok, u, v, x, y, probability) -> None:
+def _check_rows(ok, u, v, y, probability) -> None:
     """Raise ``ValueError`` unless every row in ``ok`` is of unit trace and
-    positive semidefinite (its eigenvalues are u +- x and v +- y) and its
+    positive semidefinite (its eigenvalues are u, u and v +- y) and its
     detection probability lies in [0, 1]: the tests of
     :func:`~islocc.slocc.check_density_matrix`, written so that NaN fails."""
     if not np.all(~ok | (np.abs(2.0 * (u + v) - 1.0) <= _HERM_ATOL)):
         raise ValueError("projected row trace != 1")
-    if not np.all(~ok | ((u >= np.abs(x) - _EIG_ATOL) & (v >= np.abs(y) - _EIG_ATOL))):
+    if not np.all(~ok | ((u >= -_EIG_ATOL) & (v >= np.abs(y) - _EIG_ATOL))):
         raise ValueError("projected row has a significantly negative eigenvalue")
     in_unit = (probability >= 0.0) & (probability <= 1.0)
     if not np.all(~ok | in_unit):

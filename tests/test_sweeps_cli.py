@@ -28,6 +28,13 @@ from islocc.werner import WernerFamily, wave_state
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
+def _child_env() -> dict[str, str]:
+    """The environment of a child Python that imports this checkout's islocc."""
+    src = str(Path(islocc.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
 class TestGridSpec:
     def test_parse(self):
         grid = GridSpec.parse("0:1:5")
@@ -105,6 +112,18 @@ class TestIndistInversion:
         targets = np.linspace(0.0, 1.0, 41)
         ls = l_for_indist(targets)
         assert ls.tolist() == [l_for_indist(float(t)) for t in targets]
+
+    def test_non_positive_tolerance_stops_at_adjacent_floats(self):
+        # a bracket of two adjacent floats is never narrower than tol <= 0;
+        # the inversion runs in a child process, so a hang fails the test
+        script = ("from islocc.sweeps import l_for_indist\n"
+                  "print(*(repr(float(l_for_indist(0.5, tol=t))) for t in (0.0, -1.0)))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        zero, negative = map(float, done.stdout.split())
+        assert zero == negative == pytest.approx(float(l_for_indist(0.5)), abs=1e-12)
+        assert indist_on_family(zero) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestRunSweep:
@@ -410,6 +429,15 @@ class TestThreshold:
                              SpatialWave.from_l(math.sqrt(1 - l_below ** 2)), FERMION)
         assert below.worst_bell()[1][0] <= 2.0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # a NaN tol would end both bisections at once: l_for_indist(0.5)
+        # would read 0.853553 and the threshold search report degree 1
+        with pytest.raises(ConfigError, match="tolerance"):
+            l_for_indist(0.5, tol=tol)
+        with pytest.raises(ConfigError, match="tolerance"):
+            find_threshold(SweepConfig(statistics=FERMION, target="1_minus"), tol=tol)
+
     def test_zero_tolerance_stops_at_float_resolution(self):
         # the degree bracket never reaches 0: the search stops once the l
         # bracket is down to adjacent floats
@@ -468,10 +496,7 @@ class TestVerify:
                   "from islocc import cli\n"
                   "islocc.werner.closed_form_concurrence_minus = lambda *args, **kwargs: 0.123\n"
                   "sys.exit(cli.main(['verify']))\n")
-        src = str(Path(islocc.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 1, done.stdout + done.stderr
         assert "[FAIL] closed-forms-vs-pipeline" in done.stdout

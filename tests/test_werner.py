@@ -15,7 +15,7 @@ from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
                            find_threshold, run_sweep)
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
 from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WaveStack, WernerFamily,
-                           WernerSpec, _PATTERNS, _bell_overlaps, _check_rows, bell_states,
+                           WernerSpec, _bell_overlaps, _check_rows, bell_states,
                            canonical_theta,
                            closed_form_concurrence_minus,
                            closed_form_concurrence_plus,
@@ -31,6 +31,23 @@ def x_block(u, v, x, y) -> np.ndarray:
     """The real X-shaped 4x4 block with diagonal (u, v, v, u) and
     anti-diagonal entries x = m03 = m30, y = m12 = m21."""
     return np.array([[u, 0, 0, x], [0, v, y, 0], [0, y, v, 0], [x, 0, 0, u]], dtype=float)
+
+
+#: Spin patterns of the four Bell states' overlaps with the detection kets
+#: |L s, R s'> (TARGETS order; spins up-up, up-down, down-up, down-down),
+#: and the sign s_b of the exchange term in each Bell state's norm.
+PATTERNS = np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]], dtype=float)
+NORM_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
+
+
+def bell_table(psi1, psi2, eta):
+    """Every Bell state's overlap amplitude c_b (its overlaps with the
+    detection kets are c_b PATTERNS[b]) and the double-occupancy part
+    (1 + eta s_b) S of its norm, both (n, 4) in TARGETS order, from the
+    closed forms of ``_bell_overlaps``."""
+    a, b, same_region = _bell_overlaps(psi1, psi2, eta)
+    double = (1.0 + NORM_SIGNS * eta[:, None]) * same_region[:, None]
+    return np.stack([a, b, a, a], axis=-1), double
 
 
 class TestBellStates:
@@ -235,8 +252,8 @@ class TestClosedFormBellOverlaps:
         l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
         theta1, theta2 = rng.uniform(0, 2 * math.pi, n), rng.uniform(0, 2 * math.pi, n)
         psi1, psi2 = WaveStack.from_l(l1, theta1), WaveStack.from_l(l2, theta2)
-        c, double = _bell_overlaps(psi1, psi2, np.full(n, float(statistics.eta)))
-        overlaps = c[:, :, None] * _PATTERNS
+        c, double = bell_table(psi1, psi2, np.full(n, float(statistics.eta)))
+        overlaps = c[:, :, None] * PATTERNS
         norms = 2.0 * np.abs(c) ** 2 + double  # one per region + both in one region
         kets = computational_kets(LR_BASIS, ("L", "R"), statistics)
         for f in range(n):
@@ -263,11 +280,16 @@ class TestClosedFormBellOverlaps:
                   for name, s in bells.items()}
             target_block = np.outer(vs[target], vs[target].conj())
             noise_block = sum(np.outer(v, v.conj()) for v in vs.values())
-            assert np.max(np.abs(x_block(*family._target[f]) - target_block)) <= 1e-12
-            assert np.max(np.abs(x_block(*family._noise[f]) - noise_block)) <= 1e-12
-            assert abs(np.trace(x_block(*family._target[f])) + family._target_double[f]
+            # the target's W u and both W x are 0: the full blocks, rho00
+            # and rho03 included, are built from the kept entries
+            tv, ty = (entry[f] for entry in family._target)
+            nu, nv, ny = (entry[f] for entry in family._noise)
+            target_x, noise_x = x_block(0.0, tv, 0.0, ty), x_block(nu, nv, 0.0, ny)
+            assert np.max(np.abs(target_x - target_block)) <= 1e-12
+            assert np.max(np.abs(noise_x - noise_block)) <= 1e-12
+            assert abs(np.trace(target_x) + family._target_double[f]
                        - pure_norm_sq(bells[target])) <= 1e-12
-            assert abs(np.trace(x_block(*family._noise[f])) + family._noise_double[f]
+            assert abs(np.trace(noise_x) + family._noise_double[f]
                        - sum(pure_norm_sq(s) for s in bells.values())) <= 1e-12
 
 
@@ -310,8 +332,8 @@ def eigen_oracle(targets, l1, l2, theta, stats, ps):
     the closed norms, then ``normalize_block`` and ``analyze`` row by row.
     Rows that raise read 0 in every field, as in ``XStateRows``."""
     eta = np.array([s.eta for s in stats], dtype=float)
-    c, double = _bell_overlaps(WaveStack.from_l(l1), WaveStack.from_l(l2, theta), eta)
-    v = c[:, :, None] * _PATTERNS                      # (n, 4 Bell, 4 kets)
+    c, double = bell_table(WaveStack.from_l(l1), WaveStack.from_l(l2, theta), eta)
+    v = c[:, :, None] * PATTERNS                       # (n, 4 Bell, 4 kets)
     blocks = v[:, :, :, None] * v[:, :, None, :].conj()
     norms = 2.0 * np.abs(c) ** 2 + double
     t = np.array([TARGETS.index(name) for name in targets])
@@ -384,8 +406,8 @@ class TestXStateRows:
         assert np.max(np.abs(rows.concurrence - oracle.concurrence)) <= 1e-9
         assert np.max(np.abs(rows.eof - oracle.eof)) <= 1e-9
         assert np.max(np.abs(rows.bell - oracle.bell)) <= 1e-12
-        # the PSD test reads the eigenvalues u +- x, v +- y directly
-        smallest = np.minimum(rows.u - np.abs(rows.x), rows.v - np.abs(rows.y))
+        # the PSD test reads the eigenvalues u, u, v +- y directly
+        smallest = np.minimum(rows.u, rows.v - np.abs(rows.y))
         np.testing.assert_allclose(smallest, np.linalg.eigvalsh(matrices)[:, 0], atol=1e-15)
         assert np.all(rows.probability <= 1.0)
 
@@ -396,14 +418,14 @@ class TestXStateRows:
         # ~1e-20.  The eigen solver gets every eigenvalue to ~4e-16, but the
         # square roots in C = sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4) turn
         # that into ~4e-9 in the oracle's C; the X rows give the spectrum
-        # (u +- |x|)^2, (v +- |y|)^2 and C = 2 max(0, |x| - v, |y| - u) directly
+        # u^2, u^2, (v +- |y|)^2 and C = 2 max(0, |y| - u) directly
         ps = np.linspace(0.0, 1.0, 11)
         lp = math.sqrt(1 - 0.7071 ** 2)
         rows = WernerFamily("1_plus", SpatialWave.from_l(0.7071),
                             SpatialWave.from_l(lp, theta), statistics).evaluate(ps)
         oracle = eigen_oracle(["1_plus"], np.array([0.7071]), np.array([lp]),
                               np.array([theta]), [statistics], ps)
-        spectrum = np.stack([(rows.u + np.abs(rows.x)) ** 2, (rows.u - np.abs(rows.x)) ** 2,
+        spectrum = np.stack([rows.u ** 2, rows.u ** 2,
                              (rows.v + np.abs(rows.y)) ** 2, (rows.v - np.abs(rows.y)) ** 2], 1)
         assert np.min(rows.u[1:]) < 1e-9
         assert np.max(np.abs(-np.sort(-spectrum, axis=1) - oracle.lambdas)) <= 1e-15
@@ -433,21 +455,21 @@ class TestXStateRows:
             == {(len(l1) * 7,)}
 
     @pytest.mark.parametrize("row, match", [
-        ((0.3, 0.3, 0.0, 0.0, 0.5), "trace"),
-        ((0.1, 0.4, 0.2, 0.0, 0.5), "negative eigenvalue"),
-        ((0.1, 0.4, 0.0, -0.45, 0.5), "negative eigenvalue"),
-        ((math.nan, 0.5, 0.0, 0.0, 0.5), "trace"),
-        ((0.25, 0.25, 0.0, math.nan, 0.5), "negative eigenvalue"),
-        ((0.25, 0.25, 0.0, 0.0, 1.0 + 2.3e-16), "probability"),
-        ((0.25, 0.25, 0.0, 0.0, -1e-300), "probability"),
-        ((0.25, 0.25, 0.0, 0.0, math.nan), "probability"),
+        ((0.3, 0.3, 0.0, 0.5), "trace"),
+        ((-0.1, 0.6, 0.0, 0.5), "negative eigenvalue"),
+        ((0.1, 0.4, -0.45, 0.5), "negative eigenvalue"),
+        ((math.nan, 0.5, 0.0, 0.5), "trace"),
+        ((0.25, 0.25, math.nan, 0.5), "negative eigenvalue"),
+        ((0.25, 0.25, 0.0, 1.0 + 2.3e-16), "probability"),
+        ((0.25, 0.25, 0.0, -1e-300), "probability"),
+        ((0.25, 0.25, 0.0, math.nan), "probability"),
     ])
     def test_row_checks_reject_non_states(self, row, match):
-        u, v, x, y, probability = (np.array([value, 0.0]) for value in row)
+        u, v, y, probability = (np.array([value, 0.0]) for value in row)
         with pytest.raises(ValueError, match=match):
-            _check_rows(np.array([True, False]), u, v, x, y, probability)
+            _check_rows(np.array([True, False]), u, v, y, probability)
         # rows outside the mask (zeroed: zero trace or undefined) are not checked
-        _check_rows(np.array([False, False]), u, v, x, y, probability)
+        _check_rows(np.array([False, False]), u, v, y, probability)
 
     def test_production_path_calls_no_eigen_solver(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -509,7 +531,7 @@ class TestWorstBell:
 
     DENSE = np.linspace(0.0, 1.0, 2001)
 
-    def test_random_families_match_or_beat_both_searches(self, rng):
+    def test_random_families_match_or_beat_both_searches(self, rng, monkeypatch):
         n = 200
         l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
         theta = rng.uniform(0, 2 * math.pi, n)
@@ -518,8 +540,18 @@ class TestWorstBell:
         assert {*targets} == {"1_minus", "1_plus"} and {*stats} == {BOSON, FERMION}
         family = WernerFamily(targets, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
                               stats)
-        with np.errstate(all="raise"):
+        evaluate, levels = WernerFamily._evaluate, []
+
+        def counting(self, p):
+            levels.append(p.shape)
+            return evaluate(self, p)
+
+        with monkeypatch.context() as patch, np.errstate(all="raise"):
+            patch.setattr(WernerFamily, "_evaluate", counting)
             worst_p, worst = family.worst_bell()
+        # one pass over p = 0, p = 1, the root of y and the foot of the
+        # perpendicular for every family
+        assert levels == [(n, 4)]
         dense = family.evaluate(self.DENSE).bell.reshape(n, -1).min(axis=1)
         assert worst_p.shape == worst.shape == (n,)
         assert np.all((0.0 <= worst_p) & (worst_p <= 1.0))
