@@ -9,14 +9,14 @@ import math
 
 import numpy as np
 
-from islocc import (ModeBasis, PeakedParams, SingleParticleState, UP,
-                    degree_n, degree_two, make_peaked)
+from islocc import (ModeBasis, SingleParticleState, SpatialWave, UP, degree_n,
+                    degree_two, make_peaked)
 
 LR = ModeBasis(("L", "R"))
 
 
 def peaked(l, theta=0.0):
-    return make_peaked(PeakedParams(l, math.sqrt(max(0.0, 1 - l * l)), theta, UP), LR)
+    return make_peaked(SpatialWave.from_l(l, theta), UP, LR)
 
 
 print("=== two particles, two regions ===")

@@ -13,8 +13,8 @@ noisy Werner preparation with closed-form X-state rows
 against an independent computation (:mod:`islocc.verify`).
 """
 
-from .states import (DOWN, UP, ModeBasis, PeakedParams, SingleParticleState,
-                     SpatialWave, Spin, inner, make_peaked)
+from .states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave, Spin,
+                     inner, make_peaked)
 from .amplitudes import (BOSON, FERMION, ElementaryKet, ParticleStatistics,
                          PermutationCapExceeded, amplitude, amplitude_fast,
                          amplitude_permsum, overlap_matrix, permanent_ryser)
@@ -35,7 +35,7 @@ from .werner import (LR_BASIS, KrausSet, WernerSpec, bell_states,
                      closed_form_probability_minus,
                      closed_form_probability_plus, depolarize_then_deform,
                      depolarizing_kraus, project_werner, spec_from_l,
-                     wave_state, werner_direct)
+                     werner_direct)
 from .sweeps import (ConfigError, GridSpec, SweepConfig, SweepRecord,
                      ThresholdResult, find_threshold, indist_on_family,
                      l_for_indist, records_to_csv, records_to_json, run_sweep)

@@ -2,10 +2,12 @@
 
 Everything here acts on 4x4 density matrices in the fixed computational
 order (up,up), (up,down), (down,up), (down,down): Wootters concurrence
-from the spin-flipped product rho * rho~, the entanglement of formation
-through the binary entropy, and two CHSH evaluators — the unrestricted
-Horodecki criterion from the spin-correlation matrix, and the closed-form
-X-state expression 2*sqrt(P^2 + Q^2) used by the sweep layer.
+from the spectrum of rho * rho~, read as the squared singular values of
+tau = Psi^T (sigma_y x sigma_y) Psi with rho = Psi Psi^+ from a Hermitian
+eigendecomposition, the entanglement of formation through the binary
+entropy, and two CHSH evaluators — the unrestricted Horodecki criterion
+from the spin-correlation matrix, and the closed-form X-state expression
+2*sqrt(P^2 + Q^2) used by the sweep layer.
 
 :func:`analyze` reports all of them for one matrix.  This eigen path is
 the oracle of the sweep and threshold rows: those are real X states with
@@ -29,7 +31,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .slocc import ProjectedDensityMatrix
+from .slocc import _HERM_ATOL, ProjectedDensityMatrix
 
 __all__ = [
     "SIGMA_X",
@@ -58,7 +60,6 @@ _FLIP = np.kron(SIGMA_Y, SIGMA_Y)
 #: Entries an X-shaped two-qubit matrix may carry: diagonal and anti-diagonal.
 _X_SHAPE = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
 
-_IMAG_TOL = 1e-8
 _X_ATOL = 1e-10
 
 MatrixLike = Union[np.ndarray, ProjectedDensityMatrix]
@@ -74,6 +75,9 @@ def _as_matrix(rho: MatrixLike) -> np.ndarray:
     m = np.asarray(rho, dtype=complex)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit matrix, got shape {m.shape}")
+    # the Wootters spectrum reads one triangle of the matrix (eigh)
+    if not np.max(np.abs(m - m.conj().T)) <= _HERM_ATOL:
+        raise ValueError("expected a Hermitian matrix")
     return m
 
 
@@ -82,20 +86,18 @@ def spin_flip(rho: MatrixLike) -> np.ndarray:
     return _FLIP @ _as_matrix(rho).conj() @ _FLIP
 
 
-def _sqrtm_psd(m: np.ndarray) -> np.ndarray:
+def _lambdas(m: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of rho * rho~, as sigma^2 with sigma the
+    singular values of tau = Psi^T (sigma_y x sigma_y) Psi, where
+    rho = Psi Psi^+ with the columns of Psi the eigenvectors of rho scaled
+    by the square roots of its (clamped) eigenvalues (Wootters, PRL 80,
+    2245, 1998).  Unlike the eigenvalues of the non-Hermitian product, sigma
+    is accurate to rounding of the largest one even where rho is nearly
+    pure."""
     vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def _lambdas(m: np.ndarray, imag_tol: float) -> np.ndarray:
-    """Descending, clamped eigenvalues of rho * rho~."""
-    flipped = spin_flip(m)
-    vals = np.linalg.eigvals(m @ flipped)
-    if np.max(np.abs(vals.imag)) > imag_tol:
-        root = _sqrtm_psd(m)
-        vals = np.linalg.eigvalsh(root @ flipped @ root)
-    return np.sort(np.clip(vals.real, 0.0, None))[::-1]
+    psi = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    sigma = np.linalg.svd(psi.T @ _FLIP @ psi, compute_uv=False)
+    return sigma * sigma
 
 
 def _concurrence(lambdas: np.ndarray) -> np.ndarray:
@@ -122,15 +124,14 @@ def _xstate(m: np.ndarray) -> tuple[float, float, float, float]:
     return 2.0 * math.sqrt(p * p + q * q), p, q, off_x
 
 
-def wootters_lambdas(rho: MatrixLike, imag_tol: float = _IMAG_TOL) -> np.ndarray:
-    """Eigenvalues of rho * rho~ sorted descending, clamped to >= 0.
+def wootters_lambdas(rho: MatrixLike) -> np.ndarray:
+    """Eigenvalues of rho * rho~ sorted descending, all >= 0.
 
-    The product is non-Hermitian but has real non-negative spectrum; a
-    general solver is used first and the Hermitian form
-    sqrt(rho) rho~ sqrt(rho) serves as fallback if residual imaginary
-    parts exceed ``imag_tol``.
+    The product is non-Hermitian, so they are taken as the squared
+    singular values of tau = Psi^T (sigma_y x sigma_y) Psi, with
+    rho = Psi Psi^+ from a Hermitian eigendecomposition of rho.
     """
-    return _lambdas(_as_matrix(rho), imag_tol)
+    return _lambdas(_as_matrix(rho))
 
 
 def concurrence(rho: MatrixLike) -> float:
@@ -210,7 +211,7 @@ def analyze(rho: MatrixLike) -> EntanglementReport:
     ``bell_p``/``bell_q`` set to NaN in that case.
     """
     m = _as_matrix(rho)
-    lambdas = _lambdas(m, _IMAG_TOL)
+    lambdas = _lambdas(m)
     c = float(_concurrence(lambdas))
     bell, bell_p, bell_q, off_x = _xstate(m)
     if not off_x <= _X_ATOL:

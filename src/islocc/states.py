@@ -7,8 +7,10 @@ regions,
 
     |psi> = l |L> + r e^{i theta} |R>,      l, r >= 0,  l^2 + r^2 = 1,
 
-tensored with a two-level pseudospin.  All objects are immutable and all
-operations are pure, so they are safe to evaluate concurrently.
+tensored with a two-level pseudospin: :class:`SpatialWave` holds
+(l, r, theta) and :func:`make_peaked` puts a spin on it.  All objects are
+immutable and all operations are pure, so they are safe to evaluate
+concurrently.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ __all__ = [
     "ModeBasis",
     "SingleParticleState",
     "SpatialWave",
-    "PeakedParams",
     "make_peaked",
     "inner",
     "NORM_ATOL",
@@ -183,26 +184,9 @@ class SpatialWave:
         return self.r * cmath.exp(1j * self.theta)
 
 
-@dataclass(frozen=True)
-class PeakedParams:
-    """Parameters of a peaked single-particle state, including its pseudospin."""
-
-    l: float
-    r: float
-    theta: float
-    spin: Spin
-
-    def __post_init__(self):
-        # reuse the SpatialWave validation
-        SpatialWave(self.l, self.r, self.theta)
-
-    @property
-    def wave(self) -> SpatialWave:
-        return SpatialWave(self.l, self.r, self.theta)
-
-
-def make_peaked(params: PeakedParams, basis: ModeBasis) -> SingleParticleState:
-    """Build l|L,spin> + r e^{i theta}|R,spin> on ``basis``.
+def make_peaked(wave: SpatialWave, spin: Spin, basis: ModeBasis) -> SingleParticleState:
+    """Build l|L,spin> + r e^{i theta}|R,spin> on ``basis`` from the peaked
+    ``wave``.
 
     The basis must contain modes "L" and "R"; the result is normalized by
     construction.
@@ -210,7 +194,4 @@ def make_peaked(params: PeakedParams, basis: ModeBasis) -> SingleParticleState:
     for required in ("L", "R"):
         if required not in basis:
             raise ValueError(f"basis must contain mode {required!r} for a peaked state")
-    return SingleParticleState(basis, {
-        ("L", params.spin): params.l,
-        ("R", params.spin): params.r * cmath.exp(1j * params.theta),
-    })
+    return SingleParticleState(basis, {("L", spin): wave.l, ("R", spin): wave.right_amplitude})

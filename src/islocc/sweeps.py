@@ -38,8 +38,7 @@ import numpy as np
 
 from .amplitudes import FERMION, ParticleStatistics
 from .entanglement import binary_entropy
-from .states import SpatialWave
-from .werner import WaveStack, WernerFamily, XStateRows, canonical_theta
+from .werner import WernerFamily, XStateRows, _unit_r, canonical_theta
 
 __all__ = [
     "ConfigError",
@@ -173,31 +172,28 @@ class SweepConfig:
 # the r' = l family and its indistinguishability degree
 # ---------------------------------------------------------------------------
 
-def _peaked_degree(l1, r1, l2, r2, zero_undefined: bool = False):
+def _peaked_degree(l1, r1, l2, r2):
     """Degree of indistinguishability of the peaked waves l1|L> + r1|R> and
     l2|L> + r2|R> (phases drop out): h(l1^2 r2^2 / (l1^2 r2^2 + r1^2 l2^2)),
-    elementwise over arrays.
-
-    Where neither assignment is detectable (both waves on one mode) the
-    degree is undefined: that raises ``ValueError``, as
-    :func:`~islocc.indistinguishability.degree_n` does, or reads 0 with
-    ``zero_undefined``.
+    elementwise over arrays.  Where neither assignment is detectable (both
+    waves on one mode) the degree is undefined and reads 0; that cannot
+    happen on the r' = l family, where the denominator is l^4 + r^4 >= 1/2.
     """
     p12 = l1 * l1 * (r2 * r2)
     p21 = l2 * l2 * (r1 * r1)
     z = np.asarray(p12 + p21)
     defined = z > 0.0
-    if not (zero_undefined or defined.all()):
-        raise ValueError("no assignment of particles to regions is detectable; "
-                         "the indistinguishability degree is undefined")
     return binary_entropy(np.divide(p12, z, out=np.zeros_like(z), where=defined))
 
 
 def indist_on_family(l):
     """Degree of indistinguishability on the r' = l family (so l' = r),
-    elementwise over an array of l."""
+    elementwise over an array of l.  An l that is not finite or lies
+    outside [0, 1] raises :class:`ConfigError`."""
     l = np.asarray(l, dtype=float)
-    r = _lprime_for("l_eq_rprime", l, None)
+    if not np.all((0.0 <= l) & (l <= 1.0)):
+        raise ConfigError(f"l must be finite and lie in [0, 1], got {l!r}")
+    r = _unit_r(l)  # = l'
     return _peaked_degree(l, r, r, l)
 
 
@@ -232,7 +228,7 @@ def l_for_indist(target, tol: float = 1e-12):
 
 def _lprime_for(constraint: str, l, lprime_fixed: float | None):
     if constraint == "l_eq_rprime":
-        return WaveStack.from_l(l).r  # r' = l
+        return _unit_r(l)  # r' = l
     if constraint == "l_eq_lprime":
         return l
     return np.full_like(l, lprime_fixed)
@@ -298,10 +294,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     theta = config.resolved_theta()
     p = config.p_grid.values()
     l, lprime = _family_ls(config)
-    psi1, psi2 = WaveStack.from_l(l), WaveStack.from_l(lprime, theta)
     # both waves on one mode: degree and projection undefined, rows zeroed and flagged
-    indist = _peaked_degree(psi1.l, psi1.r, psi2.l, psi2.r, zero_undefined=True)
-    rows = WernerFamily(config.target, psi1, psi2, config.statistics).evaluate(p)
+    indist = _peaked_degree(l, _unit_r(l), lprime, _unit_r(lprime))
+    rows = WernerFamily(config.target, l, lprime, config.statistics, theta).evaluate(p)
     flagged = _flagged(rows)
     count = int(np.count_nonzero(flagged))
     if count:
@@ -343,12 +338,6 @@ class ThresholdResult:
         return asdict(self)
 
 
-def _family(statistics: ParticleStatistics, target: str, theta: float,
-            l: float, lprime: float) -> WernerFamily:
-    return WernerFamily(target, SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta),
-                        statistics)
-
-
 class _Probe(NamedTuple):
     """One family of the r' = l line and its worst noise level."""
 
@@ -380,8 +369,7 @@ def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
     stats = config.statistics
 
     def probe(l: float) -> _Probe:
-        family = _family(stats, config.target, theta, l,
-                         float(_lprime_for("l_eq_rprime", l, None)))
+        family = WernerFamily(config.target, l, _unit_r(l), stats, theta)
         worst_p, bell = family.worst_bell()
         return _Probe(l, float(indist_on_family(l)), family, float(worst_p[0]),
                       float(bell[0]))

@@ -24,11 +24,9 @@ from .entanglement import analyze, bell_horodecki, bell_xstate
 from .ensembles import mixed_trace, pure_norm_sq
 from .slocc import ProjectionUndefinedError, ZeroTraceError, project
 from .states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from .sweeps import (FLAG_PROBABILITY, ConfigError, SweepConfig, _family, _flagged,
-                     find_threshold)
-from .werner import (WaveStack, WernerFamily, WernerSpec, bell_states,
-                     depolarize_then_deform, project_werner, spec_from_l,
-                     werner_direct)
+from .sweeps import FLAG_PROBABILITY, ConfigError, SweepConfig, _flagged, find_threshold
+from .werner import (WernerFamily, WernerSpec, bell_states, depolarize_then_deform,
+                     project_werner, spec_from_l, werner_direct)
 
 __all__ = [
     "SuiteResult",
@@ -257,36 +255,42 @@ def suite_batched_vs_pointwise(rng: np.random.Generator) -> str:
               "1_minus" if rng.integers(2) else "1_plus") for _ in range(40)]
     cases += [(0.6, 0.6, 0.0, FERMION, "1_plus"), (0.6, 0.6, 0.0, BOSON, "1_minus"),
               (1.0, 1.0, 0.0, FERMION, "1_minus")]
-    ls, lps, thetas, statistics, targets = zip(*cases)
-    rows = WernerFamily(targets, WaveStack.from_l(ls), WaveStack.from_l(lps, np.array(thetas)),
-                        statistics).evaluate(ps)
-    matrices, flagged = rows.matrices(), _flagged(rows)
+    # one stack per (target, statistics), as a sweep evaluates them
+    groups: dict[tuple, list] = {}
+    for case in cases:
+        groups.setdefault(case[3:], []).append(case)
     worst_m = worst_r = 0.0
-    for f, (l, lp, theta, stats, target) in enumerate(cases):
-        psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
-        for k, p in enumerate(ps, start=f * len(ps)):
-            try:
-                ref = project_werner(WernerSpec(float(p), target, psi1, psi2, stats))
-            except (ProjectionUndefinedError, ZeroTraceError):
-                _require(flagged[k], f"batched row defined where the projection is not "
-                                     f"({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})")
-                continue
-            _require(flagged[k] == (ref.probability < FLAG_PROBABILITY),
-                     f"flags differ at ({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})")
-            expected = analyze(ref)
-            worst_m = _worst(worst_m, float(np.max(np.abs(matrices[k] - ref.matrix))),
-                          abs(rows.probability[k] - ref.probability))
-            worst_r = _worst(worst_r, abs(rows.concurrence[k] - expected.concurrence),
-                          abs(rows.eof[k] - expected.eof), abs(rows.bell[k] - expected.bell))
+    for (stats, target), group in groups.items():
+        ls, lps, thetas, _, _ = zip(*group)
+        rows = WernerFamily(target, ls, lps, stats, thetas).evaluate(ps)
+        matrices, flagged = rows.matrices(), _flagged(rows)
+        for f, (l, lp, theta, _, _) in enumerate(group):
+            psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
+            for k, p in enumerate(ps, start=f * len(ps)):
+                try:
+                    ref = project_werner(WernerSpec(float(p), target, psi1, psi2, stats))
+                except (ProjectionUndefinedError, ZeroTraceError):
+                    _require(flagged[k], f"batched row defined where the projection is not "
+                                         f"({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})")
+                    continue
+                _require(flagged[k] == (ref.probability < FLAG_PROBABILITY),
+                         f"flags differ at ({l=}, {lp=}, {theta=}, {stats}, {target}, {p=})")
+                expected = analyze(ref)
+                worst_m = _worst(worst_m, float(np.max(np.abs(matrices[k] - ref.matrix))),
+                                 abs(rows.probability[k] - ref.probability))
+                worst_r = _worst(worst_r, abs(rows.concurrence[k] - expected.concurrence),
+                                 abs(rows.eof[k] - expected.eof),
+                                 abs(rows.bell[k] - expected.bell))
     _require(worst_m <= 1e-12 and worst_r <= 1e-9,
              f"batched vs per-point: matrix/P_LR {worst_m:.3e}, C/EoF/B {worst_r:.3e}")
-    return (f"one stack of {len(cases)} families x {len(ps)} noise values vs per-point "
-            f"projection, worst matrix/P_LR diff {worst_m:.2e}, C/EoF/B diff {worst_r:.2e}")
+    return (f"{len(groups)} stacks of {len(cases)} families x {len(ps)} noise values vs "
+            f"per-point projection, worst matrix/P_LR diff {worst_m:.2e}, "
+            f"C/EoF/B diff {worst_r:.2e}")
 
 
-def _bisect_violation_boundary(statistics, target, theta, l, lprime) -> float:
+def _bisect_violation_boundary(target, l, lprime, statistics, theta) -> float:
     """Noise probability where the family's CHSH value falls through 2."""
-    family = _family(statistics, target, theta, l, lprime)
+    family = WernerFamily(target, l, lprime, statistics, theta)
 
     def bell_at(p: float) -> float:
         return float(family.evaluate(np.array([p])).bell[0])
@@ -306,13 +310,13 @@ def _bisect_violation_boundary(statistics, target, theta, l, lprime) -> float:
 
 def suite_violation_thresholds(rng: np.random.Generator) -> str:
     # distinguishable pair: violation up to p = 1 - 1/sqrt(2)
-    p_dist = _bisect_violation_boundary(FERMION, "1_minus", 0.0, 1.0, 0.0)
+    p_dist = _bisect_violation_boundary("1_minus", 1.0, 0.0, FERMION, 0.0)
     _require(abs(p_dist - 0.292) <= 2e-3, f"distinguishable boundary {p_dist:.5f}")
     # triplet target at full indistinguishability: boundary 4/11, for both
     # statistics at their canonical phase
-    p_plus = _bisect_violation_boundary(FERMION, "1_plus", math.pi, _SQRT_HALF, _SQRT_HALF)
+    p_plus = _bisect_violation_boundary("1_plus", _SQRT_HALF, _SQRT_HALF, FERMION, math.pi)
     _require(abs(p_plus - 0.363) <= 2e-3, f"triplet-target boundary {p_plus:.5f}")
-    p_plus_boson = _bisect_violation_boundary(BOSON, "1_plus", 0.0, _SQRT_HALF, _SQRT_HALF)
+    p_plus_boson = _bisect_violation_boundary("1_plus", _SQRT_HALF, _SQRT_HALF, BOSON, 0.0)
     _require(abs(p_plus_boson - 0.363) <= 2e-3,
              f"boson triplet-target boundary {p_plus_boson:.5f}")
     # all-noise violation threshold on the singlet target

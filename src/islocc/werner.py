@@ -14,18 +14,19 @@ other:
 :func:`project_werner` projects one noise level of one family through the
 amplitude engine (:func:`bell_states`, ``state_overlap``, ``pure_norm_sq``)
 and the eigen solvers of :mod:`~islocc.entanglement`; it is the oracle of
-the production path.  That path is :class:`WernerFamily`, which evaluates
-a whole stack of families, each over an array of noise levels, in closed
-form: for peaked waves the Bell overlaps with the detection kets and the
-Bell-state norms have closed forms (:func:`_bell_overlaps`).  Neither
-target has weight on up-up or down-down, and the two ``2_`` states enter
-the noise with equal weight, so their rho03 coherences cancel: every
-projected row is a real X state with rho03 = 0, fixed by three entries
-u = rho00 = rho33, v = rho11 = rho22 and y = rho12 that are affine in p,
-as is the global trace.  Its concurrence and CHSH value follow from those
-entries elementwise, with no 4x4 matrix and no eigen solver.  The same
-affinity gives each family's worst noise level for the CHSH value in
-closed form (:meth:`WernerFamily.worst_bell`).
+the production path.  That path is :class:`WernerFamily`: one target, one
+statistics and a stack of families psi1 = l|L> + r|R>,
+psi2 = l'|L> + r' e^{i theta}|R>, given as arrays of (l, l', theta), each
+over an array of noise levels, in closed form: for peaked waves the Bell
+overlaps with the detection kets and the Bell-state norms have closed forms
+(:func:`_bell_overlaps`).  Neither target has weight on up-up or
+down-down, and the two ``2_`` states enter the noise with equal weight, so
+their rho03 coherences cancel: every projected row is a real X state with
+rho03 = 0, fixed by three entries u = rho00 = rho33, v = rho11 = rho22 and
+y = rho12 that are affine in p, as is the global trace.  Its concurrence
+and CHSH value follow from those entries elementwise, with no 4x4 matrix
+and no eigen solver.  The same affinity gives each family's worst noise
+level for the CHSH value in closed form (:meth:`WernerFamily.worst_bell`).
 
 Closed forms for the post-selected concurrence and detection probability
 of both targets are included as independent references for the numeric
@@ -39,8 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .amplitudes import FERMION, ElementaryKet, ParticleStatistics
@@ -48,8 +47,8 @@ from .ensembles import MixedState, PureNState
 from .entanglement import _eof
 from .slocc import (_EIG_ATOL, _HERM_ATOL, _UNDEFINED_RTOL, _ZERO_TRACE_ATOL,
                     ProjectedDensityMatrix, project)
-from .states import (DOWN, UP, ModeBasis, PeakedParams, SingleParticleState,
-                     SpatialWave, Spin, make_peaked)
+from .states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave, Spin,
+                     make_peaked)
 
 __all__ = [
     "LR_BASIS",
@@ -57,7 +56,6 @@ __all__ = [
     "WernerSpec",
     "canonical_theta",
     "spec_from_l",
-    "wave_state",
     "bell_states",
     "werner_direct",
     "KrausSet",
@@ -65,7 +63,6 @@ __all__ = [
     "apply_spin_operator",
     "depolarize_then_deform",
     "project_werner",
-    "WaveStack",
     "XStateRows",
     "WernerFamily",
     "closed_form_concurrence_minus",
@@ -124,18 +121,13 @@ def spec_from_l(p: float, target: str, l: float, lprime: float,
                       statistics)
 
 
-def wave_state(wave: SpatialWave, spin: Spin, basis: ModeBasis = LR_BASIS) -> SingleParticleState:
-    """Peaked single-particle state carrying ``spin``."""
-    return make_peaked(PeakedParams(wave.l, wave.r, wave.theta, spin), basis)
-
-
 def bell_states(psi1: SpatialWave, psi2: SpatialWave, statistics: ParticleStatistics,
                 basis: ModeBasis = LR_BASIS) -> dict[str, PureNState]:
     """The four Bell superpositions over |psi1 s1, psi2 s2> with coefficients
     +-1/sqrt(2).  They are unnormalized as two-particle states whenever the
     wave functions overlap."""
     def ket(s1: Spin, s2: Spin) -> ElementaryKet:
-        return ElementaryKet((wave_state(psi1, s1, basis), wave_state(psi2, s2, basis)),
+        return ElementaryKet((make_peaked(psi1, s1, basis), make_peaked(psi2, s2, basis)),
                              statistics)
 
     ud, du = ket(UP, DOWN), ket(DOWN, UP)
@@ -270,27 +262,19 @@ def project_werner(spec: WernerSpec, regions=("L", "R"),
     return project(werner_direct(spec, basis), regions)
 
 
-class WaveStack(NamedTuple):
-    """Peaked spatial waves l|L> + r e^{i theta}|R> of a stack of families,
-    one array entry per family.  :class:`WernerFamily` reads the same three
-    fields from a single :class:`~islocc.states.SpatialWave`."""
-
-    l: np.ndarray
-    r: np.ndarray
-    theta: np.ndarray | float = 0.0
-
-    @classmethod
-    def from_l(cls, l, theta=0.0) -> "WaveStack":
-        """r = sqrt(1 - l^2) elementwise, as :meth:`SpatialWave.from_l`."""
-        l = np.asarray(l, dtype=float)
-        return cls(l, np.sqrt(np.maximum(0.0, 1.0 - l * l)), theta)
+def _unit_r(l):
+    """r = sqrt(1 - l^2) elementwise: the R amplitude of a unit peaked wave,
+    as :meth:`~islocc.states.SpatialWave.from_l` takes it."""
+    return np.sqrt(np.maximum(0.0, 1.0 - l * l))
 
 
-def _bell_overlaps(psi1, psi2, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _bell_overlaps(l1, l2, theta, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed forms of what :func:`bell_states` gives through the amplitude
-    engine, for n families of peaked waves (``eta`` the exchange sign).
+    engine, for n families of peaked waves l1|L> + r1|R> and
+    l2|L> + r2 e^{i theta}|R> with r = sqrt(1 - l^2) (``eta`` the exchange
+    sign).
 
-    With D = l1 r2 e^{i theta2} and X = eta l2 r1 e^{i theta1}, let
+    With D = l1 r2 e^{i theta} and X = eta l2 r1, let
     a = (D + X)/sqrt(2) and b = (D - X)/sqrt(2).  The overlaps of the Bell
     states with the detection kets |L s, R s'> (up-up, up-down, down-up,
     down-down) are a (0, 1, 1, 0) for 1_plus, b (0, 1, -1, 0) for 1_minus
@@ -299,13 +283,14 @@ def _bell_overlaps(psi1, psi2, eta) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     (1 + eta s)(l1^2 l2^2 + r1^2 r2^2) (both in L or both in R), with
     s = -1 for 1_minus and +1 for the others; this is 1 + eta s
     |<psi1|psi2>|^2 without its cancellation.  Returns a, b and
-    ``same_region`` = l1^2 l2^2 + r1^2 r2^2, one entry per family.
+    ``same_region`` = l1^2 l2^2 + r1^2 r2^2, one entry per family.  A
+    phase on psi1's R amplitude would enter |a| and |b| only through its
+    difference with theta, so psi1 carries none.
     """
-    a1 = psi1.r * np.exp(1j * psi1.theta)
-    a2 = psi2.r * np.exp(1j * psi2.theta)
-    d = psi1.l * a2
-    x = eta * psi2.l * a1
-    same_region = psi1.l ** 2 * psi2.l ** 2 + psi1.r ** 2 * psi2.r ** 2
+    r1, r2 = _unit_r(l1), _unit_r(l2)
+    d = l1 * (r2 * np.exp(1j * theta))
+    x = eta * l2 * r1
+    same_region = l1 ** 2 * l2 ** 2 + r1 ** 2 * r2 ** 2
     return (d + x) * _SQRT_HALF, (d - x) * _SQRT_HALF, same_region
 
 
@@ -346,41 +331,41 @@ class XStateRows:
 
 
 class WernerFamily:
-    """All noise levels of a stack of (target, psi1, psi2, statistics)
-    preparations, one family per entry.
+    """All noise levels of a stack of preparations of one target and one
+    statistics, one family per entry of (l, l', theta).
 
-    ``psi1`` and ``psi2`` are :class:`~islocc.states.SpatialWave` objects
-    (one family) or :class:`WaveStack` arrays (one family per entry);
-    ``target`` and ``statistics`` are one value for every family or one per
-    family.  The constructor takes the Bell overlap amplitudes a, b and the
-    Bell-state norms in closed form (:func:`_bell_overlaps`; the amplitude
-    path of :func:`project_werner` is its oracle).  Every projected row is
-    a real X state with rho03 = 0, so each family keeps the target's raw
-    entries (W v, W y) = (T, tau T), with T = |a|^2 and tau = +1 for
-    1_plus, T = |b|^2 and tau = -1 for 1_minus (its W u is 0); the noise
-    sum's (W u, W v, W y) = (2|a|^2, |a|^2 + |b|^2, |a|^2 - |b|^2); and
-    the double-occupancy parts of both global traces, (1 + tau eta) S and
-    (4 + 2 eta) S with S = l1^2 l2^2 + r1^2 r2^2.  :meth:`evaluate`
-    combines them as (1-p) target + (p/4) sum for an array of noise
-    probabilities and normalizes, checks and analyzes every row
-    elementwise.  It agrees with :func:`project_werner` followed by
-    :func:`~islocc.entanglement.analyze` at each family and noise level.
+    Family f prepares psi1 = l|L> + r|R> and psi2 = l'|L> + r' e^{i theta}|R>,
+    with r = sqrt(1 - l^2) and r' = sqrt(1 - l'^2); ``l``, ``lprime`` and
+    ``theta`` are scalars or 1-D arrays that broadcast together, and l, l'
+    must be finite and in [0, 1] and theta finite, else ``ValueError``.  The
+    constructor takes the Bell overlap amplitudes a, b and the Bell-state
+    norms in closed form (:func:`_bell_overlaps`; the amplitude path of
+    :func:`project_werner` is its oracle).  Every projected row is a real X
+    state with rho03 = 0, so each family keeps the target's raw entries
+    (W v, W y) = (T, tau T), with T = |a|^2 and tau = +1 for 1_plus,
+    T = |b|^2 and tau = -1 for 1_minus (its W u is 0); the noise sum's
+    (W u, W v, W y) = (2|a|^2, |a|^2 + |b|^2, |a|^2 - |b|^2); and the
+    double-occupancy parts of both global traces, (1 + tau eta) S and
+    (4 + 2 eta) S with S = l^2 l'^2 + r^2 r'^2.  :meth:`evaluate` combines
+    them as (1-p) target + (p/4) sum for an array of noise probabilities and
+    normalizes, checks and analyzes every row elementwise.  It agrees with
+    :func:`project_werner` followed by :func:`~islocc.entanglement.analyze`
+    at each family and noise level.
     """
 
-    def __init__(self, target, psi1, psi2, statistics):
-        targets = (target,) if isinstance(target, str) else tuple(target)
-        for name in targets:
-            _check_target(name)
-        stats = ((statistics,) if isinstance(statistics, ParticleStatistics)
-                 else tuple(statistics))
-        l1, r1, t1, l2, r2, t2, eta, tau = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (
-                psi1.l, psi1.r, psi1.theta, psi2.l, psi2.r, psi2.theta,
-                [s.eta for s in stats],
-                [1.0 if name == "1_plus" else -1.0 for name in targets])))
-        a, b, same_region = _bell_overlaps(WaveStack(l1, r1, t1), WaveStack(l2, r2, t2), eta)
+    def __init__(self, target: str, l, lprime, statistics: ParticleStatistics, theta):
+        _check_target(target)
+        l, lprime, theta = np.broadcast_arrays(
+            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (l, lprime, theta)))
+        if not (l.ndim == 1 and np.all((0.0 <= l) & (l <= 1.0) & (0.0 <= lprime)
+                                       & (lprime <= 1.0) & np.isfinite(theta))):
+            raise ValueError(f"l and l' must be finite and lie in [0, 1] and theta must be "
+                             f"finite, one family per entry of 1-D arrays; got l={l!r}, "
+                             f"lprime={lprime!r}, theta={theta!r}")
+        eta, tau = statistics.eta, 1.0 if target == "1_plus" else -1.0
+        a, b, same_region = _bell_overlaps(l, lprime, theta, eta)
         a2, b2 = a.real ** 2 + a.imag ** 2, b.real ** 2 + b.imag ** 2
-        t = np.where(tau > 0.0, a2, b2)
+        t = a2 if tau > 0.0 else b2
         self._target = (t, tau * t)  # (W v, W y)
         self._noise = (2.0 * a2, a2 + b2, a2 - b2)  # (W u, W v, W y)
         self._target_double = (1.0 + tau * eta) * same_region

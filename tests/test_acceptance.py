@@ -12,7 +12,7 @@ from islocc.amplitudes import BOSON, FERMION, ElementaryKet, amplitude_permsum
 from islocc.entanglement import concurrence
 from islocc.indistinguishability import degree_n, degree_two
 from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, slocc_probability
-from islocc.states import UP, ModeBasis, PeakedParams, SingleParticleState, make_peaked
+from islocc.states import UP, ModeBasis, SingleParticleState, SpatialWave, make_peaked
 from islocc.verify import random_single_particle
 from islocc.werner import project_werner, spec_from_l, werner_direct
 
@@ -123,7 +123,7 @@ def test_criterion_7_bell_thresholds():
 
 def test_criterion_8_indistinguishability_bounds():
     def peaked(l, theta=0.0):
-        return make_peaked(PeakedParams(l, math.sqrt(max(0.0, 1 - l * l)), theta, UP), LR)
+        return make_peaked(SpatialWave.from_l(l, theta), UP, LR)
 
     for l in (0.55, SQRT_HALF, 0.8, 0.95):
         assert degree_two(peaked(l), peaked(l)).entropy == 1.0

@@ -8,8 +8,8 @@ from islocc.amplitudes import (BOSON, FERMION, ElementaryKet,
                                PermutationCapExceeded, amplitude_fast,
                                amplitude_permsum, overlap_matrix,
                                permanent_ryser, _permutations_with_parity)
-from islocc.states import (DOWN, UP, ModeBasis, PeakedParams,
-                           SingleParticleState, make_peaked)
+from islocc.states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave,
+                           make_peaked)
 from islocc.verify import random_single_particle
 
 LR = ModeBasis(("L", "R"))
@@ -21,7 +21,7 @@ def _loc(mode, spin, basis=LR):
 
 
 def _peaked(l, r, theta, spin):
-    return make_peaked(PeakedParams(l, r, theta, spin), LR)
+    return make_peaked(SpatialWave(l, r, theta), spin, LR)
 
 
 def _naive_permanent(m):

@@ -7,8 +7,8 @@ import pytest
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet
 from islocc.ensembles import (MixedState, PureNState, matrix_element,
                               mixed_trace, pure_norm_sq, state_overlap)
-from islocc.states import (DOWN, UP, ModeBasis, PeakedParams,
-                           SingleParticleState, SpatialWave, make_peaked)
+from islocc.states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave,
+                           make_peaked)
 from islocc.werner import (WernerSpec, bell_states, werner_direct)
 from islocc.verify import random_single_particle
 
@@ -41,7 +41,7 @@ def symmetrized_basis(basis, n, statistics):
 
 
 def _peaked(l, r, theta, spin):
-    return make_peaked(PeakedParams(l, r, theta, spin), LR)
+    return make_peaked(SpatialWave(l, r, theta), spin, LR)
 
 
 def _wave_overlap_sq(l, lp, theta):

@@ -5,8 +5,8 @@ import pytest
 
 from islocc.indistinguishability import (degree_n, degree_two,
                                          region_probability)
-from islocc.states import (DOWN, UP, ModeBasis, PeakedParams,
-                           SingleParticleState, make_peaked)
+from islocc.states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave,
+                           make_peaked)
 
 LR = ModeBasis(("L", "R"))
 R3 = ModeBasis(("R1", "R2", "R3"))
@@ -14,8 +14,7 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 def _peaked(l, theta=0.0, spin=UP):
-    r = math.sqrt(max(0.0, 1.0 - l * l))
-    return make_peaked(PeakedParams(l, r, theta, spin), LR)
+    return make_peaked(SpatialWave.from_l(l, theta), spin, LR)
 
 
 class TestRegionProbability:

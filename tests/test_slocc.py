@@ -9,8 +9,7 @@ from islocc.ensembles import MixedState, PureNState, mixed_trace
 from islocc.slocc import (ProjectedDensityMatrix, ProjectionUndefinedError,
                           computational_kets, project, slocc_probability,
                           spin_configurations)
-from islocc.states import (DOWN, UP, ModeBasis, PeakedParams, SpatialWave,
-                           make_peaked)
+from islocc.states import DOWN, UP, ModeBasis, SpatialWave, make_peaked
 from islocc.verify import random_single_particle
 from islocc.werner import (WernerSpec, closed_form_probability_minus,
                            closed_form_probability_plus, spec_from_l,
@@ -25,7 +24,7 @@ SINGLET[1, 2] = SINGLET[2, 1] = -0.5
 
 
 def _peaked(l, r, theta, spin):
-    return make_peaked(PeakedParams(l, r, theta, spin), LR)
+    return make_peaked(SpatialWave(l, r, theta), spin, LR)
 
 
 class TestBasisOrder:

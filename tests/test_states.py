@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from islocc.states import (DOWN, UP, ModeBasis, PeakedParams, SingleParticleState,
-                           SpatialWave, inner, make_peaked)
+from islocc.states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave, inner,
+                           make_peaked)
 
 LR = ModeBasis(("L", "R"))
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -28,28 +28,28 @@ class TestModeBasis:
 
 class TestMakePeaked:
     def test_fully_localized(self):
-        state = make_peaked(PeakedParams(1.0, 0.0, 0.0, UP), LR)
+        state = make_peaked(SpatialWave(1.0, 0.0), UP, LR)
         assert state.amplitude("L", UP) == 1.0
         assert state.amplitudes == {("L", UP): (1 + 0j)}
 
     def test_theta_pi_flips_right_sign(self):
-        state = make_peaked(PeakedParams(SQRT_HALF, SQRT_HALF, math.pi, DOWN), LR)
+        state = make_peaked(SpatialWave(SQRT_HALF, SQRT_HALF, math.pi), DOWN, LR)
         assert state.amplitude("L", DOWN) == pytest.approx(0.7071067811865476, abs=1e-12)
         assert state.amplitude("R", DOWN) == pytest.approx(-0.7071067811865476, abs=1e-12)
         assert state.amplitude("L", UP) == 0
 
     def test_direct_substitution(self):
-        state = make_peaked(PeakedParams(0.8, 0.6, 0.0, UP), LR)
+        state = make_peaked(SpatialWave(0.8, 0.6), UP, LR)
         assert state.amplitude("L", UP) == pytest.approx(0.8, abs=1e-15)
         assert state.amplitude("R", UP) == pytest.approx(0.6, abs=1e-15)
 
     def test_requires_l_and_r_modes(self):
         with pytest.raises(ValueError, match="'R'"):
-            make_peaked(PeakedParams(1.0, 0.0, 0.0, UP), ModeBasis(("L", "M")))
+            make_peaked(SpatialWave(1.0, 0.0), UP, ModeBasis(("L", "M")))
 
     def test_rejects_norm_violation(self):
         with pytest.raises(ValueError, match="must equal 1"):
-            PeakedParams(0.9, 0.6, 0.0, UP)
+            SpatialWave(0.9, 0.6)
 
     def test_rejects_negative_amplitudes(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -64,10 +64,8 @@ class TestMakePeaked:
     def test_norm_one_for_random_params(self, rng):
         for _ in range(1000):
             phi = rng.uniform(0.0, math.pi / 2.0)
-            params = PeakedParams(math.cos(phi), math.sin(phi),
-                                  rng.uniform(0.0, 2.0 * math.pi),
-                                  UP if rng.integers(2) else DOWN)
-            state = make_peaked(params, LR)
+            wave = SpatialWave(math.cos(phi), math.sin(phi), rng.uniform(0.0, 2.0 * math.pi))
+            state = make_peaked(wave, UP if rng.integers(2) else DOWN, LR)
             assert abs(state.norm_sq() - 1.0) <= 1e-12
 
 
@@ -78,21 +76,21 @@ class TestInner:
         assert inner(a, b) == 0
 
     def test_self_overlap_is_one(self):
-        state = make_peaked(PeakedParams(0.8, 0.6, 1.3, UP), LR)
+        state = make_peaked(SpatialWave(0.8, 0.6, 1.3), UP, LR)
         assert inner(state, state) == pytest.approx(1.0, abs=1e-14)
 
     def test_hand_expanded_overlap(self):
-        a = make_peaked(PeakedParams(0.8, 0.6, 0.0, UP), LR)
-        b = make_peaked(PeakedParams(0.6, 0.8, 0.0, UP), LR)
+        a = make_peaked(SpatialWave(0.8, 0.6), UP, LR)
+        b = make_peaked(SpatialWave(0.6, 0.8), UP, LR)
         assert inner(a, b) == pytest.approx(0.96, abs=1e-14)
 
     def test_spin_orthogonality_exact(self, rng):
         for _ in range(50):
             phi1, phi2 = rng.uniform(0, math.pi / 2, size=2)
-            a = make_peaked(PeakedParams(math.cos(phi1), math.sin(phi1),
-                                         rng.uniform(0, 2 * math.pi), UP), LR)
-            b = make_peaked(PeakedParams(math.cos(phi2), math.sin(phi2),
-                                         rng.uniform(0, 2 * math.pi), DOWN), LR)
+            a = make_peaked(SpatialWave(math.cos(phi1), math.sin(phi1),
+                                        rng.uniform(0, 2 * math.pi)), UP, LR)
+            b = make_peaked(SpatialWave(math.cos(phi2), math.sin(phi2),
+                                        rng.uniform(0, 2 * math.pi)), DOWN, LR)
             assert inner(a, b) == 0
 
     def test_conjugate_symmetry(self, rng, make_random_state):

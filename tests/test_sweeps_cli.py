@@ -17,13 +17,13 @@ from islocc.amplitudes import BOSON, FERMION
 from islocc.cli import load_config_file, main
 from islocc.entanglement import binary_entropy
 from islocc.indistinguishability import degree_two
-from islocc.states import UP, SpatialWave
+from islocc.states import UP, SpatialWave, make_peaked
 from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, MAX_SWEEP_ROWS, ConfigError,
                            GridSpec, SweepConfig, SweepRecord, _peaked_degree,
                            find_threshold, indist_on_family, l_for_indist,
                            records_to_csv, records_to_json, run_sweep)
 from islocc.verify import run_verify
-from islocc.werner import WernerFamily, wave_state
+from islocc.werner import LR_BASIS, WernerFamily
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -79,30 +79,34 @@ class TestIndistInversion:
         with pytest.raises(ConfigError):
             l_for_indist(1.5)
 
+    @pytest.mark.parametrize("l", [-0.3, 1.5, math.nan, math.inf, -math.inf])
+    def test_family_rejects_l_outside_unit_interval(self, l):
+        with pytest.raises(ConfigError, match="l must be finite"):
+            indist_on_family(l)
+        with pytest.raises(ConfigError, match="l must be finite"):
+            indist_on_family(np.array([0.8, l]))
+
     def test_closed_form_matches_degree_two(self, rng):
         for _ in range(200):
             l, lp = rng.uniform(0, 1, size=2)
             theta = rng.uniform(0, 2 * math.pi)
             psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
-            expected = degree_two(wave_state(psi1, UP), wave_state(psi2, UP)).entropy
+            expected = degree_two(make_peaked(psi1, UP, LR_BASIS),
+                                  make_peaked(psi2, UP, LR_BASIS)).entropy
             assert abs(_peaked_degree(psi1.l, psi1.r, psi2.l, psi2.r) - expected) <= 1e-12
 
     @pytest.mark.parametrize("l", [0.0, 1.0])
     def test_both_waves_on_one_region_raise(self, l):
-        psi = SpatialWave.from_l(l)
+        psi = make_peaked(SpatialWave.from_l(l), UP, LR_BASIS)
         with pytest.raises(ValueError, match="undefined"):
-            degree_two(wave_state(psi, UP), wave_state(psi, UP))
-        with pytest.raises(ValueError, match="undefined"):
-            _peaked_degree(psi.l, psi.r, psi.l, psi.r)
+            degree_two(psi, psi)
 
     def test_array_degree_matches_scalar(self, rng):
         # the last two pairs put both waves on R, then both on L
         l1 = np.append(rng.uniform(0, 1, 30), [0.0, 1.0])
         l2 = np.append(rng.uniform(0, 1, 30), [0.0, 1.0])
         r1, r2 = np.sqrt(1 - l1 * l1), np.sqrt(1 - l2 * l2)
-        with pytest.raises(ValueError, match="undefined"):
-            _peaked_degree(l1, r1, l2, r2)
-        degrees = _peaked_degree(l1, r1, l2, r2, zero_undefined=True)
+        degrees = _peaked_degree(l1, r1, l2, r2)  # undefined degrees read 0
         assert degrees[-2:].tolist() == [0.0, 0.0]
         for k in range(30):
             assert degrees[k] == _peaked_degree(float(l1[k]), float(r1[k]),
@@ -421,12 +425,10 @@ class TestThreshold:
         # the reported end violates at every p; a degree tol below it does not
         tol = 1e-4
         result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"), tol=tol)
-        assert WernerFamily("1_minus", SpatialWave.from_l(result.l),
-                            SpatialWave.from_l(math.sqrt(1 - result.l ** 2)),
-                            FERMION).worst_bell()[1][0] == result.bell_at_worst > 2.0
+        assert WernerFamily("1_minus", result.l, math.sqrt(1 - result.l ** 2), FERMION,
+                            0.0).worst_bell()[1][0] == result.bell_at_worst > 2.0
         l_below = float(l_for_indist(result.indist - tol))
-        below = WernerFamily("1_minus", SpatialWave.from_l(l_below),
-                             SpatialWave.from_l(math.sqrt(1 - l_below ** 2)), FERMION)
+        below = WernerFamily("1_minus", l_below, math.sqrt(1 - l_below ** 2), FERMION, 0.0)
         assert below.worst_bell()[1][0] <= 2.0
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,8 +15,8 @@ from islocc.slocc import (ProjectionUndefinedError, ZeroTraceError, computationa
 from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
                            find_threshold, run_sweep)
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WaveStack, WernerFamily,
-                           WernerSpec, _bell_overlaps, _check_rows, bell_states,
+from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WernerFamily, WernerSpec,
+                           _bell_overlaps, _check_rows, bell_states,
                            canonical_theta,
                            closed_form_concurrence_minus,
                            closed_form_concurrence_plus,
@@ -25,6 +26,10 @@ from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WaveStack, WernerFamily,
                            project_werner, spec_from_l, werner_direct)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+
+#: Every (target, statistics) pair a family stack can take.
+PAIRS = [(target, statistics) for target in ("1_minus", "1_plus")
+         for statistics in (BOSON, FERMION)]
 
 
 def x_block(u, v, x, y) -> np.ndarray:
@@ -40,13 +45,14 @@ PATTERNS = np.array([[0, 1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1]], 
 NORM_SIGNS = np.array([1.0, -1.0, 1.0, 1.0])
 
 
-def bell_table(psi1, psi2, eta):
+def bell_table(l1, l2, theta, eta):
     """Every Bell state's overlap amplitude c_b (its overlaps with the
     detection kets are c_b PATTERNS[b]) and the double-occupancy part
     (1 + eta s_b) S of its norm, both (n, 4) in TARGETS order, from the
-    closed forms of ``_bell_overlaps``."""
-    a, b, same_region = _bell_overlaps(psi1, psi2, eta)
-    double = (1.0 + NORM_SIGNS * eta[:, None]) * same_region[:, None]
+    closed forms of ``_bell_overlaps`` for psi1 = l1|L> + r1|R> and
+    psi2 = l2|L> + r2 e^{i theta}|R>."""
+    a, b, same_region = _bell_overlaps(l1, l2, theta, eta)
+    double = (1.0 + NORM_SIGNS * eta) * same_region[:, None]
     return np.stack([a, b, a, a], axis=-1), double
 
 
@@ -232,15 +238,39 @@ class TestPhaseSwitch:
 
 class TestWernerFamily:
     def test_rejects_noise_outside_unit_interval(self):
-        family = WernerFamily("1_minus", SpatialWave.from_l(0.8), SpatialWave.from_l(0.6),
-                              FERMION)
+        family = WernerFamily("1_minus", 0.8, 0.6, FERMION, 0.0)
         for p in ([math.nan], [0.2, 1.5], [-0.1], [[0.5]]):
             with pytest.raises(ValueError, match="noise probabilities"):
                 family.evaluate(np.array(p))
 
     def test_rejects_unknown_target(self):
         with pytest.raises(ValueError, match="target"):
-            WernerFamily("2_plus", SpatialWave.from_l(0.8), SpatialWave.from_l(0.6), BOSON)
+            WernerFamily("2_plus", 0.8, 0.6, BOSON, 0.0)
+
+    @pytest.mark.parametrize("l, lprime, theta", [
+        *((bad, 0.6, 0.0) for bad in (-0.3, 1.5, math.nan, math.inf, -math.inf)),
+        *((0.8, bad, 0.0) for bad in (-0.3, 1.5, math.nan, math.inf, -math.inf)),
+        (0.8, 0.6, math.nan), (0.8, 0.6, math.inf)])
+    def test_rejects_waves_that_do_not_exist(self, l, lprime, theta):
+        # l = 1.5 read C = 1 and B = 2.83 before; NaN or infinite entries
+        # read zeroed rows, with numpy warnings for an infinite theta
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                WernerFamily("1_minus", l, lprime, FERMION, theta)
+            with pytest.raises(ValueError, match="finite"):
+                WernerFamily("1_minus", [0.8, l], [0.6, lprime], FERMION, [0.0, theta])
+
+    def test_rejects_more_than_one_axis(self):
+        with pytest.raises(ValueError, match="1-D"):
+            WernerFamily("1_minus", [[0.8]], 0.6, FERMION, 0.0)
+
+    def test_scalar_and_array_families_broadcast(self, rng):
+        l, ps = rng.uniform(0, 1, 5), np.linspace(0, 1, 3)
+        stacked = WernerFamily("1_plus", l, 0.6, BOSON, 1.0).evaluate(ps)
+        for f in range(len(l)):
+            one = WernerFamily("1_plus", float(l[f]), 0.6, BOSON, 1.0).evaluate(ps)
+            assert stacked.bell[3 * f:3 * f + 3].tolist() == one.bell.tolist()
 
 
 class TestClosedFormBellOverlaps:
@@ -250,15 +280,14 @@ class TestClosedFormBellOverlaps:
     def test_overlaps_and_norms_match_amplitude_engine(self, rng, statistics):
         n = 50
         l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
-        theta1, theta2 = rng.uniform(0, 2 * math.pi, n), rng.uniform(0, 2 * math.pi, n)
-        psi1, psi2 = WaveStack.from_l(l1, theta1), WaveStack.from_l(l2, theta2)
-        c, double = bell_table(psi1, psi2, np.full(n, float(statistics.eta)))
+        theta = rng.uniform(0, 2 * math.pi, n)
+        c, double = bell_table(l1, l2, theta, float(statistics.eta))
         overlaps = c[:, :, None] * PATTERNS
         norms = 2.0 * np.abs(c) ** 2 + double  # one per region + both in one region
         kets = computational_kets(LR_BASIS, ("L", "R"), statistics)
         for f in range(n):
-            bells = bell_states(SpatialWave.from_l(l1[f], theta1[f]),
-                                SpatialWave.from_l(l2[f], theta2[f]), statistics)
+            bells = bell_states(SpatialWave.from_l(l1[f]), SpatialWave.from_l(l2[f], theta[f]),
+                                statistics)
             for b, name in enumerate(TARGETS):
                 v = np.array([state_overlap(k, bells[name]) for k in kets])
                 assert np.max(np.abs(overlaps[f, b] - v)) <= 1e-12, (f, name)
@@ -270,8 +299,7 @@ class TestClosedFormBellOverlaps:
         n = 20
         l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
         theta = rng.uniform(0, 2 * math.pi, n)
-        family = WernerFamily(target, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
-                              statistics)
+        family = WernerFamily(target, l1, l2, statistics, theta)
         kets = computational_kets(LR_BASIS, ("L", "R"), statistics)
         for f in range(n):
             bells = bell_states(SpatialWave.from_l(l1[f]), SpatialWave.from_l(l2[f], theta[f]),
@@ -298,50 +326,45 @@ class TestWernerFamilyStack:
         # P_LR = 1 in closed form; the amplitude path rounds it to 1 + 2.2e-16
         psi1, psi2 = SpatialWave.from_l(0.0), SpatialWave.from_l(0.5)
         ref = project_werner(WernerSpec(0.0, "1_minus", psi1, psi2, BOSON))
-        rows = WernerFamily("1_minus", psi1, psi2, BOSON).evaluate(np.array([0.0]))
+        rows = WernerFamily("1_minus", 0.0, 0.5, BOSON, 0.0).evaluate(np.array([0.0]))
         assert ref.probability <= 1.0
         assert rows.probability[0] <= 1.0
         assert rows.probability[0] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n_families, n_p", [(300, 1), (3, 200), (7, 41)])
     def test_blocks_match_single_family_evaluation(self, rng, n_families, n_p):
-        l1, l2 = rng.uniform(0, 1, n_families), rng.uniform(0, 1, n_families)
-        theta = rng.uniform(0, 2 * math.pi, n_families)
-        targets = [("1_minus", "1_plus")[i] for i in rng.integers(2, size=n_families)]
-        stats = [(BOSON, FERMION)[i] for i in rng.integers(2, size=n_families)]
-        ps = rng.uniform(0, 1, n_p)
-        stacked = WernerFamily(targets, WaveStack.from_l(l1),
-                               WaveStack.from_l(l2, theta), stats).evaluate(ps)
-        matrices = stacked.matrices()
-        assert matrices.shape == (n_families * n_p, 4, 4)
-        for f in range(n_families):
-            one = WernerFamily(targets[f], SpatialWave.from_l(l1[f]),
-                               SpatialWave.from_l(l2[f], theta[f]), stats[f]).evaluate(ps)
-            rows = slice(f * n_p, (f + 1) * n_p)
-            np.testing.assert_allclose(matrices[rows], one.matrices(), atol=1e-15)
-            np.testing.assert_allclose(stacked.probability[rows], one.probability,
-                                       atol=1e-15)
-            np.testing.assert_allclose(stacked.concurrence[rows], one.concurrence,
-                                       atol=1e-15)
+        for target, statistics in PAIRS:
+            l1, l2 = rng.uniform(0, 1, n_families), rng.uniform(0, 1, n_families)
+            theta = rng.uniform(0, 2 * math.pi, n_families)
+            ps = rng.uniform(0, 1, n_p)
+            stacked = WernerFamily(target, l1, l2, statistics, theta).evaluate(ps)
+            matrices = stacked.matrices()
+            assert matrices.shape == (n_families * n_p, 4, 4)
+            for f in range(n_families):
+                one = WernerFamily(target, l1[f], l2[f], statistics, theta[f]).evaluate(ps)
+                rows = slice(f * n_p, (f + 1) * n_p)
+                np.testing.assert_allclose(matrices[rows], one.matrices(), atol=1e-15)
+                np.testing.assert_allclose(stacked.probability[rows], one.probability,
+                                           atol=1e-15)
+                np.testing.assert_allclose(stacked.concurrence[rows], one.concurrence,
+                                           atol=1e-15)
 
 
-def eigen_oracle(targets, l1, l2, theta, stats, ps):
+def eigen_oracle(target, l1, l2, statistics, theta, ps):
     """The rows of ``WernerFamily.evaluate`` through 4x4 blocks: raw
     projected blocks (1-p) v_t v_t^+ + (p/4) sum_b v_b v_b^+ from the closed
     overlaps v_b = c_b P_b, global traces (1-p) T_t + (p/4) sum_b T_b from
     the closed norms, then ``normalize_block`` and ``analyze`` row by row.
     Rows that raise read 0 in every field, as in ``XStateRows``."""
-    eta = np.array([s.eta for s in stats], dtype=float)
-    c, double = bell_table(WaveStack.from_l(l1), WaveStack.from_l(l2, theta), eta)
+    c, double = bell_table(l1, l2, theta, float(statistics.eta))
     v = c[:, :, None] * PATTERNS                       # (n, 4 Bell, 4 kets)
     blocks = v[:, :, :, None] * v[:, :, None, :].conj()
     norms = 2.0 * np.abs(c) ** 2 + double
-    t = np.array([TARGETS.index(name) for name in targets])
-    f = np.arange(len(t))
+    t = TARGETS.index(target)
     keep, noise = (1.0 - ps)[None, :], (ps / 4.0)[None, :]
-    raw = (keep[..., None, None] * blocks[f, t][:, None]
+    raw = (keep[..., None, None] * blocks[:, t][:, None]
            + noise[..., None, None] * blocks.sum(axis=1)[:, None]).reshape(-1, 4, 4)
-    global_trace = (keep * norms[f, t][:, None] + noise * norms.sum(axis=1)[:, None]).ravel()
+    global_trace = (keep * norms[:, t][:, None] + noise * norms.sum(axis=1)[:, None]).ravel()
     n = len(raw)
     oracle = SimpleNamespace(zero_trace=np.zeros(n, bool), undefined=np.zeros(n, bool),
                              matrices=np.zeros((n, 4, 4), complex), probability=np.zeros(n),
@@ -368,63 +391,65 @@ class TestXStateRows:
     """The closed-form X-state rows against the eigen-solver path."""
 
     #: psi1 = psi2 (zero-norm targets), both waves on L (never detected) and
-    #: both on R, each for every target and statistics; then the r' = l
-    #: family at l = 0.7071, whose singlet norm is ~1e-8 for bosons at
-    #: theta = 0 (detection probability 1 at p = 0): (l, l', theta, targets,
-    #: statistics)
-    SPECIAL = ((0.6, 0.6, 0.0, ("1_minus", "1_plus"), (BOSON, FERMION)),
-               (1.0, 1.0, 0.0, ("1_minus", "1_plus"), (BOSON, FERMION)),
-               (0.0, 0.0, 0.0, ("1_minus", "1_plus"), (BOSON, FERMION)),
-               (0.7071, math.sqrt(1 - 0.7071 ** 2), 0.0, ("1_minus",), (BOSON, FERMION)))
+    #: both on R; then the r' = l family at l = 0.7071, whose singlet norm is
+    #: ~1e-8 for bosons at theta = 0 (detection probability 1 at p = 0) and
+    #: whose triplet-type rows are nearly pure: (l, l', theta), each for
+    #: every target and statistics
+    SPECIAL = ((0.6, 0.6, 0.0), (1.0, 1.0, 0.0), (0.0, 0.0, 0.0),
+               (0.7071, math.sqrt(1 - 0.7071 ** 2), 0.0))
 
-    def cases(self, rng, n=300):
-        """Random families of mixed target, statistics and theta (half of
-        them at theta = 0, pi or 2 pi), then the ``SPECIAL`` ones."""
-        theta = np.where(rng.integers(2, size=n), rng.choice([0.0, math.pi, 2 * math.pi], n),
-                         rng.uniform(0, 2 * math.pi, n))
-        families = list(zip(rng.uniform(0, 1, n), rng.uniform(0, 1, n), theta,
-                            rng.choice(["1_minus", "1_plus"], n).tolist(),
-                            [(BOSON, FERMION)[i] for i in rng.integers(2, size=n)]))
-        families += [(l, lp, th, target, statistics) for l, lp, th, targets, stats in self.SPECIAL
-                     for target in targets for statistics in stats]
-        l1, l2, theta, targets, stats = zip(*families)
-        return list(targets), np.array(l1), np.array(l2), np.array(theta), list(stats)
+    def cases(self, rng, n=75):
+        """For every target and statistics, n random families (half of them
+        at theta = 0, pi or 2 pi), then the ``SPECIAL`` ones:
+        (target, statistics, l, l', theta)."""
+        special = np.array(self.SPECIAL).T
+        for target, statistics in PAIRS:
+            theta = np.where(rng.integers(2, size=n),
+                             rng.choice([0.0, math.pi, 2 * math.pi], n),
+                             rng.uniform(0, 2 * math.pi, n))
+            random = (rng.uniform(0, 1, n), rng.uniform(0, 1, n), theta)
+            yield (target, statistics,
+                   *(np.concatenate((r, s)) for r, s in zip(random, special)))
 
     def test_rows_match_eigen_oracle(self, rng):
-        targets, l1, l2, theta, stats = self.cases(rng)
         ps = np.concatenate(([0.0, 1.0], rng.uniform(0, 1, 5)))
-        with np.errstate(all="raise"):
-            rows = WernerFamily(targets, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
-                                stats).evaluate(ps)
-            oracle = eigen_oracle(targets, l1, l2, theta, stats, ps)
-        assert rows.zero_trace.any() and rows.undefined.any() and rows.defined.any()
-        np.testing.assert_array_equal(rows.zero_trace, oracle.zero_trace)
-        np.testing.assert_array_equal(rows.undefined, oracle.undefined)
-        matrices = rows.matrices()
-        assert np.max(np.abs(matrices - oracle.matrices)) <= 1e-12
-        assert np.max(np.abs(rows.probability - oracle.probability)) <= 1e-12
-        assert np.max(np.abs(rows.concurrence - oracle.concurrence)) <= 1e-9
-        assert np.max(np.abs(rows.eof - oracle.eof)) <= 1e-9
-        assert np.max(np.abs(rows.bell - oracle.bell)) <= 1e-12
-        # the PSD test reads the eigenvalues u, u, v +- y directly
-        smallest = np.minimum(rows.u, rows.v - np.abs(rows.y))
-        np.testing.assert_allclose(smallest, np.linalg.eigvalsh(matrices)[:, 0], atol=1e-15)
-        assert np.all(rows.probability <= 1.0)
+        zero_trace = undefined = defined = False
+        for target, statistics, l1, l2, theta in self.cases(rng):
+            with np.errstate(all="raise"):
+                rows = WernerFamily(target, l1, l2, statistics, theta).evaluate(ps)
+                oracle = eigen_oracle(target, l1, l2, statistics, theta, ps)
+            zero_trace |= rows.zero_trace.any()
+            undefined |= rows.undefined.any()
+            defined |= rows.defined.any()
+            np.testing.assert_array_equal(rows.zero_trace, oracle.zero_trace)
+            np.testing.assert_array_equal(rows.undefined, oracle.undefined)
+            matrices = rows.matrices()
+            assert np.max(np.abs(matrices - oracle.matrices)) <= 1e-12
+            assert np.max(np.abs(rows.probability - oracle.probability)) <= 1e-12
+            assert np.max(np.abs(rows.concurrence - oracle.concurrence)) <= 1e-9
+            assert np.max(np.abs(rows.eof - oracle.eof)) <= 1e-9
+            assert np.max(np.abs(rows.bell - oracle.bell)) <= 1e-12
+            # the PSD test reads the eigenvalues u, u, v +- y directly
+            smallest = np.minimum(rows.u, rows.v - np.abs(rows.y))
+            np.testing.assert_allclose(smallest, np.linalg.eigvalsh(matrices)[:, 0],
+                                       atol=1e-15)
+            assert np.all(rows.probability <= 1.0)
+        assert zero_trace and undefined and defined
 
     @pytest.mark.parametrize("statistics, theta", [(FERMION, 0.0), (BOSON, math.pi)])
     def test_near_pure_rows_match_the_wootters_spectrum(self, statistics, theta):
         # triplet-type target on the r' = l family at l = 0.7071: the rows are
         # nearly pure, rho00 ~ 1e-10, so two eigenvalues of rho rho~ are
-        # ~1e-20.  The eigen solver gets every eigenvalue to ~4e-16, but the
-        # square roots in C = sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4) turn
-        # that into ~4e-9 in the oracle's C; the X rows give the spectrum
-        # u^2, u^2, (v +- |y|)^2 and C = 2 max(0, |y| - u) directly
+        # ~1e-20.  The square roots in C = sqrt(l1) - sqrt(l2) - sqrt(l3) -
+        # sqrt(l4) turn an absolute error of ~4e-16 in them into ~4e-9, as
+        # the non-Hermitian eigen solver gave; the oracle's singular values
+        # and the X rows' spectrum u^2, u^2, (v +- |y|)^2 with
+        # C = 2 max(0, |y| - u) carry none of it
         ps = np.linspace(0.0, 1.0, 11)
         lp = math.sqrt(1 - 0.7071 ** 2)
-        rows = WernerFamily("1_plus", SpatialWave.from_l(0.7071),
-                            SpatialWave.from_l(lp, theta), statistics).evaluate(ps)
-        oracle = eigen_oracle(["1_plus"], np.array([0.7071]), np.array([lp]),
-                              np.array([theta]), [statistics], ps)
+        rows = WernerFamily("1_plus", 0.7071, lp, statistics, theta).evaluate(ps)
+        oracle = eigen_oracle("1_plus", np.array([0.7071]), np.array([lp]), statistics,
+                              np.array([theta]), ps)
         spectrum = np.stack([rows.u ** 2, rows.u ** 2,
                              (rows.v + np.abs(rows.y)) ** 2, (rows.v - np.abs(rows.y)) ** 2], 1)
         assert np.min(rows.u[1:]) < 1e-9
@@ -433,13 +458,13 @@ class TestXStateRows:
         np.testing.assert_allclose(
             rows.concurrence, np.clip(roots[:, 0] - roots[:, 1:].sum(axis=1), 0.0, 1.0),
             rtol=0, atol=1e-15)
+        assert np.max(np.abs(rows.concurrence - oracle.concurrence)) <= 1e-13
 
     def test_cancelling_singlet_norm_detects_with_probability_one(self):
         # the boson singlet norm 1 - |<psi1|psi2>|^2 is ~1e-8 here: taken
         # from the overlap it rounds apart from the detection weight
         # (P_LR = 1.00000061 before); split by detection sector it is exact
-        family = WernerFamily("1_minus", SpatialWave.from_l(0.7071),
-                              SpatialWave.from_l(math.sqrt(1 - 0.7071 ** 2)), BOSON)
+        family = WernerFamily("1_minus", 0.7071, math.sqrt(1 - 0.7071 ** 2), BOSON, 0.0)
         with np.errstate(all="raise"):
             rows = family.evaluate(np.array([0.0, 0.5, 1.0]))
         assert rows.probability[0] == 1.0
@@ -448,9 +473,8 @@ class TestXStateRows:
         assert np.all((rows.probability > 0.0) & (rows.probability <= 1.0))
 
     def test_fields_are_one_dimensional(self, rng):
-        targets, l1, l2, theta, stats = self.cases(rng, n=10)
-        rows = WernerFamily(targets, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
-                            stats).evaluate(np.linspace(0, 1, 7))
+        target, statistics, l1, l2, theta = next(self.cases(rng, n=10))
+        rows = WernerFamily(target, l1, l2, statistics, theta).evaluate(np.linspace(0, 1, 7))
         assert {getattr(rows, f.name).shape for f in dataclasses.fields(rows)} \
             == {(len(l1) * 7,)}
 
@@ -532,44 +556,40 @@ class TestWorstBell:
     DENSE = np.linspace(0.0, 1.0, 2001)
 
     def test_random_families_match_or_beat_both_searches(self, rng, monkeypatch):
-        n = 200
-        l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
-        theta = rng.uniform(0, 2 * math.pi, n)
-        targets = [("1_minus", "1_plus")[i] for i in rng.integers(2, size=n)]
-        stats = [(BOSON, FERMION)[i] for i in rng.integers(2, size=n)]
-        assert {*targets} == {"1_minus", "1_plus"} and {*stats} == {BOSON, FERMION}
-        family = WernerFamily(targets, WaveStack.from_l(l1), WaveStack.from_l(l2, theta),
-                              stats)
-        evaluate, levels = WernerFamily._evaluate, []
+        n = 50
+        for target, statistics in PAIRS:
+            l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+            theta = rng.uniform(0, 2 * math.pi, n)
+            family = WernerFamily(target, l1, l2, statistics, theta)
+            evaluate, levels = WernerFamily._evaluate, []
 
-        def counting(self, p):
-            levels.append(p.shape)
-            return evaluate(self, p)
+            def counting(self, p):
+                levels.append(p.shape)
+                return evaluate(self, p)
 
-        with monkeypatch.context() as patch, np.errstate(all="raise"):
-            patch.setattr(WernerFamily, "_evaluate", counting)
-            worst_p, worst = family.worst_bell()
-        # one pass over p = 0, p = 1, the root of y and the foot of the
-        # perpendicular for every family
-        assert levels == [(n, 4)]
-        dense = family.evaluate(self.DENSE).bell.reshape(n, -1).min(axis=1)
-        assert worst_p.shape == worst.shape == (n,)
-        assert np.all((0.0 <= worst_p) & (worst_p <= 1.0))
-        assert np.all(worst <= dense + 1e-12)
-        for f in range(n):
-            one = WernerFamily(targets[f], SpatialWave.from_l(l1[f]),
-                               SpatialWave.from_l(l2[f], theta[f]), stats[f])
-            _, oracle = grid_golden_worst_bell(one)
-            assert worst[f] <= oracle + 1e-12, f
-            # a family alone gives what it gives inside the stack
-            assert [a[0] for a in one.worst_bell()] == [worst_p[f], worst[f]]
+            with monkeypatch.context() as patch, np.errstate(all="raise"):
+                patch.setattr(WernerFamily, "_evaluate", counting)
+                worst_p, worst = family.worst_bell()
+            # one pass over p = 0, p = 1, the root of y and the foot of the
+            # perpendicular for every family
+            assert levels == [(n, 4)]
+            dense = family.evaluate(self.DENSE).bell.reshape(n, -1).min(axis=1)
+            assert worst_p.shape == worst.shape == (n,)
+            assert np.all((0.0 <= worst_p) & (worst_p <= 1.0))
+            assert np.all(worst <= dense + 1e-12)
+            for f in range(n):
+                one = WernerFamily(target, l1[f], l2[f], statistics, theta[f])
+                _, oracle = grid_golden_worst_bell(one)
+                assert worst[f] <= oracle + 1e-12, (target, statistics, f)
+                # a family alone gives what it gives inside the stack
+                assert [a[0] for a in one.worst_bell()] == [worst_p[f], worst[f]]
 
     @pytest.mark.parametrize("case", [
         # psi1 = psi2: the fermionic triplet-type target has zero norm, so the
         # global trace vanishes at p = 0 and that row reads B = 0
-        ("1_plus", SpatialWave.from_l(SQRT_HALF), SpatialWave.from_l(SQRT_HALF), FERMION),
+        ("1_plus", SQRT_HALF, SQRT_HALF, FERMION, 0.0),
         # both waves on L: never detected, every row reads B = 0
-        ("1_minus", SpatialWave.from_l(1.0), SpatialWave.from_l(1.0), FERMION),
+        ("1_minus", 1.0, 1.0, FERMION, 0.0),
     ], ids=["zero-global-trace", "never-detected"])
     def test_undefined_rows_read_zero(self, case):
         family = WernerFamily(*case)
@@ -583,8 +603,7 @@ class TestWorstBell:
         # theta just below pi: the target norm is ~1e-11, so B falls from
         # 2 sqrt(2) at p = 0 to 2 within p ~ 1e-11 and climbs back; the grid
         # plus golden-section search misses the dip
-        family = WernerFamily("1_plus", SpatialWave.from_l(SQRT_HALF),
-                              SpatialWave.from_l(math.sqrt(0.5), 3.14159), BOSON)
+        family = WernerFamily("1_plus", SQRT_HALF, math.sqrt(0.5), BOSON, 3.14159)
         with np.errstate(all="raise"):
             worst_p, worst = family.worst_bell()
         assert 0.0 < worst_p[0] < 1e-10
@@ -596,22 +615,20 @@ class TestWorstBell:
 
 finite_unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 families = st.lists(st.tuples(finite_unit, finite_unit,
-                              st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False),
-                              st.sampled_from([BOSON, FERMION]),
-                              st.sampled_from(["1_minus", "1_plus"])),
+                              st.floats(min_value=0.0, max_value=2 * math.pi, allow_nan=False)),
                     min_size=1, max_size=4)
 
 
 class TestWernerFamilyProperties:
     @settings(derandomize=True, deadline=None, max_examples=100)
-    @given(cases=families, ps=st.lists(finite_unit, min_size=1, max_size=6))
-    def test_rows_are_states_and_flags_match_pointwise(self, cases, ps):
-        ls, lps, thetas, stats, targets = zip(*cases)
-        rows = WernerFamily(
-            targets, WaveStack.from_l(ls), WaveStack.from_l(lps, np.array(thetas)),
-            stats).evaluate(np.array(ps))
+    @given(target=st.sampled_from(["1_minus", "1_plus"]),
+           statistics=st.sampled_from([BOSON, FERMION]), cases=families,
+           ps=st.lists(finite_unit, min_size=1, max_size=6))
+    def test_rows_are_states_and_flags_match_pointwise(self, target, statistics, cases, ps):
+        ls, lps, thetas = zip(*cases)
+        rows = WernerFamily(target, ls, lps, statistics, thetas).evaluate(np.array(ps))
         flagged, matrices = _flagged(rows), rows.matrices()
-        for f, (l, lprime, theta, statistics, target) in enumerate(cases):
+        for f, (l, lprime, theta) in enumerate(cases):
             psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta)
             for k, p in enumerate(ps, start=f * len(ps)):
                 try:
