@@ -1,37 +1,38 @@
 """Entanglement preparation with spatially indistinguishable identical particles.
 
-The package follows one pipeline end to end: single-particle states on a
-finite mode basis (:mod:`islocc.states`), permutation-sum amplitudes for
-bosons and fermions (:mod:`islocc.amplitudes`), superpositions and
-ensembles (:mod:`islocc.ensembles`), post-selection of one particle per
-separated region (:mod:`islocc.slocc`), the entropic degree of spatial
+The production path is small: closed-form X-state rows of noisy Werner
+preparations (:mod:`islocc.xstate`, numpy only) and the deterministic
+sweeps and threshold searches built on them (:mod:`islocc.sweeps`).  Its
+oracle follows the physics end to end: single-particle states on a finite
+mode basis (:mod:`islocc.states`), permutation-sum amplitudes for bosons
+and fermions (:mod:`islocc.amplitudes`), superpositions and ensembles
+(:mod:`islocc.ensembles`), post-selection of one particle per separated
+region (:mod:`islocc.slocc`), the entropic degree of spatial
 indistinguishability (:mod:`islocc.indistinguishability`), concurrence /
-entanglement of formation / CHSH diagnostics (:mod:`islocc.entanglement`),
-noisy Werner preparation with closed-form X-state rows
-(:mod:`islocc.werner`), deterministic sweeps and threshold searches
-(:mod:`islocc.sweeps`), and numerical self-verification of every step
-against an independent computation (:mod:`islocc.verify`).
+entanglement of formation / CHSH diagnostics (:mod:`islocc.entanglement`)
+and noisy Werner preparation through the amplitude engine
+(:mod:`islocc.werner`).  :mod:`islocc.verify` checks every step against an
+independent computation.
 """
 
+from .xstate import (BOSON, FERMION, ParticleStatistics, WernerFamily, XStateRows,
+                     binary_entropy, canonical_theta)
 from .states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave, Spin,
                      inner, make_peaked)
-from .amplitudes import (BOSON, FERMION, ElementaryKet, ParticleStatistics,
-                         PermutationCapExceeded, amplitude, amplitude_fast,
-                         amplitude_permsum, overlap_matrix, permanent_ryser)
+from .amplitudes import (ElementaryKet, PermutationCapExceeded, amplitude,
+                         amplitude_fast, amplitude_permsum, overlap_matrix,
+                         permanent_ryser)
 from .ensembles import (MixedState, PureNState, matrix_element, mixed_trace,
                         pure_norm_sq, state_overlap)
 from .slocc import (ProjectedDensityMatrix, ProjectionUndefinedError,
-                    computational_kets, project, slocc_probability,
-                    spin_configurations)
+                    computational_kets, project, spin_configurations)
 from .indistinguishability import (IndistinguishabilityBreakdown, degree_n,
                                    degree_two, region_probability)
 from .entanglement import (EntanglementReport, NotXShapedError, analyze,
-                           bell_horodecki, bell_xstate, binary_entropy,
-                           concurrence, correlation_matrix, eof, spin_flip,
-                           wootters_lambdas)
+                           bell_horodecki, bell_xstate, concurrence,
+                           correlation_matrix, eof, wootters_lambdas)
 from .werner import (LR_BASIS, KrausSet, WernerSpec, bell_states,
-                     canonical_theta, closed_form_concurrence_minus,
-                     closed_form_concurrence_plus,
+                     closed_form_concurrence_minus, closed_form_concurrence_plus,
                      closed_form_probability_minus,
                      closed_form_probability_plus, depolarize_then_deform,
                      depolarizing_kraus, project_werner, spec_from_l,

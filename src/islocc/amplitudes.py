@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterator
 
 import numpy as np
 
 from .states import ModeBasis, SingleParticleState, inner
+from .xstate import BOSON, FERMION, ParticleStatistics
 
 __all__ = [
     "ParticleStatistics",
@@ -42,31 +42,6 @@ __all__ = [
 ]
 
 PERMSUM_DEFAULT_CAP = 8
-
-
-class ParticleStatistics(Enum):
-    """Exchange statistics: +1 (boson) or -1 (fermion)."""
-
-    BOSON = 1
-    FERMION = -1
-
-    @property
-    def eta(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return self.name.lower()
-
-    @classmethod
-    def parse(cls, text: str) -> "ParticleStatistics":
-        try:
-            return cls[text.strip().upper()]
-        except KeyError:
-            raise ValueError(f"statistics must be 'boson' or 'fermion', got {text!r}") from None
-
-
-BOSON = ParticleStatistics.BOSON
-FERMION = ParticleStatistics.FERMION
 
 
 class PermutationCapExceeded(ValueError):

@@ -4,13 +4,13 @@ search and self-verification.
 Exit codes: 0 on success, 1 when verification fails, 2 on configuration
 errors.  Options may come from a flat ``key = value`` config file
 (``--config``); command-line flags override file values.  An ``--output``
-path whose directory is missing or unwritable is rejected before any
-computation; with ``--output`` nothing is written to stdout.  A sweep
-evaluates all its families as one stacked Werner-family array in closed
-form (:class:`~islocc.werner.WernerFamily`); ``bell-region`` writes the
-same sweep rows with the ``p``, ``indist``, ``bell`` and ``violated``
-columns.  ``threshold`` takes no grid or format flags; it ignores those
-keys in a config file.
+path that is a directory, or whose directory is missing or unwritable, is
+rejected before any computation; with ``--output`` nothing is written to
+stdout.  A sweep evaluates all its families as one stacked Werner-family
+array in closed form (:class:`~islocc.xstate.WernerFamily`);
+``bell-region`` writes the same sweep rows with the ``p``, ``indist``,
+``bell`` and ``violated`` columns.  ``threshold`` takes no grid or format
+flags; it ignores those keys in a config file.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ import os
 import sys
 from pathlib import Path
 
-from .amplitudes import ParticleStatistics
 from .sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, ConfigError, GridSpec,
                      SweepConfig, find_threshold, records_to_csv,
                      records_to_json, run_sweep)
 from .svg import bell_region_svg, sweep_svg
 from .verify import run_verify
+from .xstate import ParticleStatistics
 
 __all__ = ["main", "build_config", "load_config_file"]
 
@@ -83,8 +83,10 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
 
 
 def _check_writable(output: str) -> None:
-    """Reject an output path whose directory is missing or unwritable, so
-    that the run fails before any computation."""
+    """Reject an output path that is a directory or whose directory is
+    missing or unwritable, so that the run fails before any computation."""
+    if Path(output).is_dir():
+        raise ConfigError(f"cannot write output file {output!r}: it is a directory")
     directory = Path(output).parent
     if not directory.is_dir():
         raise ConfigError(f"cannot write output file {output!r}: "

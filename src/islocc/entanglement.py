@@ -11,11 +11,12 @@ from the spin-correlation matrix, and the closed-form X-state expression
 
 :func:`analyze` reports all of them for one matrix.  This eigen path is
 the oracle of the sweep and threshold rows: those are real X states with
-rho03 = 0, which :class:`~islocc.werner.WernerFamily` analyzes from their
+rho03 = 0, which :class:`~islocc.xstate.WernerFamily` analyzes from their
 three distinct entries u = rho00, v = rho11 and y = rho12 in closed form,
 C = 2 max(0, |y| - u) and B = 2 sqrt(P^2 + Q^2) = 4 sqrt((u - v)^2 + y^2),
-with no 4x4 matrix and no eigen solver; it shares the elementwise
-entanglement-of-formation formula.
+with no 4x4 matrix and no eigen solver.  The elementwise entropy and
+entanglement-of-formation formulas (:func:`binary_entropy`) are defined
+there and shared.
 
 For the singlet-type states produced by the noisy-preparation pipeline the
 two CHSH evaluators coincide exactly; for triplet-type X states whose
@@ -31,13 +32,13 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .slocc import _HERM_ATOL, ProjectedDensityMatrix
+from .slocc import ProjectedDensityMatrix
+from .xstate import _HERM_ATOL, _eof, binary_entropy
 
 __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "spin_flip",
     "wootters_lambdas",
     "concurrence",
     "binary_entropy",
@@ -81,11 +82,6 @@ def _as_matrix(rho: MatrixLike) -> np.ndarray:
     return m
 
 
-def spin_flip(rho: MatrixLike) -> np.ndarray:
-    """Spin-flipped conjugate (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
-    return _FLIP @ _as_matrix(rho).conj() @ _FLIP
-
-
 def _lambdas(m: np.ndarray) -> np.ndarray:
     """Descending eigenvalues of rho * rho~, as sigma^2 with sigma the
     singular values of tau = Psi^T (sigma_y x sigma_y) Psi, where
@@ -103,17 +99,6 @@ def _lambdas(m: np.ndarray) -> np.ndarray:
 def _concurrence(lambdas: np.ndarray) -> np.ndarray:
     roots = np.sqrt(lambdas)
     return np.clip(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], 0.0, 1.0)
-
-
-def _entropy(x: np.ndarray) -> np.ndarray:
-    inside = (x > 0.0) & (x < 1.0)
-    y = np.where(inside, x, 0.5)  # keeps log2(0) out of the masked entries
-    return -(y * np.log2(y) + (1.0 - y) * np.log2(1.0 - y)) * inside
-
-
-def _eof(c: np.ndarray) -> np.ndarray:
-    c = np.clip(c, 0.0, 1.0)
-    return _entropy((1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
 def _xstate(m: np.ndarray) -> tuple[float, float, float, float]:
@@ -138,12 +123,6 @@ def concurrence(rho: MatrixLike) -> float:
     """Wootters concurrence max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))
     with l1 the largest eigenvalue of rho * rho~."""
     return float(_concurrence(wootters_lambdas(rho)))
-
-
-def binary_entropy(x):
-    """h(x) = -x log2 x - (1-x) log2 (1-x), continuous at 0 and 1; elementwise
-    over an array, a float for a float."""
-    return _entropy(np.asarray(x, dtype=float))[()]
 
 
 def eof(concurrence_value: float) -> float:

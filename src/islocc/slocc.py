@@ -10,8 +10,9 @@ projected block, and :class:`ProjectedDensityMatrix` checks the result
 once, with :func:`check_density_matrix`.
 
 This general-N path, with its eigen-solver check, is the oracle of the
-sweep and threshold rows, which :class:`~islocc.werner.WernerFamily`
-evaluates as closed-form X states.
+sweep and threshold rows, which :class:`~islocc.xstate.WernerFamily`
+evaluates as closed-form X states.  The state-check tolerances are that
+module's, so both paths accept the same rows.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .amplitudes import BOSON, ElementaryKet
 from .ensembles import MixedState, state_overlap
 from .states import DOWN, UP, ModeBasis, SingleParticleState, Spin
+from .xstate import _EIG_ATOL, _HERM_ATOL, _UNDEFINED_RTOL, _ZERO_TRACE_ATOL
 
 __all__ = [
     "ProjectionUndefinedError",
@@ -36,19 +38,10 @@ __all__ = [
     "check_density_matrix",
     "normalize_block",
     "project",
-    "slocc_probability",
 ]
 
 #: Fixed computational ordering of the two spin values.
 SPIN_ORDER = (UP, DOWN)
-
-#: A global trace at or below this is an empty state.
-_ZERO_TRACE_ATOL = 1e-12
-#: Detection weight at or below this times max(global trace, 1) is no detection.
-_UNDEFINED_RTOL = 1e-14
-
-_HERM_ATOL = 1e-12
-_EIG_ATOL = 1e-10
 
 
 class ProjectionUndefinedError(ValueError):
@@ -203,11 +196,3 @@ def project(m: MixedState, regions: Sequence[str]) -> ProjectedDensityMatrix:
     """
     regions, raw, global_trace = _detection(m, regions)
     return normalize_block(raw, global_trace, regions)
-
-
-def slocc_probability(m: MixedState, regions: Sequence[str]) -> float:
-    """Probability of detecting one particle in each region (post-selection rate)."""
-    _, raw, global_trace = _detection(m, regions)
-    if not global_trace > _ZERO_TRACE_ATOL:
-        raise ZeroTraceError("state has zero global trace")
-    return float(np.trace(raw).real) / global_trace

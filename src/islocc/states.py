@@ -170,8 +170,9 @@ class SpatialWave:
         if not all(math.isfinite(v) for v in (self.l, self.r, self.theta)):
             raise ValueError(f"peaked-wave parameters must be finite, got "
                              f"l={self.l!r}, r={self.r!r}, theta={self.theta!r}")
-        if not (self.l >= 0 and self.r >= 0):
-            raise ValueError("peaked amplitudes l, r must be non-negative")
+        if not (0 <= self.l <= 1 and 0 <= self.r <= 1):
+            raise ValueError(f"peaked amplitudes l, r must be non-negative and at most 1, "
+                             f"got l={self.l!r}, r={self.r!r}")
         if not abs(self.l ** 2 + self.r ** 2 - 1.0) <= NORM_ATOL:
             raise ValueError(f"l^2 + r^2 must equal 1, got {self.l ** 2 + self.r ** 2!r}")
 

@@ -7,10 +7,11 @@ indistinguishability decreases monotonically from 1 at l = 1/sqrt(2) to 0
 at l = 1, so target degrees are inverted by bisection.
 
 A sweep evaluates every family of the outer grid at every noise
-probability with one :class:`~islocc.werner.WernerFamily`, each row a
+probability with one :class:`~islocc.xstate.WernerFamily`, each row a
 closed-form X state read off three entries (rho03 is 0), with no 4x4
-matrix and no eigen solver (the amplitude and eigen path is its oracle in
-:mod:`islocc.verify` and the tests); identical configurations produce
+matrix and no eigen solver.  This module imports nothing of the package
+but :mod:`islocc.xstate`; the amplitude and eigen path is its oracle in
+:mod:`islocc.verify` and the tests.  Identical configurations produce
 byte-identical CSV output, and a configuration asking for more than
 ``MAX_SWEEP_ROWS`` rows is rejected before any grid is built.
 
@@ -21,7 +22,7 @@ write and read each one once, choosing the cell format once per column.
 
 The threshold search bisects l on the same family directly.  At each step
 the worst noise level comes in closed form from
-:meth:`~islocc.werner.WernerFamily.worst_bell`: the CHSH value of an X
+:meth:`~islocc.xstate.WernerFamily.worst_bell`: the CHSH value of an X
 state is the length of a point moving along a straight line in p, so its
 minimum sits at one of four candidate noise levels.
 """
@@ -36,9 +37,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .amplitudes import FERMION, ParticleStatistics
-from .entanglement import binary_entropy
-from .werner import WernerFamily, XStateRows, _unit_r, canonical_theta
+from .xstate import (_SQRT_HALF, FERMION, ParticleStatistics, WernerFamily, XStateRows,
+                     _unit_r, binary_entropy, canonical_theta)
 
 __all__ = [
     "ConfigError",
@@ -70,8 +70,6 @@ FLAG_PROBABILITY = 1e-12
 #: 301 x 301 sweep rendered to CSV peaks at about 1.2 KB per row, so this
 #: bounds a run at about 1.1 GiB.
 MAX_SWEEP_ROWS = 1_000_000
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class ConfigError(ValueError):
@@ -226,16 +224,17 @@ def l_for_indist(target, tol: float = 1e-12):
     return l[()]
 
 
-def _lprime_for(constraint: str, l, lprime_fixed: float | None):
+def _second_wave(constraint: str, l, lprime_fixed: float | None):
+    """l' and r' of the second wave of each family.  On the r' = l family
+    r' is l itself, so the degree there is :func:`indist_on_family`'s."""
     if constraint == "l_eq_rprime":
-        return _unit_r(l)  # r' = l
-    if constraint == "l_eq_lprime":
-        return l
-    return np.full_like(l, lprime_fixed)
+        return _unit_r(l), l
+    lprime = l if constraint == "l_eq_lprime" else np.full_like(l, lprime_fixed)
+    return lprime, _unit_r(lprime)
 
 
-def _family_ls(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The l and l' of each family of the outer grid."""
+def _family_ls(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The l, l' and r' of each family of the outer grid."""
     if config.indist_grid is not None:
         l = l_for_indist(config.indist_grid.values())
     elif config.l_grid is not None:
@@ -244,7 +243,7 @@ def _family_ls(config: SweepConfig) -> tuple[np.ndarray, np.ndarray]:
         l = l_for_indist(_DEFAULT_INDIST_GRID.values())
     else:
         raise ConfigError(f"constraint {config.constraint!r} needs an explicit l_grid")
-    return l, _lprime_for(config.constraint, l, config.lprime)
+    return (l, *_second_wave(config.constraint, l, config.lprime))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +283,7 @@ def _flagged(rows: XStateRows) -> np.ndarray:
 
 def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     """Evaluate the full pipeline over the configured grid: every family of
-    the outer grid as one :class:`~islocc.werner.WernerFamily` stack.
+    the outer grid as one :class:`~islocc.xstate.WernerFamily` stack.
 
     Rows are ordered by the outer (l or indistinguishability) grid first and
     the noise-probability grid second.  Flagged rows are kept, with one
@@ -293,9 +292,9 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     config.validate()
     theta = config.resolved_theta()
     p = config.p_grid.values()
-    l, lprime = _family_ls(config)
+    l, lprime, rprime = _family_ls(config)
     # both waves on one mode: degree and projection undefined, rows zeroed and flagged
-    indist = _peaked_degree(l, _unit_r(l), lprime, _unit_r(lprime))
+    indist = _peaked_degree(l, _unit_r(l), lprime, rprime)
     rows = WernerFamily(config.target, l, lprime, config.statistics, theta).evaluate(p)
     flagged = _flagged(rows)
     count = int(np.count_nonzero(flagged))
@@ -356,7 +355,7 @@ def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
     l itself is bisected between a violating and a non-violating end until
     the degrees of the two ends differ by at most ``tol``; the violating
     end's degree and l are reported.  Each step takes min_p B in closed form
-    from :meth:`~islocc.werner.WernerFamily.worst_bell` (four candidate
+    from :meth:`~islocc.xstate.WernerFamily.worst_bell` (four candidate
     noise levels evaluated together), so no minimization and no
     inversion of the degree is iterated.  A non-finite ``tol`` raises
     :class:`ConfigError`.

@@ -6,8 +6,8 @@ one-line summary of the worst deviation and raises ``AssertionError`` past
 its tolerance.  The amplitude and eigen path
 (:func:`~islocc.werner.project_werner`, :func:`~islocc.slocc.project`,
 :func:`~islocc.entanglement.analyze`) is the oracle here of the closed-form
-rows that the sweeps use.  :func:`run_verify` runs every suite on a fresh
-generator of one seed.
+rows of :mod:`islocc.xstate` that the sweeps use.  :func:`run_verify` runs
+every suite on a fresh generator of one seed.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from .ensembles import mixed_trace, pure_norm_sq
 from .slocc import ProjectionUndefinedError, ZeroTraceError, project
 from .states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
 from .sweeps import FLAG_PROBABILITY, ConfigError, SweepConfig, _flagged, find_threshold
-from .werner import (WernerFamily, WernerSpec, bell_states, depolarize_then_deform,
-                     project_werner, spec_from_l, werner_direct)
+from .werner import (WernerSpec, bell_states, depolarize_then_deform, project_werner,
+                     spec_from_l, werner_direct)
+from .xstate import _SQRT_HALF, WernerFamily, XStateRows
 
 __all__ = [
     "SuiteResult",
@@ -35,8 +36,6 @@ __all__ = [
     "run_verify",
     "random_single_particle",
 ]
-
-_SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,15 @@ def _worst(*deviations) -> float:
     """The largest of ``deviations``, NaN if any is NaN (``max`` skips NaN
     when it comes second)."""
     return float(np.max(deviations))
+
+
+def x_state_matrices(rows: XStateRows) -> np.ndarray:
+    """The rows as an (n, 4, 4) stack of complex density matrices, rho03 = 0."""
+    m = np.zeros((len(rows.u), 4, 4), dtype=complex)
+    m[:, 0, 0] = m[:, 3, 3] = rows.u
+    m[:, 1, 1] = m[:, 2, 2] = rows.v
+    m[:, 1, 2] = m[:, 2, 1] = rows.y
+    return m
 
 
 def random_single_particle(rng: np.random.Generator, basis: ModeBasis) -> SingleParticleState:
@@ -263,7 +271,7 @@ def suite_batched_vs_pointwise(rng: np.random.Generator) -> str:
     for (stats, target), group in groups.items():
         ls, lps, thetas, _, _ = zip(*group)
         rows = WernerFamily(target, ls, lps, stats, thetas).evaluate(ps)
-        matrices, flagged = rows.matrices(), _flagged(rows)
+        matrices, flagged = x_state_matrices(rows), _flagged(rows)
         for f, (l, lp, theta, _, _) in enumerate(group):
             psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lp, theta)
             for k, p in enumerate(ps, start=f * len(ps)):

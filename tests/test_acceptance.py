@@ -11,7 +11,7 @@ from islocc import verify
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet, amplitude_permsum
 from islocc.entanglement import concurrence
 from islocc.indistinguishability import degree_n, degree_two
-from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, slocc_probability
+from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, project
 from islocc.states import UP, ModeBasis, SingleParticleState, SpatialWave, make_peaked
 from islocc.verify import random_single_particle
 from islocc.werner import project_werner, spec_from_l, werner_direct
@@ -51,11 +51,11 @@ def test_criterion_2_detection_probabilities():
         fermion_values = []
         for p in p_values:
             spec_f = spec_from_l(p, "1_minus", l, l, FERMION)
-            got_f = slocc_probability(werner_direct(spec_f), ("L", "R"))
+            got_f = project(werner_direct(spec_f), ("L", "R")).probability
             fermion_values.append(got_f)
             worst_f = max(worst_f, abs(got_f - 2 * l * l * (1 - l * l)))
             spec_b = spec_from_l(p, "1_minus", l, l, BOSON)
-            got_b = slocc_probability(werner_direct(spec_b), ("L", "R"))
+            got_b = project(werner_direct(spec_b), ("L", "R")).probability
             expected_b = (2 * l * l * (1 - l * l) * (4 - 3 * p)
                           / (2 - (1 - 2 * l * l) ** 2 * (2 - 3 * p)))
             worst_b = max(worst_b, abs(got_b - expected_b))
@@ -64,10 +64,10 @@ def test_criterion_2_detection_probabilities():
     # maxima at l^2 = 1/2
     for p in p_values:
         spec_f = spec_from_l(p, "1_minus", SQRT_HALF, SQRT_HALF, FERMION)
-        assert slocc_probability(werner_direct(spec_f), ("L", "R")) == \
+        assert project(werner_direct(spec_f), ("L", "R")).probability == \
             pytest.approx(0.5, abs=1e-9)
         spec_b = spec_from_l(p, "1_minus", SQRT_HALF, SQRT_HALF, BOSON)
-        assert slocc_probability(werner_direct(spec_b), ("L", "R")) == \
+        assert project(werner_direct(spec_b), ("L", "R")).probability == \
             pytest.approx(1 - 0.75 * p, abs=1e-9)
     _report(2, f"detection probabilities match the closed expressions "
                f"(fermions p-independent), worst diffs {worst_f:.2e} / {worst_b:.2e}")

@@ -7,12 +7,18 @@ from islocc.amplitudes import BOSON, FERMION
 from islocc.entanglement import (SIGMA_Y, NotXShapedError, analyze,
                                  bell_horodecki, bell_xstate, binary_entropy,
                                  concurrence, correlation_matrix, eof,
-                                 spin_flip, wootters_lambdas)
+                                 wootters_lambdas)
 from islocc.slocc import ProjectionUndefinedError
 from islocc.states import SpatialWave
 from islocc.werner import WernerSpec, project_werner, spec_from_l
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+FLIP = np.kron(SIGMA_Y, SIGMA_Y)
+
+
+def _spin_flip(rho):
+    """Spin-flipped conjugate (sigma_y x sigma_y) rho* (sigma_y x sigma_y)."""
+    return FLIP @ rho.conj() @ FLIP
 
 
 def _bell_vector(kind):
@@ -45,24 +51,6 @@ def _random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-class TestSpinFlip:
-    def test_singlet_is_invariant(self):
-        rho = _projector(_bell_vector("psi_minus"))
-        np.testing.assert_allclose(spin_flip(rho), rho, atol=1e-14)
-
-    def test_flips_both_spins(self):
-        up_up = np.zeros((4, 4), dtype=complex)
-        up_up[0, 0] = 1.0
-        down_down = np.zeros((4, 4), dtype=complex)
-        down_down[3, 3] = 1.0
-        np.testing.assert_allclose(spin_flip(up_up), down_down, atol=1e-14)
-
-    def test_involution(self, rng):
-        for _ in range(20):
-            rho = _random_density(rng)
-            np.testing.assert_allclose(spin_flip(spin_flip(rho)), rho, atol=1e-13)
-
-
 class TestConcurrence:
     @pytest.mark.parametrize("kind", ["psi_minus", "psi_plus", "phi_plus", "phi_minus"])
     def test_bell_states_are_maximal(self, kind):
@@ -90,25 +78,24 @@ class TestConcurrence:
         for _ in range(50):
             rho = _random_density(rng)
             lambdas = wootters_lambdas(rho)
-            expected = np.trace(rho @ spin_flip(rho)).real
+            expected = np.trace(rho @ _spin_flip(rho)).real
             assert math.fsum(lambdas) == pytest.approx(expected, abs=1e-12)
             assert np.all(lambdas[:-1] >= lambdas[1:])  # sorted descending
 
     def test_pure_states_match_the_flip_overlap(self, rng):
         # C(|psi><psi|) = |psi^T (sigma_y x sigma_y) psi|; the eigenvalues of
         # the non-Hermitian product rho rho~ lost up to ~2e-8 of it here
-        flip = np.kron(SIGMA_Y, SIGMA_Y)
         worst = 0.0
         for _ in range(1000):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi /= np.linalg.norm(psi)
-            worst = max(worst, abs(concurrence(_projector(psi)) - abs(psi @ flip @ psi)))
+            worst = max(worst, abs(concurrence(_projector(psi)) - abs(psi @ FLIP @ psi)))
         assert worst <= 1e-13
 
     def test_raw_spectrum_is_nearly_real_non_negative(self, rng):
         for _ in range(50):
             rho = _random_density(rng)
-            raw = np.linalg.eigvals(rho @ spin_flip(rho))
+            raw = np.linalg.eigvals(rho @ _spin_flip(rho))
             assert np.min(raw.real) >= -1e-10
             assert np.max(np.abs(raw.imag)) <= 1e-10
 

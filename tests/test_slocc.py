@@ -7,8 +7,7 @@ from islocc import slocc
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet
 from islocc.ensembles import MixedState, PureNState, mixed_trace
 from islocc.slocc import (ProjectedDensityMatrix, ProjectionUndefinedError,
-                          computational_kets, project, slocc_probability,
-                          spin_configurations)
+                          computational_kets, project, spin_configurations)
 from islocc.states import DOWN, UP, ModeBasis, SpatialWave, make_peaked
 from islocc.verify import random_single_particle
 from islocc.werner import (WernerSpec, closed_form_probability_minus,
@@ -185,13 +184,13 @@ class TestSloccProbability:
             expected = 2 * l * l * (1 - l * l)
             for p in (0.0, 0.3, 0.7, 1.0):
                 spec = spec_from_l(p, "1_minus", float(l), float(l), FERMION)
-                got = slocc_probability(werner_direct(spec), ("L", "R"))
+                got = project(werner_direct(spec), ("L", "R")).probability
                 assert got == pytest.approx(expected, abs=1e-12)
 
     def test_distinguishable_detection_is_certain(self):
         for p in (0.0, 0.5, 1.0):
             spec = spec_from_l(p, "1_minus", 1.0, 0.0, FERMION)
-            assert slocc_probability(werner_direct(spec), ("L", "R")) == \
+            assert project(werner_direct(spec), ("L", "R")).probability == \
                 pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
@@ -203,7 +202,7 @@ class TestSloccProbability:
             for lp in rng.uniform(0.05, 0.95, size=10):
                 for p in rng.uniform(0, 1, size=5):
                     spec = spec_from_l(float(p), target, float(l), float(lp), statistics)
-                    got = slocc_probability(werner_direct(spec), ("L", "R"))
+                    got = project(werner_direct(spec), ("L", "R")).probability
                     expected = closed(l, math.sqrt(1 - l * l), lp,
                                       math.sqrt(1 - lp * lp), p, statistics)
                     assert got == pytest.approx(expected, abs=1e-10)

@@ -55,6 +55,17 @@ class TestMakePeaked:
         with pytest.raises(ValueError, match="non-negative"):
             SpatialWave(-0.6, 0.8)
 
+    @pytest.mark.parametrize("l, r", [(1.0 + 1e-13, 0.0), (0.0, 1.0 + 1e-13)])
+    def test_rejects_amplitudes_above_one(self, l, r):
+        # within the norm check's slack, but not a wave WernerFamily accepts
+        with pytest.raises(ValueError, match="at most 1"):
+            SpatialWave(l, r)
+
+    def test_from_l_rejects_l_above_one(self):
+        with pytest.raises(ValueError, match="at most 1"):
+            SpatialWave.from_l(1.0000000000001)
+        assert SpatialWave.from_l(1.0).r == 0.0
+
     @pytest.mark.parametrize("l, r, theta", [(math.nan, math.nan, 0.0), (0.6, 0.8, math.inf),
                                              (0.6, 0.8, math.nan), (math.inf, 0.0, 0.0)])
     def test_rejects_non_finite(self, l, r, theta):

@@ -23,7 +23,8 @@ from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, MAX_SWEEP_ROWS, Confi
                            find_threshold, indist_on_family, l_for_indist,
                            records_to_csv, records_to_json, run_sweep)
 from islocc.verify import run_verify
-from islocc.werner import LR_BASIS, WernerFamily
+from islocc.werner import LR_BASIS
+from islocc.xstate import WernerFamily
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -111,6 +112,13 @@ class TestIndistInversion:
         for k in range(30):
             assert degrees[k] == _peaked_degree(float(l1[k]), float(r1[k]),
                                                 float(l2[k]), float(r2[k]))
+
+    def test_sweep_indist_column_is_the_family_degree(self):
+        # the r' = l family has one degree: indist_on_family's (l, r, r, l)
+        config = SweepConfig(indist_grid=GridSpec(0, 1, 301), p_grid=GridSpec(0, 0, 1))
+        records = run_sweep(config)
+        ls = np.array([r.l for r in records])
+        assert [r.indist for r in records] == indist_on_family(ls).tolist()
 
     def test_array_inversion_matches_scalar(self):
         targets = np.linspace(0.0, 1.0, 41)
@@ -680,6 +688,15 @@ class TestCli:
         captured = capsys.readouterr()
         assert "is not writable" in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "bell-region", "threshold"])
+    def test_directory_as_output_exits_2(self, command, tmp_path, capsys, monkeypatch):
+        for runner in ("run_sweep", "find_threshold"):
+            monkeypatch.setattr(f"islocc.cli.{runner}", lambda *args: pytest.fail("ran"))
+        assert main([command, "--output", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "is a directory" in captured.err and "Traceback" not in captured.err
+        assert len(captured.err.strip().splitlines()) == 1 and captured.out == ""
 
     @pytest.mark.parametrize("command, flag, value, code", [
         (["sweep"], "--theta", "-1e-07", 0),

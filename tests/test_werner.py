@@ -15,15 +15,15 @@ from islocc.slocc import (ProjectionUndefinedError, ZeroTraceError, computationa
 from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
                            find_threshold, run_sweep)
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
-from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WernerFamily, WernerSpec,
-                           _bell_overlaps, _check_rows, bell_states,
-                           canonical_theta,
+from islocc.verify import x_state_matrices
+from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WernerSpec, bell_states,
                            closed_form_concurrence_minus,
                            closed_form_concurrence_plus,
                            closed_form_probability_minus,
                            closed_form_probability_plus,
                            depolarize_then_deform, depolarizing_kraus,
                            project_werner, spec_from_l, werner_direct)
+from islocc.xstate import WernerFamily, _bell_overlaps, _check_rows, canonical_theta
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -338,12 +338,12 @@ class TestWernerFamilyStack:
             theta = rng.uniform(0, 2 * math.pi, n_families)
             ps = rng.uniform(0, 1, n_p)
             stacked = WernerFamily(target, l1, l2, statistics, theta).evaluate(ps)
-            matrices = stacked.matrices()
+            matrices = x_state_matrices(stacked)
             assert matrices.shape == (n_families * n_p, 4, 4)
             for f in range(n_families):
                 one = WernerFamily(target, l1[f], l2[f], statistics, theta[f]).evaluate(ps)
                 rows = slice(f * n_p, (f + 1) * n_p)
-                np.testing.assert_allclose(matrices[rows], one.matrices(), atol=1e-15)
+                np.testing.assert_allclose(matrices[rows], x_state_matrices(one), atol=1e-15)
                 np.testing.assert_allclose(stacked.probability[rows], one.probability,
                                            atol=1e-15)
                 np.testing.assert_allclose(stacked.concurrence[rows], one.concurrence,
@@ -423,7 +423,7 @@ class TestXStateRows:
             defined |= rows.defined.any()
             np.testing.assert_array_equal(rows.zero_trace, oracle.zero_trace)
             np.testing.assert_array_equal(rows.undefined, oracle.undefined)
-            matrices = rows.matrices()
+            matrices = x_state_matrices(rows)
             assert np.max(np.abs(matrices - oracle.matrices)) <= 1e-12
             assert np.max(np.abs(rows.probability - oracle.probability)) <= 1e-12
             assert np.max(np.abs(rows.concurrence - oracle.concurrence)) <= 1e-9
@@ -627,7 +627,7 @@ class TestWernerFamilyProperties:
     def test_rows_are_states_and_flags_match_pointwise(self, target, statistics, cases, ps):
         ls, lps, thetas = zip(*cases)
         rows = WernerFamily(target, ls, lps, statistics, thetas).evaluate(np.array(ps))
-        flagged, matrices = _flagged(rows), rows.matrices()
+        flagged, matrices = _flagged(rows), x_state_matrices(rows)
         for f, (l, lprime, theta) in enumerate(cases):
             psi1, psi2 = SpatialWave.from_l(l), SpatialWave.from_l(lprime, theta)
             for k, p in enumerate(ps, start=f * len(ps)):
