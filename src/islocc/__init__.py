@@ -3,16 +3,16 @@
 The production path is small: closed-form X-state rows of noisy Werner
 preparations (:mod:`islocc.xstate`, numpy only) and the deterministic
 sweeps and threshold searches built on them (:mod:`islocc.sweeps`).  Its
-oracle follows the physics end to end: single-particle states on a finite
-mode basis (:mod:`islocc.states`), permutation-sum amplitudes for bosons
-and fermions (:mod:`islocc.amplitudes`), superpositions and ensembles
-(:mod:`islocc.ensembles`), post-selection of one particle per separated
-region (:mod:`islocc.slocc`), the entropic degree of spatial
-indistinguishability (:mod:`islocc.indistinguishability`), concurrence /
-entanglement of formation / CHSH diagnostics (:mod:`islocc.entanglement`)
-and noisy Werner preparation through the amplitude engine
-(:mod:`islocc.werner`).  :mod:`islocc.verify` checks every step against an
-independent computation.
+oracle follows the physics end to end: single-particle states as dense
+vectors on a finite mode basis (:mod:`islocc.states`), permutation-sum
+amplitudes for bosons and fermions (:mod:`islocc.amplitudes`),
+superpositions and ensembles (:mod:`islocc.ensembles`), post-selection of
+one particle per separated region in one pass over the Fock basis
+(:mod:`islocc.slocc`), the entropic degree of spatial indistinguishability
+(:mod:`islocc.indistinguishability`), concurrence / entanglement of
+formation / CHSH diagnostics (:mod:`islocc.entanglement`) and noisy Werner
+preparation through the amplitude engine (:mod:`islocc.werner`).
+:mod:`islocc.verify` checks every step against an independent computation.
 """
 
 from .xstate import (BOSON, FERMION, ParticleStatistics, WernerFamily, XStateRows,

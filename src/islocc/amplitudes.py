@@ -8,7 +8,7 @@ overlaps,
 
 with eta = +1 for bosons and eta = -1 for fermions (eta^P = parity of P).
 That is a permanent or a determinant of the overlap matrix
-M[i][j] = <x'_i|x_j>.
+M[i][j] = <x'_i|x_j>, formed in one product of the stacked particle vectors.
 
 Two independent evaluation paths are kept side by side on purpose: the
 explicit permutation sum below is the correctness root for everything
@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .states import ModeBasis, SingleParticleState, inner
+from .states import ModeBasis, SingleParticleState
 from .xstate import BOSON, FERMION, ParticleStatistics
 
 __all__ = [
@@ -82,14 +82,12 @@ def _check_pair(bra: ElementaryKet, ket: ElementaryKet) -> None:
 
 
 def overlap_matrix(bra: ElementaryKet, ket: ElementaryKet) -> np.ndarray:
-    """N x N matrix of single-particle overlaps M[i, j] = <bra_i|ket_j>."""
+    """N x N matrix of single-particle overlaps M[i, j] = <bra_i|ket_j>, after
+    the one check of the pair that every amplitude makes."""
     _check_pair(bra, ket)
-    n = bra.n
-    m = np.empty((n, n), dtype=complex)
-    for i, bi in enumerate(bra.particles):
-        for j, kj in enumerate(ket.particles):
-            m[i, j] = inner(bi, kj)
-    return m
+    bras = np.array([p.vector for p in bra.particles])
+    kets = np.array([p.vector for p in ket.particles])
+    return bras.conj() @ kets.T
 
 
 def _permutations_with_parity(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -123,12 +121,11 @@ def amplitude_permsum(bra: ElementaryKet, ket: ElementaryKet,
     result under particle swaps holds to the last bit.  Refuses N > ``cap``
     (N! terms); use :func:`amplitude_fast` there.
     """
-    _check_pair(bra, ket)
+    m = overlap_matrix(bra, ket)
     n = bra.n
     if n > cap:
         raise PermutationCapExceeded(
             f"permutation sum over {n}! terms exceeds cap {cap}; use amplitude_fast")
-    m = overlap_matrix(bra, ket)
     fermionic = bra.statistics is FERMION
     real_parts: list[float] = []
     imag_parts: list[float] = []
@@ -179,7 +176,6 @@ def amplitude_fast(bra: ElementaryKet, ket: ElementaryKet) -> complex:
     stays polynomial-in-memory for larger N (bosons remain exponential in
     time, as any exact permanent must).
     """
-    _check_pair(bra, ket)
     m = overlap_matrix(bra, ket)
     n = bra.n
     eta = bra.statistics.eta

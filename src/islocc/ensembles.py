@@ -10,6 +10,7 @@ of the members' squared norms.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ class PureNState:
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValueError("a pure state needs at least one term")
+        if not all(cmath.isfinite(c) for c, _ in terms):
+            raise ValueError("superposition coefficients must be finite")
         first = terms[0][1]
         for _, ket in terms[1:]:
             if ket.n != first.n or ket.statistics is not first.statistics \
@@ -67,8 +70,8 @@ class MixedState:
         object.__setattr__(self, "ensemble", ensemble)
         if not ensemble:
             raise ValueError("an ensemble needs at least one member")
-        if any(w < 0 for w, _ in ensemble):
-            raise ValueError("ensemble weights must be non-negative")
+        if not all(0 <= w < math.inf for w, _ in ensemble):  # NaN fails too
+            raise ValueError("ensemble weights must be finite and non-negative")
         if not any(w > 0 for w, _ in ensemble):
             raise ValueError("at least one ensemble weight must be positive")
         first = ensemble[0][1]
@@ -105,7 +108,7 @@ def pure_norm_sq(state: PureNState, atol: float = 1e-12) -> float:
     for ca, keta in state.terms:
         for cb, ketb in state.terms:
             total += ca.conjugate() * cb * amplitude(keta, ketb)
-    if abs(total.imag) > atol or total.real < -atol:
+    if not (abs(total.imag) <= atol and total.real >= -atol):  # NaN fails too
         raise ValueError(f"squared norm is not a non-negative real: {total!r}")
     return max(total.real, 0.0)
 
@@ -121,9 +124,5 @@ def mixed_trace(m: MixedState) -> float:
 
 def matrix_element(bra: ElementaryKet, m: MixedState, ket: ElementaryKet) -> complex:
     """<bra| m |ket> = sum_e w_e <bra|state_e><state_e|ket>."""
-    total = 0j
-    for w, s in m.ensemble:
-        if w == 0:
-            continue
-        total += w * state_overlap(bra, s) * state_overlap(ket, s).conjugate()
-    return total
+    return sum((w * state_overlap(bra, s) * state_overlap(ket, s).conjugate()
+                for w, s in m.ensemble if w > 0), 0j)

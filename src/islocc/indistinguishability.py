@@ -39,8 +39,8 @@ def region_probability(state: SingleParticleState, region: str) -> float:
     summed over spin."""
     if region not in state.basis:
         raise ValueError(f"region {region!r} is not a mode of the state's basis")
-    return math.fsum(abs(v) ** 2 for (mode, _), v in state.amplitudes.items()
-                     if mode == region)
+    row = state.vector.reshape(-1, 2)[state.basis.index(region)]
+    return math.fsum(abs(v) ** 2 for v in row.tolist())
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,8 @@ Post-selecting exactly one particle in each of N separated modes maps an
 N-particle state of identical particles onto a 2^N-dimensional register of
 addressable pseudospins.  The projected density matrix is normalized to
 unit trace; the detection probability is the projected weight divided by
-the global trace of the input ensemble, which is summed over the Fock
-states of the mode basis.  :func:`normalize_block` does this for one raw
+the global trace of the input ensemble; one pass over the Fock states of
+the mode basis gives both.  :func:`normalize_block` divides one raw
 projected block, and :class:`ProjectedDensityMatrix` checks the result
 once, with :func:`check_density_matrix`.
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .amplitudes import BOSON, ElementaryKet
 from .ensembles import MixedState, state_overlap
-from .states import DOWN, UP, ModeBasis, SingleParticleState, Spin
+from .states import SPIN_ORDER, ModeBasis, SingleParticleState, Spin
 from .xstate import _EIG_ATOL, _HERM_ATOL, _UNDEFINED_RTOL, _ZERO_TRACE_ATOL
 
 __all__ = [
@@ -39,10 +39,6 @@ __all__ = [
     "normalize_block",
     "project",
 ]
-
-#: Fixed computational ordering of the two spin values.
-SPIN_ORDER = (UP, DOWN)
-
 
 class ProjectionUndefinedError(ValueError):
     """The state has (numerically) zero weight in the detection subspace."""
@@ -151,40 +147,38 @@ def normalize_block(raw: np.ndarray, global_trace: float,
 
 def _detection(m: MixedState,
                regions: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray, float]:
-    """Checked regions, the raw projected block and the global trace: the
-    block's trace (the detection weight) plus :func:`_undetected_weight`, a
-    sum of squared overlaps with no norm formed as a difference such as
-    1 - |<psi1|psi2>|^2, so weight / global trace <= 1 holds in floating point.
+    """Checked regions, the raw projected block and the global trace, from
+    one pass over the normalized Fock states b of the (mode, spin) slots.
+    The overlaps <b|state_e> of the detection kets (one particle per region)
+    fill the block; every other b adds w_e |<b|state_e>|^2 to the block's
+    trace.  No norm is formed as a difference such as 1 - |<psi1|psi2>|^2,
+    so weight / global trace <= 1 holds in floating point.
     """
     regions = _check_regions(m.basis, regions)
     if len(regions) != m.n:
         raise ValueError(f"{m.n} particles need {m.n} regions, got {len(regions)}")
-    kets = computational_kets(m.basis, regions, m.statistics)
-    raw = np.zeros((len(kets), len(kets)), dtype=complex)
-    for w, s in m.ensemble:
-        if w == 0:
-            continue
-        v = np.array([state_overlap(k, s) for k in kets], dtype=complex)
-        raw += w * np.outer(v, v.conj())
-    return regions, raw, float(np.trace(raw).real) + _undetected_weight(m, regions)
-
-
-def _undetected_weight(m: MixedState, regions: tuple[str, ...]) -> float:
-    """sum_e w_e |<b|state_e>|^2 over the normalized Fock states b of the
-    basis's (mode, spin) slots that do not hold one particle per region."""
+    members = [(w, s) for w, s in m.ensemble if w > 0]
+    weights = np.array([w for w, _ in members])
     slots = [(mode, spin) for mode in m.basis.labels for spin in SPIN_ORDER]
+    singles = {slot: SingleParticleState.localized(m.basis, *slot) for slot in slots}
+    columns = {spins: k for k, spins in enumerate(spin_configurations(m.n))}
     choose = combinations_with_replacement if m.statistics is BOSON else combinations
-    total = 0.0
+    detected = np.zeros((len(columns), len(members)), dtype=complex)
+    undetected = 0.0
     for occupied in choose(slots, m.n):
-        if sorted(mode for mode, _ in occupied) == sorted(regions):
-            continue  # a detection ket
-        ket = ElementaryKet(tuple(SingleParticleState.localized(m.basis, mode, spin)
-                                  for mode, spin in occupied), m.statistics)
-        # <ket|ket> = prod n! over the slot occupations (1 for fermions)
-        norm_sq = math.prod(math.factorial(occupied.count(slot)) for slot in set(occupied))
-        total += sum(w * abs(state_overlap(ket, s)) ** 2
-                     for w, s in m.ensemble if w > 0) / norm_sq
-    return total
+        detection = sorted(mode for mode, _ in occupied) == sorted(regions)
+        if detection:  # the computational ket, its particles in region order
+            occupied = sorted(occupied, key=lambda slot: regions.index(slot[0]))
+        ket = ElementaryKet(tuple(singles[slot] for slot in occupied), m.statistics)
+        overlaps = np.array([state_overlap(ket, s) for _, s in members])
+        if detection:
+            detected[columns[tuple(spin for _, spin in occupied)]] = overlaps
+        else:
+            # <b|b> = prod n! over the slot occupations (1 for fermions)
+            norm_sq = math.prod(math.factorial(occupied.count(slot)) for slot in set(occupied))
+            undetected += float(weights @ np.abs(overlaps) ** 2) / norm_sq
+    raw = (detected * weights) @ detected.conj().T
+    return regions, raw, float(np.trace(raw).real) + undetected
 
 
 def project(m: MixedState, regions: Sequence[str]) -> ProjectedDensityMatrix:

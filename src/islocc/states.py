@@ -1,9 +1,9 @@
 """Single-particle states on a finite orthonormal spatial-mode basis with pseudospin.
 
 Spatial wave functions are represented over a finite set of orthonormal
-modes, so every overlap and trace in the package is a finite sum.  The
-workhorse configuration is a wave function peaked on two measurement
-regions,
+modes, so a state is one dense complex vector over the (mode, spin) product
+basis and every overlap is a vector product.  The workhorse configuration
+is a wave function peaked on two measurement regions,
 
     |psi> = l |L> + r e^{i theta} |R>,      l, r >= 0,  l^2 + r^2 = 1,
 
@@ -19,6 +19,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import product
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -32,6 +34,7 @@ __all__ = [
     "SpatialWave",
     "make_peaked",
     "inner",
+    "SPIN_ORDER",
     "NORM_ATOL",
 ]
 
@@ -50,6 +53,9 @@ class Spin(Enum):
 
 UP = Spin.UP
 DOWN = Spin.DOWN
+
+#: Order of the two spin values in state vectors and computational kets.
+SPIN_ORDER = (UP, DOWN)
 
 
 @dataclass(frozen=True)
@@ -77,33 +83,47 @@ class ModeBasis:
         return len(self.labels)
 
     def index(self, label: str) -> int:
+        if label not in self.labels:
+            raise ValueError(f"mode {label!r} is not in the basis {self.labels!r}")
         return self.labels.index(label)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class SingleParticleState:
-    """Sparse complex amplitude table over the (mode, spin) product basis.
+    """Complex amplitude vector over the (mode, spin) product basis.
 
-    Only nonzero entries are stored.  States are not required to be
-    normalized; constructors that promise normalization check it to
-    ``NORM_ATOL``.
+    Built from a mapping (mode, spin) -> amplitude or from the whole vector.
+    ``vector`` is read-only and ordered mode-major, spin (up, down) minor;
+    :attr:`amplitudes` is a derived mapping of its nonzero entries.  States
+    are equal when they share the basis and every amplitude, and are not
+    hashable.  States are not required to be normalized; constructors that
+    promise normalization check it to ``NORM_ATOL``.
     """
 
     basis: ModeBasis
-    amplitudes: Mapping[tuple[str, Spin], complex]
+    vector: np.ndarray
 
-    def __post_init__(self):
-        cleaned: dict[tuple[str, Spin], complex] = {}
-        for key, value in dict(self.amplitudes).items():
-            mode, spin = key
-            if mode not in self.basis:
-                raise ValueError(f"mode {mode!r} is not in the basis {self.basis.labels!r}")
-            if not isinstance(spin, Spin):
-                raise TypeError(f"spin must be a Spin member, got {spin!r}")
-            value = complex(value)
-            if value != 0:
-                cleaned[(mode, spin)] = value
-        object.__setattr__(self, "amplitudes", cleaned)
+    def __init__(self, basis: ModeBasis,
+                 amplitudes: Mapping[tuple[str, Spin], complex] | np.ndarray):
+        if isinstance(amplitudes, Mapping):
+            vector = np.zeros(2 * len(basis), dtype=complex)
+            for (mode, spin), value in amplitudes.items():
+                vector[_slot(basis, mode, spin)] = complex(value)
+        else:
+            vector = np.array(amplitudes, dtype=complex)
+        if vector.shape != (2 * len(basis),):
+            raise ValueError(f"amplitude vector of shape {vector.shape} does not match "
+                             f"the {len(basis)} modes of {basis.labels!r}")
+        if not np.isfinite(vector).all():
+            raise ValueError("amplitudes must be finite")
+        vector.flags.writeable = False
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "vector", vector)
+
+    def __eq__(self, other):
+        if not isinstance(other, SingleParticleState):
+            return NotImplemented
+        return self.basis == other.basis and bool(np.array_equal(self.vector, other.vector))
 
     @classmethod
     def localized(cls, basis: ModeBasis, mode: str, spin: Spin,
@@ -111,22 +131,22 @@ class SingleParticleState:
         """Basis ket |mode, spin> scaled by ``amplitude``."""
         return cls(basis, {(mode, spin): amplitude})
 
+    @property
+    def amplitudes(self) -> Mapping[tuple[str, Spin], complex]:
+        """Read-only mapping (mode, spin) -> amplitude of the nonzero entries."""
+        keys = product(self.basis.labels, SPIN_ORDER)
+        return MappingProxyType({k: v for k, v in zip(keys, self.vector.tolist()) if v != 0})
+
     def amplitude(self, mode: str, spin: Spin) -> complex:
-        return self.amplitudes.get((mode, spin), 0j)
+        return complex(self.vector[_slot(self.basis, mode, spin)])
 
     def norm_sq(self) -> float:
-        return math.fsum(abs(v) ** 2 for v in self.amplitudes.values())
+        return float(np.vdot(self.vector, self.vector).real)
 
     def spatial_support(self) -> frozenset[str]:
         """Modes carrying nonzero amplitude."""
-        return frozenset(mode for mode, _ in self.amplitudes)
-
-    def dense(self) -> np.ndarray:
-        """Amplitude vector ordered mode-major, spin (up, down) minor."""
-        vec = np.zeros(2 * len(self.basis), dtype=complex)
-        for (mode, spin), value in self.amplitudes.items():
-            vec[2 * self.basis.index(mode) + (0 if spin is UP else 1)] = value
-        return vec
+        rows = self.vector.reshape(-1, 2)
+        return frozenset(mode for mode, row in zip(self.basis.labels, rows) if row.any())
 
     def substitute_modes(self, mapping: Mapping[str, Mapping[str, complex]],
                          basis: ModeBasis) -> "SingleParticleState":
@@ -135,27 +155,25 @@ class SingleParticleState:
         Modes absent from ``mapping`` are carried over unchanged; spin is
         untouched.  The result lives on ``basis``.
         """
-        out: dict[tuple[str, Spin], complex] = {}
-        for (mode, spin), value in self.amplitudes.items():
-            targets = mapping.get(mode)
-            if targets is None:
-                out[(mode, spin)] = out.get((mode, spin), 0j) + value
-            else:
-                for new_mode, coeff in targets.items():
-                    key = (new_mode, spin)
-                    out[key] = out.get(key, 0j) + value * complex(coeff)
-        return SingleParticleState(basis, out)
+        matrix = np.zeros((len(basis), len(self.basis)), dtype=complex)
+        for j, mode in enumerate(self.basis.labels):
+            for new_mode, coeff in mapping.get(mode, {mode: 1.0}).items():
+                matrix[basis.index(new_mode), j] += complex(coeff)
+        return SingleParticleState(basis, (matrix @ self.vector.reshape(-1, 2)).ravel())
+
+
+def _slot(basis: ModeBasis, mode: str, spin: Spin) -> int:
+    """Index of |mode, spin> in a state's vector."""
+    if not isinstance(spin, Spin):
+        raise TypeError(f"spin must be a Spin member, got {spin!r}")
+    return 2 * basis.index(mode) + SPIN_ORDER.index(spin)
 
 
 def inner(a: SingleParticleState, b: SingleParticleState) -> complex:
     """Inner product <a|b>, conjugate-linear in the first argument."""
     if a.basis != b.basis:
         raise ValueError("states live on different mode bases")
-    if len(a.amplitudes) <= len(b.amplitudes):
-        return sum((va.conjugate() * b.amplitudes[k]
-                    for k, va in a.amplitudes.items() if k in b.amplitudes), 0j)
-    return sum((a.amplitudes[k].conjugate() * vb
-                for k, vb in b.amplitudes.items() if k in a.amplitudes), 0j)
+    return complex(np.vdot(a.vector, b.vector))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .amplitudes import BOSON, FERMION, ElementaryKet, amplitude_fast, amplitude
 from .entanglement import analyze, bell_horodecki, bell_xstate
 from .ensembles import mixed_trace, pure_norm_sq
 from .slocc import ProjectionUndefinedError, ZeroTraceError, project
-from .states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
+from .states import ModeBasis, SingleParticleState, SpatialWave
 from .sweeps import FLAG_PROBABILITY, ConfigError, SweepConfig, _flagged, find_threshold
 from .werner import (WernerSpec, bell_states, depolarize_then_deform, project_werner,
                      spec_from_l, werner_direct)
@@ -86,12 +86,9 @@ def x_state_matrices(rows: XStateRows) -> np.ndarray:
 
 def random_single_particle(rng: np.random.Generator, basis: ModeBasis) -> SingleParticleState:
     """Random normalized state spread over every (mode, spin) slot of the basis."""
-    amps = {}
-    for mode in basis.labels:
-        for spin in (UP, DOWN):
-            amps[(mode, spin)] = complex(rng.standard_normal(), rng.standard_normal())
-    norm = math.sqrt(sum(abs(v) ** 2 for v in amps.values()))
-    return SingleParticleState(basis, {k: v / norm for k, v in amps.items()})
+    parts = rng.standard_normal((2 * len(basis), 2))  # (real, imaginary) per slot
+    vector = parts[:, 0] + 1j * parts[:, 1]
+    return SingleParticleState(basis, vector / np.linalg.norm(vector))
 
 
 def suite_amplitude_cross_validation(rng: np.random.Generator) -> str:

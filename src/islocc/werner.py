@@ -145,17 +145,10 @@ def apply_spin_operator(op: np.ndarray, state: SingleParticleState,
                         mode: str) -> SingleParticleState:
     """Apply a 2x2 spin operator (rows/columns ordered up, down) to the
     component of ``state`` supported on ``mode``; other modes are untouched."""
-    op = np.asarray(op, dtype=complex)
-    out: dict[tuple[str, Spin], complex] = {}
-    for (m, spin), value in state.amplitudes.items():
-        if m != mode:
-            out[(m, spin)] = out.get((m, spin), 0j) + value
-            continue
-        col = 0 if spin is UP else 1
-        for row, new_spin in enumerate((UP, DOWN)):
-            key = (m, new_spin)
-            out[key] = out.get(key, 0j) + op[row, col] * value
-    return SingleParticleState(state.basis, out)
+    rows = state.vector.reshape(-1, 2).copy()
+    i = state.basis.index(mode)
+    rows[i] = np.asarray(op, dtype=complex) @ rows[i]
+    return SingleParticleState(state.basis, rows.ravel())
 
 
 def _apply_kraus_branch(k: np.ndarray, state: PureNState, mode: str) -> PureNState:

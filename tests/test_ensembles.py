@@ -75,6 +75,19 @@ class TestPureNormSq:
             for name in ("1_plus", "2_plus", "2_minus"):
                 assert pure_norm_sq(bells[name]) == pytest.approx(1 + x, abs=1e-12)
 
+    @pytest.mark.parametrize("coefficient", [math.nan, math.inf, complex(1.0, math.nan)])
+    def test_rejects_non_finite_coefficients(self, coefficient):
+        ket = ElementaryKet((_peaked(1, 0, 0, UP), _peaked(0, 1, 0, DOWN)), FERMION)
+        with pytest.raises(ValueError, match="finite"):
+            PureNState(((1.0, ket), (coefficient, ket)))
+
+    def test_nan_norm_fails_the_check(self, monkeypatch):
+        # a NaN total must not pass as a non-negative real
+        ket = ElementaryKet((_peaked(1, 0, 0, UP), _peaked(0, 1, 0, DOWN)), FERMION)
+        monkeypatch.setattr("islocc.ensembles.amplitude", lambda bra, k: complex(math.nan, 0))
+        with pytest.raises(ValueError, match="non-negative real"):
+            pure_norm_sq(PureNState(((1.0, ket),)))
+
     def test_rejects_inconsistent_terms(self):
         one = ElementaryKet((_peaked(1, 0, 0, UP),), FERMION)
         two = ElementaryKet((_peaked(1, 0, 0, UP), _peaked(0, 1, 0, DOWN)), FERMION)
@@ -160,6 +173,14 @@ class TestMixedTrace:
             state = PureNState(terms)
             mixed = MixedState(((0.7, state),))
             assert mixed_trace(mixed) == pytest.approx(0.7 * pure_norm_sq(state), abs=1e-12)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf])
+    def test_rejects_non_finite_weights(self, weight):
+        up_down = ElementaryKet((_peaked(1, 0, 0, UP), _peaked(0, 1, 0, DOWN)), FERMION)
+        down_up = ElementaryKet((_peaked(1, 0, 0, DOWN), _peaked(0, 1, 0, UP)), FERMION)
+        with pytest.raises(ValueError, match="finite"):
+            MixedState(((1.0, PureNState(((1.0, up_down),))),
+                        (weight, PureNState(((1.0, down_up),)))))
 
     def test_rejects_negative_weights(self):
         ket = ElementaryKet((_peaked(1, 0, 0, UP), _peaked(0, 1, 0, DOWN)), FERMION)

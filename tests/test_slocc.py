@@ -5,7 +5,7 @@ import pytest
 
 from islocc import slocc
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet
-from islocc.ensembles import MixedState, PureNState, mixed_trace
+from islocc.ensembles import MixedState, PureNState, matrix_element, mixed_trace
 from islocc.slocc import (ProjectedDensityMatrix, ProjectionUndefinedError,
                           computational_kets, project, spin_configurations)
 from islocc.states import DOWN, UP, ModeBasis, SpatialWave, make_peaked
@@ -159,6 +159,17 @@ class TestCheckedOnce:
         assert ProjectedDensityMatrix(SINGLET, -1e-13, ("L", "R")).probability == 0.0
 
 
+def _random_ensemble(rng, basis, n, statistics):
+    """Three members of two random N-particle product kets each."""
+    members = []
+    for _ in range(3):
+        terms = tuple((complex(*rng.standard_normal(2)), ElementaryKet(tuple(
+            random_single_particle(rng, basis) for _ in range(n)), statistics))
+            for _ in range(2))
+        members.append((float(rng.uniform(0.1, 1.0)), PureNState(terms)))
+    return MixedState(tuple(members))
+
+
 class TestGlobalTrace:
     @pytest.mark.parametrize("statistics", [BOSON, FERMION])
     @pytest.mark.parametrize("regions", [("A", "B"), ("A", "B", "C")])
@@ -167,15 +178,37 @@ class TestGlobalTrace:
         # resolves sum_e w_e <psi_e|psi_e>, multiply occupied slots included
         basis = ModeBasis(("A", "B", "C"))
         for _ in range(5):
-            members = []
-            for _ in range(3):
-                terms = tuple((complex(*rng.standard_normal(2)), ElementaryKet(tuple(
-                    random_single_particle(rng, basis) for _ in regions), statistics))
-                    for _ in range(2))
-                members.append((float(rng.uniform(0.1, 1.0)), PureNState(terms)))
-            mixed = MixedState(tuple(members))
+            mixed = _random_ensemble(rng, basis, len(regions), statistics)
             _, _, global_trace = slocc._detection(mixed, regions)
             assert global_trace == pytest.approx(mixed_trace(mixed), rel=1e-12)
+
+
+class TestGeneralN:
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    @pytest.mark.parametrize("labels, regions", [
+        (("A", "B", "C"), ("A", "B", "C")),
+        (("A", "B", "C"), ("C", "A", "B")),
+        (("A", "B", "C"), ("C", "A")),
+        (("L", "R"), ("R", "L")),
+    ])
+    def test_block_and_trace_match_the_dense_references(self, rng, statistics, labels,
+                                                        regions):
+        # the one Fock-basis pass against <bra|m|ket> over the detection kets
+        # and against sum_e w_e <psi_e|psi_e>, regions against basis order too
+        basis = ModeBasis(labels)
+        kets = computational_kets(basis, regions, statistics)
+        for _ in range(3):
+            mixed = _random_ensemble(rng, basis, len(regions), statistics)
+            block = np.array([[matrix_element(bra, mixed, ket) for ket in kets]
+                              for bra in kets])
+            _, raw, global_trace = slocc._detection(mixed, regions)
+            np.testing.assert_allclose(raw, block, rtol=0, atol=1e-12)
+            assert global_trace == pytest.approx(mixed_trace(mixed), rel=1e-12)
+            projected = project(mixed, regions)
+            weight = np.trace(block).real
+            np.testing.assert_allclose(projected.matrix, block / weight, rtol=0, atol=1e-12)
+            assert projected.probability == pytest.approx(weight / mixed_trace(mixed),
+                                                          rel=1e-12)
 
 
 class TestSloccProbability:

@@ -126,7 +126,37 @@ class TestStateHelpers:
 
     def test_dense_vector_ordering(self):
         state = SingleParticleState(LR, {("L", DOWN): 0.3, ("R", UP): 0.7j})
-        np.testing.assert_allclose(state.dense(), [0.0, 0.3, 0.7j, 0.0])
+        np.testing.assert_array_equal(state.vector, [0.0, 0.3, 0.7j, 0.0])
+        assert not state.vector.flags.writeable
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_amplitudes(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            SingleParticleState(LR, {("L", UP): value, ("R", DOWN): 0.5})
+        with pytest.raises(ValueError, match="finite"):
+            SingleParticleState(LR, [value, 0.0, 0.5, 0.0])
+
+    def test_vector_must_match_the_basis(self):
+        with pytest.raises(ValueError, match="does not match"):
+            SingleParticleState(LR, [1.0, 0.0, 0.0])
+
+    def test_amplitudes_are_a_read_only_view_of_the_vector(self):
+        state = SingleParticleState(LR, [0.0, 0.3, 0.7j, 0.0])
+        assert state.amplitudes == {("L", DOWN): 0.3, ("R", UP): 0.7j}
+        with pytest.raises(TypeError):
+            state.amplitudes[("L", UP)] = 1.0
+        with pytest.raises(ValueError):
+            state.vector[0] = 1.0
+
+    def test_equality_is_basis_and_amplitudes(self):
+        state = SingleParticleState(LR, {("L", DOWN): 0.3, ("R", UP): 0.7j})
+        assert state == SingleParticleState(LR, [0.0, 0.3, 0.7j, 0.0])
+        assert state != SingleParticleState(LR, {("L", DOWN): 0.3, ("R", UP): 0.7})
+        assert state != SingleParticleState(ModeBasis(("L", "R", "X")),
+                                            {("L", DOWN): 0.3, ("R", UP): 0.7j})
+        assert state != {("L", DOWN): 0.3, ("R", UP): 0.7j}  # a mapping is not a state
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(state)
 
     def test_substitute_modes(self):
         wide = ModeBasis(("L", "R"))
