@@ -12,8 +12,8 @@ M[i][j] = <x'_i|x_j>, formed in one product of the stacked particle vectors.
 
 Two independent evaluation paths are kept side by side on purpose: the
 explicit permutation sum below is the correctness root for everything
-downstream, and the fast permanent/determinant path is pinned against it
-by the test suite.
+downstream, and the fast permanent/determinant path, which evaluates whole
+stacks of overlap matrices at once, is pinned against it by the test suite.
 """
 
 from __future__ import annotations
@@ -140,17 +140,15 @@ def amplitude_permsum(bra: ElementaryKet, ket: ElementaryKet,
     return complex(math.fsum(real_parts), math.fsum(imag_parts))
 
 
-def permanent_ryser(matrix: np.ndarray) -> complex:
-    """Permanent of a square complex matrix by Ryser's inclusion-exclusion
-    formula with Gray-code subset updates (O(2^n n))."""
+def permanent_ryser(matrix: np.ndarray) -> complex | np.ndarray:
+    """Permanent of a square complex matrix or of each of a stack (..., n, n), by
+    Ryser's inclusion-exclusion formula with Gray-code subset updates (O(2^n n))."""
     a = np.asarray(matrix, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"permanent needs a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return 1 + 0j
-    row_sums = np.zeros(n, dtype=complex)
-    total = 0j
+    n = a.shape[-1]
+    row_sums = np.zeros(a.shape[:-1], dtype=complex)
+    total = np.full(a.shape[:-2], complex(n == 0))  # the empty matrix has permanent 1
     gray = 0
     included = 0
     for k in range(1, 1 << n):
@@ -158,15 +156,27 @@ def permanent_ryser(matrix: np.ndarray) -> complex:
         changed = code ^ gray
         j = changed.bit_length() - 1
         if code & changed:
-            row_sums += a[:, j]
+            row_sums += a[..., j]
             included += 1
         else:
-            row_sums -= a[:, j]
+            row_sums -= a[..., j]
             included -= 1
         gray = code
-        term = complex(np.prod(row_sums))
-        total += term if (n - included) % 2 == 0 else -term
-    return total
+        term = row_sums.prod(axis=-1)
+        total = total + term if (n - included) % 2 == 0 else total - term
+    return total[()]
+
+
+def _amplitudes(m: np.ndarray, statistics: ParticleStatistics) -> np.ndarray:
+    """Amplitudes of a stack of N x N overlap matrices of shape (..., N, N)."""
+    n = m.shape[-1]
+    if n == 1:
+        return m[..., 0, 0]
+    if n == 2:  # expanded: np.linalg.det divides by zero on subnormal 2 x 2 matrices
+        return m[..., 0, 0] * m[..., 1, 1] + statistics.eta * m[..., 0, 1] * m[..., 1, 0]
+    if statistics is FERMION:
+        return np.linalg.det(m)
+    return permanent_ryser(m)
 
 
 def amplitude_fast(bra: ElementaryKet, ket: ElementaryKet) -> complex:
@@ -176,17 +186,7 @@ def amplitude_fast(bra: ElementaryKet, ket: ElementaryKet) -> complex:
     stays polynomial-in-memory for larger N (bosons remain exponential in
     time, as any exact permanent must).
     """
-    m = overlap_matrix(bra, ket)
-    n = bra.n
-    eta = bra.statistics.eta
-    if n == 1:
-        return complex(m[0, 0])
-    if n == 2:
-        # two-particle direct + exchange expansion; dominant hot path
-        return complex(m[0, 0] * m[1, 1] + eta * m[0, 1] * m[1, 0])
-    if bra.statistics is FERMION:
-        return complex(np.linalg.det(m))
-    return permanent_ryser(m)
+    return complex(_amplitudes(overlap_matrix(bra, ket), bra.statistics))
 
 
 #: Production amplitude used across the package (the fast path).

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .amplitudes import ElementaryKet, ParticleStatistics, amplitude
-from .states import ModeBasis
+from .states import NORM_ATOL, ModeBasis
 
 __all__ = [
     "PureNState",
@@ -98,7 +98,7 @@ def state_overlap(bra: ElementaryKet, state: PureNState) -> complex:
     return sum((c * amplitude(bra, ket) for c, ket in state.terms), 0j)
 
 
-def pure_norm_sq(state: PureNState, atol: float = 1e-12) -> float:
+def pure_norm_sq(state: PureNState) -> float:
     """Squared norm sum_{a,b} conj(c_a) c_b <ket_a|ket_b>; real and >= 0.
 
     For overlapping wave functions this is where the statistics-dependent
@@ -108,7 +108,7 @@ def pure_norm_sq(state: PureNState, atol: float = 1e-12) -> float:
     for ca, keta in state.terms:
         for cb, ketb in state.terms:
             total += ca.conjugate() * cb * amplitude(keta, ketb)
-    if not (abs(total.imag) <= atol and total.real >= -atol):  # NaN fails too
+    if not (abs(total.imag) <= NORM_ATOL and total.real >= -NORM_ATOL):  # NaN fails too
         raise ValueError(f"squared norm is not a non-negative real: {total!r}")
     return max(total.real, 0.0)
 

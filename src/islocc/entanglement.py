@@ -155,17 +155,17 @@ class XStateBell(NamedTuple):
     q: float
 
 
-def bell_xstate(rho: MatrixLike, atol: float = _X_ATOL) -> XStateBell:
+def bell_xstate(rho: MatrixLike) -> XStateBell:
     """Closed-form CHSH value 2*sqrt(P^2 + Q^2) for an X-shaped matrix,
     with P the diagonal contrast r11+r44-r22-r33 and Q = 2(|r14| + |r23|).
 
     Raises :class:`NotXShapedError` if entries off the diagonal and
-    anti-diagonal exceed ``atol`` — use :func:`bell_horodecki` there.
+    anti-diagonal exceed ``_X_ATOL`` — use :func:`bell_horodecki` there.
     """
     bell, p, q, off_x = _xstate(_as_matrix(rho))
-    if not off_x <= atol:
+    if not off_x <= _X_ATOL:
         raise NotXShapedError(
-            f"matrix has off-X weight {off_x:.3e} > {atol:.1e}; use bell_horodecki")
+            f"matrix has off-X weight {off_x:.3e} > {_X_ATOL:.1e}; use bell_horodecki")
     return XStateBell(bell, p, q)
 
 

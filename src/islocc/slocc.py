@@ -5,9 +5,11 @@ N-particle state of identical particles onto a 2^N-dimensional register of
 addressable pseudospins.  The projected density matrix is normalized to
 unit trace; the detection probability is the projected weight divided by
 the global trace of the input ensemble; one pass over the Fock states of
-the mode basis gives both.  :func:`normalize_block` divides one raw
-projected block, and :class:`ProjectedDensityMatrix` checks the result
-once, with :func:`check_density_matrix`.
+the mode basis gives both.  Every particle of a Fock state is a basis
+vector, so its overlap with a product ket is the permanent or determinant
+of the ket's particle vectors read at its slots.  :func:`normalize_block`
+divides one raw projected block, and :class:`ProjectedDensityMatrix`
+checks the result once, with :func:`check_density_matrix`.
 
 This general-N path, with its eigen-solver check, is the oracle of the
 sweep and threshold rows, which :class:`~islocc.xstate.WernerFamily`
@@ -24,8 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import BOSON, ElementaryKet
-from .ensembles import MixedState, state_overlap
+from .amplitudes import BOSON, ElementaryKet, _amplitudes
+from .ensembles import MixedState
 from .states import SPIN_ORDER, ModeBasis, SingleParticleState, Spin
 from .xstate import _EIG_ATOL, _HERM_ATOL, _UNDEFINED_RTOL, _ZERO_TRACE_ATOL
 
@@ -147,37 +149,35 @@ def normalize_block(raw: np.ndarray, global_trace: float,
 
 def _detection(m: MixedState,
                regions: Sequence[str]) -> tuple[tuple[str, ...], np.ndarray, float]:
-    """Checked regions, the raw projected block and the global trace, from
-    one pass over the normalized Fock states b of the (mode, spin) slots.
-    The overlaps <b|state_e> of the detection kets (one particle per region)
-    fill the block; every other b adds w_e |<b|state_e>|^2 to the block's
-    trace.  No norm is formed as a difference such as 1 - |<psi1|psi2>|^2,
-    so weight / global trace <= 1 holds in floating point.
+    """Checked regions, the raw projected block and the global trace, from one
+    pass over the Fock states b, tuples of slots 2 * mode + spin.  The overlaps
+    <b|state_e> of the detection kets (one particle per region) fill the block;
+    every other b adds w_e |<b|state_e>|^2 / <b|b> to the block's trace.  No norm
+    is a difference such as 1 - |<psi1|psi2>|^2, so weight / global trace <= 1.
     """
     regions = _check_regions(m.basis, regions)
     if len(regions) != m.n:
         raise ValueError(f"{m.n} particles need {m.n} regions, got {len(regions)}")
     members = [(w, s) for w, s in m.ensemble if w > 0]
     weights = np.array([w for w, _ in members])
-    slots = [(mode, spin) for mode in m.basis.labels for spin in SPIN_ORDER]
-    singles = {slot: SingleParticleState.localized(m.basis, *slot) for slot in slots}
-    columns = {spins: k for k, spins in enumerate(spin_configurations(m.n))}
+    modes = [m.basis.index(label) for label in regions]
+    detection = list(product(*((2 * i, 2 * i + 1) for i in modes)))  # the block's rows
     choose = combinations_with_replacement if m.statistics is BOSON else combinations
-    detected = np.zeros((len(columns), len(members)), dtype=complex)
-    undetected = 0.0
-    for occupied in choose(slots, m.n):
-        detection = sorted(mode for mode, _ in occupied) == sorted(regions)
-        if detection:  # the computational ket, its particles in region order
-            occupied = sorted(occupied, key=lambda slot: regions.index(slot[0]))
-        ket = ElementaryKet(tuple(singles[slot] for slot in occupied), m.statistics)
-        overlaps = np.array([state_overlap(ket, s) for _, s in members])
-        if detection:
-            detected[columns[tuple(spin for _, spin in occupied)]] = overlaps
-        else:
-            # <b|b> = prod n! over the slot occupations (1 for fermions)
-            norm_sq = math.prod(math.factorial(occupied.count(slot)) for slot in set(occupied))
-            undetected += float(weights @ np.abs(overlaps) ** 2) / norm_sq
-    raw = (detected * weights) @ detected.conj().T
+    others = [b for b in choose(range(2 * len(m.basis)), m.n)
+              if sorted(slot // 2 for slot in b) != sorted(modes)]
+    # <b|b> = prod n! over the slot occupations (1 for fermions)
+    norm_sq = np.array([math.prod(math.factorial(b.count(slot)) for slot in set(b))
+                        for b in others])
+    fock = np.array(detection + others)
+    overlaps = []
+    for _, state in members:
+        coeffs, kets = zip(*state.terms)
+        # ket_j's vector at b's slot i is M[i, j] = <b_i|ket_j>, per term and b
+        columns = np.array([np.transpose([p.vector for p in k.particles]) for k in kets])
+        overlaps.append(np.array(coeffs) @ _amplitudes(columns[:, fock], m.statistics))
+    detected, missed = np.split(np.array(overlaps), [len(detection)], axis=1)
+    undetected = float(sum(weights @ np.abs(missed) ** 2 / norm_sq))
+    raw = (detected.T * weights) @ detected.conj()
     return regions, raw, float(np.trace(raw).real) + undetected
 
 

@@ -52,8 +52,8 @@ def _axes(title: str, x_label: str, y_label: str,
     return parts
 
 
-def sweep_svg(records: Sequence, metric: str = "concurrence") -> str:
-    """Line plot of ``metric`` against noise probability, one polyline per
+def sweep_svg(records: Sequence) -> str:
+    """Line plot of concurrence against noise probability, one polyline per
     (l, lprime) family in first-appearance order."""
     records = list(records)
     if not records:
@@ -62,17 +62,17 @@ def sweep_svg(records: Sequence, metric: str = "concurrence") -> str:
     for r in records:
         families.setdefault((r.l, r.lprime), []).append(r)
     x_range = (min(r.p for r in records), max(r.p for r in records))
-    top = max(max(getattr(r, metric) for r in records), 1.0)
+    top = max(max(r.concurrence for r in records), 1.0)
     y_range = (0.0, top)
     x0, x1 = _MARGIN, _WIDTH - _MARGIN
     y0, y1 = _HEIGHT - _MARGIN, _MARGIN
-    parts = _axes(f"{metric} vs noise probability", "noise probability p", metric,
+    parts = _axes("concurrence vs noise probability", "noise probability p", "concurrence",
                   x_range, y_range)
     for idx, ((l, lprime), rows) in enumerate(families.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(
             f"{_scale(r.p, *x_range, x0, x1):.2f},"
-            f"{_scale(getattr(r, metric), *y_range, y0, y1):.2f}"
+            f"{_scale(r.concurrence, *y_range, y0, y1):.2f}"
             for r in rows)
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')

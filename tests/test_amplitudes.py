@@ -7,7 +7,7 @@ import pytest
 from islocc.amplitudes import (BOSON, FERMION, ElementaryKet,
                                PermutationCapExceeded, amplitude_fast,
                                amplitude_permsum, overlap_matrix,
-                               permanent_ryser, _permutations_with_parity)
+                               permanent_ryser, _amplitudes, _permutations_with_parity)
 from islocc.states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave,
                            make_peaked)
 from islocc.verify import random_single_particle
@@ -136,6 +136,27 @@ class TestFastPath:
             assert abs(amplitude_fast(bra, ket) - amplitude_permsum(bra, ket)) <= 1e-10
 
 
+class TestStackedKernel:
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_stack_matches_permutation_sum_matrix_by_matrix(self, rng, statistics, n):
+        pairs = [tuple(ElementaryKet(tuple(random_single_particle(rng, ABC) for _ in range(n)),
+                                     statistics) for _ in range(2)) for _ in range(12)]
+        stack = np.array([overlap_matrix(bra, ket) for bra, ket in pairs]).reshape(3, 4, n, n)
+        values = _amplitudes(stack, statistics)
+        assert values.shape == (3, 4)
+        for value, (bra, ket) in zip(values.ravel(), pairs):
+            assert abs(value - amplitude_permsum(bra, ket)) <= 1e-10
+
+    @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+    def test_subnormal_two_particle_stack_warns_nothing(self, statistics):
+        # np.linalg.det divides by zero on this matrix and returns NaN; its
+        # amplitude underflows to 0 (pytest turns RuntimeWarnings into errors)
+        tiny = 2.2e-313
+        stack = np.array([[[0, tiny], [tiny, tiny]], [[tiny, 0], [0, 1]]], dtype=complex)
+        assert np.array_equal(_amplitudes(stack, statistics), [0, tiny])
+
+
 class TestExchangeSymmetry:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_fermion_swap_negates(self, rng, n):
@@ -189,3 +210,5 @@ class TestPermanentRyser:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             permanent_ryser(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            permanent_ryser(np.ones(3))

@@ -53,6 +53,19 @@ def test_project_needs_no_ensemble_norm(monkeypatch):
 
 
 @pytest.mark.parametrize("statistics", [BOSON, FERMION])
+def test_project_builds_no_ket_and_calls_no_amplitude(monkeypatch, statistics):
+    spec = spec_from_l(0.4, "1_minus", 0.8, 0.6, statistics)
+    state = werner_direct(spec)
+    _disable(monkeypatch, ElementaryKet, ensembles.state_overlap, amplitudes.amplitude,
+             amplitudes.amplitude_fast)
+    projected = slocc.project(state, ("L", "R"))
+    expected = closed_form_probability_minus(0.8, 0.6, 0.6, 0.8, 0.4, statistics)
+    assert projected.probability == pytest.approx(expected, abs=1e-12)
+    with pytest.raises(AssertionError, match="oracle pair"):
+        ensembles.state_overlap(None, state.ensemble[0][1])
+
+
+@pytest.mark.parametrize("statistics", [BOSON, FERMION])
 def test_permutation_sum_needs_no_permanent_or_determinant(monkeypatch, statistics):
     _disable(monkeypatch, amplitudes.amplitude_fast, amplitudes.permanent_ryser)
     monkeypatch.setattr(np.linalg, "det", _broken)

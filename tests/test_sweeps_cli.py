@@ -587,6 +587,13 @@ class TestCli:
     def test_missing_config_file_exits_2(self, capsys):
         assert main(["sweep", "--config", "/nonexistent/file.conf"]) == 2
 
+    def test_non_utf8_config_file_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xff\xfe bad")
+        assert main(["sweep", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "cannot read config file" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["sweep", "bell-region", "threshold"])
     def test_unwritable_output_exits_2(self, command, tmp_path, capsys, monkeypatch):
         calls = []
