@@ -37,7 +37,7 @@ from .werner import (LR_BASIS, KrausSet, WernerSpec, bell_states,
                      closed_form_probability_plus, depolarize_then_deform,
                      depolarizing_kraus, project_werner, spec_from_l,
                      werner_direct)
-from .sweeps import (ConfigError, GridSpec, SweepConfig, SweepRecord,
+from .sweeps import (ROW_DTYPE, ConfigError, GridSpec, SweepConfig,
                      ThresholdResult, find_threshold, indist_on_family,
                      l_for_indist, records_to_csv, records_to_json, run_sweep)
 from .verify import run_verify

@@ -175,7 +175,13 @@ def _amplitudes(m: np.ndarray, statistics: ParticleStatistics) -> np.ndarray:
     if n == 2:  # expanded: np.linalg.det divides by zero on subnormal 2 x 2 matrices
         return m[..., 0, 0] * m[..., 1, 1] + statistics.eta * m[..., 0, 1] * m[..., 1, 0]
     if statistics is FERMION:
-        return np.linalg.det(m)
+        # np.linalg.det divides by zero on subnormal entries: rows are scaled
+        # to a largest entry in [0.5, 1) by exact powers of two, then unscaled
+        _, exponent = np.frexp(np.abs(m).max(axis=-1))
+        row = -exponent[..., None]
+        det = np.linalg.det(np.ldexp(m.real, row) + 1j * np.ldexp(m.imag, row))
+        total = exponent.sum(axis=-1)
+        return np.ldexp(det.real, total) + 1j * np.ldexp(det.imag, total)
     return permanent_ryser(m)
 
 

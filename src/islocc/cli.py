@@ -7,9 +7,10 @@ errors.  Options may come from a flat ``key = value`` config file
 path that is a directory, or whose directory is missing or unwritable, is
 rejected before any computation; with ``--output`` nothing is written to
 stdout.  A sweep evaluates all its families as one stacked Werner-family
-array in closed form (:class:`~islocc.xstate.WernerFamily`);
-``bell-region`` writes the same sweep rows with the ``p``, ``indist``,
-``bell`` and ``violated`` columns.  ``threshold`` takes no grid or format
+array in closed form (:class:`~islocc.xstate.WernerFamily`) into one
+``ROW_DTYPE`` table, which every encoder reads column by column;
+``bell-region`` writes the same table with the ``p``, ``indist``, ``bell``
+and ``violated`` columns.  ``threshold`` takes no grid or format
 flags; it ignores those keys in a config file.
 """
 

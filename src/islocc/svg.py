@@ -1,12 +1,15 @@
 """Minimal hand-rolled SVG rendering for quick visual inspection of sweeps.
 
 CSV remains the authoritative artifact; these plots carry no styling
-dependencies and are deterministic for identical inputs.
+dependencies and are deterministic for identical inputs.  Both renderers
+read the columns of a sweep's ``ROW_DTYPE`` table and never iterate its rows.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import numpy as np
+
+from .sweeps import ROW_DTYPE
 
 __all__ = ["sweep_svg", "bell_region_svg"]
 
@@ -20,6 +23,13 @@ def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> 
     if hi <= lo:
         return 0.5 * (out_lo + out_hi)
     return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
+
+
+def _read(rows, *fields: str) -> list[list]:
+    """The named columns of sweep rows (a ``ROW_DTYPE`` table, or a list of
+    its rows) as lists of Python values."""
+    table = np.asarray(rows, dtype=ROW_DTYPE)
+    return [table[name].tolist() for name in fields]
 
 
 def _axes(title: str, x_label: str, y_label: str,
@@ -52,45 +62,46 @@ def _axes(title: str, x_label: str, y_label: str,
     return parts
 
 
-def sweep_svg(records: Sequence) -> str:
+def sweep_svg(rows) -> str:
     """Line plot of concurrence against noise probability, one polyline per
     (l, lprime) family in first-appearance order."""
-    records = list(records)
-    if not records:
+    p, l, lprime, concurrence, indist = _read(rows, "p", "l", "lprime", "concurrence",
+                                              "indist")
+    if not p:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"
-    families: dict[tuple[float, float], list] = {}
-    for r in records:
-        families.setdefault((r.l, r.lprime), []).append(r)
-    x_range = (min(r.p for r in records), max(r.p for r in records))
-    top = max(max(r.concurrence for r in records), 1.0)
+    families: dict[tuple[float, float], list[int]] = {}
+    for k, family in enumerate(zip(l, lprime)):
+        families.setdefault(family, []).append(k)
+    x_range = (min(p), max(p))
+    top = max(max(concurrence), 1.0)
     y_range = (0.0, top)
     x0, x1 = _MARGIN, _WIDTH - _MARGIN
     y0, y1 = _HEIGHT - _MARGIN, _MARGIN
     parts = _axes("concurrence vs noise probability", "noise probability p", "concurrence",
                   x_range, y_range)
-    for idx, ((l, lprime), rows) in enumerate(families.items()):
+    for idx, ((fl, flprime), members) in enumerate(families.items()):
         color = _PALETTE[idx % len(_PALETTE)]
         points = " ".join(
-            f"{_scale(r.p, *x_range, x0, x1):.2f},"
-            f"{_scale(r.concurrence, *y_range, y0, y1):.2f}"
-            for r in rows)
+            f"{_scale(p[k], *x_range, x0, x1):.2f},"
+            f"{_scale(concurrence[k], *y_range, y0, y1):.2f}"
+            for k in members)
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{x1 - 150}" y="{y1 + 14 + 14 * idx}" fill="{color}" '
                      f'font-family="sans-serif" font-size="10">'
-                     f'l={l:.4f}, l&apos;={lprime:.4f} (I={rows[0].indist:.3f})</text>')
+                     f'l={fl:.4f}, l&apos;={flprime:.4f} (I={indist[members[0]]:.3f})</text>')
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
             f'height="{_HEIGHT}">' + "".join(parts) + "</svg>\n")
 
 
-def bell_region_svg(records: Sequence) -> str:
+def bell_region_svg(rows) -> str:
     """Cell map of CHSH violation over the (noise, indistinguishability) grid;
     violating cells are filled red."""
-    records = list(records)
-    if not records:
+    p, indist, violated = _read(rows, "p", "indist", "violated")
+    if not p:
         return "<svg xmlns='http://www.w3.org/2000/svg'/>"
-    ps = sorted({r.p for r in records})
-    degrees = sorted({r.indist for r in records})
+    ps = sorted(set(p))
+    degrees = sorted(set(indist))
     x_range = (min(ps), max(ps))
     y_range = (min(degrees), max(degrees))
     x0, x1 = _MARGIN, _WIDTH - _MARGIN
@@ -99,10 +110,10 @@ def bell_region_svg(records: Sequence) -> str:
     cell_h = (y0 - y1) / max(len(degrees), 1)
     parts = _axes("CHSH violation region (B > 2)", "noise probability p",
                   "indistinguishability degree", x_range, y_range)
-    for r in records:
-        cx = _scale(r.p, *x_range, x0, x1 - cell_w)
-        cy = _scale(r.indist, *y_range, y0 - cell_h, y1)
-        fill = "#d62728" if r.violated else "#ededed"
+    for pv, degree, hit in zip(p, indist, violated):
+        cx = _scale(pv, *x_range, x0, x1 - cell_w)
+        cy = _scale(degree, *y_range, y0 - cell_h, y1)
+        fill = "#d62728" if hit else "#ededed"
         parts.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_w:.2f}" '
                      f'height="{cell_h:.2f}" fill="{fill}"/>')
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '

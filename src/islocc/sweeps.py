@@ -15,10 +15,11 @@ but :mod:`islocc.xstate`; the amplitude and eigen path is its oracle in
 byte-identical CSV output, and a configuration asking for more than
 ``MAX_SWEEP_ROWS`` rows is rejected before any grid is built.
 
-Every sweep row is one :class:`SweepRecord`.  A Bell-violation map is the
-same rows written with the ``BELL_REGION_FIELDS`` columns, whose
+A sweep is one ``numpy.recarray`` of ``ROW_DTYPE``, each field filled as a
+whole column; no per-row Python object is built.  A Bell-violation map is
+the same table written with the ``BELL_REGION_FIELDS`` columns, whose
 ``violated`` is ``B > 2``.  The CSV and JSON encoders take the columns to
-write and read each one once, choosing the cell format once per column.
+write and read each one once, the column's dtype choosing its cell format.
 
 The threshold search bisects l on the same family directly.  At each step
 the worst noise level comes in closed form from
@@ -44,7 +45,7 @@ __all__ = [
     "ConfigError",
     "GridSpec",
     "SweepConfig",
-    "SweepRecord",
+    "ROW_DTYPE",
     "ThresholdResult",
     "run_sweep",
     "find_threshold",
@@ -247,32 +248,15 @@ def _family_ls(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
-# record types and evaluation
+# the row table and its evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One grid point of a sweep.  ``flagged`` marks rows whose detection
-    probability fell below ``FLAG_PROBABILITY`` (metrics zeroed when the
-    projection itself is undefined); it is not part of the CSV schema.
-    ``violated`` is the Bell-region column."""
-
-    p: float
-    l: float
-    lprime: float
-    theta: float
-    statistics: str
-    indist: float
-    concurrence: float
-    eof: float
-    p_lr: float
-    bell: float
-    flagged: bool = False
-
-    @property
-    def violated(self) -> int:
-        """1 where the CHSH inequality is violated (B > 2), else 0."""
-        return int(self.bell > 2.0)
+#: One sweep row: the ``CSV_FIELDS`` columns, ``violated`` (the Bell-region
+#: column, 1 where B > 2) and ``flagged`` (detection probability below
+#: ``FLAG_PROBABILITY``, metrics zeroed where the projection is undefined),
+#: which no encoder writes.
+ROW_DTYPE = np.dtype([(name, "U7" if name == "statistics" else "f8") for name in CSV_FIELDS]
+                     + [("violated", "i8"), ("flagged", "?")])
 
 
 def _flagged(rows: XStateRows) -> np.ndarray:
@@ -281,10 +265,11 @@ def _flagged(rows: XStateRows) -> np.ndarray:
     return ~rows.defined | (rows.probability < FLAG_PROBABILITY)
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRecord]:
+def run_sweep(config: SweepConfig) -> np.recarray:
     """Evaluate the full pipeline over the configured grid: every family of
     the outer grid as one :class:`~islocc.xstate.WernerFamily` stack.
 
+    Returns one ``ROW_DTYPE`` table, each field filled as a whole column.
     Rows are ordered by the outer (l or indistinguishability) grid first and
     the noise-probability grid second.  Flagged rows are kept, with one
     ``RuntimeWarning`` attributed to the caller.
@@ -296,22 +281,22 @@ def run_sweep(config: SweepConfig) -> list[SweepRecord]:
     # both waves on one mode: degree and projection undefined, rows zeroed and flagged
     indist = _peaked_degree(l, _unit_r(l), lprime, rprime)
     rows = WernerFamily(config.target, l, lprime, config.statistics, theta).evaluate(p)
-    flagged = _flagged(rows)
-    count = int(np.count_nonzero(flagged))
+    table = np.recarray(len(l) * len(p), dtype=ROW_DTYPE)
+    table.p = np.tile(p, len(l))
+    for name, values in (("l", l), ("lprime", lprime), ("indist", indist)):
+        table[name] = np.repeat(values, len(p))
+    table.theta = theta
+    table.statistics = str(config.statistics)
+    table.concurrence, table.eof = rows.concurrence, rows.eof
+    table.p_lr, table.bell = rows.probability, rows.bell
+    table.violated = rows.bell > 2.0
+    table.flagged = _flagged(rows)
+    count = int(np.count_nonzero(table.flagged))
     if count:
         warnings.warn(f"{count} grid point(s) have detection probability below "
                       f"{FLAG_PROBABILITY:g}; rows kept with metrics zeroed where undefined",
                       RuntimeWarning, stacklevel=2)
-
-    def per_family(values: np.ndarray) -> list:
-        return np.repeat(values, len(p)).tolist()
-
-    stats = str(config.statistics)
-    return [SweepRecord(pv, lv, lpv, theta, stats, dv, c, e, p_lr, b, flagged=f)
-            for pv, lv, lpv, dv, c, e, p_lr, b, f in zip(
-                np.tile(p, len(l)).tolist(), per_family(l), per_family(lprime),
-                per_family(indist), rows.concurrence.tolist(), rows.eof.tolist(),
-                rows.probability.tolist(), rows.bell.tolist(), flagged.tolist())]
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -397,40 +382,33 @@ def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
 # output encoding
 # ---------------------------------------------------------------------------
 
-def format_float(x: float) -> str:
-    return f"{float(x):.12g}"
+#: Per dtype kind of a column: how a value is written as a cell, and the type
+#: JSON reads that cell back as.  Floats carry 12 significant digits.
+_CELL_RULES = {"U": (str, str), "i": (str, int), "f": ("{:.12g}".format, float)}
 
 
-def _columns(records: Sequence[SweepRecord], fields: Sequence[str]) -> list[tuple[list, type]]:
-    """Each field of ``records`` read once, as a column of text cells, with
-    the type JSON reads those cells back as.  The column's first value picks
-    the rule for the whole column: text is kept as is, an integer is written
-    with ``str``, anything else is a float with 12 significant digits."""
-    records = list(records)  # read once per column, so an iterator is not enough
+def _columns(rows, fields: Sequence[str]) -> list[tuple[list[str], type]]:
+    """Each field of ``rows`` (a ``ROW_DTYPE`` table, or a list of its rows)
+    as a column of text cells, with the type JSON reads those cells back as."""
+    table = np.asarray(rows, dtype=ROW_DTYPE)
     columns = []
     for name in fields:
-        values = [getattr(record, name) for record in records]
-        first = values[0] if values else None
-        if isinstance(first, str):
-            columns.append((values, str))
-        elif isinstance(first, (int, np.integer)) and not isinstance(first, bool):
-            columns.append(([str(int(v)) for v in values], int))
-        else:
-            columns.append(([format_float(v) for v in values], float))
+        write, read = _CELL_RULES[table.dtype[name].kind]
+        columns.append((list(map(write, table[name].tolist())), read))
     return columns
 
 
-def records_to_csv(records: Sequence[SweepRecord], fields: Sequence[str]) -> str:
-    """Render records as CSV with a fixed header; floats carry 12 significant
-    digits so identical configurations give byte-identical files."""
-    cells = [column for column, _ in _columns(records, fields)]
+def records_to_csv(rows, fields: Sequence[str]) -> str:
+    """Render sweep rows as CSV with a fixed header; floats carry 12
+    significant digits so identical configurations give byte-identical files."""
+    cells = [column for column, _ in _columns(rows, fields)]
     lines = [",".join(fields), *map(",".join, zip(*cells))]
     return "\n".join(lines) + "\n"
 
 
-def records_to_json(records: Sequence[SweepRecord], fields: Sequence[str]) -> str:
+def records_to_json(rows, fields: Sequence[str]) -> str:
     """JSON encoding of the same rows as :func:`records_to_csv` (numbers are
     rounded through the same 12-significant-digit representation)."""
-    values = [list(map(kind, column)) for column, kind in _columns(records, fields)]
+    values = [list(map(read, column)) for column, read in _columns(rows, fields)]
     payload = [dict(zip(fields, row)) for row in zip(*values)]
     return json.dumps({"records": payload}, indent=2) + "\n"

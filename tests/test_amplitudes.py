@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -155,6 +156,19 @@ class TestStackedKernel:
         tiny = 2.2e-313
         stack = np.array([[[0, tiny], [tiny, tiny]], [[tiny, 0], [0, 1]]], dtype=complex)
         assert np.array_equal(_amplitudes(stack, statistics), [0, tiny])
+
+    @pytest.mark.parametrize("l, expected", [(2.2e-313, 0.0), (1e-160, -1e-320)])
+    def test_subnormal_fermion_triple_warns_nothing(self, l, expected):
+        # overlap matrix [[0, l, 0], [l, l, 0], [0, 0, 1]] with determinant -l^2:
+        # np.linalg.det divides by zero on the first l and returns NaN
+        bra = ElementaryKet(tuple(_loc(mode, UP, ABC) for mode in "ABC"), FERMION)
+        ket = ElementaryKet((SingleParticleState.localized(ABC, "B", UP, l),
+                             SingleParticleState(ABC, {("A", UP): l, ("B", UP): l}),
+                             _loc("C", UP, ABC)), FERMION)
+        assert np.array_equal(overlap_matrix(bra, ket), [[0, l, 0], [l, l, 0], [0, 0, 1]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert amplitude_fast(bra, ket) == expected
 
 
 class TestExchangeSymmetry:

@@ -1,4 +1,6 @@
 import contextlib
+import functools
+import hashlib
 import io
 import json
 import math
@@ -18,8 +20,9 @@ from islocc.cli import load_config_file, main
 from islocc.entanglement import binary_entropy
 from islocc.indistinguishability import degree_two
 from islocc.states import UP, SpatialWave, make_peaked
+from islocc.svg import bell_region_svg, sweep_svg
 from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, MAX_SWEEP_ROWS, ConfigError,
-                           GridSpec, SweepConfig, SweepRecord, _peaked_degree,
+                           GridSpec, ROW_DTYPE, SweepConfig, _flagged, _peaked_degree,
                            find_threshold, indist_on_family, l_for_indist,
                            records_to_csv, records_to_json, run_sweep)
 from islocc.verify import run_verify
@@ -34,6 +37,16 @@ def _child_env() -> dict[str, str]:
     src = str(Path(islocc.__file__).resolve().parent.parent)
     return {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+
+
+#: The grid-map and l-scan benchmark configurations; l-scan's grid ends put
+#: both waves on one mode.
+BENCHMARK_CONFIGS = pytest.mark.parametrize("config", [
+    SweepConfig(statistics=FERMION, target="1_minus", indist_grid=GridSpec(0, 1, 41),
+                p_grid=GridSpec(0, 1, 41)),
+    SweepConfig(statistics=BOSON, target="1_plus", theta=1.0, constraint="l_eq_lprime",
+                l_grid=GridSpec(0, 1, 801), p_grid=GridSpec(0.5, 0.5, 1)),
+], ids=["grid-map", "l-scan"])
 
 
 class TestGridSpec:
@@ -213,14 +226,7 @@ class TestRunSweep:
             run_sweep(config)
         assert [w.filename for w in caught] == [__file__]
 
-    @pytest.mark.parametrize("config", [
-        # the grid-map and l-scan benchmark configurations; l-scan's grid
-        # ends put both waves on one mode
-        SweepConfig(statistics=FERMION, target="1_minus", indist_grid=GridSpec(0, 1, 41),
-                    p_grid=GridSpec(0, 1, 41)),
-        SweepConfig(statistics=BOSON, target="1_plus", theta=1.0, constraint="l_eq_lprime",
-                    l_grid=GridSpec(0, 1, 801), p_grid=GridSpec(0.5, 0.5, 1)),
-    ], ids=["grid-map", "l-scan"])
+    @BENCHMARK_CONFIGS
     def test_sweep_raises_no_floating_point_error(self, config):
         with np.errstate(all="raise"), warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
@@ -317,16 +323,46 @@ class TestBellRegion:
         assert [(row.bell, row.violated) for row in rows] == [(0.0, 0)] * 3
 
 
+class TestRowTable:
+    """``run_sweep`` returns one ``ROW_DTYPE`` table, and every encoder takes
+    it, a list of its rows or the rows of several sweeps alike."""
+
+    @BENCHMARK_CONFIGS
+    def test_columns_match_the_family_rows(self, config):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # l-scan's flagged rows
+            table = run_sweep(config)
+        assert isinstance(table, np.recarray) and table.dtype == ROW_DTYPE
+        steps = config.p_grid.steps
+        family = WernerFamily(config.target, table.l[::steps], table.lprime[::steps],
+                              config.statistics, config.resolved_theta())
+        rows = family.evaluate(config.p_grid.values())
+        assert table.violated.tolist() == (table.bell > 2.0).tolist()
+        assert table.flagged.tolist() == _flagged(rows).tolist()
+        assert table.concurrence.tolist() == rows.concurrence.tolist()
+
+    def test_table_and_row_lists_encode_alike(self):
+        first = run_sweep(TestSvg.SMALL)
+        second = run_sweep(SweepConfig(statistics=FERMION, constraint="l_eq_lprime",
+                                       l_grid=GridSpec(0.7, 0.9, 2), p_grid=GridSpec(0, 1, 3)))
+        renderers = [functools.partial(encode, fields=fields)
+                     for encode in (records_to_csv, records_to_json)
+                     for fields in (CSV_FIELDS, BELL_REGION_FIELDS)] + [sweep_svg, bell_region_svg]
+        for render in renderers:
+            assert render(first) == render(list(first))
+            assert render([*first, *second]) == render(np.concatenate([first, second]))
+
+
 class TestEncoding:
     """The exact bytes of both encoders, for both column sets."""
 
-    RECORDS = [
-        SweepRecord(0.0, 1.0, 1e-13, 1 / 3, "fermion", 0.1234567890125, 1.0, 0.0, 1 / 3,
-                    2 * math.sqrt(2)),
+    RECORDS = np.rec.fromrecords([
+        (0.0, 1.0, 1e-13, 1 / 3, "fermion", 0.1234567890125, 1.0, 0.0, 1 / 3,
+         2 * math.sqrt(2), 1, False),
         # B = 2 exactly is not a violation; flagged is not a column
-        SweepRecord(1.0, 1 / 3, 0.0, 2 * math.sqrt(2), "boson", 1e-13, 0.1234567890125,
-                    1e-13, 1.0, 2.0, flagged=True),
-    ]
+        (1.0, 1 / 3, 0.0, 2 * math.sqrt(2), "boson", 1e-13, 0.1234567890125,
+         1e-13, 1.0, 2.0, 0, True),
+    ], dtype=ROW_DTYPE)
 
     def test_csv_bytes(self):
         assert records_to_csv(self.RECORDS, CSV_FIELDS) == (
@@ -391,6 +427,32 @@ class TestEncoding:
     def test_no_records(self, fields):
         assert records_to_csv([], fields) == ",".join(fields) + "\n"
         assert records_to_json([], fields) == '{\n  "records": []\n}\n'
+
+
+class TestSvg:
+    """The exact bytes of both renderers, pinned by digest."""
+
+    SMALL = SweepConfig(statistics=BOSON, target="1_plus", indist_grid=GridSpec(0, 1, 3),
+                        p_grid=GridSpec(0, 1, 4))
+
+    @pytest.mark.parametrize("renderer, rows, digest", [
+        (sweep_svg, "sweep",
+         "57b650f2e67874a3781965ad5a5f41bc4008a5fa10ee45d97ebfc069d931f82f"),
+        (bell_region_svg, "sweep",
+         "e8028e14040de8c80ca7043cfe226b46b5f8e3bd14eb4fe5c665bf0e23566894"),
+        # the hand-built rows; B = 2 exactly is drawn as not violated
+        (sweep_svg, "encoding",
+         "03f8959623970b567c6e2a1c76aa1dd981489ff09316f0b4c0c4c9370f0241b9"),
+        (bell_region_svg, "encoding",
+         "037663fd3f9a40ade78fc65ed2ee3c1668cb1ea4abee95eeb56653faede2ac81"),
+    ])
+    def test_bytes(self, renderer, rows, digest):
+        rows = run_sweep(self.SMALL) if rows == "sweep" else TestEncoding.RECORDS
+        assert hashlib.sha256(renderer(rows).encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("renderer", [sweep_svg, bell_region_svg])
+    def test_no_rows(self, renderer):
+        assert renderer([]) == "<svg xmlns='http://www.w3.org/2000/svg'/>"
 
 
 class TestThreshold:
