@@ -472,6 +472,26 @@ class TestThreshold:
         assert (fermion["indist"], fermion["l"]) == (boson["indist"], boson["l"])
         assert fermion == pytest.approx(boson, abs=1e-12)
 
+    @pytest.mark.parametrize("statistics, target, theta, digest", [
+        (FERMION, "1_minus", None,
+         "4cb28aa31dfb8df28fad14a6e96d3411f09578b0774aa36ba3870607965bc580"),
+        (FERMION, "1_plus", None,
+         "0f5fc4ee4ced596f53eac4bc08195b39d9240c5c71aa39ba33b4d65385a9e969"),
+        (BOSON, "1_minus", None,
+         "e351ee0759d4109636d5111bea48890347123f39049583681e67c9f160b52343"),
+        (BOSON, "1_plus", None,
+         "bb6decc16683ff4b6923834cbf5beb45a80f42b5f967ccce24af947cf1c03674"),
+        (BOSON, "1_minus", 1.0,
+         "9642c42dd5bc3edac0bc6eaadda36d2228d577261a3efd9d3a4bf524c9339ea1"),
+        (BOSON, "1_plus", 3.14159,
+         "bb6decc16683ff4b6923834cbf5beb45a80f42b5f967ccce24af947cf1c03674"),
+    ])
+    def test_result_bytes(self, statistics, target, theta, digest):
+        # the exact bytes `islocc threshold` writes, pinned by digest
+        result = find_threshold(SweepConfig(statistics=statistics, target=target, theta=theta))
+        text = json.dumps(result.as_dict(), indent=2)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
     def test_triplet_target_has_no_all_noise_threshold(self):
         result = find_threshold(SweepConfig(statistics=FERMION, target="1_plus"))
         assert not result.found
