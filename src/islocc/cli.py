@@ -3,15 +3,17 @@ search and self-verification.
 
 Exit codes: 0 on success, 1 when verification fails, 2 on configuration
 errors.  Options may come from a flat ``key = value`` config file
-(``--config``); command-line flags override file values.  An ``--output``
-path that is a directory, or whose directory is missing or unwritable, is
-rejected before any computation; with ``--output`` nothing is written to
-stdout.  A sweep evaluates all its families as one stacked Werner-family
-array in closed form (:class:`~islocc.xstate.WernerFamily`) into one
-``ROW_DTYPE`` table, which every encoder reads column by column;
-``bell-region`` writes the same table with the ``p``, ``indist``, ``bell``
-and ``violated`` columns.  ``threshold`` takes no grid or format
-flags; it ignores those keys in a config file.
+(``--config``); command-line flags override file values, and the merged
+values build one :class:`~islocc.sweeps.SweepConfig`, checked once when
+built.  An ``--output`` path that is a directory, or whose directory is
+missing or unwritable, is rejected before any computation; with
+``--output`` nothing is written to stdout.  A sweep evaluates all its
+families as one stacked Werner-family array in closed form
+(:class:`~islocc.xstate.WernerFamily`) into one ``ROW_DTYPE`` table, which
+every encoder reads column by column; ``bell-region`` writes the same
+table with the ``p``, ``indist``, ``bell`` and ``violated`` columns.
+``threshold`` takes no grid or format flags; it ignores those keys in a
+config file.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import os
 import sys
 from pathlib import Path
 
-from .sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, ConfigError, GridSpec,
-                     SweepConfig, find_threshold, records_to_csv,
+from .sweeps import (BELL_REGION_FIELDS, CONSTRAINTS, CSV_FIELDS, FORMATS, TARGETS,
+                     ConfigError, GridSpec, SweepConfig, find_threshold, records_to_csv,
                      records_to_json, run_sweep)
 from .svg import bell_region_svg, sweep_svg
 from .verify import run_verify
@@ -69,15 +71,12 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-
-    config = SweepConfig()
     try:
-        for key, parse in _CONFIG_KEYS.items():
-            if key in values:
-                setattr(config, key, parse(values[key]))
+        parsed = {key: parse(values[key]) for key, parse in _CONFIG_KEYS.items()
+                  if key in values}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    config.validate()
+    config = SweepConfig(**parsed)
     if config.output is not None:
         _check_writable(config.output)
     return config
@@ -117,11 +116,11 @@ def _render(records, fmt: str, fields, svg_renderer) -> str:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value configuration file")
-    parser.add_argument("--statistics", choices=("boson", "fermion"))
+    parser.add_argument("--statistics", choices=[str(s) for s in ParticleStatistics])
     parser.add_argument("--theta", help="phase of the second wave function, radians "
                                         "(default: canonical pairing for target/statistics)")
-    parser.add_argument("--target", choices=("1_minus", "1_plus"))
-    parser.add_argument("--constraint", choices=("l_eq_rprime", "l_eq_lprime", "free"))
+    parser.add_argument("--target", choices=TARGETS)
+    parser.add_argument("--constraint", choices=CONSTRAINTS)
     parser.add_argument("--lprime", help="fixed l' for the free constraint")
     parser.add_argument("--output", help="output path (default: stdout)")
 
@@ -134,7 +133,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
                         help="indistinguishability grid (l_eq_rprime family)")
     parser.add_argument("--l-grid", dest="l_grid", metavar="A:B:N",
                         help="grid over l instead of the indistinguishability degree")
-    parser.add_argument("--format", choices=("csv", "json", "svg"))
+    parser.add_argument("--format", choices=FORMATS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,8 +12,9 @@ closed-form X state read off three entries (rho03 is 0), with no 4x4
 matrix and no eigen solver.  This module imports nothing of the package
 but :mod:`islocc.xstate`; the amplitude and eigen path is its oracle in
 :mod:`islocc.verify` and the tests.  Identical configurations produce
-byte-identical CSV output, and a configuration asking for more than
-``MAX_SWEEP_ROWS`` rows is rejected before any grid is built.
+byte-identical CSV output.  A :class:`SweepConfig` is frozen and checked
+once, when built: one asking for more than ``MAX_SWEEP_ROWS`` rows, or
+breaking any other rule, cannot exist, so no runner checks it again.
 
 A sweep is one ``numpy.recarray`` of ``ROW_DTYPE``, each field filled as a
 whole column; no per-row Python object is built.  A Bell-violation map is
@@ -25,7 +26,8 @@ The threshold search bisects l on the same family directly.  At each step
 the worst noise level comes in closed form from
 :meth:`~islocc.xstate.WernerFamily.worst_bell`: the CHSH value of an X
 state is the length of a point moving along a straight line in p, so its
-minimum sits at one of four candidate noise levels.
+minimum sits at one of four candidate noise levels.  Both bisections stop
+at a fixed tolerance or at adjacent floats, whichever comes first.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ __all__ = [
 CSV_FIELDS = ("p", "l", "lprime", "theta", "statistics", "indist",
               "concurrence", "eof", "p_lr", "bell")
 BELL_REGION_FIELDS = ("p", "indist", "bell", "violated")
+TARGETS = ("1_minus", "1_plus")
 CONSTRAINTS = ("l_eq_rprime", "l_eq_lprime", "free")
+FORMATS = ("csv", "json", "svg")
 
 #: Rows with detection probability below this are flagged, never dropped.
 FLAG_PROBABILITY = 1e-12
@@ -71,6 +75,11 @@ FLAG_PROBABILITY = 1e-12
 #: 301 x 301 sweep rendered to CSV peaks at about 1.2 KB per row, so this
 #: bounds a run at about 1.1 GiB.
 MAX_SWEEP_ROWS = 1_000_000
+
+#: Bracket widths at which the bisections stop: in l (:func:`l_for_indist`)
+#: and in degree (:func:`find_threshold`).
+_L_TOL = 1e-12
+_DEGREE_TOL = 1e-4
 
 
 class ConfigError(ValueError):
@@ -117,10 +126,10 @@ class GridSpec:
 _DEFAULT_INDIST_GRID = GridSpec(0.0, 1.0, 11)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
-    """Sweep parameters; grids of the degree of indistinguishability require
-    the r' = l family, plain l grids work with any constraint."""
+    """Sweep parameters, checked once when built; degree grids (and the default
+    outer grid) need the r' = l family, plain l grids work with any constraint."""
 
     statistics: ParticleStatistics = FERMION
     target: str = "1_minus"
@@ -138,12 +147,12 @@ class SweepConfig:
             return canonical_theta(self.target, self.statistics)
         return float(self.theta)
 
-    def validate(self) -> None:
-        if self.target not in ("1_minus", "1_plus"):
+    def __post_init__(self) -> None:
+        if self.target not in TARGETS:
             raise ConfigError(f"target must be 1_minus or 1_plus, got {self.target!r}")
         if self.constraint not in CONSTRAINTS:
             raise ConfigError(f"constraint must be one of {CONSTRAINTS}, got {self.constraint!r}")
-        if self.format not in ("csv", "json", "svg"):
+        if self.format not in FORMATS:
             raise ConfigError(f"format must be csv, json or svg, got {self.format!r}")
         if self.indist_grid is not None and self.l_grid is not None:
             raise ConfigError("give either indist_grid or l_grid, not both")
@@ -165,6 +174,8 @@ class SweepConfig:
         if outer * self.p_grid.steps > MAX_SWEEP_ROWS:
             raise ConfigError(f"a sweep of {outer} x {self.p_grid.steps} points exceeds "
                               f"the limit of {MAX_SWEEP_ROWS} rows")
+        if self.l_grid is None and self.constraint != "l_eq_rprime":
+            raise ConfigError(f"constraint {self.constraint!r} needs an explicit l_grid")
 
 
 # ---------------------------------------------------------------------------
@@ -196,31 +207,24 @@ def indist_on_family(l):
     return _peaked_degree(l, r, r, l)
 
 
-def _check_tol(tol: float) -> None:
-    if not math.isfinite(tol):
-        raise ConfigError(f"tolerance must be finite, got {tol!r}")
-
-
-def l_for_indist(target, tol: float = 1e-12):
+def l_for_indist(target):
     """Invert :func:`indist_on_family` on the monotone branch l in [1/sqrt(2), 1],
-    elementwise over an array of degrees.  A non-finite ``tol`` raises
-    :class:`ConfigError`."""
-    _check_tol(tol)
+    elementwise over an array of degrees, to within ``_L_TOL`` in l."""
     target = np.asarray(target, dtype=float)
     if not np.all((0.0 <= target) & (target <= 1.0)):
         raise ConfigError(f"indistinguishability degree must lie in [0, 1], got {target!r}")
-    # each entry bisects on its own interval until that interval is below tol
+    # each entry bisects on its own interval until that interval is below _L_TOL
     # or down to adjacent floats; the degree falls monotonically from 1 to 0
     lo = np.full(target.shape, _SQRT_HALF)
     hi = np.ones(target.shape)
-    active = (hi - lo > tol) & (0.0 < target) & (target < 1.0)
+    active = (hi - lo > _L_TOL) & (0.0 < target) & (target < 1.0)
     while active.any():
         mid = 0.5 * (lo + hi)
         active &= (lo < mid) & (mid < hi)
         above = active & (indist_on_family(mid) > target)
         np.copyto(lo, mid, where=above)
         np.copyto(hi, mid, where=active & ~above)
-        active &= hi - lo > tol
+        active &= hi - lo > _L_TOL
     l = np.where(target >= 1.0, _SQRT_HALF, np.where(target <= 0.0, 1.0, 0.5 * (lo + hi)))
     return l[()]
 
@@ -240,10 +244,8 @@ def _family_ls(config: SweepConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         l = l_for_indist(config.indist_grid.values())
     elif config.l_grid is not None:
         l = config.l_grid.values()
-    elif config.constraint == "l_eq_rprime":
+    else:  # the r' = l family, the only one a config may leave without a grid
         l = l_for_indist(_DEFAULT_INDIST_GRID.values())
-    else:
-        raise ConfigError(f"constraint {config.constraint!r} needs an explicit l_grid")
     return (l, *_second_wave(config.constraint, l, config.lprime))
 
 
@@ -274,7 +276,6 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     the noise-probability grid second.  Flagged rows are kept, with one
     ``RuntimeWarning`` attributed to the caller.
     """
-    config.validate()
     theta = config.resolved_theta()
     p = config.p_grid.values()
     l, lprime, rprime = _family_ls(config)
@@ -332,21 +333,18 @@ class _Probe(NamedTuple):
     bell: float
 
 
-def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
+def find_threshold(config: SweepConfig) -> ThresholdResult:
     """Smallest degree of indistinguishability with min_p B > 2 on the r' = l
     family, by one bisection in l.
 
     The degree falls monotonically from 1 at l = 1/sqrt(2) to 0 at l = 1, so
     l itself is bisected between a violating and a non-violating end until
-    the degrees of the two ends differ by at most ``tol``; the violating
-    end's degree and l are reported.  Each step takes min_p B in closed form
-    from :meth:`~islocc.xstate.WernerFamily.worst_bell` (four candidate
-    noise levels evaluated together), so no minimization and no
-    inversion of the degree is iterated.  A non-finite ``tol`` raises
-    :class:`ConfigError`.
+    the degrees of the two ends differ by at most ``_DEGREE_TOL``; the
+    violating end's degree and l are reported.  Each step takes min_p B in
+    closed form from :meth:`~islocc.xstate.WernerFamily.worst_bell` (four
+    candidate noise levels evaluated together), so no minimization and no
+    inversion of the degree is iterated.
     """
-    _check_tol(tol)
-    config.validate()
     if config.constraint != "l_eq_rprime":
         raise ConfigError("threshold search is defined on the l_eq_rprime family")
     theta = config.resolved_theta()
@@ -361,18 +359,18 @@ def find_threshold(config: SweepConfig, tol: float = 1e-4) -> ThresholdResult:
     inside = probe(_SQRT_HALF)  # the violating end of the bracket, degree 1
     if inside.bell <= 2.0:
         return ThresholdResult(False, config.target, str(stats))
-    outside = probe(1.0)  # degree 0
-    if outside.bell > 2.0:
-        inside = outside  # violated everywhere, threshold at zero
-    while inside.degree - outside.degree > tol:
-        mid = 0.5 * (inside.l + outside.l)
-        if mid in (inside.l, outside.l):
+    # the other end needs no probe: at l = 1 (degree 0) the waves are |L> and
+    # e^{i theta}|R>, so the p = 1 candidate is the maximally mixed state, B = 0
+    outside_l, outside_degree = 1.0, 0.0
+    while inside.degree - outside_degree > _DEGREE_TOL:
+        mid = 0.5 * (inside.l + outside_l)
+        if mid in (inside.l, outside_l):
             break  # the bracket is down to adjacent floats
         at_mid = probe(mid)
         if at_mid.bell > 2.0:
             inside = at_mid
         else:
-            outside = at_mid
+            outside_l, outside_degree = at_mid.l, at_mid.degree
     concurrence_at = float(inside.family.evaluate(np.array([inside.worst_p])).concurrence[0])
     return ThresholdResult(True, config.target, str(stats), inside.degree, inside.l,
                            inside.worst_p, inside.bell, concurrence_at)

@@ -127,8 +127,10 @@ class KrausSet:
         object.__setattr__(self, "operators", ops)
         if any(k.shape != (2, 2) for k in ops):
             raise ValueError("Kraus operators must be 2x2 spin matrices")
+        if not all(np.isfinite(k).all() for k in ops):
+            raise ValueError("Kraus operators must be finite")
         total = sum(k.conj().T @ k for k in ops)
-        if np.max(np.abs(total - np.eye(2))) > self._COMPLETENESS_ATOL:
+        if not np.max(np.abs(total - np.eye(2))) <= self._COMPLETENESS_ATOL:
             raise ValueError("Kraus operators do not resolve the identity")
 
 

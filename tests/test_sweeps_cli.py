@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import errno
 import functools
 import hashlib
 import io
@@ -138,18 +140,6 @@ class TestIndistInversion:
         ls = l_for_indist(targets)
         assert ls.tolist() == [l_for_indist(float(t)) for t in targets]
 
-    def test_non_positive_tolerance_stops_at_adjacent_floats(self):
-        # a bracket of two adjacent floats is never narrower than tol <= 0;
-        # the inversion runs in a child process, so a hang fails the test
-        script = ("from islocc.sweeps import l_for_indist\n"
-                  "print(*(repr(float(l_for_indist(0.5, tol=t))) for t in (0.0, -1.0)))\n")
-        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
-                              capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-        zero, negative = map(float, done.stdout.split())
-        assert zero == negative == pytest.approx(float(l_for_indist(0.5)), abs=1e-12)
-        assert indist_on_family(zero) == pytest.approx(0.5, abs=1e-15)
-
 
 class TestRunSweep:
     def test_noise_free_family_has_constant_concurrence(self):
@@ -260,20 +250,29 @@ class TestRunSweep:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="not both"):
-            SweepConfig(indist_grid=GridSpec(0, 1, 3), l_grid=GridSpec(0, 1, 3)).validate()
+            SweepConfig(indist_grid=GridSpec(0, 1, 3), l_grid=GridSpec(0, 1, 3))
         with pytest.raises(ConfigError, match="l_eq_rprime"):
-            SweepConfig(constraint="l_eq_lprime", indist_grid=GridSpec(0, 1, 3)).validate()
+            SweepConfig(constraint="l_eq_lprime", indist_grid=GridSpec(0, 1, 3))
         with pytest.raises(ConfigError, match="lprime"):
-            SweepConfig(constraint="free", l_grid=GridSpec(0, 1, 3)).validate()
+            SweepConfig(constraint="free", l_grid=GridSpec(0, 1, 3))
         with pytest.raises(ConfigError, match="constraint"):
-            SweepConfig(constraint="bogus").validate()
+            SweepConfig(constraint="bogus")
         with pytest.raises(ConfigError, match="target"):
-            SweepConfig(target="bell").validate()
+            SweepConfig(target="bell")
         with pytest.raises(ConfigError, match="theta"):
-            SweepConfig(theta=math.nan).validate()
+            SweepConfig(theta=math.nan)
         with pytest.raises(ConfigError, match="lprime"):
-            SweepConfig(constraint="free", lprime=math.inf,
-                        l_grid=GridSpec(0, 1, 3)).validate()
+            SweepConfig(constraint="free", lprime=math.inf, l_grid=GridSpec(0, 1, 3))
+        with pytest.raises(ConfigError, match="'l_eq_lprime' needs an explicit l_grid"):
+            SweepConfig(constraint="l_eq_lprime")
+        with pytest.raises(ConfigError, match="'free' needs an explicit l_grid"):
+            SweepConfig(constraint="free", lprime=0.3)
+
+    def test_config_is_frozen(self):
+        config = SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 3))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.l_grid = None  # would break the l_grid rule checked when built
+        assert config.l_grid == GridSpec(0, 1, 3)
 
     def test_sweep_size_cap(self, monkeypatch):
         def no_grid(self):
@@ -281,16 +280,15 @@ class TestRunSweep:
 
         monkeypatch.setattr(GridSpec, "values", no_grid)
         assert MAX_SWEEP_ROWS == 1_000_000
-        for config in (SweepConfig(indist_grid=GridSpec(0, 1, 100_000_000_000)),
-                       SweepConfig(indist_grid=GridSpec(0, 1, 1000),
-                                   p_grid=GridSpec(0, 1, 1001)),
-                       SweepConfig(p_grid=GridSpec(0, 1, 90_910)),  # default 11 x p
-                       SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 2),
-                                   p_grid=GridSpec(0, 1, 500_001))):
+        for fields in (dict(indist_grid=GridSpec(0, 1, 100_000_000_000)),
+                       dict(indist_grid=GridSpec(0, 1, 1000), p_grid=GridSpec(0, 1, 1001)),
+                       dict(p_grid=GridSpec(0, 1, 90_910)),  # default 11 x p
+                       dict(constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 2),
+                            p_grid=GridSpec(0, 1, 500_001))):
             with pytest.raises(ConfigError, match="exceeds the limit of 1000000 rows"):
-                config.validate()
-        SweepConfig(indist_grid=GridSpec(0, 1, 1000), p_grid=GridSpec(0, 1, 1000)).validate()
-        SweepConfig(p_grid=GridSpec(0, 1, 90_909)).validate()
+                SweepConfig(**fields)
+        SweepConfig(indist_grid=GridSpec(0, 1, 1000), p_grid=GridSpec(0, 1, 1000))
+        SweepConfig(p_grid=GridSpec(0, 1, 90_909))
 
 
 class TestBellRegion:
@@ -492,6 +490,30 @@ class TestThreshold:
         text = json.dumps(result.as_dict(), indent=2)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("statistics", [FERMION, BOSON])
+    @pytest.mark.parametrize("target", ["1_minus", "1_plus"])
+    def test_degree_zero_end_never_violates(self, statistics, target, rng):
+        # at l = 1 the waves are |L> and e^{i theta}|R>, so the p = 1 candidate
+        # is the maximally mixed state: the search takes B* = 0 there unprobed
+        assert indist_on_family(1.0) == 0.0
+        for theta in [0.0, math.pi, 2 * math.pi, 3.14159, 1e-300, 1e308,
+                      *rng.uniform(-100.0, 100.0, 500).tolist()]:
+            _, bell = WernerFamily(target, 1.0, 0.0, statistics, theta).worst_bell()
+            assert bell[0] == 0.0, theta
+
+    def test_degree_zero_end_is_not_probed(self, monkeypatch):
+        built = []
+
+        def spy(target, l, *args):
+            built.append(float(l))
+            return WernerFamily(target, l, *args)
+
+        monkeypatch.setattr("islocc.sweeps.WernerFamily", spy)
+        for statistics in (FERMION, BOSON):
+            built.clear()
+            assert find_threshold(SweepConfig(statistics=statistics, target="1_minus")).found
+            assert len(built) == 15 and 1.0 not in built
+
     def test_triplet_target_has_no_all_noise_threshold(self):
         result = find_threshold(SweepConfig(statistics=FERMION, target="1_plus"))
         assert not result.found
@@ -505,36 +527,40 @@ class TestThreshold:
 
     def test_singlet_target_threshold_regression(self):
         # the final degree bracket of the earlier search (bisection in the
-        # degree, grid plus golden-section minimum over p), widened by tol
+        # degree, grid plus golden-section minimum over p), widened by the
+        # search's tolerance in degree
         tol = 1e-4
-        result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"), tol=tol)
+        result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"))
         assert 0.76007 - tol <= result.indist <= 0.76013 + tol
         assert result.indist == indist_on_family(result.l)
 
     def test_bracket_ends_straddle_the_predicate(self):
-        # the reported end violates at every p; a degree tol below it does not
+        # the reported end violates at every p; one tolerance (1e-4 in degree)
+        # below it does not
         tol = 1e-4
-        result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"), tol=tol)
+        result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"))
         assert WernerFamily("1_minus", result.l, math.sqrt(1 - result.l ** 2), FERMION,
                             0.0).worst_bell()[1][0] == result.bell_at_worst > 2.0
         l_below = float(l_for_indist(result.indist - tol))
         below = WernerFamily("1_minus", l_below, math.sqrt(1 - l_below ** 2), FERMION, 0.0)
         assert below.worst_bell()[1][0] <= 2.0
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf])
-    def test_non_finite_tolerance_rejected(self, tol):
-        # a NaN tol would end both bisections at once: l_for_indist(0.5)
-        # would read 0.853553 and the threshold search report degree 1
-        with pytest.raises(ConfigError, match="tolerance"):
-            l_for_indist(0.5, tol=tol)
-        with pytest.raises(ConfigError, match="tolerance"):
-            find_threshold(SweepConfig(statistics=FERMION, target="1_minus"), tol=tol)
-
-    def test_zero_tolerance_stops_at_float_resolution(self):
-        # the degree bracket never reaches 0: the search stops once the l
-        # bracket is down to adjacent floats
-        result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"), tol=0.0)
-        assert 0.76007 <= result.indist <= 0.76013
+    def test_zero_tolerances_stop_at_adjacent_floats(self):
+        # a bracket of two adjacent floats is never narrower than 0, so only
+        # the adjacent-float guards end both bisections; a child process runs
+        # them, so a hang fails the test
+        script = ("from islocc import sweeps\n"
+                  "sweeps._L_TOL = sweeps._DEGREE_TOL = 0.0\n"
+                  "config = sweeps.SweepConfig(target='1_minus')\n"
+                  "print(repr(float(sweeps.l_for_indist(0.5))),\n"
+                  "      repr(sweeps.find_threshold(config).indist))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        l, indist = map(float, done.stdout.split())
+        assert l == pytest.approx(float(l_for_indist(0.5)), abs=1e-12)
+        assert indist_on_family(l) == pytest.approx(0.5, abs=1e-15)
+        assert 0.76007 <= indist <= 0.76013
 
     @pytest.mark.parametrize("statistics, target, found", [
         (FERMION, "1_minus", True), (BOSON, "1_minus", True),
@@ -768,6 +794,32 @@ class TestCli:
         with pytest.warns(RuntimeWarning):
             records = run_sweep(config)
         assert [r.flagged for r in records] == [True, False, False]
+
+    def test_family_without_l_grid_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--constraint", "l_eq_lprime", "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: constraint 'l_eq_lprime' needs an explicit " \
+                               "l_grid\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_failed_write_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the path passes the writability check; the write itself fails
+        def disk_full(self, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", disk_full)
+        assert main(["sweep", "--output", str(tmp_path / "sweep.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot write output file")
+        assert "No space left on device" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_non_numeric_theta_exits_2(self, capsys):
+        assert main(["sweep", "--theta", "abc"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "config error: could not convert string to float: 'abc'\n"
+        assert captured.out == ""
 
     def test_unwritable_existing_directory_exits_2(self, tmp_path, capsys, monkeypatch):
         # permission bits do not stop root, so the access check is what decides

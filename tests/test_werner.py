@@ -114,6 +114,12 @@ class TestDepolarizingChannel:
         with pytest.raises(ValueError, match="identity"):
             KrausSet(bad, "L1")
 
+    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.diag([np.inf, 1.0])])
+    def test_non_finite_operator_rejected(self, bad):
+        # a NaN completeness error passes a plain "> tol" test; inf warns in matmul
+        with pytest.raises(ValueError, match="finite"):
+            KrausSet((bad,), "L1")
+
     def test_trace_preserved_before_deformation(self):
         # deform onto separated waves so the staging state is just relabeled
         for p in (0.0, 0.4, 1.0):
