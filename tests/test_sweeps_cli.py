@@ -140,6 +140,20 @@ class TestIndistInversion:
         ls = l_for_indist(targets)
         assert ls.tolist() == [l_for_indist(float(t)) for t in targets]
 
+    def test_non_positive_tolerance_stops_at_adjacent_floats(self):
+        # a bracket of two adjacent floats is never narrower than _L_TOL <= 0;
+        # the inversion runs in a child process, so a hang fails the test
+        script = ("from islocc import sweeps\n"
+                  "for tol in (0.0, -1.0):\n"
+                  "    sweeps._L_TOL = tol\n"
+                  "    print(repr(float(sweeps.l_for_indist(0.5))))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        zero, negative = map(float, done.stdout.split())
+        assert zero == negative == pytest.approx(float(l_for_indist(0.5)), abs=1e-12)
+        assert indist_on_family(zero) == pytest.approx(0.5, abs=1e-15)
+
 
 class TestRunSweep:
     def test_noise_free_family_has_constant_concurrence(self):
@@ -545,22 +559,18 @@ class TestThreshold:
         below = WernerFamily("1_minus", l_below, math.sqrt(1 - l_below ** 2), FERMION, 0.0)
         assert below.worst_bell()[1][0] <= 2.0
 
-    def test_zero_tolerances_stop_at_adjacent_floats(self):
-        # a bracket of two adjacent floats is never narrower than 0, so only
-        # the adjacent-float guards end both bisections; a child process runs
-        # them, so a hang fails the test
+    def test_zero_tolerance_stops_at_float_resolution(self):
+        # the degree bracket never narrows to 0: the search stops once the l
+        # bracket is down to adjacent floats; a child process runs it, so a
+        # hang fails the test
         script = ("from islocc import sweeps\n"
-                  "sweeps._L_TOL = sweeps._DEGREE_TOL = 0.0\n"
+                  "sweeps._DEGREE_TOL = 0.0\n"
                   "config = sweeps.SweepConfig(target='1_minus')\n"
-                  "print(repr(float(sweeps.l_for_indist(0.5))),\n"
-                  "      repr(sweeps.find_threshold(config).indist))\n")
+                  "print(repr(sweeps.find_threshold(config).indist))\n")
         done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        l, indist = map(float, done.stdout.split())
-        assert l == pytest.approx(float(l_for_indist(0.5)), abs=1e-12)
-        assert indist_on_family(l) == pytest.approx(0.5, abs=1e-15)
-        assert 0.76007 <= indist <= 0.76013
+        assert 0.76007 <= float(done.stdout) <= 0.76013
 
     @pytest.mark.parametrize("statistics, target, found", [
         (FERMION, "1_minus", True), (BOSON, "1_minus", True),
