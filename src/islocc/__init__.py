@@ -22,10 +22,8 @@ from .states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave, Spin
 from .amplitudes import (ElementaryKet, PermutationCapExceeded, amplitude,
                          amplitude_fast, amplitude_permsum, overlap_matrix,
                          permanent_ryser)
-from .ensembles import (MixedState, PureNState, matrix_element, mixed_trace,
-                        pure_norm_sq, state_overlap)
-from .slocc import (ProjectedDensityMatrix, ProjectionUndefinedError,
-                    computational_kets, project, spin_configurations)
+from .ensembles import MixedState, PureNState, mixed_trace, pure_norm_sq, state_overlap
+from .slocc import ProjectedDensityMatrix, ProjectionUndefinedError, project, spin_configurations
 from .indistinguishability import (IndistinguishabilityBreakdown, degree_n,
                                    degree_two, region_probability)
 from .entanglement import (EntanglementReport, NotXShapedError, analyze,

@@ -23,7 +23,6 @@ __all__ = [
     "pure_norm_sq",
     "mixed_trace",
     "state_overlap",
-    "matrix_element",
 ]
 
 
@@ -120,9 +119,3 @@ def mixed_trace(m: MixedState) -> float:
     :mod:`islocc.slocc` sums the same trace over the Fock states of the basis.
     """
     return math.fsum(w * pure_norm_sq(s) for w, s in m.ensemble if w > 0)
-
-
-def matrix_element(bra: ElementaryKet, m: MixedState, ket: ElementaryKet) -> complex:
-    """<bra| m |ket> = sum_e w_e <bra|state_e><state_e|ket>."""
-    return sum((w * state_overlap(bra, s) * state_overlap(ket, s).conjugate()
-                for w, s in m.ensemble if w > 0), 0j)

@@ -26,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .amplitudes import BOSON, ElementaryKet, _amplitudes
+from .amplitudes import BOSON, _amplitudes
 from .ensembles import MixedState
-from .states import SPIN_ORDER, ModeBasis, SingleParticleState, Spin
+from .states import SPIN_ORDER, ModeBasis, Spin
 from .xstate import _EIG_ATOL, _HERM_ATOL, _UNDEFINED_RTOL, _ZERO_TRACE_ATOL
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "ZeroTraceError",
     "ProjectedDensityMatrix",
     "spin_configurations",
-    "computational_kets",
     "check_density_matrix",
     "normalize_block",
     "project",
@@ -64,18 +63,6 @@ def _check_regions(basis: ModeBasis, regions: Sequence[str]) -> tuple[str, ...]:
         if label not in basis:
             raise ValueError(f"region {label!r} is not a mode of the basis {basis.labels!r}")
     return regions
-
-
-def computational_kets(basis: ModeBasis, regions: Sequence[str],
-                       statistics) -> list[ElementaryKet]:
-    """Elementary kets |R_1 s_1, ..., R_N s_N> spanning the detection subspace."""
-    regions = _check_regions(basis, regions)
-    kets = []
-    for spins in spin_configurations(len(regions)):
-        particles = tuple(SingleParticleState.localized(basis, mode, spin)
-                          for mode, spin in zip(regions, spins))
-        kets.append(ElementaryKet(particles, statistics))
-    return kets
 
 
 def check_density_matrix(matrix: np.ndarray, probability: float) -> None:

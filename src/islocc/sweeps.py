@@ -6,21 +6,22 @@ r' = l (with l' fixed by normalization): on it the degree of spatial
 indistinguishability decreases monotonically from 1 at l = 1/sqrt(2) to 0
 at l = 1, so target degrees are inverted by bisection.
 
-A sweep evaluates every family of the outer grid at every noise
-probability with one :class:`~islocc.xstate.WernerFamily`, each row a
-closed-form X state read off three entries (rho03 is 0), with no 4x4
-matrix and no eigen solver.  This module imports nothing of the package
-but :mod:`islocc.xstate`; the amplitude and eigen path is its oracle in
-:mod:`islocc.verify` and the tests.  Identical configurations produce
-byte-identical CSV output.  A :class:`SweepConfig` is frozen and checked
-once, when built: one asking for more than ``MAX_SWEEP_ROWS`` rows, or
-breaking any other rule, cannot exist, so no runner checks it again.
+A sweep evaluates every family of the outer grid at every noise probability
+with one :class:`~islocc.xstate.WernerFamily`, each row a closed-form X state
+read off three entries (rho03 is 0), with no 4x4 matrix and no eigen solver.
+This module imports nothing of the package but :mod:`islocc.xstate`; the
+amplitude and eigen path is its oracle in :mod:`islocc.verify` and the tests.
+Identical configurations produce byte-identical CSV output.  A
+:class:`SweepConfig` is frozen and checked once, when built: one holding a value
+of the wrong type, asking for more than ``MAX_SWEEP_ROWS`` rows or breaking any
+other rule cannot exist, so no runner checks it again.
 
-A sweep is one ``numpy.recarray`` of ``ROW_DTYPE``, each field filled as a
-whole column; no per-row Python object is built.  A Bell-violation map is
-the same table written with the ``BELL_REGION_FIELDS`` columns, whose
-``violated`` is ``B > 2``.  The CSV and JSON encoders take the columns to
-write and read each one once, the column's dtype choosing its cell format.
+A sweep is one ``numpy.recarray`` of ``ROW_DTYPE``, each field filled as a whole
+column; no per-row Python object is built.  A Bell-violation map is the same
+table written with the ``BELL_REGION_FIELDS`` columns, whose ``violated`` is
+``B > 2``.  The encoders read each column once and fill one fixed template per
+row with ``%``, each column's dtype choosing its cell format; the JSON template
+is the text of ``json.dumps(..., indent=2)``, whose slow encoder never runs.
 
 The threshold search bisects l on the same family directly.  At each step
 the worst noise level comes in closed form from
@@ -32,8 +33,10 @@ at a fixed tolerance or at adjacent floats, whichever comes first.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import numbers
 import warnings
 from dataclasses import asdict, dataclass
 from typing import NamedTuple, Sequence
@@ -71,9 +74,9 @@ FORMATS = ("csv", "json", "svg")
 #: Rows with detection probability below this are flagged, never dropped.
 FLAG_PROBABILITY = 1e-12
 
-#: Largest sweep (outer steps x noise steps) a configuration may ask for; a
-#: 301 x 301 sweep rendered to CSV peaks at about 1.2 KB per row, so this
-#: bounds a run at about 1.1 GiB.
+#: Largest sweep (outer x noise steps) a configuration may ask for: it bounds the
+#: run time.  Memory grows with the rows: 301 x 301 peaks at 107 MiB as CSV and
+#: 154 MiB as JSON, a CSV sweep at the cap at 0.85 GiB (Python 3.11, numpy 2.4).
 MAX_SWEEP_ROWS = 1_000_000
 
 #: Bracket widths at which the bisections stop: in l (:func:`l_for_indist`)
@@ -84,6 +87,15 @@ _DEGREE_TOL = 1e-4
 
 class ConfigError(ValueError):
     """Invalid sweep configuration (maps to CLI exit code 2)."""
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; :class:`ConfigError` unless a finite real, not a bool."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
+            if math.isfinite(number := float(value)):
+                return number
+    raise ConfigError(f"{name} must be finite and real, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -99,10 +111,12 @@ class GridSpec:
     steps: int
 
     def __post_init__(self):
+        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
+            raise ConfigError(f"grid steps must be an int, got {self.steps!r}")
         if self.steps < 1:
             raise ConfigError(f"grid needs at least one point, got steps={self.steps}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError(f"grid bounds must be finite, got {self.start}:{self.stop}")
+        for name in ("start", "stop"):  # stored as floats, the type the grid is made of
+            object.__setattr__(self, name, _real(getattr(self, name), f"grid {name}"))
         if not self.start <= self.stop:
             raise ConfigError(f"grid start {self.start} exceeds stop {self.stop}")
 
@@ -117,9 +131,8 @@ class GridSpec:
             raise ConfigError(f"bad grid {text!r}: {exc}") from None
 
     def values(self) -> np.ndarray:
-        if self.steps == 1:
-            return np.array([self.start])
-        return np.linspace(self.start, self.stop, self.steps)
+        return (np.array([self.start]) if self.steps == 1
+                else np.linspace(self.start, self.stop, self.steps))
 
 
 #: Outer grid of an l_eq_rprime sweep given neither grid.
@@ -143,16 +156,22 @@ class SweepConfig:
     format: str = "csv"
 
     def resolved_theta(self) -> float:
-        if self.theta is None:
-            return canonical_theta(self.target, self.statistics)
-        return float(self.theta)
+        return canonical_theta(self.target, self.statistics) if self.theta is None else self.theta
 
     def __post_init__(self) -> None:
-        if self.target not in TARGETS:
+        if not isinstance(self.statistics, ParticleStatistics):
+            raise ConfigError(f"statistics must be a ParticleStatistics, got {self.statistics!r}")
+        grids = (self.p_grid, *(g for g in (self.indist_grid, self.l_grid) if g is not None))
+        if not all(isinstance(grid, GridSpec) for grid in grids):
+            raise ConfigError(f"grids must be GridSpecs, got {grids!r}")
+        for name in ("theta", "lprime"):  # stored as floats
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _real(getattr(self, name), name))
+        if not (isinstance(self.target, str) and self.target in TARGETS):
             raise ConfigError(f"target must be 1_minus or 1_plus, got {self.target!r}")
-        if self.constraint not in CONSTRAINTS:
+        if not (isinstance(self.constraint, str) and self.constraint in CONSTRAINTS):
             raise ConfigError(f"constraint must be one of {CONSTRAINTS}, got {self.constraint!r}")
-        if self.format not in FORMATS:
+        if not (isinstance(self.format, str) and self.format in FORMATS):
             raise ConfigError(f"format must be csv, json or svg, got {self.format!r}")
         if self.indist_grid is not None and self.l_grid is not None:
             raise ConfigError("give either indist_grid or l_grid, not both")
@@ -162,8 +181,6 @@ class SweepConfig:
             raise ConfigError("the free constraint needs an explicit lprime value")
         if self.constraint != "free" and self.lprime is not None:
             raise ConfigError(f"lprime is only meaningful with the free constraint")
-        if self.theta is not None and not math.isfinite(self.theta):
-            raise ConfigError(f"theta must be finite, got {self.theta!r}")
         if self.lprime is not None and not 0.0 <= self.lprime <= 1.0:
             raise ConfigError(f"lprime must lie in [0, 1], got {self.lprime!r}")
         for name, grid in (("indistinguishability", self.indist_grid), ("l", self.l_grid),
@@ -380,33 +397,38 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
 # output encoding
 # ---------------------------------------------------------------------------
 
-#: Per dtype kind of a column: how a value is written as a cell, and the type
-#: JSON reads that cell back as.  Floats carry 12 significant digits.
-_CELL_RULES = {"U": (str, str), "i": (str, int), "f": ("{:.12g}".format, float)}
+#: Per dtype kind of a column: the ``%`` format of its CSV cell (floats carry 12
+#: significant digits), and the floats ``json`` writes other than by ``repr``.
+_CSV_CELLS = {"U": "%s", "i": "%d", "f": "%.12g"}
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _columns(rows, fields: Sequence[str]) -> list[tuple[list[str], type]]:
-    """Each field of ``rows`` (a ``ROW_DTYPE`` table, or a list of its rows)
-    as a column of text cells, with the type JSON reads those cells back as."""
-    table = np.asarray(rows, dtype=ROW_DTYPE)
-    columns = []
-    for name in fields:
-        write, read = _CELL_RULES[table.dtype[name].kind]
-        columns.append((list(map(write, table[name].tolist())), read))
-    return columns
+def _json_cells(column: np.ndarray) -> list[str]:
+    """The cells of ``column`` as ``json`` writes the values its CSV cells read back as."""
+    cells = list(map(_CSV_CELLS[column.dtype.kind].__mod__, column.tolist()))
+    if column.dtype.kind == "f":
+        return [_JSON_NON_FINITE.get(cell) or repr(float(cell)) for cell in cells]
+    if column.dtype.kind == "U":  # json.dumps once per distinct text
+        return list(map({text: json.dumps(text) for text in set(cells)}.get, cells))
+    return cells
 
 
 def records_to_csv(rows, fields: Sequence[str]) -> str:
-    """Render sweep rows as CSV with a fixed header; floats carry 12
-    significant digits so identical configurations give byte-identical files."""
-    cells = [column for column, _ in _columns(rows, fields)]
-    lines = [",".join(fields), *map(",".join, zip(*cells))]
-    return "\n".join(lines) + "\n"
+    """Render sweep rows (a ``ROW_DTYPE`` table or a list of its rows) as CSV, one
+    line template filled per row, so identical configurations give identical bytes."""
+    table = np.asarray(rows, dtype=ROW_DTYPE)
+    line = ",".join(_CSV_CELLS[table.dtype[name].kind] for name in fields) + "\n"
+    cells = zip(*(table[name].tolist() for name in fields))
+    return ",".join(fields) + "\n" + "".join(map(line.__mod__, cells))
 
 
 def records_to_json(rows, fields: Sequence[str]) -> str:
-    """JSON encoding of the same rows as :func:`records_to_csv` (numbers are
-    rounded through the same 12-significant-digit representation)."""
-    values = [list(map(read, column)) for column, read in _columns(rows, fields)]
-    payload = [dict(zip(fields, row)) for row in zip(*values)]
-    return json.dumps({"records": payload}, indent=2) + "\n"
+    """The rows of :func:`records_to_csv` as ``json.dumps({"records": [...]},
+    indent=2)`` writes their CSV cells read back, one record template per row."""
+    table = np.asarray(rows, dtype=ROW_DTYPE)
+    if not len(table):
+        return json.dumps({"records": []}, indent=2) + "\n"
+    record = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
+    cells = zip(*(_json_cells(table[name]) for name in fields))
+    body = ",\n".join(map(f"    {{\n{record}\n    }}".__mod__, cells))
+    return f'{{\n  "records": [\n{body}\n  ]\n}}\n'

@@ -10,7 +10,9 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -23,10 +25,11 @@ from islocc.entanglement import binary_entropy
 from islocc.indistinguishability import degree_two
 from islocc.states import UP, SpatialWave, make_peaked
 from islocc.svg import bell_region_svg, sweep_svg
-from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, MAX_SWEEP_ROWS, ConfigError,
-                           GridSpec, ROW_DTYPE, SweepConfig, _flagged, _peaked_degree,
-                           find_threshold, indist_on_family, l_for_indist,
-                           records_to_csv, records_to_json, run_sweep)
+from islocc.sweeps import (BELL_REGION_FIELDS, CONSTRAINTS, CSV_FIELDS, FORMATS,
+                           MAX_SWEEP_ROWS, ROW_DTYPE, TARGETS, ConfigError, GridSpec,
+                           SweepConfig, _flagged, _peaked_degree, find_threshold,
+                           indist_on_family, l_for_indist, records_to_csv, records_to_json,
+                           run_sweep)
 from islocc.verify import run_verify
 from islocc.werner import LR_BASIS
 from islocc.xstate import WernerFamily
@@ -72,6 +75,22 @@ class TestGridSpec:
                             (0.0, math.inf), (-math.inf, 0.0)):
             with pytest.raises(ConfigError, match="finite"):
                 GridSpec(start, stop, 3)
+
+    @pytest.mark.parametrize("steps", [2.5, "3", True, False, None, np.int64(3)])
+    def test_steps_must_be_an_int(self, steps):
+        with pytest.raises(ConfigError, match="grid steps must be an int"):
+            GridSpec(0, 1, steps)
+
+    @pytest.mark.parametrize("bound", ["0", b"0", True, None, 1j, [0.5],
+                                       pytest.param(10**400, id="beyond-float")])
+    def test_bounds_must_be_real(self, bound):
+        with pytest.raises(ConfigError, match="grid start must be finite and real"):
+            GridSpec(bound, 1, 3)
+
+    def test_bounds_are_stored_as_floats(self):
+        grid = GridSpec(Fraction(1, 3), np.float32(1.0), 3)
+        assert type(grid.start) is float and type(grid.stop) is float
+        assert grid.values().tolist() == GridSpec(1 / 3, 1.0, 3).values().tolist()
 
 
 class TestIndistInversion:
@@ -282,6 +301,32 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="'free' needs an explicit l_grid"):
             SweepConfig(constraint="free", lprime=0.3)
 
+    @pytest.mark.parametrize("fields, match", [
+        (dict(statistics="boson"), "statistics must be a ParticleStatistics"),
+        (dict(statistics=-1), "statistics must be a ParticleStatistics"),
+        (dict(p_grid="0:1:3"), "grids must be GridSpecs"),
+        (dict(p_grid=None), "grids must be GridSpecs"),
+        (dict(indist_grid=(0, 1, 3)), "grids must be GridSpecs"),
+        (dict(constraint="l_eq_lprime", l_grid="0:1:3"), "grids must be GridSpecs"),
+        (dict(target=np.array(["1_minus", "1_plus"])), "target must be"),
+        (dict(constraint=np.array(["free", "free"])), "constraint must be"),
+        (dict(format=np.array(["csv", "svg"])), "format must be"),
+        (dict(theta="1.0"), "theta must be finite and real"),
+        (dict(theta=True), "theta must be finite and real"),
+        (dict(theta=10**400), "theta must be finite and real"),
+        (dict(constraint="free", lprime="0.5", l_grid=GridSpec(0, 1, 3)),
+         "lprime must be finite and real"),
+    ])
+    def test_config_types(self, fields, match):
+        with pytest.raises(ConfigError, match=match):
+            SweepConfig(**fields)
+
+    def test_config_numbers_are_stored_as_floats(self):
+        config = SweepConfig(theta=Fraction(1, 3), constraint="free", lprime=np.float32(0.5),
+                             l_grid=GridSpec(0, 1, 3))
+        assert type(config.theta) is float and type(config.lprime) is float
+        assert config.resolved_theta() == 1 / 3 and config.lprime == 0.5
+
     def test_config_is_frozen(self):
         config = SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 3))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -439,6 +484,104 @@ class TestEncoding:
     def test_no_records(self, fields):
         assert records_to_csv([], fields) == ",".join(fields) + "\n"
         assert records_to_json([], fields) == '{\n  "records": []\n}\n'
+
+
+def _reference_encoding(rows, fields) -> tuple[str, str]:
+    """CSV and JSON as the encoders wrote them before the per-row templates:
+    each cell formatted to text by its column's dtype kind and, for JSON,
+    parsed back and written by ``json.dumps``.  The reference the templates
+    must match byte for byte."""
+    rules = {"U": (str, str), "i": (str, int), "f": ("{:.12g}".format, float)}
+    table = np.asarray(rows, dtype=ROW_DTYPE)
+    cells, values = [], []
+    for name in fields:
+        write, read = rules[table.dtype[name].kind]
+        cells.append(list(map(write, table[name].tolist())))
+        values.append(list(map(read, cells[-1])))
+    csv_text = "\n".join([",".join(fields), *map(",".join, zip(*cells))]) + "\n"
+    payload = [dict(zip(fields, row)) for row in zip(*values)]
+    return csv_text, json.dumps({"records": payload}, indent=2) + "\n"
+
+
+class TestEncodingReference:
+    """The template encoders against :func:`_reference_encoding`, byte for byte."""
+
+    #: Floats where the 12-digit CSV cell and the ``repr`` JSON writes for the
+    #: value it reads back differ in form: %.12g turns to exponent form at
+    #: 1e12 and ``repr`` only at 1e16; subnormals, signed zeros, integer values
+    #: and the floats that are not JSON numbers.
+    FLOATS = [1e12, 1.5e13, 9.99e15, 1e16, 123456789012.0, 1234567890123.0, 5e-324, -5e-324,
+              1e-300, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.0, 1.0, -2.0,
+              3.0, 100.0, 0.1, 1 / 3, 2 * math.sqrt(2), 1e-5, 0.000123456789012345, 1e22,
+              math.nan, math.inf, -math.inf]
+    #: Text that ``json`` escapes, and text that looks like a ``%`` format.
+    TEXTS = ["fermion", "boson", "", "é\"\\\n\t", "%s%d", "%", "\x01"]
+    INTS = [0, 1, -1, 2**62, -2**63]
+
+    @classmethod
+    def edges(cls) -> np.recarray:
+        """A ``ROW_DTYPE`` table whose float columns are each a rotation of ``FLOATS``."""
+        n = len(cls.FLOATS)
+        table = np.recarray(n, dtype=ROW_DTYPE)
+        floats = [name for name in ROW_DTYPE.names if ROW_DTYPE[name].kind == "f"]
+        for shift, name in enumerate(floats):
+            table[name] = np.roll(cls.FLOATS, shift)
+        table.statistics = [cls.TEXTS[k % len(cls.TEXTS)] for k in range(n)]
+        table.violated = [cls.INTS[k % len(cls.INTS)] for k in range(n)]
+        table.flagged = np.arange(n) % 2 == 0
+        return table
+
+    @staticmethod
+    def assert_matches_reference(rows, fields):
+        encoded = records_to_csv(rows, fields), records_to_json(rows, fields)
+        for text, reference in zip(encoded, _reference_encoding(rows, fields)):
+            # line by line, so that a failure names one line and no diff of
+            # the whole text is built
+            lines, reference_lines = (t.splitlines(keepends=True) for t in (text, reference))
+            for number, (line, reference_line) in enumerate(zip(lines, reference_lines)):
+                assert line == reference_line, f"line {number}"
+            assert len(lines) == len(reference_lines)
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    @BENCHMARK_CONFIGS
+    def test_benchmark_tables(self, config, fields):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # l-scan's flagged rows
+            self.assert_matches_reference(run_sweep(config), fields)
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    def test_concatenated_rows(self, fields):
+        first = run_sweep(TestSvg.SMALL)
+        rows = [*first, *self.edges(), *first[::-1]]
+        self.assert_matches_reference(rows, fields)
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    def test_empty_table(self, fields):
+        self.assert_matches_reference(np.recarray(0, dtype=ROW_DTYPE), fields)
+        self.assert_matches_reference([], fields)
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    def test_edge_cells(self, fields):
+        table = self.edges()
+        csv_text, json_text = _reference_encoding(table, fields)
+        # the two forms of one cell differ, as the edges were chosen to make them
+        assert "\n1e+12," in csv_text and '"p": 1000000000000.0,' in json_text
+        assert '"p": NaN,' in json_text and '"p": -Infinity,' in json_text
+        self.assert_matches_reference(table, fields)
+
+    def test_random_bit_patterns(self, rng):
+        """Doubles drawn as raw 64-bit patterns cover every exponent, sign and
+        NaN payload."""
+        table = np.recarray(2_000, dtype=ROW_DTYPE)
+        for name in ROW_DTYPE.names:
+            if ROW_DTYPE[name].kind == "f":
+                table[name] = rng.integers(0, 2**64, size=len(table), dtype=np.uint64,
+                                           endpoint=False).view(np.float64)
+        table.statistics = rng.choice(self.TEXTS, size=len(table))
+        table.violated = rng.integers(-2**63, 2**63, size=len(table), dtype=np.int64,
+                                      endpoint=False)
+        self.assert_matches_reference(table, CSV_FIELDS)
+        self.assert_matches_reference(table, BELL_REGION_FIELDS)
 
 
 class TestSvg:
@@ -940,3 +1083,97 @@ class TestCliExitRule:
             assert all(math.isfinite(v) for v in values.values()), line
             assert 0.0 <= values["p_lr"] <= 1.0, line
             assert 0.0 <= values["concurrence"] <= 1.0, line
+
+
+#: Values of the wrong type for any field: bools, unparsed text, other objects.
+_wrong = st.sampled_from([None, True, False, "0.5", "0:1:3", "boson", b"1", 1j, [0.5],
+                          (0, 1, 3), 10**400, np.int64(2), np.array(["1_minus", "1_plus"])])
+#: Any value a corrupted field takes: of the wrong type, or a number of any
+#: size, finite or not.
+_corrupt = st.one_of(_wrong, st.floats(allow_nan=True, allow_infinity=True),
+                     st.integers(-2, 3), st.fractions(-1, 2, max_denominator=7))
+
+
+def _real(values):
+    """``values`` as each type of real number a library caller may pass."""
+    return st.one_of(values, values.map(Fraction), values.map(np.float32),
+                     values.map(np.float64))
+
+
+class _GridArgs(NamedTuple):
+    """The arguments of a ``GridSpec``, built inside the test so that building
+    it is under test too."""
+
+    start: object
+    stop: object
+    steps: object
+
+
+@st.composite
+def _grid_args(draw, points):
+    ends = sorted(draw(st.lists(points, min_size=1, max_size=2)))
+    start, stop = draw(_real(st.just(ends[0]))), draw(_real(st.just(ends[-1])))
+    return _GridArgs(start, stop, len(ends))
+
+
+@st.composite
+def _library_fields(draw):
+    """The fields of a valid configuration, as in ``TestCliExitRule`` but with
+    numbers of any real type, then up to two fields or grid arguments
+    replaced by a corrupt value."""
+    constraint = draw(st.sampled_from(CONSTRAINTS))
+    fields = dict(statistics=draw(st.sampled_from([BOSON, FERMION])),
+                  target=draw(st.sampled_from(TARGETS)),
+                  theta=draw(st.one_of(st.none(), _real(_phases))), constraint=constraint,
+                  p_grid=draw(_grid_args(st.sampled_from([0.0, 0.5, 1.0]))),
+                  format=draw(st.sampled_from(FORMATS)))
+    outer = "l_grid" if constraint != "l_eq_rprime" else draw(
+        st.sampled_from(["l_grid", "indist_grid", None]))
+    if outer is not None:
+        fields[outer] = draw(_grid_args(_shapes))
+    if constraint == "free":
+        fields["lprime"] = draw(_real(_shapes))
+    names = sorted({*fields, "lprime", "indist_grid", "l_grid"})
+    names += [f"{name}.{arg}" for name, value in fields.items()
+              if isinstance(value, _GridArgs) for arg in _GridArgs._fields]
+    for name in sorted(draw(st.sets(st.sampled_from(names), max_size=2))):
+        grid, _, arg = name.partition(".")
+        if not arg:
+            fields[name] = draw(_corrupt)
+        elif isinstance(fields[grid], _GridArgs):  # not already replaced as a whole
+            fields[grid] = fields[grid]._replace(**{arg: draw(_corrupt)})
+    return fields
+
+
+class TestLibraryExitRule:
+    """A library caller gets the CLI's rule: building a config with values of
+    any type ends in a ``ConfigError``, or the config runs to a finite table
+    and, on the r' = l family, to a finite threshold result."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(fields=_library_fields())
+    @example(fields=dict(statistics="boson"))
+    @example(fields=dict(p_grid="0:1:3"))
+    @example(fields=dict(theta="1.0"))
+    @example(fields=dict(p_grid=_GridArgs(0, 1, 2.5)))
+    @example(fields=dict(p_grid=_GridArgs(0, 1, "3")))
+    @example(fields=dict(p_grid=_GridArgs(0, 1, True)))
+    def test_config_ends_in_config_error_or_finite_rows(self, fields):
+        try:
+            config = SweepConfig(**{name: GridSpec(*value) if isinstance(value, _GridArgs)
+                                    else value for name, value in fields.items()})
+        except ConfigError:
+            return
+        # as in the CLI rule, underflow only rounds a subnormal input toward zero
+        with np.errstate(all="raise", under="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # flagged rows
+            table = run_sweep(config)
+            result = find_threshold(config) if config.constraint == "l_eq_rprime" else None
+        for name in CSV_FIELDS:
+            if table.dtype[name].kind == "f":
+                assert np.isfinite(table[name]).all(), name
+        assert ((0.0 <= table.p_lr) & (table.p_lr <= 1.0)).all()
+        assert ((0.0 <= table.concurrence) & (table.concurrence <= 1.0)).all()
+        if result is not None:
+            assert all(math.isfinite(value) for value in result.as_dict().values()
+                       if isinstance(value, float))

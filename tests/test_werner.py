@@ -10,8 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from islocc.amplitudes import BOSON, FERMION
 from islocc.ensembles import mixed_trace, pure_norm_sq, state_overlap
 from islocc.entanglement import analyze, concurrence
-from islocc.slocc import (ProjectionUndefinedError, ZeroTraceError, computational_kets,
-                          normalize_block, project)
+from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, normalize_block, project
 from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
                            find_threshold, run_sweep)
 from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
@@ -24,6 +23,8 @@ from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WernerSpec, bell_states,
                            depolarize_then_deform, depolarizing_kraus,
                            project_werner, spec_from_l, werner_direct)
 from islocc.xstate import WernerFamily, _bell_overlaps, _check_rows, canonical_theta
+
+from dense_reference import computational_kets
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
