@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import islocc
+from islocc import sweeps
 from islocc.amplitudes import BOSON, FERMION
 from islocc.cli import load_config_file, main
 from islocc.entanglement import binary_entropy
@@ -27,12 +28,12 @@ from islocc.states import UP, SpatialWave, make_peaked
 from islocc.svg import bell_region_svg, sweep_svg
 from islocc.sweeps import (BELL_REGION_FIELDS, CONSTRAINTS, CSV_FIELDS, FORMATS,
                            MAX_SWEEP_ROWS, ROW_DTYPE, TARGETS, ConfigError, GridSpec,
-                           SweepConfig, _flagged, _peaked_degree, find_threshold,
-                           indist_on_family, l_for_indist, records_to_csv, records_to_json,
-                           run_sweep)
+                           SweepConfig, ThresholdResult, _flagged, _peaked_degree,
+                           find_threshold, indist_on_family, l_for_indist, records_to_csv,
+                           records_to_json, run_sweep)
 from islocc.verify import run_verify
 from islocc.werner import LR_BASIS
-from islocc.xstate import WernerFamily
+from islocc.xstate import WernerFamily, _unit_r
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -647,14 +648,17 @@ class TestThreshold:
         text = json.dumps(result.as_dict(), indent=2)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
+    #: Phases at which the l = 1 end is checked and the search is compared
+    #: with its reference.
+    EDGE_THETAS = [0.0, math.pi, 2 * math.pi, 3.14159, 1e-300, 1e308]
+
     @pytest.mark.parametrize("statistics", [FERMION, BOSON])
     @pytest.mark.parametrize("target", ["1_minus", "1_plus"])
     def test_degree_zero_end_never_violates(self, statistics, target, rng):
         # at l = 1 the waves are |L> and e^{i theta}|R>, so the p = 1 candidate
         # is the maximally mixed state: the search takes B* = 0 there unprobed
         assert indist_on_family(1.0) == 0.0
-        for theta in [0.0, math.pi, 2 * math.pi, 3.14159, 1e-300, 1e308,
-                      *rng.uniform(-100.0, 100.0, 500).tolist()]:
+        for theta in [*self.EDGE_THETAS, *rng.uniform(-100.0, 100.0, 500).tolist()]:
             _, bell = WernerFamily(target, 1.0, 0.0, statistics, theta).worst_bell()
             assert bell[0] == 0.0, theta
 
@@ -730,6 +734,114 @@ class TestThreshold:
             result = find_threshold(SweepConfig(statistics=BOSON, target="1_plus",
                                                 theta=3.14159))
         assert not result.found
+
+
+class _ReferenceProbe(NamedTuple):
+    l: float
+    degree: float
+    family: WernerFamily
+    worst_p: float
+    bell: float
+
+
+def _reference_find_threshold(config: SweepConfig) -> ThresholdResult:
+    """The threshold search as one bisection in l that builds one family per
+    step, the loop :func:`find_threshold` walks in blocks; it reads
+    ``sweeps._DEGREE_TOL`` when called."""
+    theta, stats = config.resolved_theta(), config.statistics
+
+    def probe(l: float) -> _ReferenceProbe:
+        family = WernerFamily(config.target, l, _unit_r(l), stats, theta)
+        worst_p, bell = family.worst_bell()
+        return _ReferenceProbe(l, float(indist_on_family(l)), family, float(worst_p[0]),
+                               float(bell[0]))
+
+    inside = probe(SQRT_HALF)
+    if inside.bell <= 2.0:
+        return ThresholdResult(False, config.target, str(stats))
+    outside_l, outside_degree = 1.0, 0.0
+    while inside.degree - outside_degree > sweeps._DEGREE_TOL:
+        mid = 0.5 * (inside.l + outside_l)
+        if mid in (inside.l, outside_l):
+            break
+        at_mid = probe(mid)
+        if at_mid.bell > 2.0:
+            inside = at_mid
+        else:
+            outside_l, outside_degree = at_mid.l, at_mid.degree
+    concurrence_at = float(inside.family.evaluate(np.array([inside.worst_p])).concurrence[0])
+    return ThresholdResult(True, config.target, str(stats), inside.degree, inside.l,
+                           inside.worst_p, inside.bell, concurrence_at)
+
+
+class TestThresholdReference:
+    """:func:`find_threshold` against :func:`_reference_find_threshold`: the
+    same ``repr`` of every result field."""
+
+    @staticmethod
+    def assert_matches_reference(config):
+        assert repr(find_threshold(config).as_dict()) == repr(
+            _reference_find_threshold(config).as_dict()), config
+
+    @pytest.mark.parametrize("statistics", [FERMION, BOSON])
+    @pytest.mark.parametrize("target", ["1_minus", "1_plus"])
+    def test_phases(self, statistics, target, rng):
+        # random phases find a threshold about one time in eight
+        for theta in [None, *TestThreshold.EDGE_THETAS, *rng.uniform(-10.0, 10.0, 500).tolist()]:
+            self.assert_matches_reference(SweepConfig(statistics=statistics, target=target,
+                                                      theta=theta))
+
+    def test_zero_tolerance_crosses_blocks(self):
+        # with no tolerance in degree the search runs about fifty steps, down
+        # to adjacent floats; a child process runs it, so a hang fails the test
+        script = ("import sys\n"
+                  f"sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})\n"
+                  "from islocc import sweeps\n"
+                  "from islocc.xstate import BOSON, FERMION\n"
+                  "from test_sweeps_cli import _reference_find_threshold\n"
+                  "sweeps._DEGREE_TOL = 0.0\n"
+                  "for statistics, theta in ((FERMION, None), (BOSON, None), (BOSON, 1.0)):\n"
+                  "    config = sweeps.SweepConfig(statistics=statistics, theta=theta)\n"
+                  "    print(repr(sweeps.find_threshold(config).as_dict()))\n"
+                  "    print(repr(_reference_find_threshold(config).as_dict()))\n")
+        done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        assert len(lines) == 6 and "'found': True" in lines[0]
+        assert lines[0::2] == lines[1::2]
+
+
+class TestStackInvariance:
+    """Each family of a stack gives the bits it gives alone: what lets the
+    threshold search probe many levels of its bisection in one stack."""
+
+    P = np.array([0.0, 0.25, 0.5, 1.0])
+
+    @staticmethod
+    def bits(values) -> bytes:
+        return np.ascontiguousarray(values).tobytes()
+
+    @pytest.mark.parametrize("low", [SQRT_HALF, 0.0], ids=["branch", "unit"])
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 1000])
+    def test_each_family_alone(self, n, low, rng):
+        statistics = (FERMION, BOSON)[rng.integers(2)]
+        target = TARGETS[rng.integers(2)]
+        theta = float(rng.uniform(-10.0, 10.0))
+        ls = rng.uniform(low, 1.0, n)
+        stack = WernerFamily(target, ls, _unit_r(ls), statistics, theta)
+        worst, rows = stack.worst_bell(), stack.evaluate(self.P)
+        degrees = indist_on_family(ls)
+        fields = [field.name for field in dataclasses.fields(rows)]
+        for f, l in enumerate(ls.tolist()):
+            one = WernerFamily(target, l, _unit_r(l), statistics, theta)
+            assert [self.bits(a) for a in one.worst_bell()] == [
+                self.bits(a[f:f + 1]) for a in worst], (f, l)
+            one_rows, block = one.evaluate(self.P), slice(f * len(self.P), (f + 1) * len(self.P))
+            for name in fields:
+                assert self.bits(getattr(one_rows, name)) == self.bits(
+                    getattr(rows, name)[block]), (f, l, name)
+            assert self.bits(indist_on_family(l)) == self.bits(degrees[f]), (f, l)
 
 
 class TestVerify:
