@@ -23,12 +23,12 @@ table written with the ``BELL_REGION_FIELDS`` columns, whose ``violated`` is
 row with ``%``, each column's dtype choosing its cell format; the JSON template
 is the text of ``json.dumps(..., indent=2)``, whose slow encoder never runs.
 
-The threshold search bisects l on the same family directly.  At each step
-the worst noise level comes in closed form from
-:meth:`~islocc.xstate.WernerFamily.worst_bell`: the CHSH value of an X
-state is the length of a point moving along a straight line in p, so its
-minimum sits at one of four candidate noise levels.  Both bisections stop
-at a fixed tolerance or at adjacent floats, whichever comes first.
+The threshold search bisects l on the same family directly, probing the path
+seven steps at a time in one family stack.  At each step the worst noise level
+comes in closed form from :meth:`~islocc.xstate.WernerFamily.worst_bell`: the
+CHSH value of an X state is the length of a point moving along a straight line
+in p, so its minimum sits at one of four candidate noise levels.  Both
+bisections stop at a fixed tolerance or at adjacent floats, whichever is first.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ MAX_SWEEP_ROWS = 1_000_000
 #: and in degree (:func:`find_threshold`).
 _L_TOL = 1e-12
 _DEGREE_TOL = 1e-4
+_BISECT_DEPTH = 7  # steps of find_threshold's bisection probed in one family stack
 
 
 class ConfigError(ValueError):
@@ -95,7 +96,15 @@ def _real(value, name: str) -> float:
         with contextlib.suppress(OverflowError):
             if math.isfinite(number := float(value)):
                 return number
-    raise ConfigError(f"{name} must be finite and real, got {value!r}")
+    raise ConfigError(f"{name} must be finite and real, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """``repr(value)``, or its type where that raises (an int past Python's digit limit)."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to write>"
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +121,9 @@ class GridSpec:
 
     def __post_init__(self):
         if isinstance(self.steps, bool) or not isinstance(self.steps, int):
-            raise ConfigError(f"grid steps must be an int, got {self.steps!r}")
+            raise ConfigError(f"grid steps must be an int, got {_shown(self.steps)}")
         if self.steps < 1:
-            raise ConfigError(f"grid needs at least one point, got steps={self.steps}")
+            raise ConfigError(f"grid needs at least one point, got steps={_shown(self.steps)}")
         for name in ("start", "stop"):  # stored as floats, the type the grid is made of
             object.__setattr__(self, name, _real(getattr(self, name), f"grid {name}"))
         if not self.start <= self.stop:
@@ -160,19 +169,21 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         if not isinstance(self.statistics, ParticleStatistics):
-            raise ConfigError(f"statistics must be a ParticleStatistics, got {self.statistics!r}")
+            raise ConfigError("statistics must be a ParticleStatistics, got "
+                              + _shown(self.statistics))
         grids = (self.p_grid, *(g for g in (self.indist_grid, self.l_grid) if g is not None))
         if not all(isinstance(grid, GridSpec) for grid in grids):
-            raise ConfigError(f"grids must be GridSpecs, got {grids!r}")
+            raise ConfigError(f"grids must be GridSpecs, got {_shown(grids)}")
         for name in ("theta", "lprime"):  # stored as floats
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _real(getattr(self, name), name))
         if not (isinstance(self.target, str) and self.target in TARGETS):
-            raise ConfigError(f"target must be 1_minus or 1_plus, got {self.target!r}")
+            raise ConfigError(f"target must be 1_minus or 1_plus, got {_shown(self.target)}")
         if not (isinstance(self.constraint, str) and self.constraint in CONSTRAINTS):
-            raise ConfigError(f"constraint must be one of {CONSTRAINTS}, got {self.constraint!r}")
+            raise ConfigError(f"constraint must be one of {CONSTRAINTS}, got "
+                              + _shown(self.constraint))
         if not (isinstance(self.format, str) and self.format in FORMATS):
-            raise ConfigError(f"format must be csv, json or svg, got {self.format!r}")
+            raise ConfigError(f"format must be csv, json or svg, got {_shown(self.format)}")
         if self.indist_grid is not None and self.l_grid is not None:
             raise ConfigError("give either indist_grid or l_grid, not both")
         if self.indist_grid is not None and self.constraint != "l_eq_rprime":
@@ -189,8 +200,8 @@ class SweepConfig:
                 raise ConfigError(f"{name} grid must lie in [0, 1]")
         outer = (self.indist_grid or self.l_grid or _DEFAULT_INDIST_GRID).steps
         if outer * self.p_grid.steps > MAX_SWEEP_ROWS:
-            raise ConfigError(f"a sweep of {outer} x {self.p_grid.steps} points exceeds "
-                              f"the limit of {MAX_SWEEP_ROWS} rows")
+            raise ConfigError(f"a sweep of {_shown(outer)} x {_shown(self.p_grid.steps)} points "
+                              f"exceeds the limit of {MAX_SWEEP_ROWS} rows")
         if self.l_grid is None and self.constraint != "l_eq_rprime":
             raise ConfigError(f"constraint {self.constraint!r} needs an explicit l_grid")
 
@@ -341,13 +352,22 @@ class ThresholdResult:
 
 
 class _Probe(NamedTuple):
-    """One family of the r' = l line and its worst noise level."""
+    """One family of the r' = l line and its worst noise level, in ThresholdResult's order."""
 
-    l: float
     degree: float
-    family: WernerFamily
+    l: float
     worst_p: float
     bell: float
+
+
+def _bisection_tree(lo: float, hi: float) -> np.ndarray:
+    """Every midpoint the next ``_BISECT_DEPTH`` steps of a bisection of (lo, hi) can visit,
+    heap-ordered: node i halves its bracket, child 2i + 1 its lower and 2i + 2 its upper half."""
+    ends, mids = np.array([lo] + [hi] * 2 ** _BISECT_DEPTH), []  # inner ends written below
+    for step in (2 ** k for k in range(_BISECT_DEPTH, 0, -1)):  # a level's bracket width
+        ends[step // 2::step] = 0.5 * (ends[:-1:step] + ends[step::step])  # as the loop halves
+        mids.append(ends[step // 2::step])
+    return np.concatenate(mids)
 
 
 def find_threshold(config: SweepConfig) -> ThresholdResult:
@@ -360,37 +380,37 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
     violating end's degree and l are reported.  Each step takes min_p B in
     closed form from :meth:`~islocc.xstate.WernerFamily.worst_bell` (four
     candidate noise levels evaluated together), so no minimization and no
-    inversion of the degree is iterated.
+    inversion of the degree is iterated.  The path is probed ``_BISECT_DEPTH``
+    steps at a time, in one family stack of every midpoint they can visit.
     """
     if config.constraint != "l_eq_rprime":
         raise ConfigError("threshold search is defined on the l_eq_rprime family")
-    theta = config.resolved_theta()
-    stats = config.statistics
+    theta, stats = config.resolved_theta(), config.statistics
 
-    def probe(l: float) -> _Probe:
-        family = WernerFamily(config.target, l, _unit_r(l), stats, theta)
-        worst_p, bell = family.worst_bell()
-        return _Probe(l, float(indist_on_family(l)), family, float(worst_p[0]),
-                      float(bell[0]))
+    def probe(ls: np.ndarray) -> list[tuple[float, ...]]:  # the _Probe fields of each l
+        worst_p, bell = WernerFamily(config.target, ls, _unit_r(ls), stats, theta).worst_bell()
+        return list(zip(*(a.tolist() for a in (indist_on_family(ls), ls, worst_p, bell))))
 
-    inside = probe(_SQRT_HALF)  # the violating end of the bracket, degree 1
+    inside = _Probe(*probe(np.array([_SQRT_HALF]))[0])  # the violating end, degree 1
     if inside.bell <= 2.0:
         return ThresholdResult(False, config.target, str(stats))
     # the other end needs no probe: at l = 1 (degree 0) the waves are |L> and
     # e^{i theta}|R>, so the p = 1 candidate is the maximally mixed state, B = 0
     outside_l, outside_degree = 1.0, 0.0
+    block, node = [], 0
     while inside.degree - outside_degree > _DEGREE_TOL:
-        mid = 0.5 * (inside.l + outside_l)
-        if mid in (inside.l, outside_l):
+        if node >= len(block):  # the walk left the block: probe the next levels
+            block, node = probe(_bisection_tree(inside.l, outside_l)), 0
+        at_mid = _Probe(*block[node])
+        if at_mid.l in (inside.l, outside_l):
             break  # the bracket is down to adjacent floats
-        at_mid = probe(mid)
         if at_mid.bell > 2.0:
-            inside = at_mid
+            inside, node = at_mid, 2 * node + 2
         else:
-            outside_l, outside_degree = at_mid.l, at_mid.degree
-    concurrence_at = float(inside.family.evaluate(np.array([inside.worst_p])).concurrence[0])
-    return ThresholdResult(True, config.target, str(stats), inside.degree, inside.l,
-                           inside.worst_p, inside.bell, concurrence_at)
+            outside_l, outside_degree, node = at_mid.l, at_mid.degree, 2 * node + 1
+    family = WernerFamily(config.target, inside.l, _unit_r(inside.l), stats, theta)
+    concurrence_at = float(family.evaluate(np.array([inside.worst_p])).concurrence[0])
+    return ThresholdResult(True, config.target, str(stats), *inside, concurrence_at)
 
 
 # ---------------------------------------------------------------------------

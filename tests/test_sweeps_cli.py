@@ -322,6 +322,21 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match=match):
             SweepConfig(**fields)
 
+    @pytest.mark.parametrize("build, match", [
+        (lambda: SweepConfig(theta=10**5000), "theta must be finite and real"),
+        (lambda: GridSpec(0, 10**5000, 3), "grid stop must be finite and real"),
+        (lambda: GridSpec(0, 1, -10**5000), "grid needs at least one point"),
+        (lambda: SweepConfig(p_grid=GridSpec(0, 1, 10**5000)), "exceeds the limit"),
+        (lambda: SweepConfig(statistics=10**5000), "statistics must be"),
+        (lambda: SweepConfig(p_grid=GridSpec(0, 1, 10**5000), l_grid=[0.5]),
+         "grids must be GridSpecs"),
+    ], ids=["theta", "grid-stop", "grid-steps", "row-cap", "statistics", "grids"])
+    def test_int_too_long_to_write_is_a_config_error(self, build, match):
+        # repr of an int past 4,300 digits raises ValueError, so the message
+        # cannot quote the value as given
+        with pytest.raises(ConfigError, match=match):
+            build()
+
     def test_config_numbers_are_stored_as_floats(self):
         config = SweepConfig(theta=Fraction(1, 3), constraint="free", lprime=np.float32(0.5),
                              l_grid=GridSpec(0, 1, 3))
@@ -666,14 +681,17 @@ class TestThreshold:
         built = []
 
         def spy(target, l, *args):
-            built.append(float(l))
+            built.append(np.atleast_1d(l).tolist())
             return WernerFamily(target, l, *args)
 
         monkeypatch.setattr("islocc.sweeps.WernerFamily", spy)
         for statistics in (FERMION, BOSON):
             built.clear()
             assert find_threshold(SweepConfig(statistics=statistics, target="1_minus")).found
-            assert len(built) == 15 and 1.0 not in built
+            assert not any(1.0 in ls for ls in built)
+            # the 1/sqrt(2) end, two blocks of bisection steps and the final
+            # evaluation; the search built 15 families one by one before
+            assert len(built) <= 4
 
     def test_triplet_target_has_no_all_noise_threshold(self):
         result = find_threshold(SweepConfig(statistics=FERMION, target="1_plus"))
@@ -1220,6 +1238,12 @@ class _GridArgs(NamedTuple):
     stop: object
     steps: object
 
+    def _repr_pretty_(self, printer, cycle):
+        """How hypothesis writes an example: its printer writes an int past
+        Python's limit on digits in hex, where ``repr`` raises."""
+        printer.text(type(self).__name__)
+        printer.pretty(tuple(self))
+
 
 @st.composite
 def _grid_args(draw, points):
@@ -1270,6 +1294,10 @@ class TestLibraryExitRule:
     @example(fields=dict(p_grid=_GridArgs(0, 1, 2.5)))
     @example(fields=dict(p_grid=_GridArgs(0, 1, "3")))
     @example(fields=dict(p_grid=_GridArgs(0, 1, True)))
+    @example(fields=dict(theta=10**5000))
+    @example(fields=dict(p_grid=_GridArgs(0, 10**5000, 3)))
+    @example(fields=dict(p_grid=_GridArgs(0, 1, -10**5000)))
+    @example(fields=dict(p_grid=_GridArgs(0, 1, 10**5000)))
     def test_config_ends_in_config_error_or_finite_rows(self, fields):
         try:
             config = SweepConfig(**{name: GridSpec(*value) if isinstance(value, _GridArgs)
