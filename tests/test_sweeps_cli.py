@@ -529,7 +529,18 @@ class TestEncodingReference:
     FLOATS = [1e12, 1.5e13, 9.99e15, 1e16, 123456789012.0, 1234567890123.0, 5e-324, -5e-324,
               1e-300, 2.2250738585072014e-308, 1.7976931348623157e308, -0.0, 0.0, 1.0, -2.0,
               3.0, 100.0, 0.1, 1 / 3, 2 * math.sqrt(2), 1e-5, 0.000123456789012345, 1e22,
-              math.nan, math.inf, -math.inf]
+              math.nan, math.inf, -math.inf,
+              # 1e11 and its neighbours, and values just below it that 12
+              # digits round up to it
+              1e11, math.nextafter(1e11, 0.0), math.nextafter(1e11, math.inf),
+              99999999999.5, 99999999999.99999,
+              # near-integers: the first and last round to an integer at 12
+              # digits, the middle one does not
+              0.9999999999995, 0.99999999999949, 2.9999999999996,
+              # %g picks its form after rounding: the first is written 0.0001
+              9.99999999999e-5, 0.0001,
+              # the smallest normal's predecessor and a subnormal
+              math.nextafter(2.2250738585072014e-308, 0.0), 1e-310]
     #: Text that ``json`` escapes, and text that looks like a ``%`` format.
     TEXTS = ["fermion", "boson", "", "é\"\\\n\t", "%s%d", "%", "\x01"]
     INTS = [0, 1, -1, 2**62, -2**63]
@@ -598,6 +609,23 @@ class TestEncodingReference:
                                       endpoint=False)
         self.assert_matches_reference(table, CSV_FIELDS)
         self.assert_matches_reference(table, BELL_REGION_FIELDS)
+
+    def test_near_integers(self, rng):
+        """108,000 values n + delta, n an integer up to 1e13 in magnitude and delta
+        relative to max(|n|, 1) between 1e-13 and 1e-9: values whose 12-digit cell
+        may or may not round to an integer, which random bit patterns almost
+        never reach."""
+        table = np.recarray(12_000, dtype=ROW_DTYPE)
+        for name in ROW_DTYPE.names:
+            if ROW_DTYPE[name].kind == "f":
+                n = np.round(rng.choice([-1.0, 1.0], len(table))
+                             * 10.0 ** rng.uniform(-1.0, 13.0, len(table)))
+                relative = rng.choice([-1.0, 1.0], len(table)) * 10.0 ** rng.uniform(
+                    -13.0, -9.0, len(table))
+                table[name] = n + relative * np.maximum(np.abs(n), 1.0)
+        table.statistics = "fermion"
+        table.violated = 0
+        self.assert_matches_reference(table, CSV_FIELDS)
 
 
 class TestSvg:
