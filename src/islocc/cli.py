@@ -19,6 +19,7 @@ config file.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -136,6 +137,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS)
 
 
+@functools.cache  # built by the first main call, reused by in-process callers
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="islocc",

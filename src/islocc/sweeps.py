@@ -20,8 +20,8 @@ A sweep is one ``numpy.recarray`` of ``ROW_DTYPE``, each field filled as a whole
 column; no per-row Python object is built.  A Bell-violation map is the same
 table written with the ``BELL_REGION_FIELDS`` columns, whose ``violated`` is
 ``B > 2``.  The encoders read each column once and fill one fixed template per
-row with ``%``, each column's dtype choosing its cell format; the JSON template
-is the text of ``json.dumps(..., indent=2)``, whose slow encoder never runs.
+row with ``%``; the JSON template is the text of ``json.dumps(..., indent=2)``,
+and its float cells are the CSV cells, read back only where ``repr`` can differ.
 
 The threshold search bisects l on the same family directly, probing the path
 seven steps at a time in one family stack.  At each step the worst noise level
@@ -417,18 +417,31 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
 # output encoding
 # ---------------------------------------------------------------------------
 
-#: Per dtype kind of a column: the ``%`` format of its CSV cell (floats carry 12
-#: significant digits), and the floats ``json`` writes other than by ``repr``.
+#: Per dtype kind of a column, the ``%`` format of its CSV cell (floats carry 12
+#: significant digits); the floats ``json`` writes other than by ``repr``.  A normal
+#: float's <= 12 digits read back as a double whose ``repr`` is the cell itself unless
+#: |x| >= 1e11 (``%g`` writes 1e12 as 1e+12) or x is near an integer (``repr`` adds .0).
 _CSV_CELLS = {"U": "%s", "i": "%d", "f": "%.12g"}
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _table(rows, fields: Sequence[str]) -> np.ndarray:  # fields checked before any cell
+    if unwritten := [name for name in fields if name not in (*CSV_FIELDS, "violated")]:
+        raise ValueError(f"no encoder writes a field {unwritten[0]!r}")
+    return np.asarray(rows, dtype=ROW_DTYPE)
+
+
 def _json_cells(column: np.ndarray) -> list[str]:
-    """The cells of ``column`` as ``json`` writes the values its CSV cells read back as."""
+    """The cells of ``column`` as ``json`` writes the values its CSV cells read back as:
+    only odd float cells (|x| >= 1e11, not finite, not normal, near an integer) change."""
     cells = list(map(_CSV_CELLS[column.dtype.kind].__mod__, column.tolist()))
     if column.dtype.kind == "f":
-        return [_JSON_NON_FINITE.get(cell) or repr(float(cell)) for cell in cells]
-    if column.dtype.kind == "U":  # json.dumps once per distinct text
+        with np.errstate(invalid="ignore"):  # inf - inf; inf and NaN are odd anyway
+            odd = ~((size := np.abs(column)) < 1e11) | (size < 2.2250738585072014e-308) | (
+                np.abs(column - np.round(column)) <= 1e-11 * np.maximum(size, 1.0))
+        for i in np.flatnonzero(odd).tolist():
+            cells[i] = _JSON_NON_FINITE.get(cells[i]) or repr(float(cells[i]))
+    elif column.dtype.kind == "U":  # json.dumps once per distinct text
         return list(map({text: json.dumps(text) for text in set(cells)}.get, cells))
     return cells
 
@@ -436,7 +449,7 @@ def _json_cells(column: np.ndarray) -> list[str]:
 def records_to_csv(rows, fields: Sequence[str]) -> str:
     """Render sweep rows (a ``ROW_DTYPE`` table or a list of its rows) as CSV, one
     line template filled per row, so identical configurations give identical bytes."""
-    table = np.asarray(rows, dtype=ROW_DTYPE)
+    table = _table(rows, fields)
     line = ",".join(_CSV_CELLS[table.dtype[name].kind] for name in fields) + "\n"
     cells = zip(*(table[name].tolist() for name in fields))
     return ",".join(fields) + "\n" + "".join(map(line.__mod__, cells))
@@ -445,7 +458,7 @@ def records_to_csv(rows, fields: Sequence[str]) -> str:
 def records_to_json(rows, fields: Sequence[str]) -> str:
     """The rows of :func:`records_to_csv` as ``json.dumps({"records": [...]},
     indent=2)`` writes their CSV cells read back, one record template per row."""
-    table = np.asarray(rows, dtype=ROW_DTYPE)
+    table = _table(rows, fields)
     if not len(table):
         return json.dumps({"records": []}, indent=2) + "\n"
     record = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import islocc
-from islocc import sweeps
+from islocc import cli, sweeps
 from islocc.amplitudes import BOSON, FERMION
 from islocc.cli import load_config_file, main
 from islocc.entanglement import binary_entropy
@@ -500,6 +500,15 @@ class TestEncoding:
     def test_no_records(self, fields):
         assert records_to_csv([], fields) == ",".join(fields) + "\n"
         assert records_to_json([], fields) == '{\n  "records": []\n}\n'
+
+    @pytest.mark.parametrize("fields", [("p", "flagged"), ("flagged",), ("p", "nope"),
+                                        ("P",), ("p", "")])
+    @pytest.mark.parametrize("encode", [records_to_csv, records_to_json])
+    def test_unwritten_field_is_one_value_error(self, encode, fields):
+        # the same error from both encoders, raised before an empty table's text
+        for rows in (self.RECORDS, []):
+            with pytest.raises(ValueError, match=f"field {fields[-1]!r}"):
+                encode(rows, fields)
 
 
 def _reference_encoding(rows, fields) -> tuple[str, str]:
@@ -1043,6 +1052,42 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @staticmethod
+    def _call(argv, capsys) -> tuple[int, str, str]:
+        """Exit code, stdout and stderr of one ``main`` call, argparse's exits included."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_parser_built_once_per_process(self, capsys):
+        """Calls in one process share one parser and write what a fresh parser makes them."""
+        calls = [["sweep", "--theta", "1", "--format", "json"], ["sweep", "--format", "xml"],
+                 ["threshold"], ["threshold", "--statistics", "boson"]]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(self._call(argv, capsys))
+        cached = [self._call(argv, capsys) for argv in calls]
+        assert cached == fresh
+        assert cli._build_parser.cache_info().misses == 1  # the last fresh call's parser
+        assert [code for code, _, _ in cached] == [0, 2, 0, 0]
+        assert "invalid choice: 'xml'" in cached[1][2]
+        # the fermion and boson 1_minus digests that TestThreshold.test_result_bytes pins
+        assert [hashlib.sha256(out.removesuffix("\n").encode("utf-8")).hexdigest()
+                for _, out, _ in cached[2:]] == [
+            "4cb28aa31dfb8df28fad14a6e96d3411f09578b0774aa36ba3870607965bc580",
+            "e351ee0759d4109636d5111bea48890347123f39049583681e67c9f160b52343"]
+        code, out, _ = self._call(["--help"], capsys)
+        assert code == 0 and "threshold" in out
+
+    def test_parser_not_built_at_import(self):
+        subprocess.run([sys.executable, "-c", "import islocc.cli as cli; "
+                        "assert cli._build_parser.cache_info().misses == 0"],
+                       env=_child_env(), check=True)
 
     def test_threshold_ignores_unused_config_keys(self, tmp_path, capsys):
         config = tmp_path / "run.conf"
