@@ -418,9 +418,10 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
 # ---------------------------------------------------------------------------
 
 #: Per dtype kind of a column, the ``%`` format of its CSV cell (floats carry 12
-#: significant digits); the floats ``json`` writes other than by ``repr``.  A normal
-#: float's <= 12 digits read back as a double whose ``repr`` is the cell itself unless
-#: |x| >= 1e11 (``%g`` writes 1e12 as 1e+12) or x is near an integer (``repr`` adds .0).
+#: significant digits); the floats ``json`` writes other than by ``repr``.  A float
+#: more than 1e-11 * max(|x|, 1) from every integer lies between 1e-11 and 5e10 and its
+#: cell is no integer, so the cell's <= 12 digits read back as a normal double whose
+#: ``repr`` is the cell itself: ``%g`` and ``repr`` differ in form only from 1e12 up.
 _CSV_CELLS = {"U": "%s", "i": "%d", "f": "%.12g"}
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -433,12 +434,11 @@ def _table(rows, fields: Sequence[str]) -> np.ndarray:  # fields checked before 
 
 def _json_cells(column: np.ndarray) -> list[str]:
     """The cells of ``column`` as ``json`` writes the values its CSV cells read back as:
-    only odd float cells (|x| >= 1e11, not finite, not normal, near an integer) change."""
+    only odd float cells (near an integer, so also huge or tiny, or not finite) change."""
     cells = list(map(_CSV_CELLS[column.dtype.kind].__mod__, column.tolist()))
     if column.dtype.kind == "f":
-        with np.errstate(invalid="ignore"):  # inf - inf; inf and NaN are odd anyway
-            odd = ~((size := np.abs(column)) < 1e11) | (size < 2.2250738585072014e-308) | (
-                np.abs(column - np.round(column)) <= 1e-11 * np.maximum(size, 1.0))
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and a NaN is odd
+            odd = ~(np.abs(column - np.round(column)) > 1e-11 * np.maximum(np.abs(column), 1.0))
         for i in np.flatnonzero(odd).tolist():
             cells[i] = _JSON_NON_FINITE.get(cells[i]) or repr(float(cells[i]))
     elif column.dtype.kind == "U":  # json.dumps once per distinct text
