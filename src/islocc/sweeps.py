@@ -22,6 +22,8 @@ table written with the ``BELL_REGION_FIELDS`` columns, whose ``violated`` is
 ``B > 2``.  The encoders read each column once and fill one fixed template per
 row with ``%``; the JSON template is the text of ``json.dumps(..., indent=2)``,
 and its float cells are the CSV cells, read back only where ``repr`` can differ.
+A float column with at most half its bit patterns distinct, as the grid columns
+are, has each distinct pattern formatted once and its cell spread over the rows.
 
 The threshold search bisects l on the same family directly, probing the path
 seven steps at a time in one family stack.  At each step the worst noise level
@@ -44,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .xstate import (_SQRT_HALF, FERMION, ParticleStatistics, WernerFamily, XStateRows,
-                     _unit_r, binary_entropy, canonical_theta)
+                     _entropy, _unit_r, binary_entropy, canonical_theta)
 
 __all__ = [
     "ConfigError",
@@ -75,8 +77,8 @@ FORMATS = ("csv", "json", "svg")
 FLAG_PROBABILITY = 1e-12
 
 #: Largest sweep (outer x noise steps) a configuration may ask for: it bounds the
-#: run time.  Memory grows with the rows: 301 x 301 peaks at 107 MiB as CSV and
-#: 154 MiB as JSON, a CSV sweep at the cap at 0.85 GiB (Python 3.11, numpy 2.4).
+#: run time.  Memory grows with the rows: 301 x 301 peaks at 92 MiB as CSV and
+#: 128 MiB as JSON, a CSV sweep at the cap at 715 MiB (Python 3.11, numpy 2.4).
 MAX_SWEEP_ROWS = 1_000_000
 
 #: Bracket widths at which the bisections stop: in l (:func:`l_for_indist`)
@@ -224,6 +226,15 @@ def _peaked_degree(l1, r1, l2, r2):
     return binary_entropy(np.divide(p12, z, out=np.zeros_like(z), where=defined))
 
 
+def _family_degree(l: np.ndarray) -> np.ndarray:
+    """``_peaked_degree(l, r, r, l)`` for r = sqrt(1 - l^2), with no check of l: the
+    same arithmetic in the same order, less the zero guard, since z = l^4 + r^4 >= 1/2."""
+    r = _unit_r(l)
+    ll, rr = l * l, r * r
+    p12 = ll * ll
+    return _entropy(p12 / (p12 + rr * rr))
+
+
 def indist_on_family(l):
     """Degree of indistinguishability on the r' = l family (so l' = r),
     elementwise over an array of l.  An l that is not finite or lies
@@ -231,8 +242,7 @@ def indist_on_family(l):
     l = np.asarray(l, dtype=float)
     if not np.all((0.0 <= l) & (l <= 1.0)):
         raise ConfigError(f"l must be finite and lie in [0, 1], got {l!r}")
-    r = _unit_r(l)  # = l'
-    return _peaked_degree(l, r, r, l)
+    return _family_degree(l)[()]
 
 
 def l_for_indist(target):
@@ -249,7 +259,7 @@ def l_for_indist(target):
     while active.any():
         mid = 0.5 * (lo + hi)
         active &= (lo < mid) & (mid < hi)
-        above = active & (indist_on_family(mid) > target)
+        above = active & (_family_degree(mid) > target)
         np.copyto(lo, mid, where=above)
         np.copyto(hi, mid, where=active & ~above)
         active &= hi - lo > _L_TOL
@@ -432,27 +442,56 @@ def _table(rows, fields: Sequence[str]) -> np.ndarray:  # fields checked before 
     return np.asarray(rows, dtype=ROW_DTYPE)
 
 
+def _distinct_cells(write, column: np.ndarray) -> list[str] | None:
+    """``write(column)`` for a float column, with each distinct bit pattern written once
+    and its cell spread back over the rows; None when over half the patterns are distinct.
+    Keyed on bits, not values, which would merge ``-0.0`` with ``0.0`` and NaNs."""
+    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+    if 2 * len(keys) > len(column):
+        return None
+    return np.array(write(keys.view(np.float64)), dtype=object)[inverse].tolist()
+
+
+def _csv_floats(values: np.ndarray) -> list[str]:
+    return list(map(_CSV_CELLS["f"].__mod__, values.tolist()))
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """The floats as ``json`` writes the values their CSV cells read back as: only
+    odd cells (near an integer, so also huge or tiny, or not finite) change."""
+    cells = _csv_floats(values)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, and a NaN is odd
+        odd = ~(np.abs(values - np.round(values)) > 1e-11 * np.maximum(np.abs(values), 1.0))
+    for i in np.flatnonzero(odd).tolist():
+        cells[i] = _JSON_NON_FINITE.get(cells[i]) or repr(float(cells[i]))
+    return cells
+
+
 def _json_cells(column: np.ndarray) -> list[str]:
-    """The cells of ``column`` as ``json`` writes the values its CSV cells read back as:
-    only odd float cells (near an integer, so also huge or tiny, or not finite) change."""
-    cells = list(map(_CSV_CELLS[column.dtype.kind].__mod__, column.tolist()))
+    """The cells of ``column`` as ``json`` writes the values its CSV cells read back as."""
     if column.dtype.kind == "f":
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, and a NaN is odd
-            odd = ~(np.abs(column - np.round(column)) > 1e-11 * np.maximum(np.abs(column), 1.0))
-        for i in np.flatnonzero(odd).tolist():
-            cells[i] = _JSON_NON_FINITE.get(cells[i]) or repr(float(cells[i]))
-    elif column.dtype.kind == "U":  # json.dumps once per distinct text
+        cells = _distinct_cells(_json_floats, column)
+        return _json_floats(column) if cells is None else cells
+    cells = list(map(_CSV_CELLS[column.dtype.kind].__mod__, column.tolist()))
+    if column.dtype.kind == "U":  # json.dumps once per distinct text
         return list(map({text: json.dumps(text) for text in set(cells)}.get, cells))
     return cells
 
 
 def records_to_csv(rows, fields: Sequence[str]) -> str:
     """Render sweep rows (a ``ROW_DTYPE`` table or a list of its rows) as CSV, one
-    line template filled per row, so identical configurations give identical bytes."""
+    line template filled per row, so identical configurations give identical bytes.
+    A float column of repeated values fills a ``%s`` slot with its distinct cells;
+    every other column is formatted by its own slot inside the row's one ``%``."""
     table = _table(rows, fields)
-    line = ",".join(_CSV_CELLS[table.dtype[name].kind] for name in fields) + "\n"
-    cells = zip(*(table[name].tolist() for name in fields))
-    return ",".join(fields) + "\n" + "".join(map(line.__mod__, cells))
+    slots, columns = [], []
+    for name in fields:
+        column = table[name]
+        cells = _distinct_cells(_csv_floats, column) if column.dtype.kind == "f" else None
+        slots.append(_CSV_CELLS[column.dtype.kind] if cells is None else "%s")
+        columns.append(column.tolist() if cells is None else cells)
+    line = ",".join(slots) + "\n"
+    return ",".join(fields) + "\n" + "".join(map(line.__mod__, zip(*columns)))
 
 
 def records_to_json(rows, fields: Sequence[str]) -> str:

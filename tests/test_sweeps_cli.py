@@ -160,6 +160,37 @@ class TestIndistInversion:
         ls = l_for_indist(targets)
         assert ls.tolist() == [l_for_indist(float(t)) for t in targets]
 
+    @staticmethod
+    def reference_l_for_indist(target) -> np.ndarray:
+        """The bisection of :func:`l_for_indist` with every step through the checked
+        ``_peaked_degree(l, r, r, l)``: the sequential reference it must match."""
+        target = np.asarray(target, dtype=float)
+        lo, hi = np.full(target.shape, SQRT_HALF), np.ones(target.shape)
+        active = (hi - lo > sweeps._L_TOL) & (0.0 < target) & (target < 1.0)
+        while active.any():
+            mid = 0.5 * (lo + hi)
+            active &= (lo < mid) & (mid < hi)
+            r = _unit_r(mid)
+            above = active & (_peaked_degree(mid, r, r, mid) > target)
+            np.copyto(lo, mid, where=above)
+            np.copyto(hi, mid, where=active & ~above)
+            active &= hi - lo > sweeps._L_TOL
+        return np.where(target >= 1.0, SQRT_HALF, np.where(target <= 0.0, 1.0, 0.5 * (lo + hi)))
+
+    @pytest.mark.parametrize("targets", [
+        np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 301),
+        np.random.default_rng(7).uniform(0.0, 1.0, 20_000),
+        np.array([1e-300, 5e-324, 1 - 1e-16, 0.9999999999999999])],
+        ids=["41", "301", "uniform", "edges"])
+    def test_inversion_matches_reference_bits(self, targets):
+        ls = l_for_indist(targets)
+        assert np.array_equal(ls.view(np.int64),
+                              self.reference_l_for_indist(targets).view(np.int64))
+        # the unchecked family degree is the checked one at every l it returns
+        r = _unit_r(ls)
+        assert np.array_equal(indist_on_family(ls).view(np.int64),
+                              _peaked_degree(ls, r, r, ls).view(np.int64))
+
     def test_non_positive_tolerance_stops_at_adjacent_floats(self):
         # a bracket of two adjacent floats is never narrower than _L_TOL <= 0;
         # the inversion runs in a child process, so a hang fails the test
@@ -603,6 +634,48 @@ class TestEncodingReference:
         # the two forms of one cell differ, as the edges were chosen to make them
         assert "\n1e+12," in csv_text and '"p": 1000000000000.0,' in json_text
         assert '"p": NaN,' in json_text and '"p": -Infinity,' in json_text
+        self.assert_matches_reference(table, fields)
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    def test_tiled_edge_cells(self, fields):
+        # each edge value three times in every float column: its cell is written once
+        self.assert_matches_reference(np.tile(self.edges(), 3), fields)
+
+    #: Odd floats a repeated column mixes: both zeros, NaNs with different
+    #: payloads and signs (quiet and signalling), both infinities, subnormals,
+    #: near-integers and huge values.
+    REPEATED = np.concatenate([
+        [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310,
+         math.nextafter(2.2250738585072014e-308, 0.0), 1.0, -2.0, 0.9999999999995,
+         2.9999999999996, 99999999999.5, 1e12, 1e16, 1 / 3],
+        np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                  0x7FF0000000000001, 0xFFF4000000000123], dtype=np.uint64).view(np.float64)])
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    def test_repeated_odd_cells(self, fields, rng):
+        table = np.recarray(3_000, dtype=ROW_DTYPE)
+        for name in ROW_DTYPE.names:
+            if ROW_DTYPE[name].kind == "f":
+                table[name] = self.REPEATED[rng.integers(len(self.REPEATED), size=len(table))]
+        table.statistics = rng.choice(self.TEXTS, size=len(table))
+        table.violated = rng.choice(self.INTS, size=len(table))
+        self.assert_matches_reference(table, fields)
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    @pytest.mark.parametrize("extra", [0, 1], ids=["half", "half+1"])
+    def test_half_distinct_columns(self, fields, extra, rng):
+        """Columns of n rows with n/2 distinct bit patterns write each pattern once;
+        with n/2 + 1 they are written row by row.  Both match the reference."""
+        table = np.recarray(2 * 18, dtype=ROW_DTYPE)
+        patterns = np.unique(np.array(self.FLOATS).view(np.uint64)).view(np.float64)
+        floats = [name for name in ROW_DTYPE.names if ROW_DTYPE[name].kind == "f"]
+        for shift, name in enumerate(floats):
+            distinct = np.roll(patterns, 4 * shift)[:len(table) // 2 + extra]
+            table[name] = rng.permutation(np.resize(distinct, len(table)))
+            cells = sweeps._distinct_cells(sweeps._csv_floats, table[name])
+            assert (cells is None) == bool(extra), name
+        table.statistics = "boson"
+        table.violated = 1
         self.assert_matches_reference(table, fields)
 
     def test_random_bit_patterns(self, rng):
