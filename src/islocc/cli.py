@@ -12,8 +12,10 @@ families as one stacked Werner-family array in closed form
 (:class:`~islocc.xstate.WernerFamily`) into one ``ROW_DTYPE`` table, which
 every encoder reads column by column; ``bell-region`` writes the same
 table with the ``p``, ``indist``, ``bell`` and ``violated`` columns.
-``threshold`` takes no grid or format flags; it ignores those keys in a
-config file.
+``threshold`` takes no grid, format, ``--constraint`` or ``--lprime`` flags;
+it ignores the grid and format keys of a config file, and a config-file
+``constraint`` other than ``l_eq_rprime`` exits 2 with the threshold search's
+own message.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import sys
 from pathlib import Path
 
 from .sweeps import (BELL_REGION_FIELDS, CONSTRAINTS, CSV_FIELDS, FORMATS, TARGETS,
-                     ConfigError, GridSpec, SweepConfig, find_threshold, records_to_csv,
-                     records_to_json, run_sweep)
+                     ConfigError, GridSpec, SweepConfig, _check_threshold_family,
+                     find_threshold, records_to_csv, records_to_json, run_sweep)
 from .svg import bell_region_svg, sweep_svg
 from .verify import run_verify
 from .xstate import ParticleStatistics
@@ -67,17 +69,25 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def build_config(args: argparse.Namespace) -> SweepConfig:
     """Merge config-file values and CLI flags (flags win) into a SweepConfig."""
+    return _checked_config(_merged_values(args))
+
+
+def _merged_values(args: argparse.Namespace) -> dict:
+    """Config-file values and CLI flags (flags win), each parsed."""
     values = load_config_file(args.config) if args.config else {}
     for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
     try:
-        parsed = {key: parse(values[key]) for key, parse in _CONFIG_KEYS.items()
-                  if key in values}
+        return {key: parse(values[key]) for key, parse in _CONFIG_KEYS.items()
+                if key in values}
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    config = SweepConfig(**parsed)
+
+
+def _checked_config(values: dict) -> SweepConfig:
+    config = SweepConfig(**values)
     if config.output is not None:
         _check_writable(config.output)
     return config
@@ -121,13 +131,14 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", help="phase of the second wave function, radians "
                                         "(default: canonical pairing for target/statistics)")
     parser.add_argument("--target", choices=TARGETS)
-    parser.add_argument("--constraint", choices=CONSTRAINTS)
-    parser.add_argument("--lprime", help="fixed l' for the free constraint")
     parser.add_argument("--output", help="output path (default: stdout)")
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    """Flags of the grid subcommands only: ``threshold`` rejects them."""
+    """Flags of the grid subcommands only: ``threshold`` rejects them, since its
+    search runs on the r' = l family alone."""
+    parser.add_argument("--constraint", choices=CONSTRAINTS)
+    parser.add_argument("--lprime", help="fixed l' for the free constraint")
     parser.add_argument("--p-grid", dest="p_grid", metavar="A:B:N",
                         help="noise-probability grid")
     parser.add_argument("--indist-grid", dest="indist_grid", metavar="A:B:N",
@@ -171,7 +182,10 @@ def _cmd_grid(args: argparse.Namespace, fields, svg_renderer) -> int:
 
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
-    config = build_config(args)
+    values = _merged_values(args)
+    # before the sweep rules, which would ask for an l_grid the search never reads
+    _check_threshold_family(values.get("constraint", SweepConfig.constraint))
+    config = _checked_config(values)
     result = find_threshold(config)
     _emit(json.dumps(result.as_dict(), indent=2) + "\n", config.output)
     return 0

@@ -26,11 +26,14 @@ A float column with at most half its bit patterns distinct, as the grid columns
 are, has each distinct pattern formatted once and its cell spread over the rows.
 
 The threshold search bisects l on the same family directly, probing the path
-seven steps at a time in one family stack.  At each step the worst noise level
-comes in closed form from :meth:`~islocc.xstate.WernerFamily.worst_bell`: the
-CHSH value of an X state is the length of a point moving along a straight line
-in p, so its minimum sits at one of four candidate noise levels.  Both
-bisections stop at a fixed tolerance or at adjacent floats, whichever is first.
+seven steps at a time in one family stack; the first stack also holds the
+degree-1 end, so a search that finds a threshold builds two stacks and one that
+finds none builds one.  At each step the worst noise level comes in closed form
+from :meth:`~islocc.xstate.WernerFamily.worst_bell`: the CHSH value of an X
+state is the length of a point moving along a straight line in p, so its
+minimum sits at one of four candidate noise levels, and the reported
+concurrence is read off the same evaluation.  Both bisections stop at a fixed
+tolerance or at adjacent floats, whichever is first.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import json
 import math
 import numbers
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -358,16 +361,18 @@ class ThresholdResult:
     concurrence_at_worst: float | None = None
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
 
 class _Probe(NamedTuple):
-    """One family of the r' = l line and its worst noise level, in ThresholdResult's order."""
+    """One family of the r' = l line, its worst noise level and the CHSH value and
+    concurrence there, in ThresholdResult's order."""
 
     degree: float
     l: float
     worst_p: float
     bell: float
+    concurrence: float
 
 
 def _bisection_tree(lo: float, hi: float) -> np.ndarray:
@@ -390,24 +395,27 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
     violating end's degree and l are reported.  Each step takes min_p B in
     closed form from :meth:`~islocc.xstate.WernerFamily.worst_bell` (four
     candidate noise levels evaluated together), so no minimization and no
-    inversion of the degree is iterated.  The path is probed ``_BISECT_DEPTH``
-    steps at a time, in one family stack of every midpoint they can visit.
+    inversion of the degree is iterated; the reported concurrence comes from
+    the same four rows.  The path is probed ``_BISECT_DEPTH`` steps at a time,
+    in one family stack of every midpoint they can visit.  The first stack
+    also holds l = 1/sqrt(2), whose probe decides whether any threshold exists,
+    since its midpoints do not depend on that probe: a search that finds a
+    threshold builds two stacks, one that finds none builds one.
     """
-    if config.constraint != "l_eq_rprime":
-        raise ConfigError("threshold search is defined on the l_eq_rprime family")
+    _check_threshold_family(config.constraint)
     theta, stats = config.resolved_theta(), config.statistics
 
     def probe(ls: np.ndarray) -> list[tuple[float, ...]]:  # the _Probe fields of each l
-        worst_p, bell = WernerFamily(config.target, ls, _unit_r(ls), stats, theta).worst_bell()
-        return list(zip(*(a.tolist() for a in (indist_on_family(ls), ls, worst_p, bell))))
+        family = WernerFamily(config.target, ls, _unit_r(ls), stats, theta)
+        return list(zip(*(a.tolist() for a in (indist_on_family(ls), ls, *family._worst()))))
 
-    inside = _Probe(*probe(np.array([_SQRT_HALF]))[0])  # the violating end, degree 1
+    first = probe(np.concatenate(([_SQRT_HALF], _bisection_tree(_SQRT_HALF, 1.0))))
+    inside, block, node = _Probe(*first[0]), first[1:], 0  # the violating end, degree 1
     if inside.bell <= 2.0:
         return ThresholdResult(False, config.target, str(stats))
     # the other end needs no probe: at l = 1 (degree 0) the waves are |L> and
     # e^{i theta}|R>, so the p = 1 candidate is the maximally mixed state, B = 0
     outside_l, outside_degree = 1.0, 0.0
-    block, node = [], 0
     while inside.degree - outside_degree > _DEGREE_TOL:
         if node >= len(block):  # the walk left the block: probe the next levels
             block, node = probe(_bisection_tree(inside.l, outside_l)), 0
@@ -418,9 +426,15 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
             inside, node = at_mid, 2 * node + 2
         else:
             outside_l, outside_degree, node = at_mid.l, at_mid.degree, 2 * node + 1
-    family = WernerFamily(config.target, inside.l, _unit_r(inside.l), stats, theta)
-    concurrence_at = float(family.evaluate(np.array([inside.worst_p])).concurrence[0])
-    return ThresholdResult(True, config.target, str(stats), *inside, concurrence_at)
+    return ThresholdResult(True, config.target, str(stats), *inside)
+
+
+def _check_threshold_family(constraint: str) -> None:
+    """:class:`ConfigError` unless ``constraint`` names the r' = l family, the only
+    one :func:`find_threshold` searches; ``islocc threshold`` checks a config
+    file's value with it before the rest of the config."""
+    if constraint != "l_eq_rprime":
+        raise ConfigError("threshold search is defined on the l_eq_rprime family")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -139,7 +140,9 @@ class XStateRows:
     ``u, v, y`` are the entries rho00 = rho33, rho11 = rho22 and rho12 of
     each real, X-shaped, unit-trace matrix; its rho03 is 0.  Rows whose
     input has zero global trace (``zero_trace``) or whose detection weight
-    vanishes (``undefined``) read 0 in every field.
+    vanishes (``undefined``) read 0 in every field.  ``eof`` is no field:
+    it is derived from ``concurrence`` when first read, so a caller that
+    reads only the CHSH value (the threshold search) takes no logarithm.
     """
 
     u: np.ndarray
@@ -149,12 +152,15 @@ class XStateRows:
     zero_trace: np.ndarray
     undefined: np.ndarray
     concurrence: np.ndarray
-    eof: np.ndarray
     bell: np.ndarray
 
     @property
     def defined(self) -> np.ndarray:
         return ~(self.zero_trace | self.undefined)
+
+    @cached_property
+    def eof(self) -> np.ndarray:
+        return _eof(self.concurrence)
 
 
 class WernerFamily:
@@ -227,8 +233,13 @@ class WernerFamily:
         fall in [0, 1] go through the checked path of :meth:`evaluate`
         together, and the smallest CHSH value wins.  A zero weight can only
         sit at p = 0 or 1 (w is affine and >= 0); such rows read B = 0, as
-        in :meth:`evaluate`.
+        in :meth:`evaluate`.  No entanglement of formation is computed.
         """
+        return self._worst()[:2]
+
+    def _worst(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`worst_bell`'s p* and B*, and the concurrence at p* from the same
+        rows: the bits ``evaluate([p*])`` gives the family alone."""
         v0, y0 = self._target
         noise_u, noise_v, noise_y = self._noise
         u1, v1, y1 = noise_u / 4.0, noise_v / 4.0 - v0, noise_y / 4.0 - y0
@@ -238,9 +249,10 @@ class WernerFamily:
         p = np.stack([np.zeros_like(w0), np.ones_like(w0), _root_in_unit(y0, y1),
                       _root_in_unit(g0 * w0 - w1 * (a0 * a0 + b0 * b0), g1 * w0 - g0 * w1)],
                      axis=1)
-        bell = self._evaluate(p).bell.reshape(p.shape)
+        rows = self._evaluate(p)
+        bell = rows.bell.reshape(p.shape)
         best = (np.arange(len(p)), np.argmin(bell, axis=1))
-        return p[best], bell[best]
+        return p[best], bell[best], rows.concurrence.reshape(p.shape)[best]
 
     def _evaluate(self, p: np.ndarray) -> XStateRows:
         """Rows of every family at its noise levels: ``p`` is one array of
@@ -267,7 +279,7 @@ class WernerFamily:
         concurrence = np.clip(2.0 * (np.abs(y) - u), 0.0, 1.0)
         bell = 4.0 * np.sqrt((u - v) ** 2 + y * y)
         return XStateRows(*(a.ravel() for a in (
-            u, v, y, probability, zero_trace, undefined, concurrence, _eof(concurrence), bell)))
+            u, v, y, probability, zero_trace, undefined, concurrence, bell)))
 
 
 def _check_rows(ok, u, v, y, probability) -> None:

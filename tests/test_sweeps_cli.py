@@ -796,12 +796,15 @@ class TestThreshold:
 
         monkeypatch.setattr("islocc.sweeps.WernerFamily", spy)
         for statistics in (FERMION, BOSON):
-            built.clear()
-            assert find_threshold(SweepConfig(statistics=statistics, target="1_minus")).found
-            assert not any(1.0 in ls for ls in built)
-            # the 1/sqrt(2) end, two blocks of bisection steps and the final
-            # evaluation; the search built 15 families one by one before
-            assert len(built) <= 4
+            for target, found in (("1_minus", True), ("1_plus", False)):
+                built.clear()
+                assert find_threshold(SweepConfig(statistics=statistics,
+                                                  target=target)).found is found
+                assert not any(1.0 in ls for ls in built)
+                # the 1/sqrt(2) end rides in the first block of bisection steps;
+                # a found search needs one more block and nothing else
+                assert [len(ls) for ls in built] == ([128, 127] if found else [128])
+                assert built[0][0] == SQRT_HALF
 
     def test_triplet_target_has_no_all_noise_threshold(self):
         result = find_threshold(SweepConfig(statistics=FERMION, target="1_plus"))
@@ -960,7 +963,8 @@ class TestStackInvariance:
         stack = WernerFamily(target, ls, _unit_r(ls), statistics, theta)
         worst, rows = stack.worst_bell(), stack.evaluate(self.P)
         degrees = indist_on_family(ls)
-        fields = [field.name for field in dataclasses.fields(rows)]
+        # eof is derived when read, not a dataclass field
+        fields = [field.name for field in dataclasses.fields(rows)] + ["eof"]
         for f, l in enumerate(ls.tolist()):
             one = WernerFamily(target, l, _unit_r(l), statistics, theta)
             assert [self.bits(a) for a in one.worst_bell()] == [
@@ -1116,7 +1120,11 @@ class TestCli:
         assert json.loads(out.read_text())["found"] is True
 
     @pytest.mark.parametrize("flag", [["--p-grid", "0:1:3"], ["--indist-grid", "0:1:3"],
-                                      ["--l-grid", "0:1:3"], ["--format", "svg"]])
+                                      ["--l-grid", "0:1:3"], ["--format", "svg"],
+                                      # the search runs on the r' = l family alone, so no
+                                      # run could give the l_grid another family needs
+                                      ["--constraint", "l_eq_lprime"],
+                                      ["--constraint", "free", "--lprime=0.5"]])
     def test_threshold_rejects_grid_and_format_flags(self, flag, capsys, monkeypatch):
         monkeypatch.setattr("islocc.cli.find_threshold", lambda *args: pytest.fail("ran"))
         with pytest.raises(SystemExit) as exc:
@@ -1125,6 +1133,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert f"unrecognized arguments: {' '.join(flag)}" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("lines", ["constraint = l_eq_lprime\n",
+                                       "constraint = free\nlprime = 0.5\n",
+                                       "constraint = free\n"])
+    def test_threshold_config_file_constraint_exits_2(self, lines, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_text("statistics = fermion\n" + lines)
+        assert main(["threshold", "--config", str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: threshold search is defined on the l_eq_rprime family\n")
 
     @staticmethod
     def _call(argv, capsys) -> tuple[int, str, str]:

@@ -482,8 +482,8 @@ class TestXStateRows:
     def test_fields_are_one_dimensional(self, rng):
         target, statistics, l1, l2, theta = next(self.cases(rng, n=10))
         rows = WernerFamily(target, l1, l2, statistics, theta).evaluate(np.linspace(0, 1, 7))
-        assert {getattr(rows, f.name).shape for f in dataclasses.fields(rows)} \
-            == {(len(l1) * 7,)}
+        names = [f.name for f in dataclasses.fields(rows)] + ["eof"]  # eof derived when read
+        assert {getattr(rows, name).shape for name in names} == {(len(l1) * 7,)}
 
     @pytest.mark.parametrize("row, match", [
         ((0.3, 0.3, 0.0, 0.5), "trace"),
@@ -590,6 +590,26 @@ class TestWorstBell:
                 assert worst[f] <= oracle + 1e-12, (target, statistics, f)
                 # a family alone gives what it gives inside the stack
                 assert [a[0] for a in one.worst_bell()] == [worst_p[f], worst[f]]
+
+    def test_concurrence_is_read_at_the_worst_noise_level(self, rng):
+        # the concurrence the threshold search reports comes from the four
+        # candidate rows: bit for bit what the family alone gives at p*
+        n, interior = 200, 0
+        for target, statistics in PAIRS:
+            l1, l2 = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+            theta = rng.uniform(-10.0, 10.0, n)
+            stack = WernerFamily(target, l1, l2, statistics, theta)
+            with np.errstate(all="raise"):
+                worst_p, worst, concurrence = stack._worst()
+            assert [a.tobytes() for a in stack.worst_bell()] == [worst_p.tobytes(),
+                                                                 worst.tobytes()]
+            interior += int(np.count_nonzero((0.0 < worst_p) & (worst_p < 1.0)))
+            for f in range(n):
+                one = WernerFamily(target, l1[f], l2[f], statistics, theta[f])
+                assert one.evaluate(worst_p[f:f + 1]).concurrence.tobytes() == \
+                    concurrence[f:f + 1].tobytes(), (target, statistics, f)
+        # the search's own cases all have p* = 1, where a wrong level could hide
+        assert interior > 0
 
     @pytest.mark.parametrize("case", [
         # psi1 = psi2: the fermionic triplet-type target has zero norm, so the
