@@ -7,9 +7,10 @@ bosons bunch and fermions exclude.
 
 import math
 
-from islocc import (BOSON, FERMION, ElementaryKet, ModeBasis, SingleParticleState,
-                    SpatialWave, UP, DOWN, amplitude_fast, amplitude_permsum, inner,
-                    make_peaked, overlap_matrix)
+from islocc import BOSON, FERMION
+from islocc.amplitudes import ElementaryKet, amplitude_fast, amplitude_permsum, overlap_matrix
+from islocc.states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave, inner,
+                           make_peaked)
 
 basis = ModeBasis(("L", "R"))
 sqrt_half = 1.0 / math.sqrt(2.0)

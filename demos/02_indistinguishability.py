@@ -9,8 +9,8 @@ import math
 
 import numpy as np
 
-from islocc import (ModeBasis, SingleParticleState, SpatialWave, UP, degree_n,
-                    degree_two, make_peaked)
+from islocc.indistinguishability import degree_n, degree_two
+from islocc.states import UP, ModeBasis, SingleParticleState, SpatialWave, make_peaked
 
 LR = ModeBasis(("L", "R"))
 

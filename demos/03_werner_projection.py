@@ -10,9 +10,13 @@ import math
 
 import numpy as np
 
-from islocc import (BOSON, FERMION, SpatialWave, WernerSpec, analyze,
-                    depolarize_then_deform, mixed_trace, project,
-                    project_werner, spec_from_l, werner_direct)
+from islocc import BOSON, FERMION
+from islocc.ensembles import mixed_trace
+from islocc.entanglement import analyze
+from islocc.slocc import project
+from islocc.states import SpatialWave
+from islocc.werner import (WernerSpec, depolarize_then_deform, project_werner, spec_from_l,
+                           werner_direct)
 
 np.set_printoptions(precision=4, suppress=True)
 sqrt_half = 1.0 / math.sqrt(2.0)

@@ -38,10 +38,10 @@ __all__ = [
     "amplitude",
     "permanent_ryser",
     "PermutationCapExceeded",
-    "PERMSUM_DEFAULT_CAP",
+    "PERMSUM_CAP",
 ]
 
-PERMSUM_DEFAULT_CAP = 8
+PERMSUM_CAP = 8
 
 
 class PermutationCapExceeded(ValueError):
@@ -113,19 +113,18 @@ def _permutations_with_parity(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
             i += 1
 
 
-def amplitude_permsum(bra: ElementaryKet, ket: ElementaryKet,
-                      cap: int = PERMSUM_DEFAULT_CAP) -> complex:
+def amplitude_permsum(bra: ElementaryKet, ket: ElementaryKet) -> complex:
     """Amplitude by explicit permutation sum (the naive reference path).
 
     Terms are accumulated with exact summation, so exchange symmetry of the
-    result under particle swaps holds to the last bit.  Refuses N > ``cap``
-    (N! terms); use :func:`amplitude_fast` there.
+    result under particle swaps holds to the last bit.  Refuses N >
+    ``PERMSUM_CAP`` (N! terms); use :func:`amplitude_fast` there.
     """
     m = overlap_matrix(bra, ket)
     n = bra.n
-    if n > cap:
+    if n > PERMSUM_CAP:
         raise PermutationCapExceeded(
-            f"permutation sum over {n}! terms exceeds cap {cap}; use amplitude_fast")
+            f"permutation sum over {n}! terms exceeds cap {PERMSUM_CAP}; use amplitude_fast")
     fermionic = bra.statistics is FERMION
     real_parts: list[float] = []
     imag_parts: list[float] = []

@@ -15,7 +15,10 @@ table with the ``p``, ``indist``, ``bell`` and ``violated`` columns.
 ``threshold`` takes no grid, format, ``--constraint`` or ``--lprime`` flags;
 it ignores the grid and format keys of a config file, and a config-file
 ``constraint`` other than ``l_eq_rprime`` exits 2 with the threshold search's
-own message.
+own message.  Only ``islocc verify`` loads the oracle (:mod:`islocc.verify`
+and the amplitude engine under it); ``sweep``, ``bell-region`` and
+``threshold`` load :mod:`islocc.xstate`, :mod:`islocc.sweeps` and
+:mod:`islocc.svg` alone.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .sweeps import (BELL_REGION_FIELDS, CONSTRAINTS, CSV_FIELDS, FORMATS, TARGE
                      ConfigError, GridSpec, SweepConfig, _check_threshold_family,
                      find_threshold, records_to_csv, records_to_json, run_sweep)
 from .svg import bell_region_svg, sweep_svg
-from .verify import run_verify
 from .xstate import ParticleStatistics
 
 __all__ = ["main", "build_config", "load_config_file"]
@@ -192,6 +194,7 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_verify  # the oracle loads for this command only
     report = run_verify(seed=args.seed)
     for line in report.summary_lines():
         print(line)

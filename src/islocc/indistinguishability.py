@@ -89,11 +89,8 @@ def degree_n(states: Sequence[SingleParticleState],
     return IndistinguishabilityBreakdown(joint, normalizer, entropy)
 
 
-def degree_two(psi1: SingleParticleState, psi2: SingleParticleState,
-               regions: Sequence[str] = ("L", "R")) -> IndistinguishabilityBreakdown:
-    """Two-particle degree over two regions; the (0, 1) key of the result is
-    the joint probability that region one saw psi1 and region two saw psi2."""
-    regions = tuple(regions)
-    if len(regions) != 2:
-        raise ValueError(f"two-particle degree needs exactly two regions, got {regions!r}")
-    return degree_n((psi1, psi2), regions)
+def degree_two(psi1: SingleParticleState,
+               psi2: SingleParticleState) -> IndistinguishabilityBreakdown:
+    """Two-particle degree over the regions L and R; the (0, 1) key of the
+    result is the joint probability that L saw psi1 and R saw psi2."""
+    return degree_n((psi1, psi2), ("L", "R"))

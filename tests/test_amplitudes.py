@@ -95,9 +95,6 @@ class TestPermutationSum:
         big = ElementaryKet((chi,) * 9, BOSON)
         with pytest.raises(PermutationCapExceeded, match="amplitude_fast"):
             amplitude_permsum(big, big)
-        small = ElementaryKet((chi,) * 4, BOSON)
-        with pytest.raises(PermutationCapExceeded):
-            amplitude_permsum(small, small, cap=3)
 
 
 class TestFastPath:

@@ -66,10 +66,6 @@ class TestDegreeTwo:
         with pytest.raises(ValueError, match="undefined"):
             degree_two(both_left, both_left)
 
-    def test_requires_two_regions(self):
-        with pytest.raises(ValueError, match="two regions"):
-            degree_two(_peaked(0.8), _peaked(0.6), regions=("L",))
-
 
 class TestDegreeN:
     def test_localized_particles_are_distinguishable(self):

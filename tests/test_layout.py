@@ -3,7 +3,11 @@ shared name has one definition, and the names the benchmark reaches resolve."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -93,6 +97,52 @@ def test_xstate_imports_only_numpy_and_the_standard_library():
 def test_cli_imports_only_production_modules_and_verify():
     package, _ = _imports("cli")
     assert package <= {"xstate", "sweeps", "svg", "verify"}, sorted(package)
+
+
+#: Runs each argv of ``sys.argv[1]`` through ``cli.main`` with stdout set
+#: aside, then prints the package modules that are loaded.
+_CHILD = """\
+import contextlib, io, json, sys
+from islocc import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if cli.main(argv) != 0:
+            sys.exit(f"{argv} failed")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("islocc."))))
+"""
+
+
+def _loaded_after(runs: list[list[str]]) -> set[str]:
+    """The ``islocc`` submodules a fresh Python holds after ``runs``."""
+    src = str(SRC.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(runs)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    return {name.removeprefix("islocc.") for name in json.loads(done.stdout)}
+
+
+def test_production_commands_load_no_oracle_module(tmp_path):
+    runs = [[command, "--indist-grid", "0:1:5", "--p-grid", "0:1:5", "--format", fmt,
+             "--output", str(tmp_path / f"{command}.{fmt}")]
+            for command in ("sweep", "bell-region") for fmt in ("csv", "json", "svg")]
+    runs.append(["threshold", "--output", str(tmp_path / "threshold.json")])
+    loaded = _loaded_after(runs)
+    assert not loaded & ORACLE, sorted(loaded & ORACLE)
+    assert {"cli", "sweeps", "xstate", "svg"} <= loaded
+    assert len(list(tmp_path.iterdir())) == len(runs)
+
+
+def test_verify_loads_the_oracle():
+    # the check above can fail: the one command that needs the oracle loads it
+    assert "werner" in _loaded_after([["verify"]])
+
+
+def test_package_root_exports_only_production_names():
+    public = {name for name, value in vars(islocc).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(public - _definitions("xstate") - _definitions("sweeps")) == []
 
 
 def test_moved_names_have_one_definition():
