@@ -19,11 +19,16 @@ other rule cannot exist, so no runner checks it again.
 A sweep is one ``numpy.recarray`` of ``ROW_DTYPE``, each field filled as a whole
 column; no per-row Python object is built.  A Bell-violation map is the same
 table written with the ``BELL_REGION_FIELDS`` columns, whose ``violated`` is
-``B > 2``.  The encoders read each column once and fill one fixed template per
-row with ``%``; the JSON template is the text of ``json.dumps(..., indent=2)``,
-and its float cells are the CSV cells, read back only where ``repr`` can differ.
-A float column with at most half its bit patterns distinct, as the grid columns
-are, has each distinct pattern formatted once and its cell spread over the rows.
+``B > 2``.  Both encoders write a table column by column through one core, and
+only the columns that vary are written per row.  A column whose bit patterns are
+all equal (a sweep's ``theta`` and ``statistics``) is written once into the
+literal text around it; one bit-identical to an earlier column (``lprime`` where
+l' = l) reuses that column's cells; a float column with at most half its bit
+patterns distinct, as the grid columns are, has each distinct pattern formatted
+once.  The texts and cells of a block of rows fill one list that is joined once,
+so no per-row template or string is built.  The JSON text is that of
+``json.dumps(..., indent=2)``, and its float cells are the CSV cells, read back
+only where ``repr`` can differ.
 
 The threshold search bisects l on the same family directly, probing the path
 seven steps at a time in one family stack; the first stack also holds the
@@ -39,6 +44,8 @@ tolerance or at adjacent floats, whichever is first.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import json
 import math
 import numbers
@@ -80,8 +87,9 @@ FORMATS = ("csv", "json", "svg")
 FLAG_PROBABILITY = 1e-12
 
 #: Largest sweep (outer x noise steps) a configuration may ask for: it bounds the
-#: run time.  Memory grows with the rows: 301 x 301 peaks at 92 MiB as CSV and
-#: 128 MiB as JSON, a CSV sweep at the cap at 715 MiB (Python 3.11, numpy 2.4).
+#: run time.  Memory grows with the rows: 301 x 301 peaks at 69 MiB as CSV and
+#: 101 MiB as JSON, a sweep at the cap at 385 MiB as CSV and 724 MiB as JSON
+#: (Python 3.11, numpy 2.4).
 MAX_SWEEP_ROWS = 1_000_000
 
 #: Bracket widths at which the bisections stop: in l (:func:`l_for_indist`)
@@ -441,12 +449,11 @@ def _check_threshold_family(constraint: str) -> None:
 # output encoding
 # ---------------------------------------------------------------------------
 
-#: Per dtype kind of a column, the ``%`` format of its CSV cell (floats carry 12
-#: significant digits); the floats ``json`` writes other than by ``repr``.  A float
-#: more than 1e-11 * max(|x|, 1) from every integer lies between 1e-11 and 5e10 and its
-#: cell is no integer, so the cell's <= 12 digits read back as a normal double whose
-#: ``repr`` is the cell itself: ``%g`` and ``repr`` differ in form only from 1e12 up.
-_CSV_CELLS = {"U": "%s", "i": "%d", "f": "%.12g"}
+#: Rows per block: the encoders fill one list of texts and cells per block of rows
+#: and join it once, so no per-row string is built and the list stays bounded.
+_BLOCK_ROWS = 2 ** 14
+
+#: The cells ``json`` writes for the floats that are not JSON numbers.
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -467,12 +474,17 @@ def _distinct_cells(write, column: np.ndarray) -> list[str] | None:
 
 
 def _csv_floats(values: np.ndarray) -> list[str]:
-    return list(map(_CSV_CELLS["f"].__mod__, values.tolist()))
+    """The floats with 12 significant digits, as ``"%.12g" %`` writes them."""
+    return list(map(float.__format__, values.tolist(), itertools.repeat(".12g")))
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
     """The floats as ``json`` writes the values their CSV cells read back as: only
-    odd cells (near an integer, so also huge or tiny, or not finite) change."""
+    odd cells (near an integer, so also huge or tiny, or not finite) change.  A float
+    more than 1e-11 * max(|x|, 1) from every integer lies between 1e-11 and 5e10 and
+    its cell is no integer, so the cell's <= 12 digits read back as a normal double
+    whose ``repr`` is the cell itself: ``%g`` and ``repr`` differ in form only from
+    1e12 up."""
     cells = _csv_floats(values)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, and a NaN is odd
         odd = ~(np.abs(values - np.round(values)) > 1e-11 * np.maximum(np.abs(values), 1.0))
@@ -481,40 +493,87 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _json_cells(column: np.ndarray) -> list[str]:
-    """The cells of ``column`` as ``json`` writes the values its CSV cells read back as."""
+def _cells(column: np.ndarray, floats, quote) -> list[str]:
+    """The cells of one column: floats by ``floats``, each distinct bit pattern once
+    where at most half are distinct; ints in decimal; text by ``quote``, once per text."""
     if column.dtype.kind == "f":
-        cells = _distinct_cells(_json_floats, column)
-        return _json_floats(column) if cells is None else cells
-    cells = list(map(_CSV_CELLS[column.dtype.kind].__mod__, column.tolist()))
-    if column.dtype.kind == "U":  # json.dumps once per distinct text
-        return list(map({text: json.dumps(text) for text in set(cells)}.get, cells))
-    return cells
+        cells = _distinct_cells(floats, column)
+        return floats(column) if cells is None else cells
+    values = column.tolist()
+    if column.dtype.kind == "i":
+        return list(map(str, values))
+    return list(map({text: quote(text) for text in set(values)}.get, values))
+
+
+def _bits(column: np.ndarray) -> np.ndarray:
+    """A float column's bit patterns; any other column itself."""
+    return column.view(np.uint64) if column.dtype.kind == "f" else column
+
+
+def _encode(table: np.ndarray, fields: Sequence[str], cells, keys: Sequence[str], *,
+            head: str, end: str, sep: str, tail: str) -> str:
+    """``head``, the rows separated by ``sep``, then ``tail``; a row is ``keys[k]``
+    and the cell of ``fields[k]`` for each k, then ``end``.  ``cells(column)`` writes
+    the cells of a column or of a block of it.
+
+    Only the columns that vary are written per row.  A column whose bit patterns are
+    all equal is written once and joined into the literal text around it; one
+    bit-identical to an earlier written column of its dtype reuses that column's
+    cells.  The texts and cells of each block of ``_BLOCK_ROWS`` rows fill one flat
+    list by slice assignment, and the list is joined once."""
+    if not (len(table) and len(fields)):  # as if no rows
+        return head + tail
+    texts, columns, shares = [""], [], []  # texts[j] precedes columns[j]; texts[-1] ends a row
+    for key, name in zip(keys, fields):
+        column = table[name]
+        texts[-1] += key
+        if (_bits(column) == _bits(column)[0]).all():
+            texts[-1] += cells(column[:1])[0]
+            continue
+        shares.append(next((j for j, other in enumerate(columns) if other.dtype == column.dtype
+                            and (_bits(other) == _bits(column)).all()), None))
+        columns.append(column)
+        texts.append("")
+    texts[-1] += end
+    if not columns:  # every row is one text
+        return head + sep.join([texts[0]] * len(table)) + tail
+    stride = 2 * len(columns)
+    row = [None] * stride
+    row[1::2] = [*texts[1:-1], texts[-1] + sep + texts[0]]
+    blocks = []
+    for start in range(0, len(table), _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, len(table))
+        parts, written = row * (stop - start), []
+        for j, (column, share) in enumerate(zip(columns, shares)):
+            written.append(cells(column[start:stop]) if share is None else written[share])
+            parts[2 * j::stride] = written[j]
+        if not start:
+            parts[0] = head + texts[0] + parts[0]
+        if stop == len(table):
+            parts[-1] = texts[-1] + tail
+        blocks.append("".join(parts))
+    return "".join(blocks)
 
 
 def records_to_csv(rows, fields: Sequence[str]) -> str:
-    """Render sweep rows (a ``ROW_DTYPE`` table or a list of its rows) as CSV, one
-    line template filled per row, so identical configurations give identical bytes.
-    A float column of repeated values fills a ``%s`` slot with its distinct cells;
-    every other column is formatted by its own slot inside the row's one ``%``."""
-    table = _table(rows, fields)
-    slots, columns = [], []
-    for name in fields:
-        column = table[name]
-        cells = _distinct_cells(_csv_floats, column) if column.dtype.kind == "f" else None
-        slots.append(_CSV_CELLS[column.dtype.kind] if cells is None else "%s")
-        columns.append(column.tolist() if cells is None else cells)
-    line = ",".join(slots) + "\n"
-    return ",".join(fields) + "\n" + "".join(map(line.__mod__, zip(*columns)))
+    """Render sweep rows (a ``ROW_DTYPE`` table or a list of its rows) as CSV, floats
+    with 12 significant digits, so identical configurations give identical bytes.
+    Only the varying columns are written per row (see :func:`_encode`); a float
+    column of repeated values has each distinct cell written once."""
+    return _encode(_table(rows, fields), fields,
+                   functools.partial(_cells, floats=_csv_floats, quote=str),
+                   ["", *[","] * (len(fields) - 1)],
+                   head=",".join(fields) + "\n", end="\n", sep="", tail="")
 
 
 def records_to_json(rows, fields: Sequence[str]) -> str:
     """The rows of :func:`records_to_csv` as ``json.dumps({"records": [...]},
-    indent=2)`` writes their CSV cells read back, one record template per row."""
+    indent=2)`` writes their CSV cells read back: a float cell is its CSV text, read
+    back only where its ``repr`` can differ."""
     table = _table(rows, fields)
-    if not len(table):
+    if not (len(table) and len(fields)):
         return json.dumps({"records": []}, indent=2) + "\n"
-    record = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
-    cells = zip(*(_json_cells(table[name]) for name in fields))
-    body = ",\n".join(map(f"    {{\n{record}\n    }}".__mod__, cells))
-    return f'{{\n  "records": [\n{body}\n  ]\n}}\n'
+    keys = [("," if k else "") + f"\n      {json.dumps(name)}: " for k, name in enumerate(fields)]
+    return _encode(table, fields, functools.partial(_cells, floats=_json_floats, quote=json.dumps),
+                   keys, head='{\n  "records": [\n    {', end="\n    }", sep=",\n    {",
+                   tail="\n  ]\n}\n")

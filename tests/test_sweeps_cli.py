@@ -543,10 +543,9 @@ class TestEncoding:
 
 
 def _reference_encoding(rows, fields) -> tuple[str, str]:
-    """CSV and JSON as the encoders wrote them before the per-row templates:
-    each cell formatted to text by its column's dtype kind and, for JSON,
-    parsed back and written by ``json.dumps``.  The reference the templates
-    must match byte for byte."""
+    """CSV and JSON written cell by cell: each cell formatted to text by its
+    column's dtype kind and, for JSON, parsed back and written by
+    ``json.dumps``.  The reference the encoders must match byte for byte."""
     rules = {"U": (str, str), "i": (str, int), "f": ("{:.12g}".format, float)}
     table = np.asarray(rows, dtype=ROW_DTYPE)
     cells, values = [], []
@@ -560,7 +559,7 @@ def _reference_encoding(rows, fields) -> tuple[str, str]:
 
 
 class TestEncodingReference:
-    """The template encoders against :func:`_reference_encoding`, byte for byte."""
+    """The encoders against :func:`_reference_encoding`, byte for byte."""
 
     #: Floats where the 12-digit CSV cell and the ``repr`` JSON writes for the
     #: value it reads back differ in form: %.12g turns to exponent form at
@@ -651,15 +650,20 @@ class TestEncodingReference:
         np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
                   0x7FF0000000000001, 0xFFF4000000000123], dtype=np.uint64).view(np.float64)])
 
-    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
-    def test_repeated_odd_cells(self, fields, rng):
-        table = np.recarray(3_000, dtype=ROW_DTYPE)
+    @classmethod
+    def repeated_odd(cls, rng, n: int) -> np.recarray:
+        """A table of ``n`` rows whose float columns draw from ``REPEATED``."""
+        table = np.recarray(n, dtype=ROW_DTYPE)
         for name in ROW_DTYPE.names:
             if ROW_DTYPE[name].kind == "f":
-                table[name] = self.REPEATED[rng.integers(len(self.REPEATED), size=len(table))]
-        table.statistics = rng.choice(self.TEXTS, size=len(table))
-        table.violated = rng.choice(self.INTS, size=len(table))
-        self.assert_matches_reference(table, fields)
+                table[name] = cls.REPEATED[rng.integers(len(cls.REPEATED), size=len(table))]
+        table.statistics = rng.choice(cls.TEXTS, size=len(table))
+        table.violated = rng.choice(cls.INTS, size=len(table))
+        return table
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    def test_repeated_odd_cells(self, fields, rng):
+        self.assert_matches_reference(self.repeated_odd(rng, 3_000), fields)
 
     @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
     @pytest.mark.parametrize("extra", [0, 1], ids=["half", "half+1"])
@@ -678,17 +682,23 @@ class TestEncodingReference:
         table.violated = 1
         self.assert_matches_reference(table, fields)
 
-    def test_random_bit_patterns(self, rng):
-        """Doubles drawn as raw 64-bit patterns cover every exponent, sign and
-        NaN payload."""
-        table = np.recarray(2_000, dtype=ROW_DTYPE)
+    @classmethod
+    def random_bits(cls, rng, n: int) -> np.recarray:
+        """A table of ``n`` rows whose floats and ints are raw 64-bit patterns."""
+        table = np.recarray(n, dtype=ROW_DTYPE)
         for name in ROW_DTYPE.names:
             if ROW_DTYPE[name].kind == "f":
                 table[name] = rng.integers(0, 2**64, size=len(table), dtype=np.uint64,
                                            endpoint=False).view(np.float64)
-        table.statistics = rng.choice(self.TEXTS, size=len(table))
+        table.statistics = rng.choice(cls.TEXTS, size=len(table))
         table.violated = rng.integers(-2**63, 2**63, size=len(table), dtype=np.int64,
                                       endpoint=False)
+        return table
+
+    def test_random_bit_patterns(self, rng):
+        """Doubles drawn as raw 64-bit patterns cover every exponent, sign and
+        NaN payload."""
+        table = self.random_bits(rng, 2_000)
         self.assert_matches_reference(table, CSV_FIELDS)
         self.assert_matches_reference(table, BELL_REGION_FIELDS)
 
@@ -708,6 +718,93 @@ class TestEncodingReference:
         table.statistics = "fermion"
         table.violated = 0
         self.assert_matches_reference(table, CSV_FIELDS)
+
+
+    @staticmethod
+    def written(monkeypatch) -> list[np.ndarray]:
+        """The columns the encoders write cells for from here on, in call order."""
+        calls, cells = [], sweeps._cells
+
+        def spy(column, **kwargs):
+            calls.append(column.copy())
+            return cells(column, **kwargs)
+
+        monkeypatch.setattr(sweeps, "_cells", spy)
+        return calls
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda cls, rng: cls.edges(), id="edges"),
+        pytest.param(lambda cls, rng: cls.repeated_odd(rng, 150), id="repeated-odd"),
+        pytest.param(lambda cls, rng: cls.random_bits(rng, 150), id="random-bits")])
+    def test_block_size_invariance(self, make, monkeypatch, rng):
+        """Blocks of 1, 2, 7, n - 1 and n rows write the bytes of one whole block;
+        small blocks also write a repeated column row by row in one block and
+        each distinct cell once in the next."""
+        table = make(type(self), rng)
+        for rows in (1, 2, 7, len(table) - 1, len(table)):
+            monkeypatch.setattr(sweeps, "_BLOCK_ROWS", rows)
+            for fields in (CSV_FIELDS, BELL_REGION_FIELDS):
+                self.assert_matches_reference(table, fields)
+
+    def test_block_of_rows(self, rng):
+        """A table of exactly ``_BLOCK_ROWS`` rows is one block."""
+        table = self.repeated_odd(rng, sweeps._BLOCK_ROWS)
+        table.l = rng.integers(0, 2**64, size=len(table), dtype=np.uint64).view(np.float64)
+        self.assert_matches_reference(table, (*CSV_FIELDS, "violated"))
+
+    def test_no_fields(self):
+        self.assert_matches_reference(self.edges(), ())
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    def test_one_row(self, fields):
+        """Every column of a one-row table is constant: the row is one text."""
+        table = self.edges()
+        for k in range(len(table)):
+            self.assert_matches_reference(table[k:k + 1], fields)
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
+    def test_constant_columns(self, fields, monkeypatch, rng):
+        """A column whose bit patterns are all equal has one cell written: all
+        ``-0.0``, one signalling NaN payload, text that looks like a ``%`` format
+        and the smallest int64.  Equal values of other bits are not constant."""
+        table = self.random_bits(rng, 60)
+        table.p = -0.0
+        table.theta = np.full(len(table), 0xFFF4000000000123, dtype=np.uint64).view(np.float64)
+        table.statistics = "%s%d"
+        table.violated = -2**63
+        table.indist = np.resize([0.0, -0.0], len(table))  # equal values, two patterns
+        assert (table.theta.view(np.uint64) == 0xFFF4000000000123).all()
+        written = self.written(monkeypatch)
+        for encode in (records_to_csv, records_to_json):
+            written.clear()
+            encode(table, fields)
+            constant = [name for name in fields if name in ("p", "theta", "statistics",
+                                                            "violated")]
+            assert sorted(map(len, written)) == (
+                [1] * len(constant) + [len(table)] * (len(fields) - len(constant)))
+        monkeypatch.undo()
+        self.assert_matches_reference(table, fields)
+
+    @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS + ("eof",)])
+    def test_shared_columns(self, fields, monkeypatch, rng):
+        """A column bit-identical to an earlier written one reuses its cells; one
+        equal to it by value only (``-0.0`` for ``0.0``) is written on its own."""
+        table = self.random_bits(rng, 40)
+        table.lprime = table.l
+        table.concurrence = np.resize([0.0, 0.25, 1.0, 3.0], len(table))
+        table.indist = table.concurrence
+        table.eof = np.where(table.concurrence == 0.0, -0.0, table.concurrence)
+        written = self.written(monkeypatch)
+        for encode in (records_to_csv, records_to_json):
+            written.clear()
+            encode(table, fields)
+            shared = {"lprime", "concurrence"} if "l" in fields else set()
+            assert len(written) == len(fields) - len(shared)
+            patterns = [column.view(np.uint64).tobytes() for column in written
+                        if column.dtype.kind == "f"]
+            assert len(set(patterns)) == len(patterns)  # no column written twice
+        monkeypatch.undo()
+        self.assert_matches_reference(table, fields)
 
 
 class TestSvg:
