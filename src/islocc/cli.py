@@ -13,17 +13,20 @@ families as one stacked Werner-family array in closed form
 every encoder reads column by column; ``bell-region`` writes the same
 table with the ``p``, ``indist``, ``bell`` and ``violated`` columns.
 ``threshold`` takes no grid, format, ``--constraint`` or ``--lprime`` flags;
-it ignores the grid and format keys of a config file, and a config-file
-``constraint`` other than ``l_eq_rprime`` exits 2 with the threshold search's
-own message.  Only ``islocc verify`` loads the oracle (:mod:`islocc.verify`
-and the amplitude engine under it); ``sweep``, ``bell-region`` and
-``threshold`` load :mod:`islocc.xstate`, :mod:`islocc.sweeps` and
-:mod:`islocc.svg` alone.
+it does not read the grid and format keys of a config file, but they must pass
+every sweep rule, the row cap included, and a config-file ``constraint`` other
+than ``l_eq_rprime`` exits 2 with the threshold search's own message.  Each
+handler returns its exit code, text and output path, and :func:`main` writes
+the text; a failed write, to a file or to stdout, exits 2.  Only
+``islocc verify`` loads the oracle (:mod:`islocc.verify` and the amplitude
+engine under it); ``sweep``, ``bell-region`` and ``threshold`` load
+:mod:`islocc.xstate`, :mod:`islocc.sweeps` and :mod:`islocc.svg` alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -110,21 +113,22 @@ def _check_writable(output: str) -> None:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
-        return
+    """Write ``text`` to the file ``output``, or to stdout and flush it.  A failed
+    write is a :class:`ConfigError`; what stdout took before it stays written."""
     try:
-        Path(output).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot write output file {output!r}: {exc}") from None
-
-
-def _render(records, fmt: str, fields, svg_renderer) -> str:
-    if fmt == "csv":
-        return records_to_csv(records, fields)
-    if fmt == "json":
-        return records_to_json(records, fields)
-    return svg_renderer(records)
+        if output is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:  # a closed pipe, a full disk
+        if output is None:  # so that the flush at exit finds the null device, not the failure
+            with contextlib.suppress(OSError, ValueError):  # a stdout with no descriptor
+                stdout, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stdout)
+                os.close(devnull)
+        where = "to stdout" if output is None else f"output file {output!r}"
+        raise ConfigError(f"cannot write {where}: {exc}") from None
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -175,30 +179,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_grid(args: argparse.Namespace, fields, svg_renderer) -> int:
+def _cmd_grid(args: argparse.Namespace, fields, svg_renderer) -> tuple[int, str, str | None]:
     config = build_config(args)
     if config.format == "svg" and config.output is None:
         raise ConfigError("svg output needs --output")
-    _emit(_render(run_sweep(config), config.format, fields, svg_renderer), config.output)
-    return 0
+    table = run_sweep(config)
+    if config.format == "svg":
+        return 0, svg_renderer(table), config.output
+    encode = records_to_csv if config.format == "csv" else records_to_json
+    return 0, encode(table, fields), config.output
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
+def _cmd_threshold(args: argparse.Namespace) -> tuple[int, str, str | None]:
     values = _merged_values(args)
     # before the sweep rules, which would ask for an l_grid the search never reads
     _check_threshold_family(values.get("constraint", SweepConfig.constraint))
     config = _checked_config(values)
-    result = find_threshold(config)
-    _emit(json.dumps(result.as_dict(), indent=2) + "\n", config.output)
-    return 0
+    return 0, json.dumps(find_threshold(config).as_dict(), indent=2) + "\n", config.output
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, None]:
     from .verify import run_verify  # the oracle loads for this command only
     report = run_verify(seed=args.seed)
-    for line in report.summary_lines():
-        print(line)
-    return 0 if report.ok else 1
+    return 0 if report.ok else 1, "".join(line + "\n" for line in report.summary_lines()), None
 
 
 def _attach_numbers(argv: list[str]) -> list[str]:
@@ -233,10 +236,12 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        return handlers[args.command](args)
+        code, text, output = handlers[args.command](args)
+        _emit(text, output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

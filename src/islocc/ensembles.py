@@ -22,7 +22,6 @@ __all__ = [
     "MixedState",
     "pure_norm_sq",
     "mixed_trace",
-    "state_overlap",
 ]
 
 
@@ -90,11 +89,6 @@ class MixedState:
     @property
     def basis(self) -> ModeBasis:
         return self.ensemble[0][1].basis
-
-
-def state_overlap(bra: ElementaryKet, state: PureNState) -> complex:
-    """<bra|state> for an elementary bra against a superposition."""
-    return sum((c * amplitude(bra, ket) for c, ket in state.terms), 0j)
 
 
 def pure_norm_sq(state: PureNState) -> float:

@@ -2,14 +2,17 @@
 
 Post-selecting exactly one particle in each of N separated modes maps an
 N-particle state of identical particles onto a 2^N-dimensional register of
-addressable pseudospins.  The projected density matrix is normalized to
-unit trace; the detection probability is the projected weight divided by
-the global trace of the input ensemble; one pass over the Fock states of
-the mode basis gives both.  Every particle of a Fock state is a basis
-vector, so its overlap with a product ket is the permanent or determinant
-of the ket's particle vectors read at its slots.  :func:`normalize_block`
-divides one raw projected block, and :class:`ProjectedDensityMatrix`
-checks the result once, with :func:`check_density_matrix`.
+addressable pseudospins, whose computational basis lists the spin tuples
+(s_1, ..., s_N) of the N regions in lexicographic order, up before down: for
+N = 2, (up, up), (up, down), (down, up), (down, down).  The projected density
+matrix is normalized to unit trace; the detection probability is the
+projected weight divided by the global trace of the input ensemble; one pass
+over the Fock states of the mode basis gives both.  Every particle of a Fock
+state is a basis vector, so its overlap with a product ket is the permanent
+or determinant of the ket's particle vectors read at its slots.
+:func:`normalize_block` divides one raw projected block, and
+:class:`ProjectedDensityMatrix` checks the result once, with
+:func:`check_density_matrix`.
 
 This general-N path, with its eigen-solver check, is the oracle of the
 sweep and threshold rows, which :class:`~islocc.xstate.WernerFamily`
@@ -28,14 +31,13 @@ import numpy as np
 
 from .amplitudes import BOSON, _amplitudes
 from .ensembles import MixedState
-from .states import SPIN_ORDER, ModeBasis, Spin
+from .states import ModeBasis
 from .xstate import _EIG_ATOL, _HERM_ATOL, _UNDEFINED_RTOL, _ZERO_TRACE_ATOL
 
 __all__ = [
     "ProjectionUndefinedError",
     "ZeroTraceError",
     "ProjectedDensityMatrix",
-    "spin_configurations",
     "check_density_matrix",
     "normalize_block",
     "project",
@@ -47,12 +49,6 @@ class ProjectionUndefinedError(ValueError):
 
 class ZeroTraceError(ValueError):
     """The input ensemble has zero global trace (an empty physical state)."""
-
-
-def spin_configurations(n: int) -> list[tuple[Spin, ...]]:
-    """Spin tuples in fixed computational order; for n=2 this is
-    (up,up), (up,down), (down,up), (down,down)."""
-    return list(product(SPIN_ORDER, repeat=n))
 
 
 def _check_regions(basis: ModeBasis, regions: Sequence[str]) -> tuple[str, ...]:
@@ -84,9 +80,9 @@ def check_density_matrix(matrix: np.ndarray, probability: float) -> None:
 class ProjectedDensityMatrix:
     """Unit-trace density matrix on the post-selected (region, spin) register.
 
-    ``matrix`` is 2^N x 2^N over the computational basis ordered as in
-    :func:`spin_configurations`; ``probability`` is the chance of the
-    post-selection succeeding on the globally normalized input.
+    ``matrix`` is 2^N x 2^N over the computational basis in the module's order;
+    ``probability`` is the chance of the post-selection succeeding on the
+    globally normalized input.
     """
 
     matrix: np.ndarray

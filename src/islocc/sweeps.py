@@ -22,11 +22,11 @@ table written with the ``BELL_REGION_FIELDS`` columns, whose ``violated`` is
 ``B > 2``.  Both encoders write a table column by column through one core, and
 only the columns that vary are written per row.  A column whose bit patterns are
 all equal (a sweep's ``theta`` and ``statistics``) is written once into the
-literal text around it; one bit-identical to an earlier column (``lprime`` where
-l' = l) reuses that column's cells; a float column with at most half its bit
-patterns distinct, as the grid columns are, has each distinct pattern formatted
-once.  The texts and cells of a block of rows fill one list that is joined once,
-so no per-row template or string is built.  The JSON text is that of
+literal text around it; one bit-identical to the previous written column of its
+dtype (``lprime`` where l' = l) reuses that column's cells; a float column with
+at most half its bit patterns distinct, as the grid columns are, has each
+distinct pattern formatted once.  The texts and cells of a block of rows fill
+one list that is joined once, so no per-row template or string is built.  The JSON text is that of
 ``json.dumps(..., indent=2)``, and its float cells are the CSV cells, read back
 only where ``repr`` can differ.
 
@@ -269,6 +269,8 @@ def l_for_indist(target):
     active = (hi - lo > _L_TOL) & (0.0 < target) & (target < 1.0)
     while active.any():
         mid = 0.5 * (lo + hi)
+        # adjacent floats: each interior target stops at _L_TOL after exactly 39
+        # halvings, never here, but this is what stops the loop at a tolerance <= 0
         active &= (lo < mid) & (mid < hi)
         above = active & (_family_degree(mid) > target)
         np.copyto(lo, mid, where=above)
@@ -415,7 +417,7 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
 
     def probe(ls: np.ndarray) -> list[tuple[float, ...]]:  # the _Probe fields of each l
         family = WernerFamily(config.target, ls, _unit_r(ls), stats, theta)
-        return list(zip(*(a.tolist() for a in (indist_on_family(ls), ls, *family._worst()))))
+        return list(zip(*(a.tolist() for a in (indist_on_family(ls), ls, *family.worst_bell()))))
 
     first = probe(np.concatenate(([_SQRT_HALF], _bisection_tree(_SQRT_HALF, 1.0))))
     inside, block, node = _Probe(*first[0]), first[1:], 0  # the violating end, degree 1
@@ -429,7 +431,9 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
             block, node = probe(_bisection_tree(inside.l, outside_l)), 0
         at_mid = _Probe(*block[node])
         if at_mid.l in (inside.l, outside_l):
-            break  # the bracket is down to adjacent floats
+            # adjacent floats: searches stop at _DEGREE_TOL within 14 halvings,
+            # never here, but this is what stops the loop at a tolerance <= 0
+            break
         if at_mid.bell > 2.0:
             inside, node = at_mid, 2 * node + 2
         else:
@@ -518,20 +522,24 @@ def _encode(table: np.ndarray, fields: Sequence[str], cells, keys: Sequence[str]
 
     Only the columns that vary are written per row.  A column whose bit patterns are
     all equal is written once and joined into the literal text around it; one
-    bit-identical to an earlier written column of its dtype reuses that column's
-    cells.  The texts and cells of each block of ``_BLOCK_ROWS`` rows fill one flat
-    list by slice assignment, and the list is joined once."""
+    bit-identical to the previous written column of its dtype reuses that column's
+    cells; on the program's tables twins sit in such runs (``l``, ``lprime``).  The
+    texts and cells of each block of ``_BLOCK_ROWS`` rows fill one flat list by slice
+    assignment, and the list is joined once."""
     if not (len(table) and len(fields)):  # as if no rows
         return head + tail
     texts, columns, shares = [""], [], []  # texts[j] precedes columns[j]; texts[-1] ends a row
+    previous = {}  # dtype -> index of the last written column of that dtype
     for key, name in zip(keys, fields):
         column = table[name]
         texts[-1] += key
         if (_bits(column) == _bits(column)[0]).all():
             texts[-1] += cells(column[:1])[0]
             continue
-        shares.append(next((j for j, other in enumerate(columns) if other.dtype == column.dtype
-                            and (_bits(other) == _bits(column)).all()), None))
+        twin = previous.get(column.dtype)
+        shares.append(twin if twin is not None
+                      and (_bits(columns[twin]) == _bits(column)).all() else None)
+        previous[column.dtype] = len(columns)
         columns.append(column)
         texts.append("")
     texts[-1] += end

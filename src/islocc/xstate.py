@@ -217,9 +217,10 @@ class WernerFamily:
             raise ValueError(f"noise probabilities must lie in [0, 1], got {p!r}")
         return self._evaluate(p)
 
-    def worst_bell(self) -> tuple[np.ndarray, np.ndarray]:
-        """Noise probability p* in [0, 1] minimizing each family's CHSH value,
-        and that value B*, as two arrays with one entry per family.
+    def worst_bell(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Noise probability p* in [0, 1] minimizing each family's CHSH value, that
+        value B* and the concurrence C* at p* (the bits ``evaluate([p*])`` gives the
+        family alone), as three arrays with one entry per family.
 
         The raw entries W (u, v, y)(p) = E + p (N/4 - E) of every row are
         affine in p, and so are the contrast a = 2 W (u - v), the detection
@@ -231,15 +232,10 @@ class WernerFamily:
         is a candidate too: where the minimum sits there, it can give B to
         the last bit when the foot rounds above it.  The candidates that
         fall in [0, 1] go through the checked path of :meth:`evaluate`
-        together, and the smallest CHSH value wins.  A zero weight can only
-        sit at p = 0 or 1 (w is affine and >= 0); such rows read B = 0, as
-        in :meth:`evaluate`.  No entanglement of formation is computed.
+        together, and the smallest CHSH value wins, with C* read off its row.
+        A zero weight can only sit at p = 0 or 1 (w is affine and >= 0); such
+        rows read B = 0, as in :meth:`evaluate`; no entanglement of formation is computed.
         """
-        return self._worst()[:2]
-
-    def _worst(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`worst_bell`'s p* and B*, and the concurrence at p* from the same
-        rows: the bits ``evaluate([p*])`` gives the family alone."""
         v0, y0 = self._target
         noise_u, noise_v, noise_y = self._noise
         u1, v1, y1 = noise_u / 4.0, noise_v / 4.0 - v0, noise_y / 4.0 - y0

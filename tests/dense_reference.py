@@ -3,12 +3,24 @@ the detection subspace, and single matrix elements <bra| m |ket> summed over
 an ensemble one overlap at a time.  :func:`islocc.slocc.project` reads the
 same block off the Fock basis in one pass."""
 
+from itertools import product
 from typing import Sequence
 
-from islocc.amplitudes import ElementaryKet
-from islocc.ensembles import MixedState, state_overlap
-from islocc.slocc import _check_regions, spin_configurations
-from islocc.states import ModeBasis, SingleParticleState
+from islocc.amplitudes import ElementaryKet, amplitude
+from islocc.ensembles import MixedState, PureNState
+from islocc.slocc import _check_regions
+from islocc.states import SPIN_ORDER, ModeBasis, SingleParticleState, Spin
+
+
+def spin_configurations(n: int) -> list[tuple[Spin, ...]]:
+    """Spin tuples in fixed computational order; for n=2 this is
+    (up,up), (up,down), (down,up), (down,down)."""
+    return list(product(SPIN_ORDER, repeat=n))
+
+
+def state_overlap(bra: ElementaryKet, state: PureNState) -> complex:
+    """<bra|state> for an elementary bra against a superposition."""
+    return sum((c * amplitude(bra, ket) for c, ket in state.terms), 0j)
 
 
 def computational_kets(basis: ModeBasis, regions: Sequence[str],

@@ -49,6 +49,14 @@ def test_one_side_reports_median_iqr_and_digest():
     assert "change_faster_pairs" not in report
 
 
+def test_bell_region_map_writes_the_pinned_bytes():
+    # the 41 x 41 bell-region CSV, whose digest the hash-seed CI step also pins
+    workload = {"bell-region-41": bench.WORKLOADS["bell-region-41"]}
+    report = bench.measure(workload, {"change": ROOT / "src"}, repeats=1)["bell-region-41"]
+    assert report["status"] == "ok"
+    assert report["sha256"] == "7a3b5ad9edd3b2e8b407570baefbde55d8518c63ded5a3c1d3825915837188b0"
+
+
 def test_summary_quartiles():
     assert bench.summary([4.0, 1.0, 3.0, 2.0, 5.0]) == {
         "median": 3.0, "q1": 2.0, "q3": 4.0, "iqr": 2.0, "runs": [4.0, 1.0, 3.0, 2.0, 5.0]}

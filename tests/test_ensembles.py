@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet
-from islocc.ensembles import MixedState, PureNState, mixed_trace, pure_norm_sq, state_overlap
+from islocc.ensembles import MixedState, PureNState, mixed_trace, pure_norm_sq
 from islocc.states import (DOWN, UP, ModeBasis, SingleParticleState, SpatialWave,
                            make_peaked)
 from islocc.werner import (WernerSpec, bell_states, werner_direct)
 from islocc.verify import random_single_particle
 
-from dense_reference import matrix_element
+from dense_reference import matrix_element, state_overlap
 
 LR = ModeBasis(("L", "R"))
 SQRT_HALF = 1.0 / math.sqrt(2.0)

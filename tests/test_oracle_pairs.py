@@ -56,13 +56,12 @@ def test_project_needs_no_ensemble_norm(monkeypatch):
 def test_project_builds_no_ket_and_calls_no_amplitude(monkeypatch, statistics):
     spec = spec_from_l(0.4, "1_minus", 0.8, 0.6, statistics)
     state = werner_direct(spec)
-    _disable(monkeypatch, ElementaryKet, ensembles.state_overlap, amplitudes.amplitude,
-             amplitudes.amplitude_fast)
+    _disable(monkeypatch, ElementaryKet, amplitudes.amplitude, amplitudes.amplitude_fast)
     projected = slocc.project(state, ("L", "R"))
     expected = closed_form_probability_minus(0.8, 0.6, 0.6, 0.8, 0.4, statistics)
     assert projected.probability == pytest.approx(expected, abs=1e-12)
     with pytest.raises(AssertionError, match="oracle pair"):
-        ensembles.state_overlap(None, state.ensemble[0][1])
+        amplitudes.amplitude(None, None)
 
 
 @pytest.mark.parametrize("statistics", [BOSON, FERMION])

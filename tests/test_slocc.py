@@ -6,15 +6,14 @@ import pytest
 from islocc import slocc
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet
 from islocc.ensembles import MixedState, PureNState, mixed_trace
-from islocc.slocc import (ProjectedDensityMatrix, ProjectionUndefinedError, project,
-                          spin_configurations)
+from islocc.slocc import ProjectedDensityMatrix, ProjectionUndefinedError, project
 from islocc.states import DOWN, UP, ModeBasis, SpatialWave, make_peaked
 from islocc.verify import random_single_particle
 from islocc.werner import (WernerSpec, closed_form_probability_minus,
                            closed_form_probability_plus, spec_from_l,
                            werner_direct)
 
-from dense_reference import computational_kets, matrix_element
+from dense_reference import computational_kets, matrix_element, spin_configurations
 
 LR = ModeBasis(("L", "R"))
 SQRT_HALF = 1.0 / math.sqrt(2.0)

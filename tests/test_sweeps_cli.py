@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -787,13 +788,16 @@ class TestEncodingReference:
 
     @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS + ("eof",)])
     def test_shared_columns(self, fields, monkeypatch, rng):
-        """A column bit-identical to an earlier written one reuses its cells; one
-        equal to it by value only (``-0.0`` for ``0.0``) is written on its own."""
+        """A column bit-identical to the previous written column of its dtype reuses
+        its cells; one equal to it by value only (``-0.0`` for ``0.0``), or
+        bit-identical to an earlier column only (``bell`` to ``p``, with columns
+        between them), is written on its own."""
         table = self.random_bits(rng, 40)
         table.lprime = table.l
         table.concurrence = np.resize([0.0, 0.25, 1.0, 3.0], len(table))
         table.indist = table.concurrence
         table.eof = np.where(table.concurrence == 0.0, -0.0, table.concurrence)
+        table.bell = table.p
         written = self.written(monkeypatch)
         for encode in (records_to_csv, records_to_json):
             written.clear()
@@ -802,9 +806,55 @@ class TestEncodingReference:
             assert len(written) == len(fields) - len(shared)
             patterns = [column.view(np.uint64).tobytes() for column in written
                         if column.dtype.kind == "f"]
-            assert len(set(patterns)) == len(patterns)  # no column written twice
+            # p's cells are written twice, for p and for bell; no other column's are
+            assert patterns.count(table.p.view(np.uint64).tobytes()) == 2
+            assert len(set(patterns)) == len(patterns) - 1
         monkeypatch.undo()
         self.assert_matches_reference(table, fields)
+
+    @pytest.mark.parametrize("config", [
+        SweepConfig(indist_grid=GridSpec(0, 1, 41), p_grid=GridSpec(0, 1, 41)),
+        SweepConfig(statistics=BOSON, target="1_plus", indist_grid=GridSpec(0, 1, 9),
+                    p_grid=GridSpec(0.5, 0.5, 1)),
+        SweepConfig(indist_grid=GridSpec(0.3, 0.3, 1), p_grid=GridSpec(0, 1, 9)),
+        SweepConfig(target="1_plus", l_grid=GridSpec(0, 1, 21), p_grid=GridSpec(0, 0, 1)),
+        SweepConfig(statistics=BOSON, target="1_plus", theta=1.0, constraint="l_eq_lprime",
+                    l_grid=GridSpec(0, 1, 801), p_grid=GridSpec(0.5, 0.5, 1)),
+        SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 21),
+                    p_grid=GridSpec(0, 1, 21)),
+        SweepConfig(statistics=BOSON, constraint="l_eq_lprime", l_grid=GridSpec(0.8, 0.8, 1),
+                    p_grid=GridSpec(0, 1, 5)),
+        SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(0.2, 0.9, 15),
+                    p_grid=GridSpec(1, 1, 1)),
+        SweepConfig(constraint="free", lprime=0.3, l_grid=GridSpec(0, 1, 21),
+                    p_grid=GridSpec(0, 1, 21)),
+        SweepConfig(statistics=BOSON, target="1_plus", constraint="free", lprime=0.6,
+                    l_grid=GridSpec(0, 1, 31), p_grid=GridSpec(0.25, 0.25, 1)),
+        SweepConfig(constraint="free", lprime=0.8, l_grid=GridSpec(0.6, 0.6, 1),
+                    p_grid=GridSpec(0, 1, 11)),
+        SweepConfig(target="1_plus", constraint="free", lprime=1.0, l_grid=GridSpec(0, 1, 21),
+                    p_grid=GridSpec(0, 0, 1)),
+    ])
+    def test_program_tables_have_twins_only_in_runs(self, config):
+        """On the tables ``run_sweep`` builds, a varying float column with the bits
+        of an earlier varying one has the bits of the one right before it, so twins
+        sit in runs: ``l``, ``lprime`` under ``l_eq_lprime``, and runs of
+        ``indist``, ``concurrence``, ``eof`` and ``p_lr`` where those read only 0
+        and 1.  Comparing each column with the previous written one of its dtype
+        then shares every column that comparing with all earlier ones would."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # flagged rows
+            table = run_sweep(config)
+        for fields in (CSV_FIELDS, BELL_REGION_FIELDS):
+            bits = {name: table[name].view(np.uint64) for name in fields
+                    if table.dtype[name].kind == "f"}
+            varying = [name for name, column in bits.items() if (column != column[0]).any()]
+            for k, name in enumerate(varying):
+                if any(np.array_equal(bits[other], bits[name]) for other in varying[:k]):
+                    assert np.array_equal(bits[varying[k - 1]], bits[name]), name
+            if "l" in varying:
+                assert np.array_equal(bits["l"], bits["lprime"]) == (
+                    config.constraint == "l_eq_lprime")
 
 
 class TestSvg:
@@ -831,6 +881,34 @@ class TestSvg:
     @pytest.mark.parametrize("renderer", [sweep_svg, bell_region_svg])
     def test_no_rows(self, renderer):
         assert renderer([]) == "<svg xmlns='http://www.w3.org/2000/svg'/>"
+
+    @pytest.mark.parametrize("command", ["sweep", "bell-region"])
+    def test_one_step_noise_grid(self, command, tmp_path):
+        """A one-point p grid gives an empty x range, drawn at the middle of the
+        plot: every coordinate stays on the 640 x 420 canvas, and two runs write
+        the same bytes."""
+        texts = []
+        for run in range(2):
+            path = tmp_path / f"{run}.svg"
+            assert main([command, "--p-grid", "0.5:0.5:1", "--format", "svg",
+                         "--output", str(path)]) == 0
+            texts.append(path.read_text(encoding="utf-8"))
+        assert texts[0] == texts[1]
+        text = texts[0]
+        xs = [float(v) for v in re.findall(r' (?:x|x1|x2)="([^"]+)"', text)]
+        ys = [float(v) for v in re.findall(r' (?:y|y1|y2)="([^"]+)"', text)]
+        for points in re.findall(r' points="([^"]+)"', text):
+            for point in points.split():
+                x, y = map(float, point.split(","))
+                xs.append(x)
+                ys.append(y)
+        for x, width in re.findall(r'<rect x="([^"]+)" y="[^"]+" width="([^"]+)"', text):
+            xs.append(float(x) + float(width))
+        for y, height in re.findall(r'<rect x="[^"]+" y="([^"]+)" width="[^"]+" '
+                                    r'height="([^"]+)"', text):
+            ys.append(float(y) + float(height))
+        assert len(xs) > 20 and len(ys) > 20
+        assert all(0.0 <= x <= 640.0 for x in xs) and all(0.0 <= y <= 420.0 for y in ys)
 
 
 class TestThreshold:
@@ -881,7 +959,7 @@ class TestThreshold:
         # is the maximally mixed state: the search takes B* = 0 there unprobed
         assert indist_on_family(1.0) == 0.0
         for theta in [*self.EDGE_THETAS, *rng.uniform(-100.0, 100.0, 500).tolist()]:
-            _, bell = WernerFamily(target, 1.0, 0.0, statistics, theta).worst_bell()
+            _, bell, _ = WernerFamily(target, 1.0, 0.0, statistics, theta).worst_bell()
             assert bell[0] == 0.0, theta
 
     def test_degree_zero_end_is_not_probed(self, monkeypatch):
@@ -980,7 +1058,7 @@ def _reference_find_threshold(config: SweepConfig) -> ThresholdResult:
 
     def probe(l: float) -> _ReferenceProbe:
         family = WernerFamily(config.target, l, _unit_r(l), stats, theta)
-        worst_p, bell = family.worst_bell()
+        worst_p, bell, _ = family.worst_bell()
         return _ReferenceProbe(l, float(indist_on_family(l)), family, float(worst_p[0]),
                                float(bell[0]))
 
@@ -1420,6 +1498,79 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[FAIL] closed-forms-vs-pipeline" in out
 
+    #: One run of each command that writes to stdout, on a small grid.
+    STDOUT_COMMANDS = pytest.mark.parametrize("argv", [
+        ["sweep", "--indist-grid", "0:1:3", "--p-grid", "0:1:3"],
+        ["bell-region", "--indist-grid", "0:1:3", "--p-grid", "0:1:3"],
+        ["threshold"], ["verify"]], ids=["sweep", "bell-region", "threshold", "verify"])
+
+    @staticmethod
+    def _child(argv, stdout) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-m", "islocc", *argv], env=_child_env(),
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+    @STDOUT_COMMANDS
+    def test_closed_stdout_pipe_exits_2(self, argv):
+        read, write = os.pipe()
+        os.close(read)  # every write to the pipe now fails with EPIPE
+        try:
+            done = self._child(argv, write)
+        finally:
+            os.close(write)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error: cannot write to stdout:")
+        assert "Broken pipe" in done.stderr and "Traceback" not in done.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="the platform has no /dev/full")
+    @STDOUT_COMMANDS
+    def test_full_device_on_stdout_exits_2(self, argv):
+        with open("/dev/full", "w") as full:
+            done = self._child(argv, full)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith("config error: cannot write to stdout:")
+        assert "No space left on device" in done.stderr and "Traceback" not in done.stderr
+
+    class _FailingStdout(io.StringIO):
+        """A stdout whose ``write`` or ``flush`` fails as a full disk does."""
+
+        def __init__(self, failing: str):
+            super().__init__()
+            self.failing = failing
+
+        def write(self, text):
+            if self.failing == "write":
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return super().write(text)
+
+        def flush(self):
+            if self.failing == "flush":
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    @STDOUT_COMMANDS
+    def test_failed_stdout_write_in_process_exits_2(self, argv, failing):
+        # verify's report goes through the same write: a failed write is exit 2,
+        # never the verification failure's 1
+        err = io.StringIO()
+        with contextlib.redirect_stdout(self._FailingStdout(failing)), \
+                contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert err.getvalue() == ("config error: cannot write to stdout: "
+                                  "[Errno 28] No space left on device\n")
+
+    def test_stdout_bytes_are_the_output_file_bytes(self, tmp_path, capsys):
+        """What a command writes to a replaced stdout is what it writes with --output."""
+        for argv in (["sweep", "--indist-grid", "0:1:3", "--p-grid", "0:1:3", "--format", "json"],
+                     ["bell-region", "--indist-grid", "0:1:3", "--p-grid", "0:1:3"],
+                     ["threshold", "--statistics", "boson"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv) == 0
+            path = tmp_path / "out"
+            assert main([*argv, "--output", str(path)]) == 0
+            assert out.getvalue() == path.read_text(encoding="utf-8")
+        assert capsys.readouterr() == ("", "")
+
 
 def _near(*centres: float, spread: float = 1e-6):
     """Floats at, or within ``spread`` of, each centre."""
@@ -1475,6 +1626,66 @@ class TestCliExitRule:
             assert all(math.isfinite(v) for v in values.values()), line
             assert 0.0 <= values["p_lr"] <= 1.0, line
             assert 0.0 <= values["concurrence"] <= 1.0, line
+
+    @staticmethod
+    def _main(argv) -> tuple[int, str, str]:
+        """Exit code, stdout and stderr of ``main(argv)`` under the sweep test's rules."""
+        out, err = io.StringIO(), io.StringIO()
+        with np.errstate(all="raise", under="ignore"), warnings.catch_warnings(), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", RuntimeWarning)  # flagged rows
+            code = main(argv)
+        assert code in (0, 2) and "Traceback" not in err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("config error:") and out.getvalue() == ""
+        return code, out.getvalue(), err.getvalue()
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(statistics=st.sampled_from(["boson", "fermion"]),
+           target=st.sampled_from(["1_minus", "1_plus"]),
+           theta=_phases,
+           constraint=st.sampled_from(["l_eq_rprime", "l_eq_lprime", "free"]),
+           ls=st.lists(_shapes, min_size=1, max_size=2),
+           lprime=st.one_of(st.none(), _shapes),
+           p_grid=st.sampled_from(["0:1:2", "0:1:3", "0:1:6", "0:0:1", "1:1:1"]))
+    def test_bell_region_exits_0_or_2_with_finite_rows(self, statistics, target, theta,
+                                                       constraint, ls, lprime, p_grid):
+        argv = ["bell-region", "--statistics", statistics, "--target", target,
+                "--theta", repr(theta), "--constraint", constraint,
+                f"--l-grid={min(ls)!r}:{max(ls)!r}:{len(ls)}", "--p-grid", p_grid]
+        if lprime is not None:
+            argv += ["--lprime", repr(lprime)]
+        code, out, _ = self._main(argv)
+        assert code == 2 or (constraint == "free") == (lprime is not None)
+        if code == 2:
+            return
+        lines = out.splitlines()
+        assert lines[0] == ",".join(BELL_REGION_FIELDS)
+        assert len(lines) == 1 + len(ls) * int(p_grid.rsplit(":", 1)[1])
+        for line in lines[1:]:
+            p, indist, bell, violated = line.split(",")
+            assert all(math.isfinite(float(v)) for v in (p, indist, bell)), line
+            assert 0.0 <= float(indist) <= 1.0 and violated in ("0", "1"), line
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(statistics=st.sampled_from(["boson", "fermion"]),
+           target=st.sampled_from(["1_minus", "1_plus"]),
+           theta=st.one_of(_phases, st.floats()))
+    @example(statistics="boson", target="1_plus", theta=3.14159)
+    def test_threshold_exits_0_or_2_with_finite_result(self, statistics, target, theta):
+        code, out, err = self._main(["threshold", "--statistics", statistics,
+                                     "--target", target, "--theta", repr(theta)])
+        assert code == 0 or not math.isfinite(theta), err
+        if code == 2:
+            return
+        result = json.loads(out)
+        assert (result["statistics"], result["target"]) == (statistics, target)
+        if result["found"]:
+            assert all(math.isfinite(result[name]) for name in (
+                "indist", "l", "worst_p", "bell_at_worst", "concurrence_at_worst"))
+            assert 0.0 <= result["indist"] <= 1.0 and 0.0 <= result["worst_p"] <= 1.0
+            assert result["bell_at_worst"] > 2.0
+            assert 0.0 <= result["concurrence_at_worst"] <= 1.0
 
 
 #: Values of the wrong type for any field: bools, unparsed text, other objects.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from islocc.amplitudes import BOSON, FERMION
-from islocc.ensembles import mixed_trace, pure_norm_sq, state_overlap
+from islocc.ensembles import mixed_trace, pure_norm_sq
 from islocc.entanglement import analyze, concurrence
 from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, normalize_block, project
 from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
@@ -24,7 +24,7 @@ from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WernerSpec, bell_states,
                            project_werner, spec_from_l, werner_direct)
 from islocc.xstate import WernerFamily, _bell_overlaps, _check_rows, canonical_theta
 
-from dense_reference import computational_kets
+from dense_reference import computational_kets, state_overlap
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -576,7 +576,7 @@ class TestWorstBell:
 
             with monkeypatch.context() as patch, np.errstate(all="raise"):
                 patch.setattr(WernerFamily, "_evaluate", counting)
-                worst_p, worst = family.worst_bell()
+                worst_p, worst, _ = family.worst_bell()
             # one pass over p = 0, p = 1, the root of y and the foot of the
             # perpendicular for every family
             assert levels == [(n, 4)]
@@ -589,7 +589,7 @@ class TestWorstBell:
                 _, oracle = grid_golden_worst_bell(one)
                 assert worst[f] <= oracle + 1e-12, (target, statistics, f)
                 # a family alone gives what it gives inside the stack
-                assert [a[0] for a in one.worst_bell()] == [worst_p[f], worst[f]]
+                assert [a[0] for a in one.worst_bell()[:2]] == [worst_p[f], worst[f]]
 
     def test_concurrence_is_read_at_the_worst_noise_level(self, rng):
         # the concurrence the threshold search reports comes from the four
@@ -600,9 +600,7 @@ class TestWorstBell:
             theta = rng.uniform(-10.0, 10.0, n)
             stack = WernerFamily(target, l1, l2, statistics, theta)
             with np.errstate(all="raise"):
-                worst_p, worst, concurrence = stack._worst()
-            assert [a.tobytes() for a in stack.worst_bell()] == [worst_p.tobytes(),
-                                                                 worst.tobytes()]
+                worst_p, _, concurrence = stack.worst_bell()
             interior += int(np.count_nonzero((0.0 < worst_p) & (worst_p < 1.0)))
             for f in range(n):
                 one = WernerFamily(target, l1[f], l2[f], statistics, theta[f])
@@ -621,7 +619,7 @@ class TestWorstBell:
     def test_undefined_rows_read_zero(self, case):
         family = WernerFamily(*case)
         with np.errstate(all="raise"):
-            worst_p, worst = family.worst_bell()
+            worst_p, worst, _ = family.worst_bell()
         assert (worst_p.tolist(), worst.tolist()) == ([0.0], [0.0])
         assert grid_golden_worst_bell(family)[1] == 0.0
 
@@ -632,7 +630,7 @@ class TestWorstBell:
         # plus golden-section search misses the dip
         family = WernerFamily("1_plus", SQRT_HALF, math.sqrt(0.5), BOSON, 3.14159)
         with np.errstate(all="raise"):
-            worst_p, worst = family.worst_bell()
+            worst_p, worst, _ = family.worst_bell()
         assert 0.0 < worst_p[0] < 1e-10
         assert worst[0] == pytest.approx(2.0, abs=1e-9)
         near_zero = np.concatenate((self.DENSE, np.logspace(-14, 0, 2001)))

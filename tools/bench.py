@@ -43,6 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Workload name -> the islocc arguments, less ``--output``.
 WORKLOADS = {
     "sweep-41": ("sweep", "--indist-grid", "0:1:41", "--p-grid", "0:1:41", "--format", "csv"),
+    "bell-region-41": ("bell-region", "--indist-grid", "0:1:41", "--p-grid", "0:1:41",
+                       "--format", "csv"),
     "l-scan-json": ("sweep", "--statistics", "boson", "--target", "1_plus", "--theta", "1",
                     "--constraint", "l_eq_lprime", "--l-grid", "0:1:801",
                     "--p-grid", "0.5:0.5:1", "--format", "json"),
