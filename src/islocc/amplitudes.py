@@ -194,5 +194,6 @@ def amplitude_fast(bra: ElementaryKet, ket: ElementaryKet) -> complex:
     return complex(_amplitudes(overlap_matrix(bra, ket), bra.statistics))
 
 
-#: Production amplitude used across the package (the fast path).
+#: The oracle's amplitude (the fast path), which :mod:`~islocc.ensembles` uses;
+#: no sweep or threshold search evaluates one.
 amplitude = amplitude_fast

@@ -17,7 +17,8 @@ it does not read the grid and format keys of a config file, but they must pass
 every sweep rule, the row cap included, and a config-file ``constraint`` other
 than ``l_eq_rprime`` exits 2 with the threshold search's own message.  Each
 handler returns its exit code, text and output path, and :func:`main` writes
-the text; a failed write, to a file or to stdout, exits 2.  Only
+the text, ``--help``'s included; a failed write, to a file or to stdout,
+exits 2.  Only
 ``islocc verify`` loads the oracle (:mod:`islocc.verify` and the amplitude
 engine under it); ``sweep``, ``bell-region`` and ``threshold`` load
 :mod:`islocc.xstate`, :mod:`islocc.sweeps` and :mod:`islocc.svg` alone.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import io
 import json
 import os
 import sys
@@ -226,7 +228,14 @@ def _is_number(text: str) -> bool:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
+    help_text = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(help_text):  # so that --help goes through _emit
+            args = parser.parse_args(_attach_numbers(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:
+        if exc.code:  # a usage error, already written to stderr by argparse
+            raise
+        args = None  # --help, whose text argparse wrote to help_text
     # handlers look the runner and the encoders up as module globals when they
     # run, so that wrappers installed from outside (perfbench's tracer) see the calls
     handlers = {
@@ -236,7 +245,8 @@ def main(argv: list[str] | None = None) -> int:
         "verify": _cmd_verify,
     }
     try:
-        code, text, output = handlers[args.command](args)
+        code, text, output = ((0, help_text.getvalue(), None) if args is None
+                              else handlers[args.command](args))
         _emit(text, output)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

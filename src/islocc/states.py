@@ -143,11 +143,6 @@ class SingleParticleState:
     def norm_sq(self) -> float:
         return float(np.vdot(self.vector, self.vector).real)
 
-    def spatial_support(self) -> frozenset[str]:
-        """Modes carrying nonzero amplitude."""
-        rows = self.vector.reshape(-1, 2)
-        return frozenset(mode for mode, row in zip(self.basis.labels, rows) if row.any())
-
     def substitute_modes(self, mapping: Mapping[str, Mapping[str, complex]],
                          basis: ModeBasis) -> "SingleParticleState":
         """Linear substitution on the spatial part, |m> -> sum_m' c_{m'} |m'>.

@@ -2,14 +2,16 @@
 closed-form rows of :mod:`islocc.xstate`, held against them in
 :mod:`islocc.verify` and the tests and run by no sweep or threshold search.
 
-Two constructions of the same family are tested against each other:
-:func:`werner_direct`, the Bell-basis mixture (1-p) |target><target| +
-(p/4) sum over the four *unnormalized* Bell states of the overlapping wave
-functions, and :func:`depolarize_then_deform`, a localized depolarizing
-channel on one of two separated qubits followed by a spatial deformation
-that makes the wave functions overlap.  :func:`project_werner` projects one
-noise level of one family for the eigen solvers of
-:mod:`~islocc.entanglement`.
+Two constructions of the same family are tested against each other, and
+share no construction step.  :func:`werner_direct` is the Bell-basis
+mixture (1-p) |target><target| + (p/4) sum over the four *unnormalized*
+Bell states of the overlapping wave functions, built with
+:func:`~islocc.states.make_peaked`.  :func:`depolarize_then_deform` is the
+paper's physical route: the target Bell state on two separated staging
+modes ``L1`` and ``L2``, the four depolarizing Kraus operators applied to
+the spin of the ``L1`` particle, then each staging mode deformed onto its
+wave function over ``LR_BASIS``.  :func:`project_werner` projects one noise
+level of one family for the eigen solvers of :mod:`~islocc.entanglement`.
 
 The closed forms for the post-selected concurrence and detection
 probability of both targets are independent references for the numeric
@@ -40,9 +42,7 @@ __all__ = [
     "spec_from_l",
     "bell_states",
     "werner_direct",
-    "KrausSet",
     "depolarizing_kraus",
-    "apply_spin_operator",
     "depolarize_then_deform",
     "project_werner",
     "closed_form_concurrence_minus",
@@ -113,110 +113,53 @@ def werner_direct(spec: WernerSpec) -> MixedState:
     return MixedState(tuple(ensemble))
 
 
-@dataclass(frozen=True)
-class KrausSet:
-    """Kraus operators of a single-particle spin channel localized on one mode."""
-
-    operators: tuple[np.ndarray, ...]
-    acting_mode: str
-
-    _COMPLETENESS_ATOL = 1e-12
-
-    def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        object.__setattr__(self, "operators", ops)
-        if any(k.shape != (2, 2) for k in ops):
-            raise ValueError("Kraus operators must be 2x2 spin matrices")
-        if not all(np.isfinite(k).all() for k in ops):
-            raise ValueError("Kraus operators must be finite")
-        total = sum(k.conj().T @ k for k in ops)
-        if not np.max(np.abs(total - np.eye(2))) <= self._COMPLETENESS_ATOL:
-            raise ValueError("Kraus operators do not resolve the identity")
-
-
-def depolarizing_kraus(p: float, acting_mode: str) -> KrausSet:
-    """Depolarizing channel: K0 = sqrt(1 - 3p/4) I, K_i = sqrt(p/4) sigma_i."""
+def depolarizing_kraus(p: float) -> tuple[np.ndarray, ...]:
+    """Kraus operators of the depolarizing channel on one spin (rows and
+    columns ordered up, down): K0 = sqrt(1 - 3p/4) I, K_i = sqrt(p/4) sigma_i."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise probability must lie in [0, 1], got {p!r}")
     k0 = math.sqrt(1.0 - 0.75 * p) * np.eye(2, dtype=complex)
     scale = math.sqrt(p / 4.0)
-    return KrausSet((k0, scale * SIGMA_X, scale * SIGMA_Y, scale * SIGMA_Z), acting_mode)
-
-
-def apply_spin_operator(op: np.ndarray, state: SingleParticleState,
-                        mode: str) -> SingleParticleState:
-    """Apply a 2x2 spin operator (rows/columns ordered up, down) to the
-    component of ``state`` supported on ``mode``; other modes are untouched."""
-    rows = state.vector.reshape(-1, 2).copy()
-    i = state.basis.index(mode)
-    rows[i] = np.asarray(op, dtype=complex) @ rows[i]
-    return SingleParticleState(state.basis, rows.ravel())
-
-
-def _apply_kraus_branch(k: np.ndarray, state: PureNState, mode: str) -> PureNState:
-    new_terms = []
-    for coeff, ket in state.terms:
-        particles = []
-        touched = 0
-        for particle in ket.particles:
-            support = particle.spatial_support()
-            if mode in support:
-                if support != {mode}:
-                    raise ValueError(
-                        f"channel on {mode!r} requires the particle fully localized there")
-                particles.append(apply_spin_operator(k, particle, mode))
-                touched += 1
-            else:
-                particles.append(particle)
-        if touched != 1:
-            raise ValueError(
-                f"channel on {mode!r} expects exactly one particle there per ket, found {touched}")
-        new_terms.append((coeff, ElementaryKet(tuple(particles), ket.statistics)))
-    return PureNState(tuple(new_terms))
+    return k0, scale * SIGMA_X, scale * SIGMA_Y, scale * SIGMA_Z
 
 
 def depolarize_then_deform(p: float, target: str, psi1: SpatialWave, psi2: SpatialWave,
                            statistics: ParticleStatistics) -> MixedState:
-    """Physical noisy preparation: start from the target Bell state on two
-    separated staging modes, depolarize the pseudospin of the first qubit,
-    then deform the staging modes onto the overlapping wave functions of
-    ``LR_BASIS``."""
+    """Physical noisy preparation, one ensemble member per Kraus operator.
+
+    The target Bell state sits on two separated staging modes, its first
+    qubit on ``L1`` and its second on ``L2``.  Each operator of
+    :func:`depolarizing_kraus` acts on the spin row of the ``L1`` particle;
+    then :meth:`~islocc.states.SingleParticleState.substitute_modes` deforms
+    ``L1`` onto ``psi1`` and ``L2`` onto ``psi2`` over ``LR_BASIS``.  Each
+    member has weight 1 and is left unnormalized."""
     _check_target(target)
+    kraus = depolarizing_kraus(p)
     staging = ModeBasis(("L1", "L2"))
-
-    def staged(mode: str, spin: Spin) -> SingleParticleState:
-        return SingleParticleState.localized(staging, mode, spin)
-
-    sign = 1.0 if target == "1_plus" else -1.0
-    initial = PureNState((
-        (_SQRT_HALF, ElementaryKet((staged("L1", UP), staged("L2", DOWN)), statistics)),
-        (sign * _SQRT_HALF, ElementaryKet((staged("L1", DOWN), staged("L2", UP)), statistics)),
-    ))
-
-    channel = depolarizing_kraus(p, "L1")
-    branches = [_apply_kraus_branch(k, initial, channel.acting_mode)
-                for k in channel.operators]
-
     substitution = {
         "L1": {"L": complex(psi1.l), "R": psi1.right_amplitude},
         "L2": {"L": complex(psi2.l), "R": psi2.right_amplitude},
     }
-    deformed = []
-    for branch in branches:
-        terms = tuple(
-            (coeff, ElementaryKet(tuple(part.substitute_modes(substitution, LR_BASIS)
-                                        for part in ket.particles), ket.statistics))
-            for coeff, ket in branch.terms)
-        deformed.append((1.0, PureNState(terms)))
-    return MixedState(tuple(deformed))
+    sign = 1.0 if target == "1_plus" else -1.0
+    branches = []
+    for k in kraus:
+        terms = []
+        for coeff, s1, s2 in ((_SQRT_HALF, UP, DOWN), (sign * _SQRT_HALF, DOWN, UP)):
+            rows = SingleParticleState.localized(staging, "L1", s1).vector.reshape(-1, 2).copy()
+            rows[0] = k @ rows[0]  # the spin row of the L1 particle
+            particles = (SingleParticleState(staging, rows.ravel()),
+                         SingleParticleState.localized(staging, "L2", s2))
+            terms.append((coeff, ElementaryKet(
+                tuple(part.substitute_modes(substitution, LR_BASIS) for part in particles),
+                statistics)))
+        branches.append((1.0, PureNState(tuple(terms))))
+    return MixedState(tuple(branches))
 
 
 def project_werner(spec: WernerSpec) -> ProjectedDensityMatrix:
     """Full numeric pipeline: build the mixture and post-select one particle
     in each of the regions L and R."""
     return project(werner_direct(spec), ("L", "R"))
-
-
 
 
 def _cross_terms(l: float, r: float, lp: float, rp: float) -> tuple[float, float, float]:

@@ -11,6 +11,7 @@ import pytest
 
 from islocc import FERMION, GridSpec, SweepConfig, records_to_csv, run_sweep
 from islocc.sweeps import CSV_FIELDS
+from islocc.verify import run_verify
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench", ROOT / "tools" / "bench.py")
@@ -55,6 +56,15 @@ def test_bell_region_map_writes_the_pinned_bytes():
     report = bench.measure(workload, {"change": ROOT / "src"}, repeats=1)["bell-region-41"]
     assert report["status"] == "ok"
     assert report["sha256"] == "7a3b5ad9edd3b2e8b407570baefbde55d8518c63ded5a3c1d3825915837188b0"
+
+
+def test_verify_report_is_its_output():
+    # verify takes no --output: its stdout report is what the script hashes
+    report = bench.measure({"verify": bench.WORKLOADS["verify"]}, {"change": ROOT / "src"},
+                           repeats=1)["verify"]
+    assert report["status"] == "ok"
+    text = "".join(line + "\n" for line in run_verify().summary_lines())
+    assert report["sha256"] == hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_summary_quartiles():

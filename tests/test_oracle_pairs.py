@@ -6,10 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from islocc import amplitudes, ensembles, slocc
+from islocc import amplitudes, ensembles, slocc, states, werner
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet
 from islocc.states import UP, ModeBasis, SingleParticleState
-from islocc.werner import closed_form_probability_minus, spec_from_l, werner_direct
+from islocc.werner import (closed_form_probability_minus, closed_form_probability_plus,
+                           spec_from_l, werner_direct)
 
 ABC = ModeBasis(("A", "B", "C"))
 
@@ -81,3 +82,35 @@ def test_fast_path_needs_no_permutation_sum(monkeypatch, statistics):
     assert amplitudes.amplitude_fast(bra, ket) == pytest.approx(HAND[statistics], abs=1e-14)
     with pytest.raises(AssertionError, match="oracle pair"):
         amplitudes.amplitude_permsum(bra, ket)
+
+
+#: Each target with its closed-form detection probability, for both statistics.
+#: ``spec_from_l`` takes the canonical theta, under which the closed forms hold.
+WERNER_PAIRS = [(target, closed_form, statistics)
+                for target, closed_form in (("1_minus", closed_form_probability_minus),
+                                            ("1_plus", closed_form_probability_plus))
+                for statistics in (BOSON, FERMION)]
+
+
+@pytest.mark.parametrize("target, closed_form, statistics", WERNER_PAIRS)
+def test_channel_needs_no_direct_mixture(monkeypatch, target, closed_form, statistics):
+    spec = spec_from_l(0.4, target, 0.8, 0.6, statistics)
+    _disable(monkeypatch, werner.bell_states, werner.werner_direct, states.make_peaked)
+    state = werner.depolarize_then_deform(spec.p, target, spec.psi1, spec.psi2, statistics)
+    projected = slocc.project(state, ("L", "R"))
+    expected = closed_form(0.8, 0.6, 0.6, 0.8, 0.4, statistics)
+    assert projected.probability == pytest.approx(expected, abs=1e-12)
+    with pytest.raises(AssertionError, match="oracle pair"):
+        werner.werner_direct(spec)
+
+
+@pytest.mark.parametrize("target, closed_form, statistics", WERNER_PAIRS)
+def test_direct_mixture_needs_no_channel(monkeypatch, target, closed_form, statistics):
+    spec = spec_from_l(0.4, target, 0.8, 0.6, statistics)
+    _disable(monkeypatch, werner.depolarize_then_deform, werner.depolarizing_kraus)
+    monkeypatch.setattr(SingleParticleState, "substitute_modes", _broken)
+    projected = slocc.project(werner_direct(spec), ("L", "R"))
+    expected = closed_form(0.8, 0.6, 0.6, 0.8, 0.4, statistics)
+    assert projected.probability == pytest.approx(expected, abs=1e-12)
+    with pytest.raises(AssertionError, match="oracle pair"):
+        werner.depolarize_then_deform(spec.p, target, spec.psi1, spec.psi2, statistics)

@@ -122,7 +122,6 @@ class TestStateHelpers:
     def test_sparse_storage_drops_zeros(self):
         state = SingleParticleState(LR, {("L", UP): 0.0, ("R", DOWN): 0.5j})
         assert ("L", UP) not in state.amplitudes
-        assert state.spatial_support() == frozenset({"R"})
 
     def test_dense_vector_ordering(self):
         state = SingleParticleState(LR, {("L", DOWN): 0.3, ("R", UP): 0.7j})

@@ -1498,11 +1498,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "[FAIL] closed-forms-vs-pipeline" in out
 
-    #: One run of each command that writes to stdout, on a small grid.
+    #: One run of each command that writes to stdout, on a small grid, and the
+    #: help of the program and of a subcommand, which argparse writes.
     STDOUT_COMMANDS = pytest.mark.parametrize("argv", [
         ["sweep", "--indist-grid", "0:1:3", "--p-grid", "0:1:3"],
         ["bell-region", "--indist-grid", "0:1:3", "--p-grid", "0:1:3"],
-        ["threshold"], ["verify"]], ids=["sweep", "bell-region", "threshold", "verify"])
+        ["threshold"], ["verify"], ["--help"], ["sweep", "--help"]],
+        ids=["sweep", "bell-region", "threshold", "verify", "help", "sweep-help"])
 
     @staticmethod
     def _child(argv, stdout) -> subprocess.CompletedProcess:
@@ -1557,6 +1559,12 @@ class TestCli:
             assert main(argv) == 2
         assert err.getvalue() == ("config error: cannot write to stdout: "
                                   "[Errno 28] No space left on device\n")
+
+    def test_help_writes_the_parser_help(self):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["--help"]) == 0
+        assert out.getvalue() == cli._build_parser().format_help()
 
     def test_stdout_bytes_are_the_output_file_bytes(self, tmp_path, capsys):
         """What a command writes to a replaced stdout is what it writes with --output."""

@@ -13,9 +13,9 @@ from islocc.entanglement import analyze, concurrence
 from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, normalize_block, project
 from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
                            find_threshold, run_sweep)
-from islocc.states import DOWN, UP, ModeBasis, SingleParticleState, SpatialWave
+from islocc.states import SpatialWave
 from islocc.verify import x_state_matrices
-from islocc.werner import (LR_BASIS, TARGETS, KrausSet, WernerSpec, bell_states,
+from islocc.werner import (LR_BASIS, TARGETS, WernerSpec, bell_states,
                            closed_form_concurrence_minus,
                            closed_form_concurrence_plus,
                            closed_form_probability_minus,
@@ -108,18 +108,19 @@ class TestWernerDirect:
 class TestDepolarizingChannel:
     def test_kraus_completeness(self):
         for p in (0.0, 0.3, 1.0):
-            depolarizing_kraus(p, "L1")  # constructor enforces completeness
+            total = sum(k.conj().T @ k for k in depolarizing_kraus(p))
+            assert np.max(np.abs(total - np.eye(2))) <= 1e-12
 
-    def test_incomplete_set_rejected(self):
-        bad = (np.eye(2) * 0.5,)
-        with pytest.raises(ValueError, match="identity"):
-            KrausSet(bad, "L1")
+    @pytest.mark.parametrize("p", [math.nan, -0.1, 1.1])
+    def test_noise_out_of_range_rejected(self, p):
+        with pytest.raises(ValueError, match="noise probability"):
+            depolarize_then_deform(p, "1_minus", SpatialWave.from_l(0.8),
+                                   SpatialWave.from_l(0.6), FERMION)
 
-    @pytest.mark.parametrize("bad", [np.full((2, 2), np.nan), np.diag([np.inf, 1.0])])
-    def test_non_finite_operator_rejected(self, bad):
-        # a NaN completeness error passes a plain "> tol" test; inf warns in matmul
-        with pytest.raises(ValueError, match="finite"):
-            KrausSet((bad,), "L1")
+    def test_target_outside_the_family_rejected(self):
+        with pytest.raises(ValueError, match="target"):
+            depolarize_then_deform(0.2, "2_plus", SpatialWave.from_l(0.8),
+                                   SpatialWave.from_l(0.6), FERMION)
 
     def test_trace_preserved_before_deformation(self):
         # deform onto separated waves so the staging state is just relabeled
@@ -148,19 +149,6 @@ class TestDepolarizingChannel:
                               ("L", "R"))
             assert np.max(np.abs(direct.matrix - channel.matrix)) <= 1e-10
             assert abs(direct.probability - channel.probability) <= 1e-10
-
-    def test_delocalized_input_rejected(self):
-        # the channel acts on a staging mode; a particle straddling it and
-        # another mode has no well-defined localized spin to depolarize
-        from islocc.werner import _apply_kraus_branch
-        from islocc.ensembles import PureNState
-        from islocc.amplitudes import ElementaryKet
-        staging = ModeBasis(("L1", "L2"))
-        spread = SingleParticleState(staging, {("L1", UP): SQRT_HALF, ("L2", UP): SQRT_HALF})
-        okay = SingleParticleState.localized(staging, "L2", DOWN)
-        state = PureNState(((1.0, ElementaryKet((spread, okay), FERMION)),))
-        with pytest.raises(ValueError, match="fully localized"):
-            _apply_kraus_branch(np.eye(2, dtype=complex), state, "L1")
 
 
 class TestClosedForms:

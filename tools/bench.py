@@ -6,10 +6,12 @@ Usage::
                           [--output PATH]
 
 Each workload is one ``islocc`` command that writes its output to a temporary
-file.  Every repeat starts a new process, so a run pays start-up as a user
-does.  With ``--baseline REV`` the ``src/`` tree of git revision REV is
-extracted (``git archive``) under a temporary directory and each workload runs
-from both trees in the same session, alternating which side runs first.
+file; ``verify``, which takes no ``--output``, writes its report to stdout, which
+the script sends to that file.  Every repeat starts a new process, so a run
+pays start-up as a user does.  With ``--baseline REV`` the ``src/`` tree of git
+revision REV is extracted (``git archive``) under a temporary directory and each
+workload runs from both trees in the same session, alternating which side runs
+first.
 
 For each side and workload the report holds the median and interquartile
 range of the wall time and of the peak RSS (the child's own ``ru_maxrss``, as
@@ -55,7 +57,11 @@ WORKLOADS = {
     "cap-json": ("sweep", "--indist-grid", "0:1:1000", "--p-grid", "0:1:1000",
                  "--format", "json"),
     "threshold": ("threshold", "--statistics", "fermion", "--target", "1_minus"),
+    "verify": ("verify",),
 }
+
+#: Commands that take no ``--output``: their stdout is the output.
+STDOUT_COMMANDS = {"verify"}
 
 
 def run_once(src: Path, args, workdir: Path) -> dict:
@@ -64,11 +70,12 @@ def run_once(src: Path, args, workdir: Path) -> dict:
     output, errors = workdir / "output", workdir / "stderr"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    with open(errors, "wb") as stderr:
+    to_stdout = args[0] in STDOUT_COMMANDS
+    flags = () if to_stdout else ("--output", str(output))
+    with open(errors, "wb") as stderr, open(output if to_stdout else os.devnull, "wb") as stdout:
         start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "islocc", *args, "--output", str(output)],
-                                 env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
-                                 stderr=stderr)
+        child = subprocess.Popen([sys.executable, "-m", "islocc", *args, *flags],
+                                 env=env, stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr)
         _, status, usage = os.wait4(child.pid, 0)
         seconds = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
