@@ -1,18 +1,22 @@
 """Golden regression: regenerate the sweeps of demos 04 and 05 and compare
-them with the CSVs committed under ``tests/golden/``.
+them with the CSVs committed under ``tests/golden/``, and the threshold
+searches with the bits in ``tests/golden/threshold_bits.json``.
 
-Floats are compared after parsing, within ``ATOL``; text cells and the
-integer ``violated`` flag must match exactly.
+Sweep floats are compared after parsing, within ``ATOL``; text cells and the
+integer ``violated`` flag must match exactly.  Threshold results must match
+bit for bit; a failure reports the largest absolute deviation, so a last-bit
+platform difference reads apart from a regression.
 """
 
+import json
 import math
 from pathlib import Path
 
 import pytest
 
-from islocc.amplitudes import FERMION
+from islocc.amplitudes import BOSON, FERMION
 from islocc.sweeps import (BELL_REGION_FIELDS, CSV_FIELDS, GridSpec, SweepConfig,
-                           records_to_csv, run_sweep)
+                           find_threshold, records_to_csv, run_sweep)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 ATOL = 1e-9
@@ -58,3 +62,47 @@ def test_regenerated_output_matches_golden(name, generate):
             else:
                 assert abs(float(cell) - float(ref_cell)) <= ATOL, \
                     f"{name} line {k} {field}: {cell} vs golden {ref_cell}"
+
+
+#: The phases at which the threshold bits are pinned; None is each pair's canonical phase.
+THRESHOLD_THETAS = (None, 0.0, math.pi, 1.0, 2.5, -0.3, 3.14159, 0.7, 1e-7)
+
+
+def threshold_bits() -> dict[str, dict]:
+    """``find_threshold``'s result for each statistics x target pair at each of
+    ``THRESHOLD_THETAS``, every float field written as ``float.hex``.  Running this
+    module as a script writes them to ``tests/golden/threshold_bits.json``."""
+    results = {}
+    for statistics in (FERMION, BOSON):
+        for target in ("1_minus", "1_plus"):
+            for theta in THRESHOLD_THETAS:
+                result = find_threshold(SweepConfig(statistics=statistics, target=target,
+                                                    theta=theta)).as_dict()
+                key = f"{statistics}:{target}:{'canonical' if theta is None else repr(theta)}"
+                results[key] = {name: value.hex() if isinstance(value, float) else value
+                                for name, value in result.items()}
+    return results
+
+
+def _floats(results: dict[str, dict]) -> dict[tuple[str, str], float]:
+    """The float fields of ``threshold_bits()``-shaped results, read back from hex."""
+    return {(key, name): float.fromhex(value) for key, fields in results.items()
+            for name, value in fields.items() if isinstance(value, str) and "0x" in value}
+
+
+def _largest_deviation(got: dict, expected: dict) -> float:
+    """The largest absolute difference between float fields pinned in both."""
+    got, expected = _floats(got), _floats(expected)
+    return max((abs(got[k] - expected[k]) for k in got.keys() & expected.keys()), default=0.0)
+
+
+def test_threshold_results_match_golden_bits():
+    expected = json.loads((GOLDEN / "threshold_bits.json").read_text())
+    got = threshold_bits()
+    # a last-bit difference is platform rounding; one above ~1e-12 a regression
+    assert got == expected, (f"largest absolute deviation from the golden bits: "
+                             f"{_largest_deviation(got, expected)!r}")
+
+
+if __name__ == "__main__":
+    (GOLDEN / "threshold_bits.json").write_text(json.dumps(threshold_bits(), indent=2) + "\n")

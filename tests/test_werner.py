@@ -22,7 +22,8 @@ from islocc.werner import (LR_BASIS, TARGETS, WernerSpec, bell_states,
                            closed_form_probability_plus,
                            depolarize_then_deform, depolarizing_kraus,
                            project_werner, spec_from_l, werner_direct)
-from islocc.xstate import WernerFamily, _bell_overlaps, _check_rows, canonical_theta
+from islocc.xstate import (WernerFamily, XStateRows, _bell_overlaps, _check_rows,
+                           canonical_theta)
 
 from dense_reference import computational_kets, state_overlap
 
@@ -261,11 +262,24 @@ class TestWernerFamily:
             WernerFamily("1_minus", [[0.8]], 0.6, FERMION, 0.0)
 
     def test_scalar_and_array_families_broadcast(self, rng):
-        l, ps = rng.uniform(0, 1, 5), np.linspace(0, 1, 3)
-        stacked = WernerFamily("1_plus", l, 0.6, BOSON, 1.0).evaluate(ps)
-        for f in range(len(l)):
-            one = WernerFamily("1_plus", float(l[f]), 0.6, BOSON, 1.0).evaluate(ps)
-            assert stacked.bell[3 * f:3 * f + 3].tolist() == one.bell.tolist()
+        # a scalar theta, one theta repeated per family and one theta per family:
+        # every row field and every worst_bell array of a family in the stack has
+        # the bits the family gives alone, with l' a scalar broadcast over the stack
+        n, ps = 5, np.linspace(0, 1, 3)
+        l = rng.uniform(0, 1, n)
+        names = [field.name for field in dataclasses.fields(XStateRows)] + ["eof"]
+        for target, statistics in PAIRS:
+            for theta in (1.0, np.full(n, 1.0), rng.uniform(-10.0, 10.0, n)):
+                stack = WernerFamily(target, l, 0.6, statistics, theta)
+                rows, worst = stack.evaluate(ps), stack.worst_bell()
+                for f, theta_f in enumerate(np.broadcast_to(theta, n).tolist()):
+                    one = WernerFamily(target, float(l[f]), 0.6, statistics, theta_f)
+                    one_rows, block = one.evaluate(ps), slice(3 * f, 3 * f + 3)
+                    for name in names:
+                        assert getattr(one_rows, name).tobytes() == \
+                            getattr(rows, name)[block].tobytes(), (target, statistics, f, name)
+                    assert [a.tobytes() for a in one.worst_bell()] == \
+                        [a[f:f + 1].tobytes() for a in worst], (target, statistics, f)
 
 
 class TestClosedFormBellOverlaps:
