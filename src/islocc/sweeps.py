@@ -31,9 +31,11 @@ one list that is joined once, so no per-row template or string is built.  The JS
 only where ``repr`` can differ.
 
 The threshold search bisects l on the same family directly, probing the path
-seven steps at a time in one family stack; the first stack also holds the
-degree-1 end, so a search that finds a threshold builds two stacks and one that
-finds none builds one.  At each step the worst noise level comes in closed form
+seven steps at a time, each probe one :class:`~islocc.xstate.WernerFamily` stack
+and one pass of its rows.  The first stack also holds the degree-1 end and is the
+same in every search, so its l, l' and degrees are read-only constants built at
+import; a search that finds a threshold builds one more stack, one that finds
+none no more.  At each step the worst noise level comes in closed form
 from :meth:`~islocc.xstate.WernerFamily.worst_bell`: the CHSH value of an X
 state is the length of a point moving along a straight line in p, so its
 minimum sits at one of four candidate noise levels, and the reported
@@ -395,6 +397,15 @@ def _bisection_tree(lo: float, hi: float) -> np.ndarray:
     return np.concatenate(mids)
 
 
+#: The first stack of every search: l = 1/sqrt(2), then the midpoints of the first
+#: ``_BISECT_DEPTH`` steps from (1/sqrt(2), 1), with their l' = r and degrees.  No
+#: search changes them, so they are read-only constants built at import.
+_FIRST_LS = np.concatenate(([_SQRT_HALF], _bisection_tree(_SQRT_HALF, 1.0)))
+_FIRST_RS, _FIRST_DEGREES = _unit_r(_FIRST_LS), _family_degree(_FIRST_LS)
+for _constant in (_FIRST_LS, _FIRST_RS, _FIRST_DEGREES):
+    _constant.flags.writeable = False
+
+
 def find_threshold(config: SweepConfig) -> ThresholdResult:
     """Smallest degree of indistinguishability with min_p B > 2 on the r' = l
     family, by one bisection in l.
@@ -415,21 +426,22 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
     _check_threshold_family(config.constraint)
     theta, stats = config.resolved_theta(), config.statistics
 
-    def probe(ls: np.ndarray) -> list[tuple[float, ...]]:  # the _Probe fields of each l
-        family = WernerFamily(config.target, ls, _unit_r(ls), stats, theta)
-        return list(zip(*(a.tolist() for a in (indist_on_family(ls), ls, *family.worst_bell()))))
+    def probe(ls, rs, degrees) -> list[list[float]]:  # each _Probe field, one entry per l
+        worst = WernerFamily(config.target, ls, rs, stats, theta).worst_bell()
+        return [a.tolist() for a in (degrees, ls, *worst)]
 
-    first = probe(np.concatenate(([_SQRT_HALF], _bisection_tree(_SQRT_HALF, 1.0))))
-    inside, block, node = _Probe(*first[0]), first[1:], 0  # the violating end, degree 1
+    first = probe(_FIRST_LS, _FIRST_RS, _FIRST_DEGREES)  # its entry 0 is the degree-1 end
+    inside, block, node = _Probe(*(f[0] for f in first)), [f[1:] for f in first], 0
     if inside.bell <= 2.0:
         return ThresholdResult(False, config.target, str(stats))
     # the other end needs no probe: at l = 1 (degree 0) the waves are |L> and
     # e^{i theta}|R>, so the p = 1 candidate is the maximally mixed state, B = 0
     outside_l, outside_degree = 1.0, 0.0
     while inside.degree - outside_degree > _DEGREE_TOL:
-        if node >= len(block):  # the walk left the block: probe the next levels
-            block, node = probe(_bisection_tree(inside.l, outside_l)), 0
-        at_mid = _Probe(*block[node])
+        if node >= len(block[0]):  # the walk left the block: probe the next levels
+            ls = _bisection_tree(inside.l, outside_l)
+            block, node = probe(ls, _unit_r(ls), _family_degree(ls)), 0
+        at_mid = _Probe(*(field[node] for field in block))
         if at_mid.l in (inside.l, outside_l):
             # adjacent floats: searches stop at _DEGREE_TOL within 14 halvings,
             # never here, but this is what stops the loop at a tolerance <= 0

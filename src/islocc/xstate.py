@@ -4,12 +4,13 @@ path of ``islocc sweep``, ``bell-region`` and ``threshold``.
 :class:`WernerFamily` evaluates a stack of families at an array of noise
 levels from three entries per row (every projected row is a real X state
 with rho03 = 0), with no 4x4 matrix and no eigen solver, and gives each
-family's worst CHSH noise level in closed form.  This module imports only
-numpy and the standard library.  The amplitude and eigen path
-(:mod:`islocc.werner`, :mod:`islocc.slocc`, :mod:`islocc.entanglement`)
-is its oracle in :mod:`islocc.verify` and the tests; it takes the exchange
-statistics, the state-check tolerances and the entropy formula from here,
-so each has one definition.
+family's worst CHSH noise level in closed form, from one checked pass over four
+candidate levels per family: a threshold probe is one :class:`WernerFamily` and
+that one pass.  This module imports only numpy and the standard library.  The
+amplitude and eigen path (:mod:`islocc.werner`, :mod:`islocc.slocc`,
+:mod:`islocc.entanglement`) is its oracle in :mod:`islocc.verify` and the tests;
+it takes the exchange statistics, the state-check tolerances and the entropy
+formula from here, so each has one definition.
 """
 
 from __future__ import annotations
@@ -188,13 +189,16 @@ class WernerFamily:
 
     def __init__(self, target: str, l, lprime, statistics: ParticleStatistics, theta):
         _check_target(target)
-        l, lprime, theta = np.broadcast_arrays(
-            *(np.atleast_1d(np.asarray(v, dtype=float)) for v in (l, lprime, theta)))
-        if not (l.ndim == 1 and np.all((0.0 <= l) & (l <= 1.0) & (0.0 <= lprime)
-                                       & (lprime <= 1.0) & np.isfinite(theta))):
+        l, lprime, theta = (np.asarray(v, dtype=float) for v in (l, lprime, theta))
+        valid = np.atleast_1d((0.0 <= l) & (l <= 1.0) & (0.0 <= lprime) & (lprime <= 1.0)
+                              & np.isfinite(theta))
+        if not (valid.ndim == 1 and valid.all()):
             raise ValueError(f"l and l' must be finite and lie in [0, 1] and theta must be "
                              f"finite, one family per entry of 1-D arrays; got l={l!r}, "
                              f"lprime={lprime!r}, theta={theta!r}")
+        # theta needs no broadcast: every entry below takes its shape from l and l'
+        l, lprime = (v if v.shape == valid.shape else np.broadcast_to(v, valid.shape)
+                     for v in (l, lprime))
         eta, tau = statistics.eta, 1.0 if target == "1_plus" else -1.0
         a, b, same_region = _bell_overlaps(l, lprime, theta, eta)
         a2, b2 = a.real ** 2 + a.imag ** 2, b.real ** 2 + b.imag ** 2
@@ -242,19 +246,19 @@ class WernerFamily:
         w0, a1, w1 = 2.0 * v0, 2.0 * (u1 - v1), 2.0 * (u1 + v1)
         a0, b0, b1 = -w0, 2.0 * y0, 2.0 * y1  # the target's W u is 0
         g0, g1 = a0 * a1 + b0 * b1, a1 * a1 + b1 * b1
-        p = np.stack([np.zeros_like(w0), np.ones_like(w0), _root_in_unit(y0, y1),
-                      _root_in_unit(g0 * w0 - w1 * (a0 * a0 + b0 * b0), g1 * w0 - g0 * w1)],
-                     axis=1)
+        p = np.zeros((len(w0), 4))
+        p[:, 1] = 1.0
+        _root_in_unit(y0, y1, p[:, 2])
+        _root_in_unit(g0 * w0 - w1 * (a0 * a0 + b0 * b0), g1 * w0 - g0 * w1, p[:, 3])
         rows = self._evaluate(p)
-        bell = rows.bell.reshape(p.shape)
-        best = (np.arange(len(p)), np.argmin(bell, axis=1))
-        return p[best], bell[best], rows.concurrence.reshape(p.shape)[best]
+        # the flat index of each family's best row
+        best = np.arange(0, p.size, 4) + rows.bell.reshape(p.shape).argmin(axis=1)
+        return p.ravel().take(best), rows.bell.take(best), rows.concurrence.take(best)
 
     def _evaluate(self, p: np.ndarray) -> XStateRows:
         """Rows of every family at its noise levels: ``p`` is one array of
         levels for all families or one row of levels per family."""
-        shape = (len(self._noise_double), p.shape[-1])
-        keep, noise = np.broadcast_to(1.0 - p, shape), np.broadcast_to(p / 4.0, shape)
+        keep, noise = 1.0 - p, p / 4.0  # broadcast against the (n, 1) entries below
         target_v, target_y = (entry[:, None] for entry in self._target)
         noise_u, noise_v, noise_y = (entry[:, None] for entry in self._noise)
         wu = noise * noise_u
@@ -268,11 +272,12 @@ class WernerFamily:
         zero_trace = ~(global_trace > _ZERO_TRACE_ATOL)
         undefined = ~zero_trace & ~(weight > _UNDEFINED_RTOL * np.maximum(global_trace, 1.0))
         ok = ~(zero_trace | undefined)
-        u, v, y = (np.divide(entry, weight, out=np.zeros(shape), where=ok)
-                   for entry in (wu, wv, wy))
-        probability = np.divide(weight, global_trace, out=np.zeros(shape), where=ok)
+        u, v, y, probability = np.zeros((4, *weight.shape))
+        for entry, total, into in ((wu, weight, u), (wv, weight, v), (wy, weight, y),
+                                   (weight, global_trace, probability)):
+            np.divide(entry, total, out=into, where=ok)
         _check_rows(ok, u, v, y, probability)
-        concurrence = np.clip(2.0 * (np.abs(y) - u), 0.0, 1.0)
+        concurrence = np.minimum(np.maximum(2.0 * (np.abs(y) - u), 0.0), 1.0)
         bell = 4.0 * np.sqrt((u - v) ** 2 + y * y)
         return XStateRows(*(a.ravel() for a in (
             u, v, y, probability, zero_trace, undefined, concurrence, bell)))
@@ -283,17 +288,19 @@ def _check_rows(ok, u, v, y, probability) -> None:
     positive semidefinite (its eigenvalues are u, u and v +- y) and its
     detection probability lies in [0, 1]: the tests of
     :func:`~islocc.slocc.check_density_matrix`, written so that NaN fails."""
-    if not np.all(~ok | (np.abs(2.0 * (u + v) - 1.0) <= _HERM_ATOL)):
+    skip = ~ok
+    if not (skip | (np.abs(2.0 * (u + v) - 1.0) <= _HERM_ATOL)).all():
         raise ValueError("projected row trace != 1")
-    if not np.all(~ok | ((u >= -_EIG_ATOL) & (v >= np.abs(y) - _EIG_ATOL))):
+    if not (skip | ((u >= -_EIG_ATOL) & (v >= np.abs(y) - _EIG_ATOL))).all():
         raise ValueError("projected row has a significantly negative eigenvalue")
     in_unit = (probability >= 0.0) & (probability <= 1.0)
-    if not np.all(~ok | in_unit):
+    if not (skip | in_unit).all():
         raise ValueError(f"probability {probability[ok & ~in_unit]!r} outside [0, 1]")
 
 
-def _root_in_unit(c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """The root -c0/c1 of c0 + c1 p where it lies in [0, 1], else 0 (always
-    a candidate); only quotients of magnitude <= 1 are formed."""
+def _root_in_unit(c0: np.ndarray, c1: np.ndarray, out: np.ndarray) -> None:
+    """Write into the zeros of ``out`` the root -c0/c1 of c0 + c1 p where it lies in
+    [0, 1], leaving 0 (always a candidate) elsewhere; only quotients of magnitude
+    <= 1 are formed."""
     inside = (c1 != 0.0) & (np.sign(c0) != np.sign(c1)) & (np.abs(c0) <= np.abs(c1))
-    return np.divide(-c0, c1, out=np.zeros_like(c0), where=inside)
+    np.divide(-c0, c1, out=out, where=inside)

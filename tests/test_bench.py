@@ -58,6 +58,28 @@ def test_bell_region_map_writes_the_pinned_bytes():
     assert report["sha256"] == "7a3b5ad9edd3b2e8b407570baefbde55d8518c63ded5a3c1d3825915837188b0"
 
 
+#: The file each threshold workload writes: the text ``TestThreshold`` pins by
+#: digest, plus the newline that ends the command's output.
+THRESHOLD_DIGESTS = {
+    "threshold": "0f1b774256343634f56da5c2a25709e05a798c7c1faacde009b3831ffb69b3c8",
+    "threshold-fermion-1_plus": "ab440f8dd9fef2d08ecfbe4230c979dc34085df500b7e2584b54455fa07dce24",
+    "threshold-boson-1_minus": "ce9446b11e82d2a630cf1ee78cbd109b62aa5d88971188e26b72aa786c038ecd",
+    "threshold-boson-1_plus": "652eefe0efdd7818354e51db2d644cbb5c52a17a0cc90d6afe363e90b7cd90eb",
+    "threshold-boson-1_plus-3.14159":
+        "652eefe0efdd7818354e51db2d644cbb5c52a17a0cc90d6afe363e90b7cd90eb",
+}
+
+
+def test_threshold_workloads_write_the_pinned_bytes():
+    # the four statistics x target pairs and the sharp-dip search that finds none
+    assert {name for name in bench.WORKLOADS if name.startswith("threshold")} == \
+        set(THRESHOLD_DIGESTS)
+    reports = bench.measure({name: bench.WORKLOADS[name] for name in THRESHOLD_DIGESTS},
+                            {"change": ROOT / "src"}, repeats=1)
+    assert {name: (report["status"], report["sha256"]) for name, report in reports.items()} \
+        == {name: ("ok", digest) for name, digest in THRESHOLD_DIGESTS.items()}
+
+
 def test_verify_report_is_its_output():
     # verify takes no --output: its stdout report is what the script hashes
     report = bench.measure({"verify": bench.WORKLOADS["verify"]}, {"change": ROOT / "src"},

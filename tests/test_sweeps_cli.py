@@ -981,6 +981,18 @@ class TestThreshold:
                 assert [len(ls) for ls in built] == ([128, 127] if found else [128])
                 assert built[0][0] == SQRT_HALF
 
+    def test_first_stack_constants_are_read_only_and_current(self):
+        # built at import; each still equals what its functions give now, so a
+        # change to _BISECT_DEPTH or to the degree cannot leave them stale
+        ls = np.concatenate(([SQRT_HALF], sweeps._bisection_tree(SQRT_HALF, 1.0)))
+        assert len(ls) == 2 ** sweeps._BISECT_DEPTH
+        for constant, now in ((sweeps._FIRST_LS, ls), (sweeps._FIRST_RS, _unit_r(ls)),
+                              (sweeps._FIRST_DEGREES, indist_on_family(ls))):
+            assert constant.tobytes() == now.tobytes()
+            assert not constant.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                constant[0] = 0.5
+
     def test_triplet_target_has_no_all_noise_threshold(self):
         result = find_threshold(SweepConfig(statistics=FERMION, target="1_plus"))
         assert not result.found

@@ -57,6 +57,12 @@ WORKLOADS = {
     "cap-json": ("sweep", "--indist-grid", "0:1:1000", "--p-grid", "0:1:1000",
                  "--format", "json"),
     "threshold": ("threshold", "--statistics", "fermion", "--target", "1_minus"),
+    "threshold-fermion-1_plus": ("threshold", "--statistics", "fermion", "--target", "1_plus"),
+    "threshold-boson-1_minus": ("threshold", "--statistics", "boson", "--target", "1_minus"),
+    "threshold-boson-1_plus": ("threshold", "--statistics", "boson", "--target", "1_plus"),
+    # just below theta = pi: the sharp-dip search that finds no threshold
+    "threshold-boson-1_plus-3.14159": ("threshold", "--statistics", "boson", "--target", "1_plus",
+                                       "--theta", "3.14159"),
     "verify": ("verify",),
 }
 
