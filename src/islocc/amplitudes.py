@@ -18,9 +18,10 @@ stacks of overlap matrices at once, is pinned against it by the test suite.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -90,27 +91,12 @@ def overlap_matrix(bra: ElementaryKet, ket: ElementaryKet) -> np.ndarray:
     return bras.conj() @ kets.T
 
 
-def _permutations_with_parity(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (permutation, sign) with the sign tracked transposition by
-    transposition (Heap's algorithm swaps exactly one pair per step)."""
-    perm = list(range(n))
-    sign = 1
-    yield tuple(perm), sign
-    counters = [0] * n
-    i = 0
-    while i < n:
-        if counters[i] < i:
-            if i % 2 == 0:
-                perm[0], perm[i] = perm[i], perm[0]
-            else:
-                perm[counters[i]], perm[i] = perm[i], perm[counters[i]]
-            sign = -sign
-            yield tuple(perm), sign
-            counters[i] += 1
-            i = 0
-        else:
-            counters[i] = 0
-            i += 1
+@functools.cache
+def _permutations_with_parity(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation of range(n) with its sign, (-1)^inversions, built once
+    per n (at most ``PERMSUM_CAP``! entries: the sum refuses larger n first)."""
+    return tuple((perm, (-1) ** sum(a > b for a, b in itertools.combinations(perm, 2)))
+                 for perm in itertools.permutations(range(n)))
 
 
 def amplitude_permsum(bra: ElementaryKet, ket: ElementaryKet) -> complex:

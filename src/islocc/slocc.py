@@ -101,10 +101,6 @@ class ProjectedDensityMatrix:
         # accepted within the check's rounding slack, stored in [0, 1]
         object.__setattr__(self, "probability", min(max(probability, 0.0), 1.0))
 
-    @property
-    def n(self) -> int:
-        return len(self.regions)
-
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues with float-level negatives clamped to zero."""
         vals = np.linalg.eigvalsh(self.matrix)

@@ -2,7 +2,9 @@
 
 CSV remains the authoritative artifact; these plots carry no styling
 dependencies and are deterministic for identical inputs.  Both renderers
-read the columns of a sweep's ``ROW_DTYPE`` table and never iterate its rows.
+read a sweep's ``ROW_DTYPE`` table (or a list of its rows) as whole columns:
+each coordinate column is scaled in one call, and the only work done row by
+row is formatting that row's text.
 """
 
 from __future__ import annotations
@@ -15,27 +17,23 @@ __all__ = ["sweep_svg", "bell_region_svg"]
 
 _WIDTH, _HEIGHT = 640, 420
 _MARGIN = 56
+_FRAME = (_MARGIN, _WIDTH - _MARGIN, _HEIGHT - _MARGIN, _MARGIN)  # x0, x1, y0 (bottom), y1
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
             "#8c564b", "#17becf", "#7f7f7f")
+_EMPTY = "<svg xmlns='http://www.w3.org/2000/svg'/>"
 
 
-def _scale(value: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
+def _scale(values, lo: float, hi: float, out_lo: float, out_hi: float):
+    """``values`` (a float or a column) mapped from [lo, hi] onto [out_lo,
+    out_hi]; an empty range (a one-point grid) maps to the middle."""
     if hi <= lo:
-        return 0.5 * (out_lo + out_hi)
-    return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
-
-
-def _read(rows, *fields: str) -> list[list]:
-    """The named columns of sweep rows (a ``ROW_DTYPE`` table, or a list of
-    its rows) as lists of Python values."""
-    table = np.asarray(rows, dtype=ROW_DTYPE)
-    return [table[name].tolist() for name in fields]
+        return np.full_like(values, 0.5 * (out_lo + out_hi), dtype=float)
+    return out_lo + (values - lo) / (hi - lo) * (out_hi - out_lo)
 
 
 def _axes(title: str, x_label: str, y_label: str,
           x_range: tuple[float, float], y_range: tuple[float, float]) -> list[str]:
-    x0, x1 = _MARGIN, _WIDTH - _MARGIN
-    y0, y1 = _HEIGHT - _MARGIN, _MARGIN
+    x0, x1, y0, y1 = _FRAME
     parts = [
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2:.0f}" y="24" text-anchor="middle" '
@@ -64,32 +62,31 @@ def _axes(title: str, x_label: str, y_label: str,
 
 def sweep_svg(rows) -> str:
     """Line plot of concurrence against noise probability, one polyline per
-    (l, lprime) family in first-appearance order."""
-    p, l, lprime, concurrence, indist = _read(rows, "p", "l", "lprime", "concurrence",
-                                              "indist")
-    if not p:
-        return "<svg xmlns='http://www.w3.org/2000/svg'/>"
-    families: dict[tuple[float, float], list[int]] = {}
-    for k, family in enumerate(zip(l, lprime)):
-        families.setdefault(family, []).append(k)
-    x_range = (min(p), max(p))
-    top = max(max(concurrence), 1.0)
-    y_range = (0.0, top)
-    x0, x1 = _MARGIN, _WIDTH - _MARGIN
-    y0, y1 = _HEIGHT - _MARGIN, _MARGIN
+    family.  A family is a run of rows with one (l, lprime) along which p does
+    not fall, as ``run_sweep`` lays out each family's ascending p grid; a
+    family that recurs later, as in concatenated sweeps, draws again."""
+    table = np.asarray(rows, dtype=ROW_DTYPE)
+    if not len(table):
+        return _EMPTY
+    p, l, lprime = table["p"], table["l"], table["lprime"]
+    new_family = (l[1:] != l[:-1]) | (lprime[1:] != lprime[:-1]) | (p[1:] < p[:-1])
+    bounds = np.flatnonzero(np.r_[True, new_family, True])  # family starts, then the end
+    x_range = (float(p.min()), float(p.max()))
+    y_range = (0.0, max(float(table["concurrence"].max()), 1.0))
+    x0, x1, y0, y1 = _FRAME
+    xs = _scale(p, *x_range, x0, x1)
+    ys = _scale(table["concurrence"], *y_range, y0, y1)
     parts = _axes("concurrence vs noise probability", "noise probability p", "concurrence",
                   x_range, y_range)
-    for idx, ((fl, flprime), members) in enumerate(families.items()):
+    for idx, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(
-            f"{_scale(p[k], *x_range, x0, x1):.2f},"
-            f"{_scale(concurrence[k], *y_range, y0, y1):.2f}"
-            for k in members)
+        points = " ".join("%.2f,%.2f" % point for point in zip(xs[start:stop], ys[start:stop]))
         parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" '
                      f'stroke-width="1.5"/>')
         parts.append(f'<text x="{x1 - 150}" y="{y1 + 14 + 14 * idx}" fill="{color}" '
                      f'font-family="sans-serif" font-size="10">'
-                     f'l={fl:.4f}, l&apos;={flprime:.4f} (I={indist[members[0]]:.3f})</text>')
+                     f'l={l[start]:.4f}, l&apos;={lprime[start]:.4f} '
+                     f'(I={table["indist"][start]:.3f})</text>')
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
             f'height="{_HEIGHT}">' + "".join(parts) + "</svg>\n")
 
@@ -97,24 +94,24 @@ def sweep_svg(rows) -> str:
 def bell_region_svg(rows) -> str:
     """Cell map of CHSH violation over the (noise, indistinguishability) grid;
     violating cells are filled red."""
-    p, indist, violated = _read(rows, "p", "indist", "violated")
-    if not p:
-        return "<svg xmlns='http://www.w3.org/2000/svg'/>"
-    ps = sorted(set(p))
-    degrees = sorted(set(indist))
-    x_range = (min(ps), max(ps))
-    y_range = (min(degrees), max(degrees))
-    x0, x1 = _MARGIN, _WIDTH - _MARGIN
-    y0, y1 = _HEIGHT - _MARGIN, _MARGIN
-    cell_w = (x1 - x0) / max(len(ps), 1)
-    cell_h = (y0 - y1) / max(len(degrees), 1)
+    table = np.asarray(rows, dtype=ROW_DTYPE)
+    if not len(table):
+        return _EMPTY
+    p, indist = table["p"], table["indist"]
+    # each grid sorted, its distinct values counted by the nonzero steps between them;
+    # np.unique would import numpy.ma on its first call (12 ms: numpy 2.4, 2 vCPU)
+    ps, degrees = np.sort(p), np.sort(indist)
+    x_range = (float(ps[0]), float(ps[-1]))
+    y_range = (float(degrees[0]), float(degrees[-1]))
+    x0, x1, y0, y1 = _FRAME
+    cell_w = (x1 - x0) / (1 + np.count_nonzero(np.diff(ps)))
+    cell_h = (y0 - y1) / (1 + np.count_nonzero(np.diff(degrees)))
+    xs = _scale(p, *x_range, x0, x1 - cell_w)
+    ys = _scale(indist, *y_range, y0 - cell_h, y1)
+    fills = np.where(table["violated"], "#d62728", "#ededed")
+    cell = f'<rect x="%.2f" y="%.2f" width="{cell_w:.2f}" height="{cell_h:.2f}" fill="%s"/>'
     parts = _axes("CHSH violation region (B > 2)", "noise probability p",
                   "indistinguishability degree", x_range, y_range)
-    for pv, degree, hit in zip(p, indist, violated):
-        cx = _scale(pv, *x_range, x0, x1 - cell_w)
-        cy = _scale(degree, *y_range, y0 - cell_h, y1)
-        fill = "#d62728" if hit else "#ededed"
-        parts.append(f'<rect x="{cx:.2f}" y="{cy:.2f}" width="{cell_w:.2f}" '
-                     f'height="{cell_h:.2f}" fill="{fill}"/>')
+    parts.extend(cell % row for row in zip(xs, ys, fills))
     return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
             f'height="{_HEIGHT}">' + "".join(parts) + "</svg>\n")

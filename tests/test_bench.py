@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from islocc import FERMION, GridSpec, SweepConfig, records_to_csv, run_sweep
+from islocc.svg import bell_region_svg, sweep_svg
 from islocc.sweeps import CSV_FIELDS
 from islocc.verify import run_verify
 
@@ -56,6 +57,17 @@ def test_bell_region_map_writes_the_pinned_bytes():
     report = bench.measure(workload, {"change": ROOT / "src"}, repeats=1)["bell-region-41"]
     assert report["status"] == "ok"
     assert report["sha256"] == "7a3b5ad9edd3b2e8b407570baefbde55d8518c63ded5a3c1d3825915837188b0"
+
+
+@pytest.mark.parametrize("name, renderer", [("sweep-41-svg", sweep_svg),
+                                            ("bell-region-41-svg", bell_region_svg)])
+def test_svg_maps_write_the_renderers_bytes(name, renderer):
+    config = SweepConfig(statistics=FERMION, indist_grid=GridSpec(0, 1, 41),
+                         p_grid=GridSpec(0, 1, 41))
+    report = bench.measure({name: bench.WORKLOADS[name]}, {"change": ROOT / "src"},
+                           repeats=1)[name]
+    assert report["status"] == "ok"
+    assert report["sha256"] == hashlib.sha256(renderer(run_sweep(config)).encode()).hexdigest()
 
 
 #: The file each threshold workload writes: the text ``TestThreshold`` pins by

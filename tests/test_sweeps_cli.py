@@ -910,6 +910,55 @@ class TestSvg:
         assert len(xs) > 20 and len(ys) > 20
         assert all(0.0 <= x <= 640.0 for x in xs) and all(0.0 <= y <= 420.0 for y in ys)
 
+    @staticmethod
+    def polylines(text: str) -> list[list[str]]:
+        return [points.split() for points in re.findall(r'<polyline points="([^"]+)"', text)]
+
+    @staticmethod
+    def reference_points(table) -> list[str]:
+        """Each row's point as a scalar loop over Python floats places it: p on
+        [56, 584] and concurrence on [364, 56], an empty range at the middle."""
+        def scale(value, lo, hi, out_lo, out_hi):
+            if hi <= lo:
+                return 0.5 * (out_lo + out_hi)
+            return out_lo + (value - lo) / (hi - lo) * (out_hi - out_lo)
+        p, concurrence = table.p.tolist(), table.concurrence.tolist()
+        top = max(max(concurrence), 1.0)
+        return [f"{scale(x, min(p), max(p), 56, 584):.2f},{scale(y, 0.0, top, 364, 56):.2f}"
+                for x, y in zip(p, concurrence)]
+
+    @BENCHMARK_CONFIGS
+    def test_polylines_follow_the_family_layout(self, config):
+        # every row's point once, in row order, and a new polyline at each family
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # l-scan's flagged rows
+            table = run_sweep(config)
+        polylines = self.polylines(sweep_svg(table))
+        assert [point for line in polylines for point in line] == self.reference_points(table)
+        steps = config.p_grid.steps
+        assert [len(line) for line in polylines] == [steps] * (len(table) // steps)
+
+    def test_concatenated_sweeps_of_one_family_keep_one_polyline_each(self):
+        # demo 04's three sweeps: the singlet and triplet targets share l = l' = 1/sqrt(2)
+        line = GridSpec(SQRT_HALF, SQRT_HALF, 1)
+        p_grid = GridSpec(0, 1, 51)
+        sweeps_ = [run_sweep(config) for config in (
+            SweepConfig(statistics=FERMION, target="1_minus", constraint="l_eq_lprime",
+                        l_grid=line, p_grid=p_grid),
+            SweepConfig(statistics=FERMION, target="1_plus", constraint="l_eq_lprime",
+                        l_grid=line, p_grid=p_grid),
+            SweepConfig(statistics=FERMION, target="1_minus", indist_grid=GridSpec(0, 0, 1),
+                        p_grid=p_grid))]
+        text = sweep_svg([row for table in sweeps_ for row in table])
+        assert self.polylines(text) == [self.polylines(sweep_svg(table))[0]
+                                        for table in sweeps_]
+        assert [len(line) for line in self.polylines(text)] == [51, 51, 51]
+        assert len(re.findall(r"<text[^>]*>l=", text)) == 3
+
+    def test_families_of_one_l_in_one_sweep_keep_one_polyline_each(self):
+        table = run_sweep(SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(0.5, 0.5, 3)))
+        assert [len(line) for line in self.polylines(sweep_svg(table))] == [51, 51, 51]
+
 
 class TestThreshold:
     def test_singlet_target_threshold_window(self):

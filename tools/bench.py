@@ -47,6 +47,9 @@ WORKLOADS = {
     "sweep-41": ("sweep", "--indist-grid", "0:1:41", "--p-grid", "0:1:41", "--format", "csv"),
     "bell-region-41": ("bell-region", "--indist-grid", "0:1:41", "--p-grid", "0:1:41",
                        "--format", "csv"),
+    "sweep-41-svg": ("sweep", "--indist-grid", "0:1:41", "--p-grid", "0:1:41", "--format", "svg"),
+    "bell-region-41-svg": ("bell-region", "--indist-grid", "0:1:41", "--p-grid", "0:1:41",
+                           "--format", "svg"),
     "l-scan-json": ("sweep", "--statistics", "boson", "--target", "1_plus", "--theta", "1",
                     "--constraint", "l_eq_lprime", "--l-grid", "0:1:801",
                     "--p-grid", "0.5:0.5:1", "--format", "json"),
@@ -56,6 +59,10 @@ WORKLOADS = {
     "cap-csv": ("sweep", "--indist-grid", "0:1:1000", "--p-grid", "0:1:1000", "--format", "csv"),
     "cap-json": ("sweep", "--indist-grid", "0:1:1000", "--p-grid", "0:1:1000",
                  "--format", "json"),
+    "cap-sweep-svg": ("sweep", "--indist-grid", "0:1:1000", "--p-grid", "0:1:1000",
+                      "--format", "svg"),
+    "cap-bell-region-svg": ("bell-region", "--indist-grid", "0:1:1000", "--p-grid", "0:1:1000",
+                            "--format", "svg"),
     "threshold": ("threshold", "--statistics", "fermion", "--target", "1_minus"),
     "threshold-fermion-1_plus": ("threshold", "--statistics", "fermion", "--target", "1_plus"),
     "threshold-boson-1_minus": ("threshold", "--statistics", "boson", "--target", "1_minus"),
