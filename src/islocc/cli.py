@@ -36,8 +36,8 @@ import sys
 from pathlib import Path
 
 from .sweeps import (BELL_REGION_FIELDS, CONSTRAINTS, CSV_FIELDS, FORMATS, TARGETS,
-                     ConfigError, GridSpec, SweepConfig, _check_threshold_family,
-                     find_threshold, records_to_csv, records_to_json, run_sweep)
+                     ConfigError, GridSpec, SweepConfig, _bounded, _check_threshold_family,
+                     _shown, find_threshold, records_to_csv, records_to_json, run_sweep)
 from .svg import bell_region_svg, sweep_svg
 from .xstate import ParticleStatistics
 
@@ -65,11 +65,11 @@ def load_config_file(path: str) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {_shown(raw)}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower().replace("-", "_")
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ConfigError(f"{path}:{lineno}: unknown config key {_shown(key)}")
         values[key] = value
     return values
 
@@ -89,8 +89,10 @@ def _merged_values(args: argparse.Namespace) -> dict:
     try:
         return {key: parse(values[key]) for key, parse in _CONFIG_KEYS.items()
                 if key in values}
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    except ConfigError:
+        raise
+    except ValueError as exc:  # float and ParticleStatistics.parse echo the text they read
+        raise ConfigError(_bounded(str(exc))) from None
 
 
 def _checked_config(values: dict) -> SweepConfig:

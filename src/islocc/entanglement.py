@@ -9,14 +9,15 @@ entropy, and two CHSH evaluators — the unrestricted Horodecki criterion
 from the spin-correlation matrix, and the closed-form X-state expression
 2*sqrt(P^2 + Q^2) used by the sweep layer.
 
-:func:`analyze` reports all of them for one matrix.  This eigen path is
-the oracle of the sweep and threshold rows: those are real X states with
-rho03 = 0, which :class:`~islocc.xstate.WernerFamily` analyzes from their
-three distinct entries u = rho00, v = rho11 and y = rho12 in closed form,
-C = 2 max(0, |y| - u) and B = 2 sqrt(P^2 + Q^2) = 4 sqrt((u - v)^2 + y^2),
-with no 4x4 matrix and no eigen solver.  The elementwise entropy and
-entanglement-of-formation formulas (:func:`binary_entropy`) are defined
-there and shared.
+:func:`analyze` reports all of them for one matrix, and its ``concurrence``
+and ``lambdas`` fields are the way to read the Wootters quantities.  This
+eigen path is the oracle of the sweep and threshold rows: those are real X
+states with rho03 = 0, which :class:`~islocc.xstate.WernerFamily` analyzes
+from their three distinct entries u = rho00, v = rho11 and y = rho12 in
+closed form, C = 2 max(0, |y| - u) and B = 2 sqrt(P^2 + Q^2) =
+4 sqrt((u - v)^2 + y^2), with no 4x4 matrix and no eigen solver.  The
+elementwise entropy and entanglement-of-formation formulas
+(:func:`binary_entropy`) are defined there and shared.
 
 For the singlet-type states produced by the noisy-preparation pipeline the
 two CHSH evaluators coincide exactly; for triplet-type X states whose
@@ -39,8 +40,6 @@ __all__ = [
     "SIGMA_X",
     "SIGMA_Y",
     "SIGMA_Z",
-    "wootters_lambdas",
-    "concurrence",
     "binary_entropy",
     "eof",
     "correlation_matrix",
@@ -57,6 +56,10 @@ SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 _FLIP = np.kron(SIGMA_Y, SIGMA_Y)
+
+#: sigma_i x sigma_j for i, j in x, y, z, row-major.
+_PAULI_PAIRS = [np.kron(si, sj) for si in (SIGMA_X, SIGMA_Y, SIGMA_Z)
+                for sj in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
 
 #: Entries an X-shaped two-qubit matrix may carry: diagonal and anti-diagonal.
 _X_SHAPE = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
@@ -96,33 +99,12 @@ def _lambdas(m: np.ndarray) -> np.ndarray:
     return sigma * sigma
 
 
-def _concurrence(lambdas: np.ndarray) -> np.ndarray:
-    roots = np.sqrt(lambdas)
-    return np.clip(roots[..., 0] - roots[..., 1] - roots[..., 2] - roots[..., 3], 0.0, 1.0)
-
-
 def _xstate(m: np.ndarray) -> tuple[float, float, float, float]:
     """X-state CHSH value, P, Q and the largest off-X entry of the matrix."""
     off_x = float(np.max(np.abs(np.where(_X_SHAPE, 0.0, m))))
     p = float((m[0, 0] + m[3, 3] - m[1, 1] - m[2, 2]).real)
     q = 2.0 * float(abs(m[0, 3]) + abs(m[1, 2]))
     return 2.0 * math.sqrt(p * p + q * q), p, q, off_x
-
-
-def wootters_lambdas(rho: MatrixLike) -> np.ndarray:
-    """Eigenvalues of rho * rho~ sorted descending, all >= 0.
-
-    The product is non-Hermitian, so they are taken as the squared
-    singular values of tau = Psi^T (sigma_y x sigma_y) Psi, with
-    rho = Psi Psi^+ from a Hermitian eigendecomposition of rho.
-    """
-    return _lambdas(_as_matrix(rho))
-
-
-def concurrence(rho: MatrixLike) -> float:
-    """Wootters concurrence max(0, sqrt(l1) - sqrt(l2) - sqrt(l3) - sqrt(l4))
-    with l1 the largest eigenvalue of rho * rho~."""
-    return float(_concurrence(wootters_lambdas(rho)))
 
 
 def eof(concurrence_value: float) -> float:
@@ -133,12 +115,7 @@ def eof(concurrence_value: float) -> float:
 def correlation_matrix(rho: MatrixLike) -> np.ndarray:
     """3x3 spin-correlation matrix T[i, j] = Tr(rho sigma_i x sigma_j)."""
     m = _as_matrix(rho)
-    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-    t = np.empty((3, 3), dtype=float)
-    for i, si in enumerate(paulis):
-        for j, sj in enumerate(paulis):
-            t[i, j] = np.trace(m @ np.kron(si, sj)).real
-    return t
+    return np.array([np.trace(m @ pair).real for pair in _PAULI_PAIRS]).reshape(3, 3)
 
 
 def bell_horodecki(rho: MatrixLike) -> float:
@@ -191,7 +168,8 @@ def analyze(rho: MatrixLike) -> EntanglementReport:
     """
     m = _as_matrix(rho)
     lambdas = _lambdas(m)
-    c = float(_concurrence(lambdas))
+    roots = np.sqrt(lambdas)
+    c = float(np.clip(roots[0] - roots[1] - roots[2] - roots[3], 0.0, 1.0))
     bell, bell_p, bell_q, off_x = _xstate(m)
     if not off_x <= _X_ATOL:
         bell, bell_p, bell_q = bell_horodecki(m), math.nan, math.nan

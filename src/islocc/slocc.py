@@ -101,11 +101,6 @@ class ProjectedDensityMatrix:
         # accepted within the check's rounding slack, stored in [0, 1]
         object.__setattr__(self, "probability", min(max(probability, 0.0), 1.0))
 
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues with float-level negatives clamped to zero."""
-        vals = np.linalg.eigvalsh(self.matrix)
-        return np.clip(vals, 0.0, None)
-
 
 def normalize_block(raw: np.ndarray, global_trace: float,
                     regions: Sequence[str]) -> ProjectedDensityMatrix:

@@ -137,12 +137,6 @@ class SingleParticleState:
         keys = product(self.basis.labels, SPIN_ORDER)
         return MappingProxyType({k: v for k, v in zip(keys, self.vector.tolist()) if v != 0})
 
-    def amplitude(self, mode: str, spin: Spin) -> complex:
-        return complex(self.vector[_slot(self.basis, mode, spin)])
-
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.vector, self.vector).real)
-
     def substitute_modes(self, mapping: Mapping[str, Mapping[str, complex]],
                          basis: ModeBasis) -> "SingleParticleState":
         """Linear substitution on the spatial part, |m> -> sum_m' c_{m'} |m'>.

@@ -114,10 +114,16 @@ def _real(value, name: str) -> float:
     raise ConfigError(f"{name} must be finite and real, got {_shown(value)}")
 
 
+def _bounded(text: str) -> str:
+    """``text``, or its first 60 characters and its length where longer, so
+    that a message echoing outside input stays one short line."""
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _shown(value) -> str:
-    """``repr(value)``, or its type where that raises (an int past Python's digit limit)."""
+    """``repr(value)`` cut by :func:`_bounded`, or its type where repr raises (a huge int)."""
     try:
-        return repr(value)
+        return _bounded(repr(value))
     except ValueError:
         return f"<{type(value).__name__} too long to write>"
 
@@ -148,11 +154,13 @@ class GridSpec:
     def parse(cls, text: str) -> "GridSpec":
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"grid must be 'start:stop:steps', got {text!r}")
+            raise ConfigError(f"grid must be 'start:stop:steps', got {_shown(text)}")
         try:
             return cls(float(parts[0]), float(parts[1]), int(parts[2]))
-        except ValueError as exc:
-            raise ConfigError(f"bad grid {text!r}: {exc}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"bad grid {_shown(text)}: {exc}") from None
+        except ValueError as exc:  # float and int echo the text they read
+            raise ConfigError(f"bad grid {_shown(text)}: {_bounded(str(exc))}") from None
 
     def values(self) -> np.ndarray:
         return (np.array([self.start]) if self.steps == 1
@@ -206,7 +214,7 @@ class SweepConfig:
         if self.constraint == "free" and self.lprime is None:
             raise ConfigError("the free constraint needs an explicit lprime value")
         if self.constraint != "free" and self.lprime is not None:
-            raise ConfigError(f"lprime is only meaningful with the free constraint")
+            raise ConfigError("lprime is only meaningful with the free constraint")
         if self.lprime is not None and not 0.0 <= self.lprime <= 1.0:
             raise ConfigError(f"lprime must lie in [0, 1], got {self.lprime!r}")
         for name, grid in (("indistinguishability", self.indist_grid), ("l", self.l_grid),

@@ -133,7 +133,7 @@ def suite_global_trace(rng: np.random.Generator) -> str:
         p = rng.uniform(0, 1)
         stats = BOSON if rng.integers(2) else FERMION
         target = "1_minus" if rng.integers(2) else "1_plus"
-        spec = WernerSpec(p, target, SpatialWave.from_l(l), SpatialWave.from_l(lp, theta), stats)
+        spec = spec_from_l(p, target, l, lp, stats, theta)
         overlap_sq = abs(l * lp + math.sqrt(1 - l * l) * math.sqrt(1 - lp * lp)
                          * np.exp(1j * theta)) ** 2
         sign = -1.0 if target == "1_minus" else 1.0
@@ -195,7 +195,7 @@ def suite_projection_properties(rng: np.random.Generator) -> str:
         p = rng.uniform(0, 1)
         stats = BOSON if rng.integers(2) else FERMION
         target = "1_minus" if rng.integers(2) else "1_plus"
-        spec = WernerSpec(p, target, SpatialWave.from_l(l), SpatialWave.from_l(lp, theta), stats)
+        spec = spec_from_l(p, target, l, lp, stats, theta)
         try:
             projected = project_werner(spec)
         except ProjectionUndefinedError:
@@ -220,8 +220,7 @@ def suite_bell_fast_path(rng: np.random.Generator) -> str:
         theta = rng.uniform(0, 2 * math.pi)
         p = rng.uniform(0, 1)
         stats = BOSON if rng.integers(2) else FERMION
-        spec = WernerSpec(p, "1_minus", SpatialWave.from_l(l), SpatialWave.from_l(lp, theta),
-                          stats)
+        spec = spec_from_l(p, "1_minus", l, lp, stats, theta)
         try:
             projected = project_werner(spec)
         except ProjectionUndefinedError:

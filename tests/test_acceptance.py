@@ -9,7 +9,7 @@ import pytest
 
 from islocc import verify
 from islocc.amplitudes import BOSON, FERMION, ElementaryKet, amplitude_permsum
-from islocc.entanglement import concurrence
+from islocc.entanglement import analyze
 from islocc.indistinguishability import degree_n, degree_two
 from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, project
 from islocc.states import UP, ModeBasis, SingleParticleState, SpatialWave, make_peaked
@@ -37,7 +37,7 @@ def test_criterion_1_noise_free_preparation():
         for p in np.linspace(0.0, 1.0, 11):
             for stats in (FERMION, BOSON):
                 spec = spec_from_l(float(p), "1_minus", l, l, stats)
-                worst = max(worst, abs(concurrence(project_werner(spec)) - 1.0))
+                worst = max(worst, abs(analyze(project_werner(spec)).concurrence - 1.0))
     assert worst <= 1e-9
     _report(1, f"singlet target at full indistinguishability stays maximally "
                f"entangled for every noise level, worst |C - 1| = {worst:.2e}")
@@ -80,7 +80,7 @@ def test_criterion_3_triplet_target_closed_form():
             for p in np.linspace(0.0, 1.0, 50):
                 spec = spec_from_l(float(p), "1_plus", l, l, stats)
                 expected = max(0.0, (4 - 5 * p) / (4 - p))
-                worst = max(worst, abs(concurrence(project_werner(spec)) - expected))
+                worst = max(worst, abs(analyze(project_werner(spec)).concurrence - expected))
     assert worst <= 1e-9
     _report(3, f"triplet target at full indistinguishability follows "
                f"(4-5p)/(4-p) with cutoff at p = 4/5, worst diff = {worst:.2e}")
@@ -93,7 +93,7 @@ def test_criterion_4_distinguishable_limit():
             for p in np.linspace(0.0, 1.0, 21):
                 spec = spec_from_l(float(p), target, 1.0, 0.0, stats)
                 expected = max(0.0, 1 - 1.5 * p)
-                worst = max(worst, abs(concurrence(project_werner(spec)) - expected))
+                worst = max(worst, abs(analyze(project_werner(spec)).concurrence - expected))
     assert worst <= 1e-9
     _report(4, f"fully distinguishable pair reproduces the standard noisy-qubit "
                f"concurrence 1 - 3p/2, worst diff = {worst:.2e}")
@@ -179,12 +179,12 @@ def test_criterion_10_property_suite():
             for theta in (0.0, 0.7, math.pi):
                 for p in np.linspace(0.0, 1.0, 6):
                     try:
-                        c_f = concurrence(project_werner(
+                        c_f = analyze(project_werner(
                             spec_from_l(float(p), target, float(l), lprime,
-                                        FERMION, theta)))
-                        c_b = concurrence(project_werner(
+                                        FERMION, theta))).concurrence
+                        c_b = analyze(project_werner(
                             spec_from_l(float(p), target, float(l), lprime, BOSON,
-                                        theta + math.pi)))
+                                        theta + math.pi))).concurrence
                     except (ProjectionUndefinedError, ZeroTraceError):
                         continue  # degenerate point: no detectable state
                     worst_switch = max(worst_switch, abs(c_f - c_b))

@@ -129,10 +129,14 @@ def test_main_against_the_head_revision(tmp_path, monkeypatch):
     assert bench.main(["--repeats", "1", "--baseline", "HEAD", "--output", str(path)]) == 0
     report = json.loads(path.read_text())
     assert report["repeats"] == 1
-    assert set(report["environment"]) == {"nproc", "affinity", "python", "numpy", "head",
-                                          "src_lines", "bench_peak_rss_mib"}
-    assert report["environment"]["src_lines"] == bench.src_lines(ROOT / "src")
-    assert report["baseline"]["commit"] == report["environment"]["head"]
+    environment = report["environment"]
+    assert set(environment) == {"nproc", "affinity", "python", "numpy", "numpy_cpu_baseline",
+                                "numpy_cpu_dispatch", "numpy_cpu_dispatch_supported", "head",
+                                "src_lines", "bench_peak_rss_mib"}
+    assert set(environment["numpy_cpu_dispatch_supported"]) <= \
+        set(environment["numpy_cpu_dispatch"])
+    assert environment["src_lines"] == bench.src_lines(ROOT / "src")
+    assert report["baseline"]["commit"] == environment["head"]
     tiny = report["workloads"]["tiny"]
     assert tiny["status"] == "ok" and tiny["sha256"] == _tiny_digest()
     assert tiny["change_faster_pairs"] in (0, 1)

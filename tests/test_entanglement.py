@@ -6,8 +6,7 @@ import pytest
 from islocc.amplitudes import BOSON, FERMION
 from islocc.entanglement import (SIGMA_Y, NotXShapedError, analyze,
                                  bell_horodecki, bell_xstate, binary_entropy,
-                                 concurrence, correlation_matrix, eof,
-                                 wootters_lambdas)
+                                 correlation_matrix, eof)
 from islocc.slocc import ProjectionUndefinedError
 from islocc.states import SpatialWave
 from islocc.werner import WernerSpec, project_werner, spec_from_l
@@ -54,30 +53,31 @@ def _random_unitary(rng, dim=2):
 class TestConcurrence:
     @pytest.mark.parametrize("kind", ["psi_minus", "psi_plus", "phi_plus", "phi_minus"])
     def test_bell_states_are_maximal(self, kind):
-        assert concurrence(_projector(_bell_vector(kind))) == pytest.approx(1.0, abs=1e-12)
+        assert analyze(_projector(_bell_vector(kind))).concurrence == pytest.approx(1.0, abs=1e-12)
 
     def test_product_states_are_zero(self, rng):
         for _ in range(20):
             a = _random_unitary(rng) @ np.array([1, 0])
             b = _random_unitary(rng) @ np.array([1, 0])
             rho = _projector(np.kron(a, b))
-            assert concurrence(rho) <= 1e-8
+            assert analyze(rho).concurrence <= 1e-8
 
     def test_distinguishable_werner_closed_form(self):
-        assert concurrence(_werner_matrix(0.4)) == pytest.approx(0.4, abs=1e-12)
-        assert concurrence(_werner_matrix(0.9)) == 0.0
+        assert analyze(_werner_matrix(0.4)).concurrence == pytest.approx(0.4, abs=1e-12)
+        assert analyze(_werner_matrix(0.9)).concurrence == 0.0
 
     def test_invariant_under_local_rotations(self, rng):
         for _ in range(100):
             rho = _werner_matrix(rng.uniform(0, 1))
             u = np.kron(_random_unitary(rng), _random_unitary(rng))
             rotated = u @ rho @ u.conj().T
-            assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-9)
+            assert analyze(rotated).concurrence == \
+                pytest.approx(analyze(rho).concurrence, abs=1e-9)
 
     def test_lambda_sum_matches_trace(self, rng):
         for _ in range(50):
             rho = _random_density(rng)
-            lambdas = wootters_lambdas(rho)
+            lambdas = np.array(analyze(rho).lambdas)
             expected = np.trace(rho @ _spin_flip(rho)).real
             assert math.fsum(lambdas) == pytest.approx(expected, abs=1e-12)
             assert np.all(lambdas[:-1] >= lambdas[1:])  # sorted descending
@@ -89,7 +89,8 @@ class TestConcurrence:
         for _ in range(1000):
             psi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             psi /= np.linalg.norm(psi)
-            worst = max(worst, abs(concurrence(_projector(psi)) - abs(psi @ FLIP @ psi)))
+            c = analyze(_projector(psi)).concurrence
+            worst = max(worst, abs(c - abs(psi @ FLIP @ psi)))
         assert worst <= 1e-13
 
     def test_raw_spectrum_is_nearly_real_non_negative(self, rng):
@@ -189,7 +190,11 @@ class TestAnalyze:
         spec = spec_from_l(0.35, "1_minus", 0.82, 0.64, FERMION)
         projected = project_werner(spec)
         report = analyze(projected)
-        assert report.concurrence == pytest.approx(concurrence(projected), abs=1e-13)
+        # the X-state closed form 2 max(0, |r23| - sqrt(r11 r44), |r14| - sqrt(r22 r33))
+        m, d = projected.matrix, projected.matrix.diagonal().real
+        closed = 2 * max(0.0, abs(m[1, 2]) - math.sqrt(d[0] * d[3]),
+                         abs(m[0, 3]) - math.sqrt(d[1] * d[2]))
+        assert report.concurrence == pytest.approx(closed, abs=1e-13)
         assert report.eof == pytest.approx(eof(report.concurrence), abs=1e-13)
         assert report.bell == pytest.approx(bell_xstate(projected).bell, abs=1e-13)
         assert len(report.lambdas) == 4
@@ -208,9 +213,7 @@ class TestAnalyze:
                 _random_density(rng), _projector(_bell_vector("phi_minus"))]
         for rho in rows:
             report = analyze(rho)
-            np.testing.assert_allclose(report.lambdas, wootters_lambdas(rho), atol=1e-12)
-            assert report.concurrence == pytest.approx(concurrence(rho), abs=1e-12)
-            assert report.eof == pytest.approx(eof(concurrence(rho)), abs=1e-12)
+            assert report.eof == pytest.approx(eof(report.concurrence), abs=1e-12)
             try:
                 x = bell_xstate(rho)
             except NotXShapedError:
@@ -230,7 +233,7 @@ class TestAnalyze:
         rho = np.eye(4, dtype=complex) / 4
         rho[1, 2] = 0.4
         for m in (rho, rho.T, np.full((4, 4), math.nan)):
-            for read in (analyze, concurrence, wootters_lambdas):
+            for read in (analyze, correlation_matrix, bell_horodecki, bell_xstate):
                 with pytest.raises(ValueError, match="Hermitian"):
                     read(m)
 

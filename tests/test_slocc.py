@@ -113,7 +113,6 @@ class TestProjectedMatrixInvariants:
             assert np.max(np.abs(m - m.conj().T)) <= 1e-12
             assert abs(np.trace(m).real - 1.0) <= 1e-12
             assert np.min(np.linalg.eigvalsh(m)) >= -1e-10
-            assert np.min(projected.eigenvalues()) >= 0.0
             assert 0.0 <= projected.probability <= 1.0 + 1e-12
 
     def test_constructor_validates(self):

@@ -29,19 +29,19 @@ class TestModeBasis:
 class TestMakePeaked:
     def test_fully_localized(self):
         state = make_peaked(SpatialWave(1.0, 0.0), UP, LR)
-        assert state.amplitude("L", UP) == 1.0
+        assert state.amplitudes[("L", UP)] == 1.0
         assert state.amplitudes == {("L", UP): (1 + 0j)}
 
     def test_theta_pi_flips_right_sign(self):
         state = make_peaked(SpatialWave(SQRT_HALF, SQRT_HALF, math.pi), DOWN, LR)
-        assert state.amplitude("L", DOWN) == pytest.approx(0.7071067811865476, abs=1e-12)
-        assert state.amplitude("R", DOWN) == pytest.approx(-0.7071067811865476, abs=1e-12)
-        assert state.amplitude("L", UP) == 0
+        assert state.amplitudes[("L", DOWN)] == pytest.approx(0.7071067811865476, abs=1e-12)
+        assert state.amplitudes[("R", DOWN)] == pytest.approx(-0.7071067811865476, abs=1e-12)
+        assert state.amplitudes.get(("L", UP), 0) == 0
 
     def test_direct_substitution(self):
         state = make_peaked(SpatialWave(0.8, 0.6), UP, LR)
-        assert state.amplitude("L", UP) == pytest.approx(0.8, abs=1e-15)
-        assert state.amplitude("R", UP) == pytest.approx(0.6, abs=1e-15)
+        assert state.amplitudes[("L", UP)] == pytest.approx(0.8, abs=1e-15)
+        assert state.amplitudes[("R", UP)] == pytest.approx(0.6, abs=1e-15)
 
     def test_requires_l_and_r_modes(self):
         with pytest.raises(ValueError, match="'R'"):
@@ -77,7 +77,7 @@ class TestMakePeaked:
             phi = rng.uniform(0.0, math.pi / 2.0)
             wave = SpatialWave(math.cos(phi), math.sin(phi), rng.uniform(0.0, 2.0 * math.pi))
             state = make_peaked(wave, UP if rng.integers(2) else DOWN, LR)
-            assert abs(state.norm_sq() - 1.0) <= 1e-12
+            assert abs(inner(state, state).real - 1.0) <= 1e-12
 
 
 class TestInner:
@@ -161,8 +161,8 @@ class TestStateHelpers:
         wide = ModeBasis(("L", "R"))
         state = SingleParticleState(ModeBasis(("L1",)), {("L1", UP): 1.0})
         moved = state.substitute_modes({"L1": {"L": 0.6, "R": 0.8j}}, wide)
-        assert moved.amplitude("L", UP) == pytest.approx(0.6)
-        assert moved.amplitude("R", UP) == pytest.approx(0.8j)
+        assert moved.amplitudes[("L", UP)] == pytest.approx(0.6)
+        assert moved.amplitudes[("R", UP)] == pytest.approx(0.8j)
 
     def test_from_l_builds_unit_wave(self):
         wave = SpatialWave.from_l(0.3, 1.0)

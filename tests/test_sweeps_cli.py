@@ -1439,6 +1439,26 @@ class TestCli:
     def test_bad_grid_flag_exits_2(self, capsys):
         assert main(["sweep", "--p-grid", "zero:one:ten"]) == 2
 
+    @pytest.mark.parametrize("flags, config, field", [
+        (["--p-grid", "0:1:" + "x" * 5000], None, "bad grid '0:1:xxx"),
+        (["--p-grid", "0:1:" + "9" * 4000], None, "exceeds the limit of 1000000 rows"),
+        (["--theta", "x" * 5000], None, "could not convert string to float"),
+        ([], "statistics = " + "x" * 5000, "statistics must be 'boson' or 'fermion'"),
+        ([], "k" * 5000 + " = 1", "unknown config key 'kkk"),
+        ([], "l" * 5000, "expected 'key = value'"),
+    ], ids=["grid-text", "row-cap", "theta", "config-statistics", "config-key",
+            "config-line"])
+    def test_echoed_values_are_bounded(self, flags, config, field, tmp_path, capsys):
+        # each echoed value is cut to its first 60 characters and its length
+        if config is not None:
+            (tmp_path / "run.conf").write_text(config + "\n")
+            flags = ["--config", str(tmp_path / "run.conf")]
+        assert main(["sweep", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert len(captured.err.encode()) <= 300 and field in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flags", [
         ["--constraint", "l_eq_lprime", "--l-grid", "nan:nan:1"],
         ["--p-grid", "0:nan:3"],

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from islocc.amplitudes import BOSON, FERMION
 from islocc.ensembles import mixed_trace, pure_norm_sq
-from islocc.entanglement import analyze, concurrence
+from islocc.entanglement import analyze
 from islocc.slocc import ProjectionUndefinedError, ZeroTraceError, normalize_block, project
 from islocc.sweeps import (FLAG_PROBABILITY, GridSpec, SweepConfig, _flagged,
                            find_threshold, run_sweep)
@@ -79,11 +79,11 @@ class TestWernerDirect:
     def test_zero_noise_projects_to_pure_target(self):
         spec = spec_from_l(0.0, "1_minus", 0.8, 0.55, FERMION)
         projected = project_werner(spec)
-        assert concurrence(projected) == pytest.approx(
+        assert analyze(projected).concurrence == pytest.approx(
             closed_form_concurrence_minus(0.8, 0.6, 0.55, math.sqrt(1 - 0.55 ** 2), 0.0),
             abs=1e-11)
         # rank one: a single unit eigenvalue
-        eigs = np.sort(projected.eigenvalues())
+        eigs = np.linalg.eigvalsh(projected.matrix)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
         assert eigs[-2] == pytest.approx(0.0, abs=1e-12)
 
@@ -205,7 +205,7 @@ class TestClosedForms:
                 if expected_p <= 1e-6:
                     continue
                 projected = project_werner(spec_from_l(p, target, l, lp, statistics))
-                assert concurrence(projected) == pytest.approx(
+                assert analyze(projected).concurrence == pytest.approx(
                     c_closed(l, r, lp, rp, p), abs=1e-9)
                 assert projected.probability == pytest.approx(expected_p, abs=1e-9)
 

@@ -20,7 +20,9 @@ run of a side must exit 0 and write the same bytes, and with a baseline those
 bytes must equal the baseline's.  A workload that breaks either rule is
 reported as failed, with no timings, and the script exits 1.
 
-Standard library only; the numpy version is read from a child process.
+Standard library only; numpy's version and SIMD dispatch (the CPU baseline
+it was built for, its dispatch targets and those this CPU supports) are read
+from a child process.
 """
 
 from __future__ import annotations
@@ -174,11 +176,28 @@ def src_lines(src: Path) -> int:
     return sum(len(path.read_bytes().splitlines()) for path in src.rglob("*.py"))
 
 
+#: Run in a child, so that this script never imports numpy.
+_NUMPY_PROBE = """
+import json, numpy
+try:
+    from numpy._core._multiarray_umath import (
+        __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import (
+        __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
+print(json.dumps([numpy.__version__, __cpu_baseline__, __cpu_dispatch__,
+                  [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]]))
+"""
+_NUMPY_KEYS = ("numpy", "numpy_cpu_baseline", "numpy_cpu_dispatch",
+               "numpy_cpu_dispatch_supported")
+
+
 def environment(src: Path) -> dict:
-    numpy = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
-                           capture_output=True, text=True).stdout.strip() or None
+    probe = subprocess.run([sys.executable, "-c", _NUMPY_PROBE],
+                           capture_output=True, text=True).stdout
+    numpy = dict(zip(_NUMPY_KEYS, json.loads(probe) if probe else [None] * len(_NUMPY_KEYS)))
     return {"nproc": os.cpu_count(), "affinity": sorted(os.sched_getaffinity(0)),
-            "python": platform.python_version(), "numpy": numpy, "head": git("rev-parse", "HEAD"),
+            "python": platform.python_version(), **numpy, "head": git("rev-parse", "HEAD"),
             "src_lines": src_lines(src)}
 
 
