@@ -9,9 +9,11 @@ built.  An ``--output`` path that is a directory, or whose directory is
 missing or unwritable, is rejected before any computation; with
 ``--output`` nothing is written to stdout.  A sweep evaluates all its
 families as one stacked Werner-family array in closed form
-(:class:`~islocc.xstate.WernerFamily`) into one ``ROW_DTYPE`` table, which
-every encoder reads column by column; ``bell-region`` writes the same
-table with the ``p``, ``indist``, ``bell`` and ``violated`` columns.
+(:class:`~islocc.xstate.WernerFamily`); its CSV and JSON are written from the
+sweep's family x noise layout (:func:`~islocc.sweeps.sweep_text`), with no flat
+table, and its SVG from the ``ROW_DTYPE`` table of :func:`~islocc.sweeps.run_sweep`.
+``bell-region`` writes the same sweep with the ``p``, ``indist``, ``bell`` and
+``violated`` columns.  Echoed paths are cut to their first 60 characters.
 ``threshold`` takes no grid, format, ``--constraint`` or ``--lprime`` flags;
 it does not read the grid and format keys of a config file, but they must pass
 every sweep rule, the row cap included, and a config-file ``constraint`` other
@@ -35,9 +37,12 @@ import os
 import sys
 from pathlib import Path
 
+# no command writes through records_to_csv or records_to_json (sweep_text encodes
+# a sweep's layout), but perfbench's tracer wraps both here by name
 from .sweeps import (BELL_REGION_FIELDS, CONSTRAINTS, CSV_FIELDS, FORMATS, TARGETS,
                      ConfigError, GridSpec, SweepConfig, _bounded, _check_threshold_family,
-                     _shown, find_threshold, records_to_csv, records_to_json, run_sweep)
+                     _shown, find_threshold, records_to_csv, records_to_json, run_sweep,
+                     sweep_text)
 from .svg import bell_region_svg, sweep_svg
 from .xstate import ParticleStatistics
 
@@ -58,18 +63,21 @@ def load_config_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {_shown(path)}: {_reason(exc)}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read config file {_shown(path)}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {_shown(raw)}")
+            raise ConfigError(f"{_bounded(path)}:{lineno}: expected 'key = value', "
+                              f"got {_shown(raw)}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.lower().replace("-", "_")
         if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown config key {_shown(key)}")
+            raise ConfigError(f"{_bounded(path)}:{lineno}: unknown config key {_shown(key)}")
         values[key] = value
     return values
 
@@ -105,15 +113,23 @@ def _checked_config(values: dict) -> SweepConfig:
 def _check_writable(output: str) -> None:
     """Reject an output path that is a directory or whose directory is
     missing or unwritable, so that the run fails before any computation."""
-    if Path(output).is_dir():
-        raise ConfigError(f"cannot write output file {output!r}: it is a directory")
-    directory = Path(output).parent
-    if not directory.is_dir():
-        raise ConfigError(f"cannot write output file {output!r}: "
-                          f"no directory {str(directory)!r}")
+    try:
+        if Path(output).is_dir():
+            raise ConfigError(f"cannot write output file {_shown(output)}: it is a directory")
+        directory = Path(output).parent
+        if not directory.is_dir():
+            raise ConfigError(f"cannot write output file {_shown(output)}: "
+                              "its directory does not exist")
+    except OSError as exc:  # a name too long for the file system
+        raise ConfigError(f"cannot write output file {_shown(output)}: {_reason(exc)}") from None
     if not os.access(directory, os.W_OK):
-        raise ConfigError(f"cannot write output file {output!r}: "
-                          f"directory {str(directory)!r} is not writable")
+        raise ConfigError(f"cannot write output file {_shown(output)}: "
+                          "its directory is not writable")
+
+
+def _reason(exc: OSError) -> str:
+    """What went wrong, without the file name an ``OSError`` of a file repeats."""
+    return exc.strerror if exc.filename is not None and exc.strerror else _bounded(str(exc))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -131,8 +147,8 @@ def _emit(text: str, output: str | None) -> None:
                 stdout, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
                 os.dup2(devnull, stdout)
                 os.close(devnull)
-        where = "to stdout" if output is None else f"output file {output!r}"
-        raise ConfigError(f"cannot write {where}: {exc}") from None
+        where = "to stdout" if output is None else f"output file {_shown(output)}"
+        raise ConfigError(f"cannot write {where}: {_reason(exc)}") from None
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -187,11 +203,9 @@ def _cmd_grid(args: argparse.Namespace, fields, svg_renderer) -> tuple[int, str,
     config = build_config(args)
     if config.format == "svg" and config.output is None:
         raise ConfigError("svg output needs --output")
-    table = run_sweep(config)
     if config.format == "svg":
-        return 0, svg_renderer(table), config.output
-    encode = records_to_csv if config.format == "csv" else records_to_json
-    return 0, encode(table, fields), config.output
+        return 0, svg_renderer(run_sweep(config)), config.output
+    return 0, sweep_text(config, fields), config.output
 
 
 def _cmd_threshold(args: argparse.Namespace) -> tuple[int, str, str | None]:

@@ -4,7 +4,12 @@ output encoding for the noisy-preparation pipeline.
 Grids of indistinguishability are realized through the one-parameter family
 r' = l (with l' fixed by normalization): on it the degree of spatial
 indistinguishability decreases monotonically from 1 at l = 1/sqrt(2) to 0
-at l = 1, so target degrees are inverted by bisection.
+at l = 1, so target degrees are inverted by bisection in l.  Each root is
+first guessed in closed form, and the bisection's halvings are walked taking
+each step by the guess; one evaluation of the degree at every visited
+midpoint then checks each step against the bisection's own test, and a target
+with a step in doubt is bisected again, so the result is the bisection's to the
+bit.
 
 A sweep evaluates every family of the outer grid at every noise probability
 with one :class:`~islocc.xstate.WernerFamily`, each row a closed-form X state
@@ -16,17 +21,24 @@ Identical configurations produce byte-identical CSV output.  A
 of the wrong type, asking for more than ``MAX_SWEEP_ROWS`` rows or breaking any
 other rule cannot exist, so no runner checks it again.
 
-A sweep is one ``numpy.recarray`` of ``ROW_DTYPE``, each field filled as a whole
-column; no per-row Python object is built.  A Bell-violation map is the same
-table written with the ``BELL_REGION_FIELDS`` columns, whose ``violated`` is
-``B > 2``.  Both encoders write a table column by column through one core, and
-only the columns that vary are written per row.  A column whose bit patterns are
-all equal (a sweep's ``theta`` and ``statistics``) is written once into the
-literal text around it; one bit-identical to the previous written column of its
-dtype (``lprime`` where l' = l) reuses that column's cells; a float column with
-at most half its bit patterns distinct, as the grid columns are, has each
-distinct pattern formatted once.  The texts and cells of a block of rows fill
-one list that is joined once, so no per-row template or string is built.  The JSON text is that of
+A sweep is computed as its layout: l, l' and the degree once per family, the
+noise grid, theta and the statistics once per sweep, and only the computed
+columns (and ``violated``, ``flagged``) once per row.  :func:`run_sweep` expands
+the layout into one ``numpy.recarray`` of ``ROW_DTYPE``, each field filled as a
+whole column; :func:`sweep_text`, which the CLI writes its CSV and JSON with,
+encodes the layout itself and builds no flat table.  A Bell-violation map is
+the same sweep written with the ``BELL_REGION_FIELDS`` columns, whose
+``violated`` is ``B > 2``.  Every encoding goes through one core, which takes a
+flat table as a layout of one noise level whose columns are all per row.  A
+column whose bit patterns are all equal (a sweep's ``theta`` and ``statistics``)
+is written once into the literal text around it; one bit-identical to the
+previous written column of its kind (``lprime`` where l' = l) reuses that
+column's cells; a float column whose sample of rows repeats has each distinct
+pattern formatted once.  Each noise level's and each family's cells are
+formatted once and joined with the text around them, and the texts and row
+cells of a block of rows fill one list that is joined once.  CSV writes a
+computed float column that does not repeat inline, through one ``%`` template
+per block, so no cell is built for it.  The JSON text is that of
 ``json.dumps(..., indent=2)``, and its float cells are the CSV cells, read back
 only where ``repr`` can differ.
 
@@ -72,6 +84,7 @@ __all__ = [
     "l_for_indist",
     "records_to_csv",
     "records_to_json",
+    "sweep_text",
     "CSV_FIELDS",
     "BELL_REGION_FIELDS",
     "FLAG_PROBABILITY",
@@ -99,6 +112,8 @@ MAX_SWEEP_ROWS = 1_000_000
 _L_TOL = 1e-12
 _DEGREE_TOL = 1e-4
 _BISECT_DEPTH = 7  # steps of find_threshold's bisection probed in one family stack
+_NEWTON_STEPS = 4  # Newton steps of l_for_indist's closed-form guess
+_TINY = np.finfo(float).tiny
 
 
 class ConfigError(ValueError):
@@ -268,12 +283,58 @@ def indist_on_family(l):
 
 def l_for_indist(target):
     """Invert :func:`indist_on_family` on the monotone branch l in [1/sqrt(2), 1],
-    elementwise over an array of degrees, to within ``_L_TOL`` in l."""
+    elementwise over an array of degrees, to within ``_L_TOL`` in l.
+
+    The result is the bisection's (:func:`_bisect`) to the bit.  Each root is first
+    guessed in closed form (:func:`_root_guess`), and the bisection's halvings are
+    walked taking each step by ``mid < guess``, as many as halve the bracket to
+    ``_L_TOL``.  Each step is then checked against the bisection's own rules at
+    once: its test ``degree > target``, in one evaluation of the degree at every
+    visited midpoint, and its stop, which must come after the last step and not
+    before.  A target with any step in doubt is bisected again."""
     target = np.asarray(target, dtype=float)
     if not np.all((0.0 <= target) & (target <= 1.0)):
         raise ConfigError(f"indistinguishability degree must lie in [0, 1], got {target!r}")
-    # each entry bisects on its own interval until that interval is below _L_TOL
-    # or down to adjacent floats; the degree falls monotonically from 1 to 0
+    flat = target.ravel()
+    guess = _root_guess(flat)
+    lo, hi = np.full(flat.shape, _SQRT_HALF), np.ones(flat.shape)
+    los, his, mids = [], [], []  # each step's bracket and midpoint
+    for _ in range(_halvings()):
+        mid = 0.5 * (lo + hi)
+        above = mid < guess
+        los.append(lo)
+        his.append(hi)
+        mids.append(mid)
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    # the bisection stops at the first bracket no wider than _L_TOL; at one of two
+    # adjacent floats it stops too, but that bracket is wider than any below _L_TOL
+    # and no halving narrows it, so the width tests below find it
+    doubt = ~(hi - lo <= _L_TOL)
+    if mids:
+        los, his, mids = np.array(los), np.array(his), np.array(mids)
+        doubt |= ~(his - los > _L_TOL).all(axis=0)
+        doubt |= ((_family_degree(mids) > flat) != (mids < guess)).any(axis=0)
+    doubt &= (0.0 < flat) & (flat < 1.0)
+    l = 0.5 * (lo + hi)
+    if doubt.any():
+        l[doubt] = _bisect(flat[doubt])
+    l = np.where(flat >= 1.0, _SQRT_HALF, np.where(flat <= 0.0, 1.0, l))
+    return l.reshape(target.shape)[()]
+
+
+def _halvings() -> int:
+    """How many halvings take the bracket [1/sqrt(2), 1] to ``_L_TOL`` wide, in exact
+    arithmetic: the steps of every interior bisection, unless rounding moves a
+    bracket across ``_L_TOL`` (then :func:`l_for_indist` finds it in doubt).  0 where
+    the bisection stops at adjacent floats only, so that every target is bisected."""
+    return max(0, math.ceil(math.log2((1.0 - _SQRT_HALF) / _L_TOL))) if _L_TOL > 0.0 else 0
+
+
+def _bisect(target: np.ndarray) -> np.ndarray:
+    """The plain bisection of :func:`l_for_indist` for a 1-D array of degrees in
+    [0, 1], the interior ones at least: each entry halves its own interval of l
+    until it is below ``_L_TOL`` or down to adjacent floats; the degree falls
+    monotonically from 1 at 1/sqrt(2) to 0 at 1."""
     lo = np.full(target.shape, _SQRT_HALF)
     hi = np.ones(target.shape)
     active = (hi - lo > _L_TOL) & (0.0 < target) & (target < 1.0)
@@ -286,8 +347,27 @@ def l_for_indist(target):
         np.copyto(lo, mid, where=above)
         np.copyto(hi, mid, where=active & ~above)
         active &= hi - lo > _L_TOL
-    l = np.where(target >= 1.0, _SQRT_HALF, np.where(target <= 0.0, 1.0, 0.5 * (lo + hi)))
-    return l[()]
+    return 0.5 * (lo + hi)
+
+
+def _root_guess(target: np.ndarray) -> np.ndarray:
+    """An estimate of the l in [1/sqrt(2), 1] at which the family degree is each
+    target, for a 1-D array of degrees (the entries outside (0, 1) read as 1/2).
+
+    On the family the degree is h(c) with c = r^4 / (l^4 + r^4) in [0, 1/2], so
+    c = h^-1(D) and l = sqrt(sqrt(q) / (sqrt(q) + sqrt(c))) with q = 1 - c.  The
+    root c starts below from the bound h(c) <= (4 c (1 - c))^(1/ln 4), and Newton's
+    steps on the concave h rise from there towards it."""
+    d = np.where((0.0 < target) & (target < 1.0), target, 0.5)
+    y = d ** math.log(4.0)
+    c = y / (2.0 + 2.0 * np.sqrt(1.0 - y))  # (1 - sqrt(1 - y)) / 2, with no cancellation
+    for _ in range(_NEWTON_STEPS):
+        c = np.clip(c, _TINY, 0.5)
+        slope = np.log2((1.0 - c) / c)  # h'(c), 0 at c = 1/2 only
+        c = c - np.divide(_entropy(c) - d, slope, out=np.zeros_like(c), where=slope > 0.0)
+    c = np.clip(c, _TINY, 0.5)
+    q = 1.0 - c
+    return np.sqrt(np.sqrt(q) / (np.sqrt(q) + np.sqrt(c)))
 
 
 def _second_wave(constraint: str, l, lprime_fixed: float | None):
@@ -328,6 +408,55 @@ def _flagged(rows: XStateRows) -> np.ndarray:
     return ~rows.defined | (rows.probability < FLAG_PROBABILITY)
 
 
+class _Layout(NamedTuple):
+    """A sweep as it is computed, each column held at the size it varies on: ``grid``
+    columns have one entry per noise level (``n_p`` of them), ``families`` columns one
+    per family and ``rows`` columns one per row, family-major (row ``f * n_p + k`` is
+    family f at level k).  A flat table is a layout of one noise level whose columns
+    are all rows."""
+
+    n_p: int
+    grid: dict[str, np.ndarray]
+    families: dict[str, np.ndarray]
+    rows: dict[str, np.ndarray]
+
+    @property
+    def size(self) -> int:
+        return len(self.rows["flagged"])
+
+    def column(self, name: str) -> tuple[str, np.ndarray]:
+        """The kind of the column ``name`` (``grid``, ``families`` or ``rows``) and its entries."""
+        return next((kind, getattr(self, kind)[name]) for kind in ("grid", "families", "rows")
+                    if name in getattr(self, kind))
+
+
+def _sweep_layout(config: SweepConfig) -> _Layout:
+    """The layout of the sweep of ``config``: every family of the outer grid as one
+    :class:`~islocc.xstate.WernerFamily` stack evaluated at every noise level."""
+    theta = config.resolved_theta()
+    p = config.p_grid.values()
+    l, lprime, rprime = _family_ls(config)
+    # both waves on one mode: degree and projection undefined, rows zeroed and flagged
+    indist = _peaked_degree(l, _unit_r(l), lprime, rprime)
+    rows = WernerFamily(config.target, l, lprime, config.statistics, theta).evaluate(p)
+    families = {"l": l, "lprime": lprime, "theta": np.full(len(l), theta),
+                "statistics": np.full(len(l), str(config.statistics)), "indist": indist}
+    return _Layout(len(p), {"p": p}, families, {
+        "concurrence": rows.concurrence, "eof": rows.eof, "p_lr": rows.probability,
+        "bell": rows.bell, "violated": (rows.bell > 2.0).astype(np.int64),
+        "flagged": _flagged(rows)})
+
+
+def _warn_flagged(layout: _Layout) -> None:
+    """One ``RuntimeWarning`` for the flagged rows of ``layout``, if any, attributed to
+    the caller of the function that calls this one."""
+    count = int(np.count_nonzero(layout.rows["flagged"]))
+    if count:
+        warnings.warn(f"{count} grid point(s) have detection probability below "
+                      f"{FLAG_PROBABILITY:g}; rows kept with metrics zeroed where undefined",
+                      RuntimeWarning, stacklevel=3)
+
+
 def run_sweep(config: SweepConfig) -> np.recarray:
     """Evaluate the full pipeline over the configured grid: every family of
     the outer grid as one :class:`~islocc.xstate.WernerFamily` stack.
@@ -337,27 +466,15 @@ def run_sweep(config: SweepConfig) -> np.recarray:
     the noise-probability grid second.  Flagged rows are kept, with one
     ``RuntimeWarning`` attributed to the caller.
     """
-    theta = config.resolved_theta()
-    p = config.p_grid.values()
-    l, lprime, rprime = _family_ls(config)
-    # both waves on one mode: degree and projection undefined, rows zeroed and flagged
-    indist = _peaked_degree(l, _unit_r(l), lprime, rprime)
-    rows = WernerFamily(config.target, l, lprime, config.statistics, theta).evaluate(p)
-    table = np.recarray(len(l) * len(p), dtype=ROW_DTYPE)
-    table.p = np.tile(p, len(l))
-    for name, values in (("l", l), ("lprime", lprime), ("indist", indist)):
-        table[name] = np.repeat(values, len(p))
-    table.theta = theta
-    table.statistics = str(config.statistics)
-    table.concurrence, table.eof = rows.concurrence, rows.eof
-    table.p_lr, table.bell = rows.probability, rows.bell
-    table.violated = rows.bell > 2.0
-    table.flagged = _flagged(rows)
-    count = int(np.count_nonzero(table.flagged))
-    if count:
-        warnings.warn(f"{count} grid point(s) have detection probability below "
-                      f"{FLAG_PROBABILITY:g}; rows kept with metrics zeroed where undefined",
-                      RuntimeWarning, stacklevel=2)
+    layout = _sweep_layout(config)
+    _warn_flagged(layout)
+    table = np.recarray(layout.size, dtype=ROW_DTYPE)
+    for name, values in layout.grid.items():  # each family's rows take the grid in turn
+        table[name].reshape(-1, layout.n_p)[...] = values
+    for name, values in layout.families.items():  # and their family's entry
+        table[name].reshape(-1, layout.n_p)[...] = values[:, None]
+    for name, values in layout.rows.items():
+        table[name] = values
     return table
 
 
@@ -473,18 +590,29 @@ def _check_threshold_family(constraint: str) -> None:
 # output encoding
 # ---------------------------------------------------------------------------
 
-#: Rows per block: the encoders fill one list of texts and cells per block of rows
-#: and join it once, so no per-row string is built and the list stays bounded.
+#: Rows per block: the encoders write the rows a block at a time, so the template,
+#: values and text of one block bound the memory an encoding takes.
 _BLOCK_ROWS = 2 ** 14
+
+#: Largest even sample of a row column from which the encoders guess whether its
+#: float cells repeat; the sample holds between this and twice as many rows.
+_SAMPLE_ROWS = 128
 
 #: The cells ``json`` writes for the floats that are not JSON numbers.
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _table(rows, fields: Sequence[str]) -> np.ndarray:  # fields checked before any cell
+def _check_fields(fields: Sequence[str]) -> None:  # before any cell
     if unwritten := [name for name in fields if name not in (*CSV_FIELDS, "violated")]:
         raise ValueError(f"no encoder writes a field {unwritten[0]!r}")
-    return np.asarray(rows, dtype=ROW_DTYPE)
+
+
+def _table_layout(rows, fields: Sequence[str]) -> _Layout:
+    """A table (or a list of its rows) as the layout of one noise level whose every
+    column is a row column, once ``fields`` are checked."""
+    _check_fields(fields)
+    table = np.asarray(rows, dtype=ROW_DTYPE)
+    return _Layout(1, {}, {}, {name: table[name] for name in ROW_DTYPE.names})
 
 
 def _distinct_cells(write, column: np.ndarray) -> list[str] | None:
@@ -495,6 +623,14 @@ def _distinct_cells(write, column: np.ndarray) -> list[str] | None:
     if 2 * len(keys) > len(column):
         return None
     return np.array(write(keys.view(np.float64)), dtype=object)[inverse].tolist()
+
+
+def _repeats(column: np.ndarray) -> bool:
+    """Whether a float column may repeat enough that writing each distinct bit pattern
+    once pays: at most half the patterns of an even sample of its rows are distinct.
+    The sample costs a fraction of the sort that finds the column's own patterns."""
+    sample = column[::max(1, len(column) // _SAMPLE_ROWS)].view(np.uint64).tolist()
+    return 2 * len(set(sample)) <= len(sample)
 
 
 def _csv_floats(values: np.ndarray) -> list[str]:
@@ -517,11 +653,15 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _cells(column: np.ndarray, floats, quote) -> list[str]:
-    """The cells of one column: floats by ``floats``, each distinct bit pattern once
-    where at most half are distinct; ints in decimal; text by ``quote``, once per text."""
+def _cells(column: np.ndarray, floats, quote, raw: bool = False, dedup: bool = True) -> list:
+    """The cells of one column or block: floats by ``floats``, each distinct bit pattern
+    once where ``dedup`` and at most half are distinct; ints in decimal; text by
+    ``quote``, once per text.  ``raw`` leaves the floats as floats, for a ``%``
+    conversion to write."""
+    if raw:
+        return column.tolist()
     if column.dtype.kind == "f":
-        cells = _distinct_cells(floats, column)
+        cells = _distinct_cells(floats, column) if dedup else None
         return floats(column) if cells is None else cells
     values = column.tolist()
     if column.dtype.kind == "i":
@@ -534,53 +674,136 @@ def _bits(column: np.ndarray) -> np.ndarray:
     return column.view(np.uint64) if column.dtype.kind == "f" else column
 
 
-def _encode(table: np.ndarray, fields: Sequence[str], cells, keys: Sequence[str], *,
-            head: str, end: str, sep: str, tail: str) -> str:
+def _encode(layout: _Layout, fields: Sequence[str], cells, inline: str | None,
+            keys: Sequence[str], *, head: str, end: str, sep: str, tail: str) -> str:
     """``head``, the rows separated by ``sep``, then ``tail``; a row is ``keys[k]``
-    and the cell of ``fields[k]`` for each k, then ``end``.  ``cells(column)`` writes
-    the cells of a column or of a block of it.
+    and the cell of ``fields[k]`` for each k, then ``end``.  ``cells(column, ...)``
+    writes the cells of a column or of a block of it (:func:`_cells`); ``inline``,
+    where given, is the ``%`` conversion that writes a float.
 
-    Only the columns that vary are written per row.  A column whose bit patterns are
-    all equal is written once and joined into the literal text around it; one
-    bit-identical to the previous written column of its dtype reuses that column's
-    cells; on the program's tables twins sit in such runs (``l``, ``lprime``).  The
-    texts and cells of each block of ``_BLOCK_ROWS`` rows fill one flat list by slice
-    assignment, and the list is joined once."""
-    if not (len(table) and len(fields)):  # as if no rows
+    Each column is written at the size it varies on (:class:`_Layout`).  A column
+    whose bit patterns are all equal is written once into the literal text around it;
+    one bit-identical to the previous written column of its kind and dtype reuses
+    that column's cells; on the program's layouts twins sit in such runs (``l``,
+    ``lprime``).  A float column has each distinct bit pattern written once where
+    :func:`_repeats` says its patterns repeat.  The cells of each grid point and of
+    each family are joined once with the texts around them.  Each block of
+    ``_BLOCK_ROWS`` rows is one list of those texts and of the row columns' cells,
+    filled by slice assignment and joined once.  With ``inline``, a float row column
+    with no twin and no repeats is written by it: the joined block is then a ``%``
+    template of those columns, so no cell is built for their floats."""
+    rows = layout.size
+    if not (rows and len(fields)):  # as if no rows
         return head + tail
-    texts, columns, shares = [""], [], []  # texts[j] precedes columns[j]; texts[-1] ends a row
-    previous = {}  # dtype -> index of the last written column of that dtype
+    # where floats are written by a % conversion, every other % is escaped
+    escape = (lambda text: text.replace("%", "%%")) if inline else (lambda text: text)
+    pieces = [("text", escape(sep))]  # a row: texts, grid and family cells, row columns
+    row_columns = []  # [column, inline, dedup, index of the twin whose cells it reuses]
+    previous = {}  # (kind, dtype) -> the last written column of them and its cells or index
     for key, name in zip(keys, fields):
-        column = table[name]
-        texts[-1] += key
-        if (_bits(column) == _bits(column)[0]).all():
-            texts[-1] += cells(column[:1])[0]
+        kind, column = layout.column(name)
+        pieces.append(("text", escape(key)))
+        bits = _bits(column)
+        if (bits == bits[0]).all():
+            pieces.append(("text", escape(cells(column[:1], dedup=False)[0])))
             continue
-        twin = previous.get(column.dtype)
-        shares.append(twin if twin is not None
-                      and (_bits(columns[twin]) == _bits(column)).all() else None)
-        previous[column.dtype] = len(columns)
-        columns.append(column)
-        texts.append("")
-    texts[-1] += end
-    if not columns:  # every row is one text
-        return head + sep.join([texts[0]] * len(table)) + tail
-    stride = 2 * len(columns)
-    row = [None] * stride
-    row[1::2] = [*texts[1:-1], texts[-1] + sep + texts[0]]
+        last = previous.get((kind, column.dtype))
+        twin = last[1] if last is not None and (_bits(last[0]) == bits).all() else None
+        dedup = column.dtype.kind == "f" and _repeats(column)
+        if kind == "rows":
+            if twin is not None:  # its cells are written once, for both
+                row_columns[twin][1] = False
+            previous[kind, column.dtype] = (column, len(row_columns))
+            pieces.append((kind, len(row_columns)))
+            row_columns.append([column, inline is not None and column.dtype.kind == "f"
+                                and not dedup and twin is None, dedup, twin])
+        else:
+            written = twin if twin is not None else cells(column, dedup=dedup)
+            if twin is None and column.dtype.kind == "U":
+                written = list(map(escape, written))
+            previous[kind, column.dtype] = (column, written)
+            pieces.append((kind, written))
+    pieces.append(("text", escape(end)))
+    segments = _segments(pieces, [inline if raw else None for _, raw, _, _ in row_columns])
+    row = [texts if kind is None else None for kind, texts in segments]
+    varying = [(j, kind, texts) for j, (kind, texts) in enumerate(segments) if kind is not None]
     blocks = []
-    for start in range(0, len(table), _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, len(table))
-        parts, written = row * (stop - start), []
-        for j, (column, share) in enumerate(zip(columns, shares)):
-            written.append(cells(column[start:stop]) if share is None else written[share])
-            parts[2 * j::stride] = written[j]
-        if not start:
-            parts[0] = head + texts[0] + parts[0]
-        if stop == len(table):
-            parts[-1] = texts[-1] + tail
-        blocks.append("".join(parts))
+    for start in range(0, rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, rows)
+        at = np.arange(start, stop)
+        index = {"grid": at % layout.n_p, "families": at // layout.n_p}
+        written = []
+        for column, raw, dedup, twin in row_columns:
+            block = column[start:stop]
+            written.append(written[twin] if twin is not None
+                           else list(map(escape, cells(block))) if block.dtype.kind == "U"
+                           else cells(block, raw=raw, dedup=dedup))
+        parts = row * (stop - start)
+        for j, kind, texts in varying:
+            parts[j::len(row)] = (written[texts] if kind == "rows"
+                                  else texts.take(index[kind]).tolist())
+        if not start:  # no sep before the first row
+            parts[0] = escape(head) + parts[0][len(escape(sep)):]
+        if stop == rows:
+            parts[-1] += escape(tail)
+        text = "".join(parts)
+        if inline:  # the inline floats, row by row
+            values = [column for column, (_, raw, _, _) in zip(written, row_columns) if raw]
+            interleaved = [None] * ((stop - start) * len(values))
+            for j, column in enumerate(values):
+                interleaved[j::len(values)] = column
+            text %= tuple(interleaved)
+        blocks.append(text)
     return "".join(blocks)
+
+
+def _segments(pieces: list, inline: list) -> list[tuple[str | None, object]]:
+    """A row's pieces as segments: runs of texts and grid cells, or of texts and family
+    cells, each joined to one text per grid point or family (an object array), or to one
+    text where the run holds neither; and each row column alone, by its index.  A row
+    column ``j`` written by the conversion ``inline[j]`` is that text instead."""
+    segments, run, current = [], [], None
+    for kind, payload in pieces:
+        if kind == "rows" and inline[payload]:
+            kind, payload = "text", inline[payload]
+        if kind == "text":
+            run.append(payload)
+            continue
+        if kind == "rows" or current not in (None, kind):
+            segments.append(_joined(current, run))
+            run, current = [], None
+        if kind == "rows":
+            segments.append((kind, payload))
+        else:
+            run.append(payload)
+            current = kind
+    segments.append(_joined(current, run))
+    return segments
+
+
+def _joined(kind: str | None, run: list) -> tuple[str | None, object]:
+    """A run of texts and of lists of cells joined: one text per entry of the lists,
+    as an object array, or one text where the run holds only texts."""
+    if kind is None:
+        return None, "".join(run)
+    columns = [itertools.repeat(piece) if isinstance(piece, str) else piece for piece in run]
+    return kind, np.array(list(map("".join, zip(*columns))), dtype=object)
+
+
+def _write_csv(layout: _Layout, fields: Sequence[str]) -> str:
+    return _encode(layout, fields, functools.partial(_cells, floats=_csv_floats, quote=str),
+                   "%.12g", ["", *[","] * (len(fields) - 1)],
+                   head=",".join(fields) + "\n", end="\n", sep="", tail="")
+
+
+def _write_json(layout: _Layout, fields: Sequence[str]) -> str:
+    if not (layout.size and len(fields)):
+        return json.dumps({"records": []}, indent=2) + "\n"
+    keys = [("," if k else "") + f"\n      {json.dumps(name)}: " for k, name in enumerate(fields)]
+    return _encode(layout, fields, functools.partial(_cells, floats=_json_floats,
+                                                     quote=json.dumps),
+                   None, keys, head='{\n  "records": [\n    {', end="\n    }", sep=",\n    {",
+                   tail="\n  ]\n}\n")
 
 
 def records_to_csv(rows, fields: Sequence[str]) -> str:
@@ -588,20 +811,22 @@ def records_to_csv(rows, fields: Sequence[str]) -> str:
     with 12 significant digits, so identical configurations give identical bytes.
     Only the varying columns are written per row (see :func:`_encode`); a float
     column of repeated values has each distinct cell written once."""
-    return _encode(_table(rows, fields), fields,
-                   functools.partial(_cells, floats=_csv_floats, quote=str),
-                   ["", *[","] * (len(fields) - 1)],
-                   head=",".join(fields) + "\n", end="\n", sep="", tail="")
+    return _write_csv(_table_layout(rows, fields), fields)
 
 
 def records_to_json(rows, fields: Sequence[str]) -> str:
     """The rows of :func:`records_to_csv` as ``json.dumps({"records": [...]},
     indent=2)`` writes their CSV cells read back: a float cell is its CSV text, read
     back only where its ``repr`` can differ."""
-    table = _table(rows, fields)
-    if not (len(table) and len(fields)):
-        return json.dumps({"records": []}, indent=2) + "\n"
-    keys = [("," if k else "") + f"\n      {json.dumps(name)}: " for k, name in enumerate(fields)]
-    return _encode(table, fields, functools.partial(_cells, floats=_json_floats, quote=json.dumps),
-                   keys, head='{\n  "records": [\n    {', end="\n    }", sep=",\n    {",
-                   tail="\n  ]\n}\n")
+    return _write_json(_table_layout(rows, fields), fields)
+
+
+def sweep_text(config: SweepConfig, fields: Sequence[str]) -> str:
+    """The sweep of ``config`` in its format, CSV or JSON, with the columns ``fields``:
+    the bytes of :func:`records_to_csv` or :func:`records_to_json` of
+    :func:`run_sweep`, written from the sweep's layout with no flat table built.
+    Flagged rows are kept, with one ``RuntimeWarning`` attributed to the caller."""
+    _check_fields(fields)
+    layout = _sweep_layout(config)
+    _warn_flagged(layout)
+    return (_write_csv if config.format == "csv" else _write_json)(layout, fields)

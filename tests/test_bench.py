@@ -52,11 +52,39 @@ def test_one_side_reports_median_iqr_and_digest():
 
 
 def test_bell_region_map_writes_the_pinned_bytes():
-    # the 41 x 41 bell-region CSV, whose digest the hash-seed CI step also pins
+    # the 41 x 41 bell-region CSV, whose digest the hash-seed CI step also checks
     workload = {"bell-region-41": bench.WORKLOADS["bell-region-41"]}
     report = bench.measure(workload, {"change": ROOT / "src"}, repeats=1)["bell-region-41"]
     assert report["status"] == "ok"
-    assert report["sha256"] == "7a3b5ad9edd3b2e8b407570baefbde55d8518c63ded5a3c1d3825915837188b0"
+    assert report["sha256"] == bench.PINS["bell-region-41"] == \
+        "7a3b5ad9edd3b2e8b407570baefbde55d8518c63ded5a3c1d3825915837188b0"
+
+
+def test_map_workloads_are_pinned():
+    assert {"sweep-41", "bell-region-41", "l-scan-json", "map-301-csv",
+            "map-301-json"} <= bench.PINS.keys() & bench.WORKLOADS.keys()
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest in bench.PINS.values())
+
+
+def test_output_unequal_to_its_pin_is_not_timed(tmp_path, monkeypatch):
+    fake = _fake_side(tmp_path, "open(out, 'w').write('p,l\\n')\n")
+    runs = []
+    monkeypatch.setattr(bench, "run_once", lambda *args, run=bench.run_once: runs.append(args)
+                        or run(*args))
+    pins = {"tiny": _tiny_digest()}
+    report = bench.measure(TINY, {"change": fake, "baseline": ROOT / "src"}, repeats=3,
+                           pins=pins)["tiny"]
+    assert report == {"status": "failed", "problems": ["change: output differs from its pin"]}
+    assert [side for side, _, _ in runs] == [fake]  # the one untimed run
+    runs.clear()
+    report = bench.measure(TINY, {"change": ROOT / "src"}, repeats=2, pins=pins)["tiny"]
+    assert report["status"] == "ok" and report["sha256"] == pins["tiny"] and len(runs) == 3
+
+
+def test_failed_pinned_run_reports_its_exit_code(tmp_path):
+    crashing = _fake_side(tmp_path, "sys.exit('no output')\n")
+    report = bench.measure(TINY, {"change": crashing}, repeats=2, pins={"tiny": _tiny_digest()})
+    assert report["tiny"] == {"status": "failed", "problems": ["change: exit code 1: no output"]}
 
 
 @pytest.mark.parametrize("name, renderer", [("sweep-41-svg", sweep_svg),

@@ -31,7 +31,7 @@ from islocc.sweeps import (BELL_REGION_FIELDS, CONSTRAINTS, CSV_FIELDS, FORMATS,
                            MAX_SWEEP_ROWS, ROW_DTYPE, TARGETS, ConfigError, GridSpec,
                            SweepConfig, ThresholdResult, _flagged, _peaked_degree,
                            find_threshold, indist_on_family, l_for_indist, records_to_csv,
-                           records_to_json, run_sweep)
+                           records_to_json, run_sweep, sweep_text)
 from islocc.verify import run_verify
 from islocc.werner import LR_BASIS
 from islocc.xstate import WernerFamily, _unit_r
@@ -178,11 +178,15 @@ class TestIndistInversion:
             active &= hi - lo > sweeps._L_TOL
         return np.where(target >= 1.0, SQRT_HALF, np.where(target <= 0.0, 1.0, 0.5 * (lo + hi)))
 
+    #: Degrees within 1e-12 of 0 and of 1, where the degree is flat or steep in l.
+    NEAR_ENDS = np.concatenate([np.geomspace(1e-300, 1e-12, 40),
+                                1.0 - np.geomspace(1.2e-16, 1e-12, 40)])
+
     @pytest.mark.parametrize("targets", [
-        np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 301),
+        np.linspace(0.0, 1.0, 41), np.linspace(0.0, 1.0, 301), np.linspace(0.0, 1.0, 1_000),
         np.random.default_rng(7).uniform(0.0, 1.0, 20_000),
-        np.array([1e-300, 5e-324, 1 - 1e-16, 0.9999999999999999])],
-        ids=["41", "301", "uniform", "edges"])
+        np.array([1e-300, 5e-324, 1 - 1e-16, 0.9999999999999999]), NEAR_ENDS],
+        ids=["41", "301", "1000", "uniform", "edges", "near-ends"])
     def test_inversion_matches_reference_bits(self, targets):
         ls = l_for_indist(targets)
         assert np.array_equal(ls.view(np.int64),
@@ -191,6 +195,42 @@ class TestIndistInversion:
         r = _unit_r(ls)
         assert np.array_equal(indist_on_family(ls).view(np.int64),
                               _peaked_degree(ls, r, r, ls).view(np.int64))
+
+    @pytest.mark.parametrize("targets", [np.linspace(0.0, 1.0, 41), NEAR_ENDS,
+                                         np.random.default_rng(8).uniform(0.0, 1.0, 500)],
+                             ids=["41", "near-ends", "uniform"])
+    def test_wrong_guess_falls_back_to_the_bisection(self, targets, monkeypatch):
+        # a guess 1e-9 off puts every walk's last bracket, 5e-13 wide, away from the
+        # root: some step's degree test disagrees, so every interior target is
+        # bisected again, to the same bits
+        guess, bisected = sweeps._root_guess, []
+        monkeypatch.setattr(sweeps, "_root_guess", lambda t: guess(t) + 1e-9)
+        monkeypatch.setattr(sweeps, "_bisect",
+                            lambda t, bisect=sweeps._bisect: bisected.extend(t) or bisect(t))
+        ls = l_for_indist(targets)
+        assert sorted(bisected) == sorted(t for t in targets if 0.0 < t < 1.0)
+        assert np.array_equal(ls.view(np.int64),
+                              self.reference_l_for_indist(targets).view(np.int64))
+
+    #: Brackets after 20 halvings are 2^-20 (1 - 1/sqrt(2)) wide, but for rounding of
+    #: about 1e-10 either way: at a tolerance just below that width some targets stop a
+    #: halving early, just above it some stop late.  1e-17 and 0 stop at adjacent
+    #: floats, 0.5 before the first halving.
+    W20 = (1.0 - SQRT_HALF) / 2 ** 20
+
+    @pytest.mark.parametrize("tol", [W20 * (1.0 - 1e-12), W20, W20 * (1.0 + 1e-12),
+                                     1e-3, 0.5, 1e-17, 0.0])
+    def test_walk_keeps_the_bisection_stops(self, tol, monkeypatch):
+        monkeypatch.setattr(sweeps, "_L_TOL", tol)
+        targets = np.random.default_rng(9).uniform(0.0, 1.0, 300)
+        assert np.array_equal(l_for_indist(targets).view(np.int64),
+                              self.reference_l_for_indist(targets).view(np.int64))
+
+    def test_guess_is_close(self):
+        # the closed form lands within 1e-12 of the bisection's l, so the walk
+        # agrees with the bisection at all but the last few steps
+        targets = np.linspace(0.01, 0.99, 99)
+        assert np.abs(sweeps._root_guess(targets) - l_for_indist(targets)).max() < 1e-12
 
     def test_non_positive_tolerance_stops_at_adjacent_floats(self):
         # a bracket of two adjacent floats is never narrower than _L_TOL <= 0;
@@ -456,6 +496,104 @@ class TestRowTable:
         for render in renderers:
             assert render(first) == render(list(first))
             assert render([*first, *second]) == render(np.concatenate([first, second]))
+
+
+@st.composite
+def _sweep_configs(draw):
+    """Valid sweep configurations: every constraint, l and degree grids, set and
+    canonical phases, one-point grids, and l grids through the ends, where the
+    l_eq_lprime family flags rows."""
+    constraint = draw(st.sampled_from(CONSTRAINTS))
+    grid = st.builds(lambda ends, steps: GridSpec(min(ends), max(ends), steps if
+                                                  min(ends) < max(ends) else 1),
+                     st.lists(st.sampled_from([0.0, 0.3, SQRT_HALF, 0.8, 1.0]) | _shapes,
+                              min_size=2, max_size=2),
+                     st.sampled_from([1, 2, 5, 13]))
+    fields = dict(statistics=draw(st.sampled_from([BOSON, FERMION])),
+                  target=draw(st.sampled_from(TARGETS)),
+                  theta=draw(st.one_of(st.none(), _phases)), constraint=constraint,
+                  p_grid=draw(grid))
+    if constraint != "l_eq_rprime" or draw(st.booleans()):
+        fields["l_grid"] = draw(grid)
+    elif draw(st.booleans()):
+        fields["indist_grid"] = draw(grid)
+    if constraint == "free":
+        fields["lprime"] = draw(st.sampled_from([0.0, 0.3, 1.0]) | _shapes)
+    return SweepConfig(**fields)
+
+
+class TestLayout:
+    """The CLI writes a sweep's CSV and JSON from its family x noise layout
+    (:func:`sweep_text`), with no flat table: byte for byte the encoders' text of
+    the table :func:`run_sweep` returns."""
+
+    @staticmethod
+    def flat_texts(config: SweepConfig, fields) -> tuple[str, str]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # flagged rows
+            table = run_sweep(config)
+        return records_to_csv(table, fields), records_to_json(table, fields)
+
+    @staticmethod
+    def layout_texts(config: SweepConfig, fields) -> tuple[str, str]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return tuple(sweep_text(dataclasses.replace(config, format=fmt), fields)
+                         for fmt in ("csv", "json"))
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(config=_sweep_configs())
+    @example(config=SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 41),
+                                p_grid=GridSpec(0, 1, 41)))
+    @example(config=SweepConfig(constraint="free", lprime=0.3, l_grid=GridSpec(0, 1, 41),
+                                p_grid=GridSpec(0, 1, 41)))
+    @example(config=SweepConfig(indist_grid=GridSpec(0.5, 0.5, 1), p_grid=GridSpec(1, 1, 1)))
+    def test_layout_writes_the_flat_table_bytes(self, config):
+        for fields in (CSV_FIELDS, BELL_REGION_FIELDS):
+            assert self.layout_texts(config, fields) == self.flat_texts(config, fields)
+
+    @BENCHMARK_CONFIGS
+    def test_benchmark_sweeps(self, config):
+        for fields in (CSV_FIELDS, BELL_REGION_FIELDS):
+            assert self.layout_texts(config, fields) == self.flat_texts(config, fields)
+
+    @pytest.mark.parametrize("rows", [1, 7, 41, 1_000])
+    def test_blocks_split_families(self, rows, monkeypatch):
+        # blocks of rows that end inside a family, or hold several
+        config = SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 31),
+                             p_grid=GridSpec(0, 1, 41))
+        expected = {fields: self.flat_texts(config, fields)
+                    for fields in (CSV_FIELDS, BELL_REGION_FIELDS)}
+        monkeypatch.setattr(sweeps, "_BLOCK_ROWS", rows)
+        for fields, texts in expected.items():
+            assert self.layout_texts(config, fields) == texts
+
+    @pytest.mark.parametrize("command, fields", [("sweep", CSV_FIELDS),
+                                                 ("bell-region", BELL_REGION_FIELDS)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_cli_builds_no_flat_table(self, command, fields, fmt, capsys, monkeypatch):
+        config = SweepConfig(statistics=BOSON, target="1_plus", theta=1.0,
+                             constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 9),
+                             p_grid=GridSpec(0, 1, 5), format=fmt)
+        expected = self.flat_texts(config, fields)[fmt == "json"]
+        for name in ("run_sweep", "records_to_csv", "records_to_json"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail(f"{name} ran"))
+        with pytest.warns(RuntimeWarning, match="10 grid point"):  # l = 0 and l = 1
+            assert main([command, "--statistics", "boson", "--target", "1_plus", "--theta", "1",
+                         "--constraint", "l_eq_lprime", "--l-grid", "0:1:9",
+                         "--p-grid", "0:1:5", "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_flagged_row_warning_names_the_caller(self):
+        config = SweepConfig(constraint="l_eq_lprime", l_grid=GridSpec(1, 1, 1),
+                             p_grid=GridSpec(0, 1, 3))
+        with pytest.warns(RuntimeWarning, match="3 grid point") as caught:
+            sweep_text(config, CSV_FIELDS)
+        assert [w.filename for w in caught] == [__file__]
+
+    def test_unwritten_field_is_a_value_error(self):
+        with pytest.raises(ValueError, match="no encoder writes a field 'flagged'"):
+            sweep_text(SweepConfig(), ("p", "flagged"))
 
 
 class TestEncoding:
@@ -1457,6 +1595,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
         assert len(captured.err.encode()) <= 300 and field in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flag", ["--config", "--output"])
+    @pytest.mark.parametrize("directory", ["missing/", ""],
+                             ids=["missing-directory", "name-too-long"])
+    def test_echoed_paths_are_bounded(self, flag, directory, tmp_path, capsys):
+        # the path is echoed cut to its first 60 characters, and an OSError's
+        # reason without the file name it repeats
+        path = f"{tmp_path}/{directory}"
+        path += "x" * (3000 - len(path))
+        assert main(["sweep", flag, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: cannot ") and captured.err.count("\n") == 1
+        # the length given is that of the path's repr, quotes included
+        assert len(captured.err.encode()) < 200 and "(3002 characters)" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("flags", [

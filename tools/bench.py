@@ -17,8 +17,11 @@ For each side and workload the report holds the median and interquartile
 range of the wall time and of the peak RSS (the child's own ``ru_maxrss``, as
 ``os.wait4`` reports it, never below the script's own peak, which is reported too).  A workload counts only if its output is right: every
 run of a side must exit 0 and write the same bytes, and with a baseline those
-bytes must equal the baseline's.  A workload that breaks either rule is
-reported as failed, with no timings, and the script exits 1.
+bytes must equal the baseline's.  A workload with a pin in ``tools/digests.json``
+(the sha256 its output must have, which CI checks too) first runs once on this
+checkout's tree, untimed; if its bytes differ from the pin it is not timed.  A
+workload that breaks any of these rules is reported as failed, with no timings,
+and the script exits 1.
 
 Standard library only; numpy's version and SIMD dispatch (the CPU baseline
 it was built for, its dispatch targets and those this CPU supports) are read
@@ -77,6 +80,9 @@ WORKLOADS = {
 
 #: Commands that take no ``--output``: their stdout is the output.
 STDOUT_COMMANDS = {"verify"}
+
+#: Output name -> the sha256 of its bytes: the workloads' and CI's pinned outputs.
+PINS = json.loads((ROOT / "tools" / "digests.json").read_text(encoding="utf-8"))
 
 
 def run_once(src: Path, args, workdir: Path) -> dict:
@@ -143,17 +149,29 @@ def judge(runs: dict[str, list[dict]]) -> dict:
     return report
 
 
-def measure(workloads: dict, sides: dict[str, Path], repeats: int) -> dict:
+def measure(workloads: dict, sides: dict[str, Path], repeats: int, pins: dict = PINS) -> dict:
     """Run every workload ``repeats`` times on each side, the sides alternating
-    which runs first, and judge each workload."""
+    which runs first, and judge each workload.  A workload pinned in ``pins`` first
+    runs once on the ``change`` side; if its output is not the pinned one it fails
+    there, with no timed run."""
     runs = {name: {side: [] for side in sides} for name in workloads}
+    reports = {}
     with tempfile.TemporaryDirectory() as scratch:
+        for name, args in workloads.items():
+            if name in pins:
+                run = run_once(sides["change"], args, Path(scratch))
+                if run["sha256"] != pins[name]:
+                    reports[name] = {"status": "failed", "problems": [
+                        f"change: exit code {run['code']}: {run['stderr'].strip()}" if run["code"]
+                        else "change: output differs from its pin"]}
+        timed = [name for name in workloads if name not in reports]
         for repeat in range(repeats):
-            for name, args in workloads.items():
+            for name in timed:
                 order = list(sides) if repeat % 2 == 0 else list(sides)[::-1]
                 for side in order:
-                    runs[name][side].append(run_once(sides[side], args, Path(scratch)))
-    return {name: judge(runs[name]) for name in workloads}
+                    runs[name][side].append(run_once(sides[side], workloads[name],
+                                                     Path(scratch)))
+    return {name: reports.get(name) or judge(runs[name]) for name in workloads}
 
 
 def baseline_src(rev: str, directory: Path) -> Path:
