@@ -42,12 +42,13 @@ per block, so no cell is built for it.  The JSON text is that of
 ``json.dumps(..., indent=2)``, and its float cells are the CSV cells, read back
 only where ``repr`` can differ.
 
-The threshold search bisects l on the same family directly, probing the path
-seven steps at a time, each probe one :class:`~islocc.xstate.WernerFamily` stack
-and one pass of its rows.  The first stack also holds the degree-1 end and is the
-same in every search, so its l, l' and degrees are read-only constants built at
-import; a search that finds a threshold builds one more stack, one that finds
-none no more.  At each step the worst noise level comes in closed form
+The threshold search bisects l on the same family a step at a time, reading
+each probe from one :class:`~islocc.xstate.WernerFamily` stack and one pass of
+its rows: the degree-1 end and the path a guide predicts, which walks the
+bisection's rules on the same closed form taken in ``math`` floats.  The guide
+only steers: each step is decided on the stack's checked rows, and a midpoint
+off the predicted path is probed alone, so every result is the bisection's to
+the bit.  At each step the worst noise level comes in closed form
 from :meth:`~islocc.xstate.WernerFamily.worst_bell`: the CHSH value of an X
 state is the length of a point moving along a straight line in p, so its
 minimum sits at one of four candidate noise levels, and the reported
@@ -69,8 +70,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .xstate import (_SQRT_HALF, FERMION, ParticleStatistics, WernerFamily, XStateRows,
-                     _entropy, _unit_r, binary_entropy, canonical_theta)
+from .xstate import (_SQRT_HALF, _UNDEFINED_RTOL, FERMION, ParticleStatistics, WernerFamily,
+                     XStateRows, _entropy, _unit_r, binary_entropy, canonical_theta)
 
 __all__ = [
     "ConfigError",
@@ -111,7 +112,6 @@ MAX_SWEEP_ROWS = 1_000_000
 #: and in degree (:func:`find_threshold`).
 _L_TOL = 1e-12
 _DEGREE_TOL = 1e-4
-_BISECT_DEPTH = 7  # steps of find_threshold's bisection probed in one family stack
 _NEWTON_STEPS = 4  # Newton steps of l_for_indist's closed-form guess
 _TINY = np.finfo(float).tiny
 
@@ -512,23 +512,52 @@ class _Probe(NamedTuple):
     concurrence: float
 
 
-def _bisection_tree(lo: float, hi: float) -> np.ndarray:
-    """Every midpoint the next ``_BISECT_DEPTH`` steps of a bisection of (lo, hi) can visit,
-    heap-ordered: node i halves its bracket, child 2i + 1 its lower and 2i + 2 its upper half."""
-    ends, mids = np.array([lo] + [hi] * 2 ** _BISECT_DEPTH), []  # inner ends written below
-    for step in (2 ** k for k in range(_BISECT_DEPTH, 0, -1)):  # a level's bracket width
-        ends[step // 2::step] = 0.5 * (ends[:-1:step] + ends[step::step])  # as the loop halves
-        mids.append(ends[step // 2::step])
-    return np.concatenate(mids)
+def _guide_bell(target: str, eta: int, theta: float, l: float) -> float:
+    """B* of the r' = l family at ``l`` in plain floats, as ``worst_bell`` takes it:
+    D = l^2 e^{i theta}, X = eta r^2, |a|^2 and |b|^2 = |D +- X|^2 / 2, and
+    B = 2 |(a0 + a1 p, b0 + b1 p)| / w with w = w0 + w1 p, least at p = 0, at p = 1,
+    at the root of y or at the foot in [0, 1]; B reads 0 where w is at most
+    ``_UNDEFINED_RTOL``, as an undefined projection does."""
+    ll = l * l
+    d_re, d_im, x = ll * math.cos(theta), ll * math.sin(theta), eta * max(0.0, 1.0 - ll)
+    a2, b2 = 0.5 * ((d_re + x) ** 2 + d_im ** 2), 0.5 * ((d_re - x) ** 2 + d_im ** 2)
+    v0, y0 = (a2, a2) if target == "1_plus" else (b2, -b2)
+    u1, v1, y1 = 0.5 * a2, 0.25 * (a2 + b2) - v0, 0.25 * (a2 - b2) - y0
+    w0, a1, w1, b0, b1 = 2.0 * v0, 2.0 * (u1 - v1), 2.0 * (u1 + v1), 2.0 * y0, 2.0 * y1
+    g0, g1 = b0 * b1 - w0 * a1, a1 * a1 + b1 * b1  # a0 = -w0
+    best = math.inf
+    for p in (0.0, 1.0, -y0 / y1 if y1 else 0.0,
+              (w1 * (w0 * w0 + b0 * b0) - g0 * w0) / c1 if (c1 := g1 * w0 - g0 * w1) else 0.0):
+        if 0.0 <= p <= 1.0:
+            w = w0 + w1 * p
+            bell = 2.0 * math.hypot(a1 * p - w0, b0 + b1 * p) / w if w > _UNDEFINED_RTOL else 0.0
+            best = bell if bell < best else best
+    return best
 
 
-#: The first stack of every search: l = 1/sqrt(2), then the midpoints of the first
-#: ``_BISECT_DEPTH`` steps from (1/sqrt(2), 1), with their l' = r and degrees.  No
-#: search changes them, so they are read-only constants built at import.
-_FIRST_LS = np.concatenate(([_SQRT_HALF], _bisection_tree(_SQRT_HALF, 1.0)))
-_FIRST_RS, _FIRST_DEGREES = _unit_r(_FIRST_LS), _family_degree(_FIRST_LS)
-for _constant in (_FIRST_LS, _FIRST_RS, _FIRST_DEGREES):
-    _constant.flags.writeable = False
+def _guided_path(target: str, eta: int, theta: float) -> list[float]:
+    """l = 1/sqrt(2), then the midpoints :func:`find_threshold`'s bisection visits if
+    each probe's B* is :func:`_guide_bell`'s and its degree is taken as
+    :func:`_family_degree` takes it, in plain floats; 1/sqrt(2) alone where the
+    guide finds no threshold.  It only steers which families are probed together
+    and never decides a step."""
+
+    def degree(l: float) -> float:
+        r = math.sqrt(max(0.0, 1.0 - l * l))
+        p12, p21 = (l * l) ** 2, (r * r) ** 2
+        x = p12 / (p12 + p21)
+        return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x)) if 0.0 < x < 1.0 else 0.0
+
+    path, lo, hi, lo_degree, hi_degree = [_SQRT_HALF], _SQRT_HALF, 1.0, degree(_SQRT_HALF), 0.0
+    if _guide_bell(target, eta, theta, _SQRT_HALF) <= 2.0:
+        return path
+    while lo_degree - hi_degree > _DEGREE_TOL and lo < (mid := 0.5 * (lo + hi)) < hi:
+        path.append(mid)
+        if _guide_bell(target, eta, theta, mid) > 2.0:
+            lo, lo_degree = mid, degree(mid)
+        else:
+            hi, hi_degree = mid, degree(mid)
+    return path
 
 
 def find_threshold(config: SweepConfig) -> ThresholdResult:
@@ -542,39 +571,39 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
     closed form from :meth:`~islocc.xstate.WernerFamily.worst_bell` (four
     candidate noise levels evaluated together), so no minimization and no
     inversion of the degree is iterated; the reported concurrence comes from
-    the same four rows.  The path is probed ``_BISECT_DEPTH`` steps at a time,
-    in one family stack of every midpoint they can visit.  The first stack
-    also holds l = 1/sqrt(2), whose probe decides whether any threshold exists,
-    since its midpoints do not depend on that probe: a search that finds a
-    threshold builds two stacks, one that finds none builds one.
+    the same four rows.  The probes are read from one family stack built up
+    front: l = 1/sqrt(2) and the path a plain-float guide (:func:`_guided_path`)
+    predicts.  The guide only steers, never decides: every step is taken on the
+    stack's checked rows, whose bits are each family's alone, and a midpoint the
+    stack does not hold is probed alone, so the result is the bisection's to the bit.
     """
     _check_threshold_family(config.constraint)
     theta, stats = config.resolved_theta(), config.statistics
 
-    def probe(ls, rs, degrees) -> list[list[float]]:  # each _Probe field, one entry per l
-        worst = WernerFamily(config.target, ls, rs, stats, theta).worst_bell()
-        return [a.tolist() for a in (degrees, ls, *worst)]
+    def probe(ls: list[float]) -> dict[float, _Probe]:  # each l's _Probe, keyed on l
+        ls = np.array(ls)
+        worst = WernerFamily(config.target, ls, _unit_r(ls), stats, theta).worst_bell()
+        fields = (a.tolist() for a in (_family_degree(ls), ls, *worst))
+        return {probed.l: probed for probed in map(_Probe._make, zip(*fields))}
 
-    first = probe(_FIRST_LS, _FIRST_RS, _FIRST_DEGREES)  # its entry 0 is the degree-1 end
-    inside, block, node = _Probe(*(f[0] for f in first)), [f[1:] for f in first], 0
+    held = probe(_guided_path(config.target, stats.eta, theta))
+    inside = held[_SQRT_HALF]  # the degree-1 end
     if inside.bell <= 2.0:
         return ThresholdResult(False, config.target, str(stats))
     # the other end needs no probe: at l = 1 (degree 0) the waves are |L> and
     # e^{i theta}|R>, so the p = 1 candidate is the maximally mixed state, B = 0
     outside_l, outside_degree = 1.0, 0.0
     while inside.degree - outside_degree > _DEGREE_TOL:
-        if node >= len(block[0]):  # the walk left the block: probe the next levels
-            ls = _bisection_tree(inside.l, outside_l)
-            block, node = probe(ls, _unit_r(ls), _family_degree(ls)), 0
-        at_mid = _Probe(*(field[node] for field in block))
-        if at_mid.l in (inside.l, outside_l):
+        mid = 0.5 * (inside.l + outside_l)
+        if mid in (inside.l, outside_l):
             # adjacent floats: searches stop at _DEGREE_TOL within 14 halvings,
             # never here, but this is what stops the loop at a tolerance <= 0
             break
+        at_mid = held[mid] if mid in held else probe([mid])[mid]
         if at_mid.bell > 2.0:
-            inside, node = at_mid, 2 * node + 2
+            inside = at_mid
         else:
-            outside_l, outside_degree, node = at_mid.l, at_mid.degree, 2 * node + 1
+            outside_l, outside_degree = at_mid.l, at_mid.degree
     return ThresholdResult(True, config.target, str(stats), *inside)
 
 

@@ -98,26 +98,16 @@ def test_svg_maps_write_the_renderers_bytes(name, renderer):
     assert report["sha256"] == hashlib.sha256(renderer(run_sweep(config)).encode()).hexdigest()
 
 
-#: The file each threshold workload writes: the text ``TestThreshold`` pins by
-#: digest, plus the newline that ends the command's output.
-THRESHOLD_DIGESTS = {
-    "threshold": "0f1b774256343634f56da5c2a25709e05a798c7c1faacde009b3831ffb69b3c8",
-    "threshold-fermion-1_plus": "ab440f8dd9fef2d08ecfbe4230c979dc34085df500b7e2584b54455fa07dce24",
-    "threshold-boson-1_minus": "ce9446b11e82d2a630cf1ee78cbd109b62aa5d88971188e26b72aa786c038ecd",
-    "threshold-boson-1_plus": "652eefe0efdd7818354e51db2d644cbb5c52a17a0cc90d6afe363e90b7cd90eb",
-    "threshold-boson-1_plus-3.14159":
-        "652eefe0efdd7818354e51db2d644cbb5c52a17a0cc90d6afe363e90b7cd90eb",
-}
-
-
 def test_threshold_workloads_write_the_pinned_bytes():
-    # the four statistics x target pairs and the sharp-dip search that finds none
-    assert {name for name in bench.WORKLOADS if name.startswith("threshold")} == \
-        set(THRESHOLD_DIGESTS)
-    reports = bench.measure({name: bench.WORKLOADS[name] for name in THRESHOLD_DIGESTS},
+    # the four statistics x target pairs, the sharp-dip search that finds none and
+    # a search that finds one off the canonical phase, each pinned in
+    # tools/digests.json, so the script times none whose bytes differ
+    names = {name for name in bench.WORKLOADS if name.startswith("threshold")}
+    assert names <= bench.PINS.keys() and len(names) == 6
+    reports = bench.measure({name: bench.WORKLOADS[name] for name in names},
                             {"change": ROOT / "src"}, repeats=1)
     assert {name: (report["status"], report["sha256"]) for name, report in reports.items()} \
-        == {name: ("ok", digest) for name, digest in THRESHOLD_DIGESTS.items()}
+        == {name: ("ok", bench.PINS[name]) for name in names}
 
 
 def test_verify_report_is_its_output():

@@ -34,7 +34,8 @@ from islocc.sweeps import (BELL_REGION_FIELDS, CONSTRAINTS, CSV_FIELDS, FORMATS,
                            records_to_json, run_sweep, sweep_text)
 from islocc.verify import run_verify
 from islocc.werner import LR_BASIS
-from islocc.xstate import WernerFamily, _unit_r
+from islocc.xstate import WernerFamily, _unit_r, canonical_theta
+from test_golden import THRESHOLD_THETAS
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -1098,6 +1099,18 @@ class TestSvg:
         assert [len(line) for line in self.polylines(sweep_svg(table))] == [51, 51, 51]
 
 
+def _spy_stacks(monkeypatch) -> list[list[float]]:
+    """The l of each family stack the threshold search builds from now on, in order."""
+    built = []
+
+    def spy(target, l, *args):
+        built.append(np.atleast_1d(l).tolist())
+        return WernerFamily(target, l, *args)
+
+    monkeypatch.setattr("islocc.sweeps.WernerFamily", spy)
+    return built
+
+
 class TestThreshold:
     def test_singlet_target_threshold_window(self):
         result = find_threshold(SweepConfig(statistics=FERMION, target="1_minus"))
@@ -1150,35 +1163,32 @@ class TestThreshold:
             assert bell[0] == 0.0, theta
 
     def test_degree_zero_end_is_not_probed(self, monkeypatch):
-        built = []
-
-        def spy(target, l, *args):
-            built.append(np.atleast_1d(l).tolist())
-            return WernerFamily(target, l, *args)
-
-        monkeypatch.setattr("islocc.sweeps.WernerFamily", spy)
+        built = _spy_stacks(monkeypatch)
         for statistics in (FERMION, BOSON):
             for target, found in (("1_minus", True), ("1_plus", False)):
                 built.clear()
                 assert find_threshold(SweepConfig(statistics=statistics,
                                                   target=target)).found is found
-                assert not any(1.0 in ls for ls in built)
-                # the 1/sqrt(2) end rides in the first block of bisection steps;
-                # a found search needs one more block and nothing else
-                assert [len(ls) for ls in built] == ([128, 127] if found else [128])
-                assert built[0][0] == SQRT_HALF
+                # one stack, the 1/sqrt(2) end first, then the guided path (none
+                # where no threshold is found); l = 1 is never probed
+                assert len(built) == 1 and built[0][0] == SQRT_HALF
+                assert 1.0 not in built[0]
+                assert (len(built[0]) > 1) is found
 
-    def test_first_stack_constants_are_read_only_and_current(self):
-        # built at import; each still equals what its functions give now, so a
-        # change to _BISECT_DEPTH or to the degree cannot leave them stale
-        ls = np.concatenate(([SQRT_HALF], sweeps._bisection_tree(SQRT_HALF, 1.0)))
-        assert len(ls) == 2 ** sweeps._BISECT_DEPTH
-        for constant, now in ((sweeps._FIRST_LS, ls), (sweeps._FIRST_RS, _unit_r(ls)),
-                              (sweeps._FIRST_DEGREES, indist_on_family(ls))):
-            assert constant.tobytes() == now.tobytes()
-            assert not constant.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                constant[0] = 0.5
+    @pytest.mark.parametrize("statistics", [FERMION, BOSON])
+    @pytest.mark.parametrize("target", ["1_minus", "1_plus"])
+    def test_guide_matches_worst_bell(self, statistics, target, rng):
+        # the guide's B* in plain floats against the checked rows', relative, on
+        # random families of the r' = l line and on its degree-1 end; a B* near 0
+        # is the cancellation of |a|^2 - |b|^2, rounded differently on each side,
+        # so the tolerance does not fall below 1e-14
+        canonical = canonical_theta(target, statistics)
+        cases = [(SQRT_HALF, canonical), (SQRT_HALF, 0.0), *zip(
+            rng.uniform(SQRT_HALF, 1.0, 1000).tolist(), rng.uniform(-10.0, 10.0, 1000).tolist())]
+        for l, theta in cases:
+            _, bell, _ = WernerFamily(target, l, _unit_r(l), statistics, theta).worst_bell()
+            assert sweeps._guide_bell(target, statistics.eta, theta, l) == pytest.approx(
+                float(bell[0]), rel=1e-12, abs=1e-14), (l, theta)
 
     def test_triplet_target_has_no_all_noise_threshold(self):
         result = find_threshold(SweepConfig(statistics=FERMION, target="1_plus"))
@@ -1251,7 +1261,7 @@ class _ReferenceProbe(NamedTuple):
 
 def _reference_find_threshold(config: SweepConfig) -> ThresholdResult:
     """The threshold search as one bisection in l that builds one family per
-    step, the loop :func:`find_threshold` walks in blocks; it reads
+    step, the loop :func:`find_threshold` walks on its guided stack; it reads
     ``sweeps._DEGREE_TOL`` when called."""
     theta, stats = config.resolved_theta(), config.statistics
 
@@ -1290,11 +1300,50 @@ class TestThresholdReference:
 
     @pytest.mark.parametrize("statistics", [FERMION, BOSON])
     @pytest.mark.parametrize("target", ["1_minus", "1_plus"])
-    def test_phases(self, statistics, target, rng):
-        # random phases find a threshold about one time in eight
-        for theta in [None, *TestThreshold.EDGE_THETAS, *rng.uniform(-10.0, 10.0, 500).tolist()]:
+    def test_phases(self, statistics, target, rng, monkeypatch):
+        # random phases find a threshold about one time in eight; fewer than 1%
+        # of the searches leave the guided stack for a lone probe
+        built, missed = _spy_stacks(monkeypatch), 0
+        thetas = [None, *TestThreshold.EDGE_THETAS, *rng.uniform(-10.0, 10.0, 500).tolist()]
+        for theta in thetas:
+            built.clear()
             self.assert_matches_reference(SweepConfig(statistics=statistics, target=target,
                                                       theta=theta))
+            missed += len(built) > 1
+        assert missed < 0.01 * len(thetas)
+
+    @staticmethod
+    def golden_configs() -> list[SweepConfig]:
+        """The 36 (statistics, target, theta) points of the golden threshold bits."""
+        return [SweepConfig(statistics=statistics, target=target, theta=theta)
+                for statistics in (FERMION, BOSON) for target in TARGETS
+                for theta in THRESHOLD_THETAS]
+
+    def test_golden_points_build_one_stack(self, monkeypatch):
+        built = _spy_stacks(monkeypatch)
+        for config in self.golden_configs():
+            built.clear()
+            self.assert_matches_reference(config)
+            assert len(built) == 1, config
+
+    @pytest.mark.parametrize("wrong", ["always", "never", "shifted"])
+    def test_wrong_guide_keeps_the_bisection(self, wrong, monkeypatch):
+        # a guide that always or never finds a violation, or looks 1e-9 off in l,
+        # costs lone probes and never a result bit
+        guide = sweeps._guide_bell
+        monkeypatch.setattr(sweeps, "_guide_bell", {
+            "always": lambda *args: 3.0,
+            "never": lambda *args: 0.0,
+            "shifted": lambda target, eta, theta, l: guide(target, eta, theta, l + 1e-9),
+        }[wrong])
+        built, lone = _spy_stacks(monkeypatch), 0
+        for config in self.golden_configs():
+            built.clear()
+            self.assert_matches_reference(config)
+            assert all(len(ls) == 1 for ls in built[1:]), config
+            lone += len(built) - 1
+        if wrong != "shifted":
+            assert lone > 0
 
     def test_zero_tolerance_crosses_blocks(self):
         # with no tolerance in degree the search runs about fifty steps, down

@@ -75,6 +75,9 @@ WORKLOADS = {
     # just below theta = pi: the sharp-dip search that finds no threshold
     "threshold-boson-1_plus-3.14159": ("threshold", "--statistics", "boson", "--target", "1_plus",
                                        "--theta", "3.14159"),
+    # a search that finds a threshold away from the canonical phase
+    "threshold-fermion-1_minus--0.3": ("threshold", "--statistics", "fermion", "--target",
+                                       "1_minus", "--theta", "-0.3"),
     "verify": ("verify",),
 }
 
