@@ -31,16 +31,14 @@ the same sweep written with the ``BELL_REGION_FIELDS`` columns, whose
 ``violated`` is ``B > 2``.  Every encoding goes through one core, which takes a
 flat table as a layout of one noise level whose columns are all per row.  A
 column whose bit patterns are all equal (a sweep's ``theta`` and ``statistics``)
-is written once into the literal text around it; one bit-identical to the
-previous written column of its kind (``lprime`` where l' = l) reuses that
-column's cells; a float column whose sample of rows repeats has each distinct
-pattern formatted once.  Each noise level's and each family's cells are
-formatted once and joined with the text around them, and the texts and row
-cells of a block of rows fill one list that is joined once.  CSV writes a
-computed float column that does not repeat inline, through one ``%`` template
-per block, so no cell is built for it.  The JSON text is that of
-``json.dumps(..., indent=2)``, and its float cells are the CSV cells, read back
-only where ``repr`` can differ.
+is written once into the literal text around it, and one bit-identical to the
+previous written column of its kind (``lprime`` where l' = l) reuses its cells.
+Each noise level's and each family's cells are formatted once.  A block of rows
+is one NUL-padded byte matrix, and the float cells of its computed columns are
+formatted in numpy in one call, exactly, with Python's formatter left the cells
+near a rounding tie and those in exponent form.  The JSON text is that of
+``json.dumps(..., indent=2)``, its float cells the CSV cells read back only where
+``repr`` can differ.
 
 The threshold search bisects l on the same family a step at a time, reading
 each probe from one :class:`~islocc.xstate.WernerFamily` stack and one pass of
@@ -103,9 +101,9 @@ FORMATS = ("csv", "json", "svg")
 FLAG_PROBABILITY = 1e-12
 
 #: Largest sweep (outer x noise steps) a configuration may ask for: it bounds the
-#: run time.  Memory grows with the rows: 301 x 301 peaks at 69 MiB as CSV and
-#: 101 MiB as JSON, a sweep at the cap at 385 MiB as CSV and 724 MiB as JSON
-#: (Python 3.11, numpy 2.4).
+#: run time.  Memory grows with the rows: 301 x 301 peaks at 60 MiB as CSV and
+#: 90 MiB as JSON, a sweep at the cap at 341 MiB as CSV and 677 MiB as JSON
+#: (tools/bench.py medians of 7, 2 vCPU, Python 3.11, numpy 2.4).
 MAX_SWEEP_ROWS = 1_000_000
 
 #: Bracket widths at which the bisections stop: in l (:func:`l_for_indist`)
@@ -583,13 +581,15 @@ def find_threshold(config: SweepConfig) -> ThresholdResult:
     def probe(ls: list[float]) -> dict[float, _Probe]:  # each l's _Probe, keyed on l
         ls = np.array(ls)
         worst = WernerFamily(config.target, ls, _unit_r(ls), stats, theta).worst_bell()
+        if ls[0] == _SQRT_HALF and worst[1][0] <= 2.0:  # no threshold: no degree read
+            return {}
         fields = (a.tolist() for a in (_family_degree(ls), ls, *worst))
         return {probed.l: probed for probed in map(_Probe._make, zip(*fields))}
 
     held = probe(_guided_path(config.target, stats.eta, theta))
-    inside = held[_SQRT_HALF]  # the degree-1 end
-    if inside.bell <= 2.0:
+    if not held:
         return ThresholdResult(False, config.target, str(stats))
+    inside = held[_SQRT_HALF]  # the degree-1 end, first on every guided path
     # the other end needs no probe: at l = 1 (degree 0) the waves are |L> and
     # e^{i theta}|R>, so the p = 1 candidate is the maximally mixed state, B = 0
     outside_l, outside_degree = 1.0, 0.0
@@ -619,16 +619,43 @@ def _check_threshold_family(constraint: str) -> None:
 # output encoding
 # ---------------------------------------------------------------------------
 
-#: Rows per block: the encoders write the rows a block at a time, so the template,
-#: values and text of one block bound the memory an encoding takes.
-_BLOCK_ROWS = 2 ** 14
-
-#: Largest even sample of a row column from which the encoders guess whether its
-#: float cells repeat; the sample holds between this and twice as many rows.
-_SAMPLE_ROWS = 128
+#: Rows per block: the encoders write the rows a block at a time, so the byte
+#: matrix and the cells of one block bound the memory an encoding takes.
+_BLOCK_ROWS = 2 ** 12
 
 #: The cells ``json`` writes for the floats that are not JSON numbers.
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+#: Distance from a tie within which a float's 12-digit mantissa, one rounded
+#: multiply (off by at most about 1.1e-4), is left to Python's formatter.
+_TIE_MARGIN = 1e-3
+
+_POW10 = np.array([float(10 ** k) for k in range(16)])  # each exact in a double
+
+
+@functools.cache  # at the first encoding, not at import
+def _digit_words() -> np.ndarray:
+    """The ``uint32`` words of :func:`_number_words`, at the offsets below: 0000 to 9999
+    with trailing (``_TRAIL``) or leading (``_LEAD``; ``_UNITS`` keeps 0000's last)
+    zeros as NULs, and whole (``_FULL``); a point and 000 to 999, the same (``_POINT``,
+    no point for 000; ``_POINT_JSON``, ".0" for it; ``_POINT_FULL``); NUL; the sign."""
+    full = (np.arange(10_000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+            % 10 + ord("0")).astype(np.uint8)
+    digit = full != ord("0")
+    lead = np.where(np.maximum.accumulate(digit, axis=1), full, np.uint8(0))
+    trail = np.where(np.maximum.accumulate(digit[:, ::-1], axis=1)[:, ::-1], full, np.uint8(0))
+    units, point, point_full = lead.copy(), trail[:1000].copy(), full[:1000].copy()
+    units[0, 3] = ord("0")
+    point[1:, 0] = point_full[:, 0] = ord(".")
+    point_json = point.copy()
+    point_json[0, :2] = (ord("."), ord("0"))
+    signs = np.array([[0, 0, 0, 0], [0, 0, 0, ord("-")]], np.uint8)
+    tables = (trail, lead, units, full, point, point_json, point_full, signs)
+    return np.concatenate(tables).view(np.uint32).ravel()
+
+
+_TRAIL, _LEAD, _UNITS, _FULL = 0.0, 1e4, 2e4, 3e4
+_POINT, _POINT_JSON, _POINT_FULL, _NUL = 4e4, 4.1e4, 4.2e4, 4.3e4  # the sign is _NUL + 1
 
 
 def _check_fields(fields: Sequence[str]) -> None:  # before any cell
@@ -642,24 +669,6 @@ def _table_layout(rows, fields: Sequence[str]) -> _Layout:
     _check_fields(fields)
     table = np.asarray(rows, dtype=ROW_DTYPE)
     return _Layout(1, {}, {}, {name: table[name] for name in ROW_DTYPE.names})
-
-
-def _distinct_cells(write, column: np.ndarray) -> list[str] | None:
-    """``write(column)`` for a float column, with each distinct bit pattern written once
-    and its cell spread back over the rows; None when over half the patterns are distinct.
-    Keyed on bits, not values, which would merge ``-0.0`` with ``0.0`` and NaNs."""
-    keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-    if 2 * len(keys) > len(column):
-        return None
-    return np.array(write(keys.view(np.float64)), dtype=object)[inverse].tolist()
-
-
-def _repeats(column: np.ndarray) -> bool:
-    """Whether a float column may repeat enough that writing each distinct bit pattern
-    once pays: at most half the patterns of an even sample of its rows are distinct.
-    The sample costs a fraction of the sort that finds the column's own patterns."""
-    sample = column[::max(1, len(column) // _SAMPLE_ROWS)].view(np.uint64).tolist()
-    return 2 * len(set(sample)) <= len(sample)
 
 
 def _csv_floats(values: np.ndarray) -> list[str]:
@@ -682,119 +691,193 @@ def _json_floats(values: np.ndarray) -> list[str]:
     return cells
 
 
-def _cells(column: np.ndarray, floats, quote, raw: bool = False, dedup: bool = True) -> list:
-    """The cells of one column or block: floats by ``floats``, each distinct bit pattern
-    once where ``dedup`` and at most half are distinct; ints in decimal; text by
-    ``quote``, once per text.  ``raw`` leaves the floats as floats, for a ``%``
-    conversion to write."""
-    if raw:
-        return column.tolist()
+def _cells(column: np.ndarray, floats, quote) -> list[str]:
+    """The cells of a constant, grid or family column: floats by ``floats``, ints in
+    decimal, text by ``quote``, once per text."""
     if column.dtype.kind == "f":
-        cells = _distinct_cells(floats, column) if dedup else None
-        return floats(column) if cells is None else cells
-    values = column.tolist()
-    if column.dtype.kind == "i":
-        return list(map(str, values))
-    return list(map({text: quote(text) for text in set(values)}.get, values))
+        return floats(column)
+    values, write = column.tolist(), str if column.dtype.kind == "i" else quote
+    return list(map({value: write(value) for value in set(values)}.get, values))
 
 
-def _bits(column: np.ndarray) -> np.ndarray:
-    """A float column's bit patterns; any other column itself."""
-    return column.view(np.uint64) if column.dtype.kind == "f" else column
+def _utf8(texts: Sequence[str]) -> np.ndarray:
+    """The texts' UTF-8 bytes as rows of one ``uint8`` matrix, NUL-padded; a NUL in a
+    text is written 0xFF, which UTF-8 never holds, and :func:`_encode` turns back."""
+    encoded = [text.encode("utf-8", "surrogatepass").replace(b"\0", b"\xff")
+               for text in texts]
+    return np.array(encoded, dtype=bytes).view(np.uint8).reshape(len(encoded), -1)
 
 
-def _encode(layout: _Layout, fields: Sequence[str], cells, inline: str | None,
+def _number_words(negative: np.ndarray, whole: np.ndarray, fraction: np.ndarray,
+                  json: bool) -> np.ndarray:
+    """The :func:`_digit_words` of numbers given as sign, integer part (below 10^12) and 15
+    fractional digits (below 10^15), a column per number: sign, integer part, point
+    and fraction, the zeros before and after the digits and a bare point NUL (".0"
+    where ``json``).  Each group of four digits is cut off by a floored division by a
+    power of ten, exact below 2^53 / 10^4, and takes its whole word (the larger
+    offset) where the digits beside it, above or below, are not all zero."""
+    groups = 1 + ((top := whole.max()) >= 1e4) + (top >= 1e8)
+    words = np.empty(((signed := negative.any()) + groups + 4, len(whole)), np.uint32)
+    rows = iter(words)  # each looked up alone, so no temporary holds them all
+
+    def put(index):
+        _digit_words().take(index.astype(np.intp), out=next(rows), mode="clip")
+
+    def write(group, beside, bare, full):  # bare where beside is 0, else full
+        put(group + np.minimum(beside * (full - bare) + bare, full))
+
+    if signed:
+        put(negative + _NUL)
+
+    above = 0.0  # the integer part above the group
+    for power in (1e8, 1e4, 1.0)[3 - groups:]:
+        scaled = np.floor(whole / power) if power > 1.0 else whole
+        write(scaled - above * 1e4, above, _UNITS if power == 1.0 else _LEAD, _FULL)
+        above = scaled
+    below = fraction  # the digits after the group
+    for power, bare, full in ((1e12, _POINT_JSON if json else _POINT, _POINT_FULL),
+                              (1e8, _TRAIL, _FULL), (1e4, _TRAIL, _FULL)):
+        group = np.floor(below / power)
+        below = below - group * power
+        write(group, below, bare, full)
+    put(below + _TRAIL)
+    return words
+
+
+def _float_cells(values: np.ndarray, json: bool) -> np.ndarray:
+    """The floats' cells as :func:`_csv_floats` or :func:`_json_floats` writes them, a
+    NUL-padded ``uint8`` row each.  ``log10`` proposes each exponent e in [-4, 11];
+    ``rint`` rounds the mantissa |x| * 10^(11 - e), one multiply by an exact power of
+    ten, a carry to 10^12 going into the integer part.  The formatter writes the
+    cells whose mantissa lies within ``_TIE_MARGIN`` of a tie or outside [10^11,
+    10^12] (a wrong proposal, or exponent form), |x| >= 999999999999, -0.0 and the
+    values that are not finite.  Only exactly rounded operations decide a digit, so
+    no numpy build or CPU changes a byte.  JSON adds ".0" to a cell with no point."""
+    with np.errstate(invalid="ignore"):  # signalling NaNs compare
+        size = np.abs(values)
+        scaled = np.fmax(np.fmin(size, 999_999_999_999.0), 1e-4)  # no NaN, inf or 0
+        shift = (11.0 - np.floor(np.log10(scaled))).astype(np.intp)
+        np.clip(shift, 0, 15, out=shift)
+        mantissa = scaled * _POW10[shift]
+        rounded = np.rint(mantissa)
+        untied = np.abs(mantissa - rounded) < 0.5 - _TIE_MARGIN  # so is 0's 10^11
+        sure = untied & (scaled == size) & (mantissa >= 1e11) & (mantissa <= 1e12)
+        rounded *= sure
+        sure |= untied & (values.view(np.uint64) == 0)  # +0.0, written "0"
+        power = _POW10[shift]
+        whole = np.floor(rounded / power)
+        words = _number_words(values < 0.0, whole, (rounded - whole * power) * (1e15 / power),
+                              json)
+    unsure = np.flatnonzero(~sure)
+    words[:, unsure] = 0
+    used = np.flatnonzero(np.bitwise_or.reduce(words, axis=1).view(np.uint8))
+    first, last = (used[0], used[-1] + 1) if len(used) else (0, 0)
+    cells = np.ascontiguousarray(words.T).view(np.uint8)[:, first:last]
+    if len(unsure):  # into their rows, all NUL, widened where the formatter's are wider
+        written = _utf8((_json_floats if json else _csv_floats)(values[unsure]))
+        if (wider := written.shape[1] - cells.shape[1]) > 0:
+            cells = np.pad(cells, ((0, 0), (0, wider)))
+        cells[unsure, :written.shape[1]] = written
+    return cells
+
+
+def _row_cells(columns: list[np.ndarray], json: bool, quote) -> list[np.ndarray]:
+    """The cells of a block of the row columns, a ``uint8`` matrix per column: every
+    float column in one call, and each distinct int or text once."""
+    floats = [column for column in columns if column.dtype.kind == "f"]
+    written = iter(np.split(_float_cells(np.concatenate(floats), json), len(floats))
+                   if floats else ())
+
+    def distinct(column):
+        values, inverse = np.unique(column, return_inverse=True)
+        texts = map(str if column.dtype.kind == "i" else quote, values.tolist())
+        return _utf8(list(texts))[inverse.ravel()]
+
+    return [next(written) if column.dtype.kind == "f" else distinct(column) for column in columns]
+
+
+def _encode(layout: _Layout, fields: Sequence[str], quote, json: bool,
             keys: Sequence[str], *, head: str, end: str, sep: str, tail: str) -> str:
     """``head``, the rows separated by ``sep``, then ``tail``; a row is ``keys[k]``
-    and the cell of ``fields[k]`` for each k, then ``end``.  ``cells(column, ...)``
-    writes the cells of a column or of a block of it (:func:`_cells`); ``inline``,
-    where given, is the ``%`` conversion that writes a float.
+    and the cell of ``fields[k]`` for each k, then ``end``; floats as
+    :func:`_json_floats` writes them where ``json``, else as :func:`_csv_floats`
+    does, text by ``quote``.
 
     Each column is written at the size it varies on (:class:`_Layout`).  A column
     whose bit patterns are all equal is written once into the literal text around it;
     one bit-identical to the previous written column of its kind and dtype reuses
     that column's cells; on the program's layouts twins sit in such runs (``l``,
-    ``lprime``).  A float column has each distinct bit pattern written once where
-    :func:`_repeats` says its patterns repeat.  The cells of each grid point and of
-    each family are joined once with the texts around them.  Each block of
-    ``_BLOCK_ROWS`` rows is one list of those texts and of the row columns' cells,
-    filled by slice assignment and joined once.  With ``inline``, a float row column
-    with no twin and no repeats is written by it: the joined block is then a ``%``
-    template of those columns, so no cell is built for their floats."""
+    ``lprime``).  The cells of each grid point and of each family are joined once
+    with the texts around them.  Each block of ``_BLOCK_ROWS`` rows is one ``uint8``
+    matrix of NUL-padded slots: the literal texts, the grid and family texts gathered
+    and the row columns' cells (:func:`_row_cells`).  A boolean compress of each
+    64 KiB of it drops the NULs, and each part is decoded once."""
     rows = layout.size
     if not (rows and len(fields)):  # as if no rows
         return head + tail
-    # where floats are written by a % conversion, every other % is escaped
-    escape = (lambda text: text.replace("%", "%%")) if inline else (lambda text: text)
-    pieces = [("text", escape(sep))]  # a row: texts, grid and family cells, row columns
-    row_columns = []  # [column, inline, dedup, index of the twin whose cells it reuses]
-    previous = {}  # (kind, dtype) -> the last written column of them and its cells or index
+    floats = _json_floats if json else _csv_floats
+    pieces = [("text", sep)]  # a row: texts, grid and family cells, row columns
+    row_columns = []
+    previous = {}  # (kind, dtype) -> the bits of the last written column of them, its cells
     for key, name in zip(keys, fields):
         kind, column = layout.column(name)
-        pieces.append(("text", escape(key)))
-        bits = _bits(column)
+        pieces.append(("text", key))
+        bits = column.view(np.uint64) if column.dtype.kind == "f" else column
         if (bits == bits[0]).all():
-            pieces.append(("text", escape(cells(column[:1], dedup=False)[0])))
+            pieces.append(("text", _cells(column[:1], floats, quote)[0]))
             continue
         last = previous.get((kind, column.dtype))
-        twin = last[1] if last is not None and (_bits(last[0]) == bits).all() else None
-        dedup = column.dtype.kind == "f" and _repeats(column)
-        if kind == "rows":
-            if twin is not None:  # its cells are written once, for both
-                row_columns[twin][1] = False
-            previous[kind, column.dtype] = (column, len(row_columns))
-            pieces.append((kind, len(row_columns)))
-            row_columns.append([column, inline is not None and column.dtype.kind == "f"
-                                and not dedup and twin is None, dedup, twin])
-        else:
-            written = twin if twin is not None else cells(column, dedup=dedup)
-            if twin is None and column.dtype.kind == "U":
-                written = list(map(escape, written))
-            previous[kind, column.dtype] = (column, written)
-            pieces.append((kind, written))
-    pieces.append(("text", escape(end)))
-    segments = _segments(pieces, [inline if raw else None for _, raw, _, _ in row_columns])
-    row = [texts if kind is None else None for kind, texts in segments]
-    varying = [(j, kind, texts) for j, (kind, texts) in enumerate(segments) if kind is not None]
-    blocks = []
-    for start in range(0, rows, _BLOCK_ROWS):
-        stop = min(start + _BLOCK_ROWS, rows)
+        written = last[1] if last is not None and (last[0] == bits).all() else None
+        if written is None:
+            written = len(row_columns) if kind == "rows" else _cells(column, floats, quote)
+            if kind == "rows":
+                row_columns.append(column)
+        previous[kind, column.dtype] = (bits, written)
+        pieces.append((kind, written))
+    pieces.append(("text", end))
+    slots = [(kind, texts if kind == "rows" else [texts] if kind is None else texts)
+             for kind, texts in _segments(pieces)]
+    nul = any(row_columns[texts].dtype.kind == "U" if kind == "rows" else "\0" in "".join(texts)
+              for kind, texts in slots)  # a text with a NUL, written 0xFF by _utf8
+    slots = [(kind, texts if kind == "rows" else _utf8(texts)) for kind, texts in slots]
+
+    def decoded(matrix: np.ndarray) -> str:  # its bytes less the NULs, 0xFF turned back
+        text = matrix[matrix != 0]
+        if nul:
+            text[text == 0xFF] = 0
+        return str(text, "utf-8", "surrogatepass")
+
+    def block(start: int, stop: int) -> list[str]:  # rows start to stop
         at = np.arange(start, stop)
-        index = {"grid": at % layout.n_p, "families": at // layout.n_p}
-        written = []
-        for column, raw, dedup, twin in row_columns:
-            block = column[start:stop]
-            written.append(written[twin] if twin is not None
-                           else list(map(escape, cells(block))) if block.dtype.kind == "U"
-                           else cells(block, raw=raw, dedup=dedup))
-        parts = row * (stop - start)
-        for j, kind, texts in varying:
-            parts[j::len(row)] = (written[texts] if kind == "rows"
-                                  else texts.take(index[kind]).tolist())
+        cells = _row_cells([column[start:stop] for column in row_columns], json, quote)
+        filled = [cells[texts] if kind == "rows" else texts if kind is None else
+                  texts[at % layout.n_p if kind == "grid" else at // layout.n_p]
+                  for kind, texts in slots]
+        ends = np.cumsum([part.shape[1] for part in filled]).tolist()
+        literal = np.zeros((1, ends[-1]), np.uint8)  # the literal slots, copied at once
+        for part, left, right in zip(filled, [0, *ends], ends):
+            if len(part) == 1:
+                literal[:, left:right] = part
+        matrix = np.repeat(literal, stop - start, axis=0)
+        for part, left, right in zip(filled, [0, *ends], ends):
+            if len(part) > 1:
+                matrix[:, left:right] = part
         if not start:  # no sep before the first row
-            parts[0] = escape(head) + parts[0][len(escape(sep)):]
-        if stop == rows:
-            parts[-1] += escape(tail)
-        text = "".join(parts)
-        if inline:  # the inline floats, row by row
-            values = [column for column, (_, raw, _, _) in zip(written, row_columns) if raw]
-            interleaved = [None] * ((stop - start) * len(values))
-            for j, column in enumerate(values):
-                interleaved[j::len(values)] = column
-            text %= tuple(interleaved)
-        blocks.append(text)
-    return "".join(blocks)
+            matrix[0, :len(sep.encode())] = 0
+        del cells, filled  # and each compress kept to 64 KiB, so the heap need not grow
+        return [decoded(part) for part in np.array_split(matrix, -(-matrix.size // 2 ** 16))]
+
+    return "".join([head, *itertools.chain.from_iterable(
+        block(start, min(start + _BLOCK_ROWS, rows)) for start in range(0, rows, _BLOCK_ROWS)),
+        tail])
 
 
-def _segments(pieces: list, inline: list) -> list[tuple[str | None, object]]:
+def _segments(pieces: list) -> list[tuple[str | None, object]]:
     """A row's pieces as segments: runs of texts and grid cells, or of texts and family
-    cells, each joined to one text per grid point or family (an object array), or to one
-    text where the run holds neither; and each row column alone, by its index.  A row
-    column ``j`` written by the conversion ``inline[j]`` is that text instead."""
+    cells, each joined to one text per grid point or family, or to one text where the
+    run holds neither; and each row column alone, by its index."""
     segments, run, current = [], [], None
     for kind, payload in pieces:
-        if kind == "rows" and inline[payload]:
-            kind, payload = "text", inline[payload]
         if kind == "text":
             run.append(payload)
             continue
@@ -812,16 +895,15 @@ def _segments(pieces: list, inline: list) -> list[tuple[str | None, object]]:
 
 def _joined(kind: str | None, run: list) -> tuple[str | None, object]:
     """A run of texts and of lists of cells joined: one text per entry of the lists,
-    as an object array, or one text where the run holds only texts."""
+    or one text where the run holds only texts."""
     if kind is None:
         return None, "".join(run)
     columns = [itertools.repeat(piece) if isinstance(piece, str) else piece for piece in run]
-    return kind, np.array(list(map("".join, zip(*columns))), dtype=object)
+    return kind, list(map("".join, zip(*columns)))
 
 
 def _write_csv(layout: _Layout, fields: Sequence[str]) -> str:
-    return _encode(layout, fields, functools.partial(_cells, floats=_csv_floats, quote=str),
-                   "%.12g", ["", *[","] * (len(fields) - 1)],
+    return _encode(layout, fields, str, False, ["", *[","] * (len(fields) - 1)],
                    head=",".join(fields) + "\n", end="\n", sep="", tail="")
 
 
@@ -829,10 +911,8 @@ def _write_json(layout: _Layout, fields: Sequence[str]) -> str:
     if not (layout.size and len(fields)):
         return json.dumps({"records": []}, indent=2) + "\n"
     keys = [("," if k else "") + f"\n      {json.dumps(name)}: " for k, name in enumerate(fields)]
-    return _encode(layout, fields, functools.partial(_cells, floats=_json_floats,
-                                                     quote=json.dumps),
-                   None, keys, head='{\n  "records": [\n    {', end="\n    }", sep=",\n    {",
-                   tail="\n  ]\n}\n")
+    return _encode(layout, fields, json.dumps, True, keys, head='{\n  "records": [\n    {',
+                   end="\n    }", sep=",\n    {", tail="\n  ]\n}\n")
 
 
 def records_to_csv(rows, fields: Sequence[str]) -> str:

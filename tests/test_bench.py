@@ -61,9 +61,34 @@ def test_bell_region_map_writes_the_pinned_bytes():
 
 
 def test_map_workloads_are_pinned():
-    assert {"sweep-41", "bell-region-41", "l-scan-json", "map-301-csv",
-            "map-301-json"} <= bench.PINS.keys() & bench.WORKLOADS.keys()
+    assert {"sweep-41", "bell-region-41", "l-scan-json", "map-301-csv", "map-301-json",
+            "cap-csv", "cap-json"} <= bench.PINS.keys() & bench.WORKLOADS.keys()
     assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest in bench.PINS.values())
+
+
+def test_startup_imports_the_cli_and_writes_nothing(tmp_path):
+    run = bench.run_once(ROOT / "src", bench.WORKLOADS["startup"], tmp_path)
+    assert run["code"] == 0 and run["sha256"] == hashlib.sha256(b"").hexdigest()
+    assert run["seconds"] > 0 and run["peak_mib"] > 0
+
+
+def test_startup_runs_at_least_its_minimum_per_side(monkeypatch):
+    # 40 alternating starts per side even at one repeat; the other workloads run
+    # the repeats asked for
+    runs = []
+    monkeypatch.setattr(bench, "run_once", lambda src, args, workdir: runs.append((src, args))
+                        or {"code": 0, "seconds": 0.1, "peak_mib": 30.0, "sha256": "0",
+                            "stderr": ""})
+    workloads = {"startup": bench.WORKLOADS["startup"], **TINY}
+    sides = {"change": Path("change"), "baseline": Path("baseline")}
+    reports = bench.measure(workloads, sides, repeats=1, pins={})
+    assert bench.MIN_REPEATS["startup"] >= 40
+    startups = [src for src, args in runs if args == bench.WORKLOADS["startup"]]
+    assert startups == [Path("change"), Path("baseline"), Path("baseline"),
+                        Path("change")] * (bench.MIN_REPEATS["startup"] // 2)
+    assert len(runs) - len(startups) == 2
+    assert len(reports["startup"]["change"]["wall_s"]["runs"]) == bench.MIN_REPEATS["startup"]
+    assert len(reports["tiny"]["baseline"]["wall_s"]["runs"]) == 1
 
 
 def test_output_unequal_to_its_pin_is_not_timed(tmp_path, monkeypatch):

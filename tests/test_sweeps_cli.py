@@ -777,7 +777,7 @@ class TestEncodingReference:
 
     @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
     def test_tiled_edge_cells(self, fields):
-        # each edge value three times in every float column: its cell is written once
+        # each edge value three times in every float column
         self.assert_matches_reference(np.tile(self.edges(), 3), fields)
 
     #: Odd floats a repeated column mixes: both zeros, NaNs with different
@@ -808,16 +808,14 @@ class TestEncodingReference:
     @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
     @pytest.mark.parametrize("extra", [0, 1], ids=["half", "half+1"])
     def test_half_distinct_columns(self, fields, extra, rng):
-        """Columns of n rows with n/2 distinct bit patterns write each pattern once;
-        with n/2 + 1 they are written row by row.  Both match the reference."""
+        """Columns of n rows with n/2 and n/2 + 1 distinct bit patterns match the
+        reference."""
         table = np.recarray(2 * 18, dtype=ROW_DTYPE)
         patterns = np.unique(np.array(self.FLOATS).view(np.uint64)).view(np.float64)
         floats = [name for name in ROW_DTYPE.names if ROW_DTYPE[name].kind == "f"]
         for shift, name in enumerate(floats):
             distinct = np.roll(patterns, 4 * shift)[:len(table) // 2 + extra]
             table[name] = rng.permutation(np.resize(distinct, len(table)))
-            cells = sweeps._distinct_cells(sweeps._csv_floats, table[name])
-            assert (cells is None) == bool(extra), name
         table.statistics = "boson"
         table.violated = 1
         self.assert_matches_reference(table, fields)
@@ -862,14 +860,21 @@ class TestEncodingReference:
 
     @staticmethod
     def written(monkeypatch) -> list[np.ndarray]:
-        """The columns the encoders write cells for from here on, in call order."""
-        calls, cells = [], sweeps._cells
+        """The columns the encoders write cells for from here on, in call order: the
+        constant, grid and family columns one at a time, a block's row columns
+        together."""
+        calls, cells, row_cells = [], sweeps._cells, sweeps._row_cells
 
-        def spy(column, **kwargs):
+        def spy(column, *args):
             calls.append(column.copy())
-            return cells(column, **kwargs)
+            return cells(column, *args)
+
+        def row_spy(columns, *args):
+            calls.extend(column.copy() for column in columns)
+            return row_cells(columns, *args)
 
         monkeypatch.setattr(sweeps, "_cells", spy)
+        monkeypatch.setattr(sweeps, "_row_cells", row_spy)
         return calls
 
     @pytest.mark.parametrize("make", [
@@ -877,9 +882,8 @@ class TestEncodingReference:
         pytest.param(lambda cls, rng: cls.repeated_odd(rng, 150), id="repeated-odd"),
         pytest.param(lambda cls, rng: cls.random_bits(rng, 150), id="random-bits")])
     def test_block_size_invariance(self, make, monkeypatch, rng):
-        """Blocks of 1, 2, 7, n - 1 and n rows write the bytes of one whole block;
-        small blocks also write a repeated column row by row in one block and
-        each distinct cell once in the next."""
+        """Blocks of 1, 2, 7, n - 1 and n rows write the bytes of one whole block,
+        each block's slots as wide as its own widest cells."""
         table = make(type(self), rng)
         for rows in (1, 2, 7, len(table) - 1, len(table)):
             monkeypatch.setattr(sweeps, "_BLOCK_ROWS", rows)
@@ -894,6 +898,14 @@ class TestEncodingReference:
 
     def test_no_fields(self):
         self.assert_matches_reference(self.edges(), ())
+
+    def test_nul_and_surrogate_in_text(self):
+        """A NUL inside a text cell is written, not dropped with the padding, and a
+        lone surrogate is written as it is."""
+        table = self.edges()[:4]
+        table.statistics = ["a\x00b", "\x00x", "\ud800x", "fermion"]
+        for fields in (CSV_FIELDS, BELL_REGION_FIELDS + ("statistics",)):
+            self.assert_matches_reference(table, fields)
 
     @pytest.mark.parametrize("fields", [CSV_FIELDS, BELL_REGION_FIELDS])
     def test_one_row(self, fields):
@@ -994,6 +1006,130 @@ class TestEncodingReference:
             if "l" in varying:
                 assert np.array_equal(bits["l"], bits["lprime"]) == (
                     config.constraint == "l_eq_lprime")
+
+
+class TestFloatCells:
+    """The float cells built in numpy (:func:`sweeps._float_cells`) against Python's
+    formatter, with the formatter's fallback cells told apart."""
+
+    #: Values at the edges of the numpy path: just below 1e-4 (12 digits round it
+    #: to 0.0001), just below 1e12 (a tie that rounds to exponent form), 1e12, the
+    #: first and last fixed-form decades, the extreme and subnormal doubles, both
+    #: zeros, NaN payloads and infinities.
+    EDGES = [9.99999999999949e-5, 9.9999999999995e-5, 1e-4, 999999999999.5, 999999999999.4,
+             0.000123456789012345, -0.000987654321, 123456789012.3, -98765432109.8,
+             999999999999.0, 1e12, 1e11, 99999999999.5, 5e-324, -5e-324, 1e-310,
+             2.2250738585072014e-308, 1.7976931348623157e308, 0.0, -0.0, 1.0, -1.0, 0.5,
+             2.5, 0.125, 1 / 3, 2 * math.sqrt(2), 0.9999999999995, 0.99999999999949,
+             *np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000,
+                        0x7FF0000000000001, 0xFFF4000000000123], dtype=np.uint64)
+             .view(np.float64).tolist(), math.inf, -math.inf]
+
+    @staticmethod
+    def fallback_allowed(value: float) -> bool:
+        """Whether the numpy path may leave ``value`` to the formatter: not finite,
+        -0.0, a cell in exponent form, a 12-digit mantissa within twice the margin of
+        a tie, or a value within 1e-12 of a power of ten, where ``log10`` may propose
+        the neighbouring exponent."""
+        if not math.isfinite(value) or value == 0.0:
+            return math.copysign(1.0, value) < 0.0 or not math.isfinite(value)
+        if "e" in format(value, ".12g"):
+            return True
+        size = abs(Fraction(value))
+        exponent = math.floor(math.log10(abs(value)))
+        while Fraction(10) ** exponent > size:
+            exponent -= 1
+        while Fraction(10) ** (exponent + 1) <= size:
+            exponent += 1
+        mantissa = size * Fraction(10) ** (11 - exponent)
+        if abs(mantissa - math.floor(mantissa) - Fraction(1, 2)) < 2 * sweeps._TIE_MARGIN:
+            return True
+        return min(abs(size / Fraction(10) ** k - 1) for k in (exponent, exponent + 1)) < 1e-12
+
+    @classmethod
+    def check(cls, values: list[float]) -> None:
+        """The cells of ``values`` in both formats: each numpy cell equals the
+        formatter's, and only the values ``fallback_allowed`` names fall back."""
+        values = np.array(values, dtype=float)
+        for json_cells, reference in ((False, sweeps._csv_floats(values)),
+                                      (True, sweeps._json_floats(values))):
+            with pytest.MonkeyPatch.context() as patch:  # the fallback cells marked
+                patch.setattr(sweeps, "_json_floats" if json_cells else "_csv_floats",
+                              lambda rest: ["?"] * len(rest))
+                cells = sweeps._float_cells(values, json_cells)
+            for value, row, expected in zip(values.tolist(), cells, reference):
+                cell = row[row != 0].tobytes().decode()
+                if cell == "?":
+                    assert cls.fallback_allowed(value), (value, json_cells)
+                else:
+                    assert cell == expected, (value, json_cells)
+
+    def test_edges(self):
+        self.check(self.EDGES)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(values=st.lists(
+        st.integers(0, 2 ** 64 - 1).map(lambda bits: np.uint64(bits).view(np.float64).item())
+        | st.floats(1e-5, 1e13)
+        # every decade alike, from exponent form below 1e-4 to exponent form from 1e12
+        | st.builds(lambda digits, exponent: digits * 10.0 ** exponent,
+                    st.floats(-10.0, 10.0), st.integers(-6, 12))
+        # (k + 1/2) 10^j a few ulps either way: ties of the 12-digit rounding
+        | st.builds(lambda k, j, ulps: functools.reduce(
+            lambda x, _: math.nextafter(x, math.copysign(math.inf, ulps)), range(abs(ulps)),
+            (k + 0.5) * 10.0 ** j), st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-16, 0),
+            st.integers(-3, 3)), min_size=1, max_size=40))
+    def test_random_values(self, values):
+        self.check(values)
+
+    def test_program_values_take_the_numpy_path(self, monkeypatch):
+        """Of the grid-map sweep's computed cells, at most 1% fall back."""
+        layout = sweeps._sweep_layout(SweepConfig(indist_grid=GridSpec(0, 1, 41),
+                                                  p_grid=GridSpec(0, 1, 41)))
+        values = np.concatenate([layout.rows[name] for name in ("concurrence", "eof",
+                                                                  "p_lr", "bell")])
+        fallback = []
+        monkeypatch.setattr(sweeps, "_csv_floats", lambda rest: fallback.extend(rest) or
+                            ["?"] * len(rest))
+        sweeps._float_cells(values, False)
+        assert len(fallback) < 0.01 * len(values)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: TestEncodingReference.edges(), id="edges"),
+        pytest.param(lambda: TestEncodingReference.repeated_odd(np.random.default_rng(1), 600),
+                     id="repeated-odd"),
+        pytest.param(lambda: TestEncodingReference.random_bits(np.random.default_rng(2), 600),
+                     id="random-bits"),
+        pytest.param(lambda: np.tile(TestEncodingReference.edges(), 3), id="tiled-edges")])
+    def test_all_fallback_writes_the_same_bytes(self, make, monkeypatch):
+        """With a tie margin of 1/2 every float cell falls back to the formatter, and
+        the bytes are those of the numpy path, on the reference tables and on the
+        benchmark sweeps."""
+        table = make()
+        configs = [SweepConfig(indist_grid=GridSpec(0, 1, 41), p_grid=GridSpec(0, 1, 41)),
+                   SweepConfig(statistics=BOSON, target="1_plus", theta=1.0,
+                               constraint="l_eq_lprime", l_grid=GridSpec(0, 1, 801),
+                               p_grid=GridSpec(0.5, 0.5, 1))]
+
+        def texts():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # l-scan's flagged rows
+                sweeps_ = [sweep_text(dataclasses.replace(config, format=fmt), fields)
+                           for config in configs for fmt in ("csv", "json")
+                           for fields in (CSV_FIELDS, BELL_REGION_FIELDS)]
+            return [encode(table, fields) for encode in (records_to_csv, records_to_json)
+                    for fields in (CSV_FIELDS, BELL_REGION_FIELDS)] + sweeps_
+
+        expected = texts()
+        monkeypatch.setattr(sweeps, "_TIE_MARGIN", 0.5)
+        with monkeypatch.context() as patch:  # every float cell is the formatter's
+            patch.setattr(sweeps, "_csv_floats", lambda rest: ["?"] * len(rest))
+            patch.setattr(sweeps, "_json_floats", lambda rest: ["?"] * len(rest))
+            for values in (np.array(self.EDGES), table.bell, table.p):
+                for json_cells in (False, True):
+                    cells = sweeps._float_cells(values, json_cells)
+                    assert all(row[row != 0].tobytes() == b"?" for row in cells)
+        assert texts() == expected
 
 
 class TestSvg:
@@ -1174,6 +1310,19 @@ class TestThreshold:
                 assert len(built) == 1 and built[0][0] == SQRT_HALF
                 assert 1.0 not in built[0]
                 assert (len(built[0]) > 1) is found
+
+    def test_search_that_finds_none_computes_no_degree(self, monkeypatch):
+        # the degrees are read only once the degree-1 end violates
+        degrees, family_degree = [], sweeps._family_degree
+        monkeypatch.setattr(sweeps, "_family_degree",
+                            lambda l: degrees.append(len(l)) or family_degree(l))
+        for statistics, target, theta, found in ((FERMION, "1_plus", None, False),
+                                                 (BOSON, "1_plus", 3.14159, False),
+                                                 (FERMION, "1_minus", None, True)):
+            degrees.clear()
+            config = SweepConfig(statistics=statistics, target=target, theta=theta)
+            assert find_threshold(config).found is found
+            assert bool(degrees) is found
 
     @pytest.mark.parametrize("statistics", [FERMION, BOSON])
     @pytest.mark.parametrize("target", ["1_minus", "1_plus"])

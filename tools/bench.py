@@ -7,8 +7,11 @@ Usage::
 
 Each workload is one ``islocc`` command that writes its output to a temporary
 file; ``verify``, which takes no ``--output``, writes its report to stdout, which
-the script sends to that file.  Every repeat starts a new process, so a run
-pays start-up as a user does.  With ``--baseline REV`` the ``src/`` tree of git
+the script sends to that file.  The ``startup`` workload is ``python -c "import
+islocc.cli"`` alone, whose empty stdout is its output; it runs at least 40 times
+per side, whatever ``--repeats`` says, since a start-up differs between revisions
+by milliseconds.  Every repeat starts a new process, so a run pays start-up as a
+user does.  With ``--baseline REV`` the ``src/`` tree of git
 revision REV is extracted (``git archive``) under a temporary directory and each
 workload runs from both trees in the same session, alternating which side runs
 first.
@@ -79,10 +82,16 @@ WORKLOADS = {
     "threshold-fermion-1_minus--0.3": ("threshold", "--statistics", "fermion", "--target",
                                        "1_minus", "--theta", "-0.3"),
     "verify": ("verify",),
+    "startup": ("-c", "import islocc.cli"),
 }
 
-#: Commands that take no ``--output``: their stdout is the output.
-STDOUT_COMMANDS = {"verify"}
+#: Commands that take no ``--output``: their stdout is the output.  A workload
+#: whose arguments start with ``-c`` runs ``python`` with them, not ``python -m
+#: islocc``, and writes to stdout too.
+STDOUT_COMMANDS = {"verify", "-c"}
+
+#: Workload name -> the fewest runs per side it takes, whatever ``--repeats`` says.
+MIN_REPEATS = {"startup": 40}
 
 #: Output name -> the sha256 of its bytes: the workloads' and CI's pinned outputs.
 PINS = json.loads((ROOT / "tools" / "digests.json").read_text(encoding="utf-8"))
@@ -95,10 +104,11 @@ def run_once(src: Path, args, workdir: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
     to_stdout = args[0] in STDOUT_COMMANDS
-    flags = () if to_stdout else ("--output", str(output))
+    command = (args if args[0] == "-c"
+               else ("-m", "islocc", *args, *(() if to_stdout else ("--output", str(output)))))
     with open(errors, "wb") as stderr, open(output if to_stdout else os.devnull, "wb") as stdout:
         start = time.perf_counter()
-        child = subprocess.Popen([sys.executable, "-m", "islocc", *args, *flags],
+        child = subprocess.Popen([sys.executable, *command],
                                  env=env, stdin=subprocess.DEVNULL, stdout=stdout, stderr=stderr)
         _, status, usage = os.wait4(child.pid, 0)
         seconds = time.perf_counter() - start
@@ -153,10 +163,10 @@ def judge(runs: dict[str, list[dict]]) -> dict:
 
 
 def measure(workloads: dict, sides: dict[str, Path], repeats: int, pins: dict = PINS) -> dict:
-    """Run every workload ``repeats`` times on each side, the sides alternating
-    which runs first, and judge each workload.  A workload pinned in ``pins`` first
-    runs once on the ``change`` side; if its output is not the pinned one it fails
-    there, with no timed run."""
+    """Run every workload ``repeats`` times on each side (or its ``MIN_REPEATS``,
+    if more), the sides alternating which runs first, and judge each workload.  A
+    workload pinned in ``pins`` first runs once on the ``change`` side; if its
+    output is not the pinned one it fails there, with no timed run."""
     runs = {name: {side: [] for side in sides} for name in workloads}
     reports = {}
     with tempfile.TemporaryDirectory() as scratch:
@@ -167,9 +177,10 @@ def measure(workloads: dict, sides: dict[str, Path], repeats: int, pins: dict = 
                     reports[name] = {"status": "failed", "problems": [
                         f"change: exit code {run['code']}: {run['stderr'].strip()}" if run["code"]
                         else "change: output differs from its pin"]}
-        timed = [name for name in workloads if name not in reports]
-        for repeat in range(repeats):
-            for name in timed:
+        counts = {name: max(repeats, MIN_REPEATS.get(name, 1))
+                  for name in workloads if name not in reports}
+        for repeat in range(max(counts.values(), default=0)):
+            for name in [name for name, count in counts.items() if repeat < count]:
                 order = list(sides) if repeat % 2 == 0 else list(sides)[::-1]
                 for side in order:
                     runs[name][side].append(run_once(sides[side], workloads[name],
